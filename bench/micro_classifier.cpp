@@ -76,18 +76,6 @@ void BM_TrieClassifier(benchmark::State& state) {
 }
 BENCHMARK(BM_TrieClassifier)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_TupleSpaceClassifier(benchmark::State& state) {
-  const RuleSet rs = make_rule_set(static_cast<std::size_t>(state.range(0)), 1);
-  const auto classifier = policy::make_tuple_space_classifier(rs.list);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(classifier->first_match(rs.probes[i++ & 4095]));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["bytes"] = static_cast<double>(classifier->memory_bytes());
-}
-BENCHMARK(BM_TupleSpaceClassifier)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
-
 void BM_FlowCacheHit(benchmark::State& state) {
   // §III.D fast path: the per-packet cost once a flow's first packet paid
   // for classification.

@@ -29,8 +29,6 @@
 //                [--chaos-seed N]       # seed for `generated` (0 = master seed)
 //                [--epoch SECS]         # time-series sampling period (0.5)
 //                [--trace-sample RATE]  # flow sampling rate in [0,1] (1.0)
-//                [--shards N]           # partitioned parallel sim with N
-//                                       # region threads (1 = serial)
 //                [--reopt-period SECS]  # drift-triggered re-optimisation
 //                                       # loop epoch (0 = off); implies --sim
 //                [--reopt-threshold X]  # total-variation drift trigger (0.1)
@@ -51,10 +49,9 @@
 //   ./build/examples/scenario_cli --topology waxman --strategy lb --packets 5000000
 //   ./build/examples/scenario_cli --packets 4000 --metrics-out m.json --trace-out t.json
 //   ./build/examples/scenario_cli --packets 4000 --reopt-period 0.5 --metrics-out m.json
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -102,7 +99,7 @@ void usage(const char* argv0, std::FILE* out) {
                "          [--sim] [--metrics-out FILE] [--trace-out FILE]\n"
                "          [--spans-out FILE]\n"
                "          [--verify] [--faults none|chaos|generated] [--chaos-seed N]\n"
-               "          [--epoch SECS] [--trace-sample RATE] [--shards N]\n"
+               "          [--epoch SECS] [--trace-sample RATE]\n"
                "          [--reopt-period SECS] [--reopt-threshold X]\n"
                "          [--reopt-cooldown N] [--reopt-min-reports N]\n"
                "          [--reopt-adaptive] [--reopt-noise-mult X] [--reopt-predictive]\n"
@@ -111,6 +108,18 @@ void usage(const char* argv0, std::FILE* out) {
                "            2 = bad usage or unbuildable spec\n"
                "            3 = --verify found violations or could not verify\n",
                argv0);
+}
+
+/// Valued flags that set one spec field: each is the spec key of the same
+/// name with dashes for underscores, parsed by exp::set_field, so a flag
+/// accepts exactly what a --spec file line accepts.
+bool is_spec_flag(const std::string& arg) {
+  static constexpr const char* kFlags[] = {
+      "--topology",        "--strategy",       "--packets",           "--policies-per-class",
+      "--seed",            "--fail-one",       "--lp-engine",         "--faults",
+      "--chaos-seed",      "--epoch",          "--trace-sample",      "--reopt-period",
+      "--reopt-threshold", "--reopt-cooldown", "--reopt-min-reports", "--reopt-noise-mult"};
+  return std::find(std::begin(kFlags), std::end(kFlags), arg) != std::end(kFlags);
 }
 
 bool parse(int argc, char** argv, CliOptions& opt) {
@@ -135,56 +144,17 @@ bool parse(int argc, char** argv, CliOptions& opt) {
       }
       if (!parsed.ok()) return false;
       opt.spec = parsed.spec;
-    } else if (arg == "--topology") {
+    } else if (is_spec_flag(arg)) {
       const char* v = next();
       if (v == nullptr) return false;
-      if (std::strcmp(v, "campus") == 0) {
-        opt.spec.topology = exp::TopologyKind::kCampus;
-      } else if (std::strcmp(v, "waxman") == 0) {
-        opt.spec.topology = exp::TopologyKind::kWaxman;
-      } else {
+      std::string key = arg.substr(2);
+      std::replace(key.begin(), key.end(), '-', '_');
+      if (exp::set_field(opt.spec, key, v) != exp::FieldStatus::kOk) {
+        std::fprintf(stderr, "bad value `%s` for %s\n", v, arg.c_str());
         return false;
       }
-    } else if (arg == "--strategy") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "hp") == 0) {
-        opt.spec.strategy = core::StrategyKind::kHotPotato;
-      } else if (std::strcmp(v, "rand") == 0) {
-        opt.spec.strategy = core::StrategyKind::kRandom;
-      } else if (std::strcmp(v, "lb") == 0) {
-        opt.spec.strategy = core::StrategyKind::kLoadBalanced;
-      } else {
-        return false;
-      }
-    } else if (arg == "--packets") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.packets = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--policies-per-class") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.policies_per_class = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.seed = std::strtoull(v, nullptr, 10);
     } else if (arg == "--off-path") {
       opt.spec.off_path = true;
-    } else if (arg == "--fail-one") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.fail_one = v;
-    } else if (arg == "--lp-engine") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "sparse") == 0) {
-        opt.spec.lp_engine = lp::SimplexEngine::kSparse;
-      } else if (std::strcmp(v, "dense") == 0) {
-        opt.spec.lp_engine = lp::SimplexEngine::kDense;
-      } else {
-        return false;
-      }
     } else if (arg == "--lp-warm-start") {
       opt.spec.lp_warm_start = true;
     } else if (arg == "--lp-cold-start") {
@@ -197,22 +167,6 @@ bool parse(int argc, char** argv, CliOptions& opt) {
       opt.sim = true;
     } else if (arg == "--verify") {
       opt.spec.verify = true;
-    } else if (arg == "--faults") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "none") == 0) {
-        opt.spec.faults = exp::FaultScript::kNone;
-      } else if (std::strcmp(v, "chaos") == 0) {
-        opt.spec.faults = exp::FaultScript::kChaos;
-      } else if (std::strcmp(v, "generated") == 0) {
-        opt.spec.faults = exp::FaultScript::kGenerated;
-      } else {
-        return false;
-      }
-    } else if (arg == "--chaos-seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.chaos_seed = std::strtoull(v, nullptr, 10);
     } else if (arg == "--metrics-out") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -229,40 +183,8 @@ bool parse(int argc, char** argv, CliOptions& opt) {
     } else if (arg == "--help" || arg == "-h") {
       opt.help = true;
       return true;
-    } else if (arg == "--epoch") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.epoch = std::strtod(v, nullptr);
-    } else if (arg == "--trace-sample") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.trace_sample = std::strtod(v, nullptr);
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.shards = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--reopt-period") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.reopt.epoch_period = std::strtod(v, nullptr);
-    } else if (arg == "--reopt-threshold") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.reopt.drift_threshold = std::strtod(v, nullptr);
-    } else if (arg == "--reopt-cooldown") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.reopt.cooldown_epochs = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (arg == "--reopt-min-reports") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.reopt.min_reports = std::strtoull(v, nullptr, 10);
     } else if (arg == "--reopt-adaptive") {
       opt.spec.reopt.adaptive = true;
-    } else if (arg == "--reopt-noise-mult") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.spec.reopt.noise_multiplier = std::strtod(v, nullptr);
     } else if (arg == "--reopt-predictive") {
       opt.spec.reopt.predictive = true;
     } else {

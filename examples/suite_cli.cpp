@@ -24,7 +24,6 @@
 // Example:
 //   ./build/examples/suite_cli --jobs 8 --seeds 5 --out suite.json
 //   ./build/examples/suite_cli --spec myrun.spec --seeds 3
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -182,11 +181,7 @@ int main(int argc, char** argv) {
     for (auto& arm : arms) arm.spec.verify = true;
   }
 
-  // Partitioned arms run spec.shards region threads per world; clamp the
-  // worker count so worlds-in-flight x shards stays within the core budget.
-  std::size_t max_shards = 1;
-  for (const auto& arm : arms) max_shards = std::max(max_shards, arm.spec.shards);
-  const exp::SweepRunner runner(exp::effective_jobs(opt.jobs, max_shards));
+  const exp::SweepRunner runner(opt.jobs);
   const std::size_t tasks = arms.size() * opt.seeds;
   std::printf("suite: %zu arm(s) x %zu seed(s) = %zu runs on %u worker(s)\n", arms.size(),
               opt.seeds, tasks, runner.jobs());

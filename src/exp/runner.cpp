@@ -2,26 +2,9 @@
 
 #include <algorithm>
 
-#include "util/log.hpp"
-
 namespace sdmbox::exp {
 
 SweepRunner::SweepRunner(unsigned jobs) : jobs_(jobs == 0 ? hardware_jobs() : jobs) {}
-
-unsigned effective_jobs(unsigned jobs, std::size_t shards_per_world) noexcept {
-  if (shards_per_world <= 1) return jobs;
-  const unsigned hw = SweepRunner::hardware_jobs();
-  const unsigned budget =
-      std::max(1u, static_cast<unsigned>(hw / std::min<std::size_t>(shards_per_world, hw)));
-  const unsigned requested = jobs == 0 ? hw : jobs;
-  if (requested > budget) {
-    SDM_LOG_WARN("exp", "clamping --jobs " << requested << " to " << budget << ": " << requested
-                                           << " worlds x " << shards_per_world
-                                           << " shards would oversubscribe " << hw << " cores");
-    return budget;
-  }
-  return requested;
-}
 
 void SweepRunner::dispatch(std::size_t count, const std::function<void(std::size_t)>& body) const {
   if (count == 0) return;

@@ -75,11 +75,4 @@ private:
   unsigned jobs_;
 };
 
-/// Core-budget guard for partitioned worlds inside a sweep: with S region
-/// threads per world and J worlds in flight, the process runs J*S busy
-/// threads — clamp J so J*S <= hardware_concurrency (floor 1), with a
-/// logged warning when the requested J had to shrink. shards <= 1 keeps the
-/// historical semantics untouched (0 still means "hardware concurrency").
-unsigned effective_jobs(unsigned jobs, std::size_t shards_per_world) noexcept;
-
 }  // namespace sdmbox::exp

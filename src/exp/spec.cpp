@@ -1,8 +1,10 @@
 #include "exp/spec.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/strings.hpp"
@@ -44,10 +46,13 @@ bool parse_bool(const std::string& v, bool& out) {
 }
 
 bool parse_u64(const std::string& v, std::uint64_t& out) {
-  if (v.empty()) return false;
+  // strtoull alone would accept a sign (negating modulo 2^64) and saturate
+  // out-of-range values, so demand a leading digit and check ERANGE.
+  if (v.empty() || v[0] < '0' || v[0] > '9') return false;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size()) return false;
+  if (end != v.c_str() + v.size() || errno == ERANGE) return false;
   out = parsed;
   return true;
 }
@@ -62,8 +67,11 @@ bool parse_size(const std::string& v, std::size_t& out) {
 bool parse_int(const std::string& v, int& out) {
   if (v.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   const long parsed = std::strtol(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size()) return false;
+  if (end != v.c_str() + v.size() || errno == ERANGE) return false;
+  if (parsed < std::numeric_limits<int>::min() || parsed > std::numeric_limits<int>::max())
+    return false;
   out = static_cast<int>(parsed);
   return true;
 }
@@ -142,7 +150,6 @@ std::string ScenarioSpec::validate() const {
     return "waxman topology needs edge and core routers";
   if (!(epoch > 0) || !std::isfinite(epoch)) return "epoch must be a positive finite period";
   if (!(trace_sample >= 0 && trace_sample <= 1)) return "trace_sample must be in [0, 1]";
-  if (shards < 1 || shards > 64) return "shards must be in [1, 64]";
   if (!(wp_cache_hit_rate >= 0 && wp_cache_hit_rate <= 1))
     return "wp_cache_hit_rate must be in [0, 1]";
   if (!(reopt.epoch_period >= 0) || !std::isfinite(reopt.epoch_period))
@@ -180,7 +187,6 @@ std::string ScenarioSpec::to_text() const {
   out << "chaos_seed = " << chaos_seed << '\n';
   out << "epoch = " << fmt_double(epoch) << '\n';
   out << "trace_sample = " << fmt_double(trace_sample) << '\n';
-  out << "shards = " << shards << '\n';
   out << "verify = " << (verify ? "true" : "false") << '\n';
   out << "spans = " << (spans ? "true" : "false") << '\n';
   out << "reopt_period = " << fmt_double(reopt.epoch_period) << '\n';
@@ -192,6 +198,92 @@ std::string ScenarioSpec::to_text() const {
   out << "reopt_noise_mult = " << fmt_double(reopt.noise_multiplier) << '\n';
   out << "reopt_predictive = " << (reopt.predictive ? "true" : "false") << '\n';
   return out.str();
+}
+
+FieldStatus set_field(ScenarioSpec& s, const std::string& key, const std::string& value) {
+  // Every value parser writes its field only on success, so a rejected value
+  // leaves the spec untouched.
+  bool ok = true;
+  if (key == "topology") {
+    if (value == "campus") {
+      s.topology = TopologyKind::kCampus;
+    } else if (value == "waxman") {
+      s.topology = TopologyKind::kWaxman;
+    } else {
+      ok = false;
+    }
+  } else if (key == "off_path") {
+    ok = parse_bool(value, s.off_path);
+  } else if (key == "seed") {
+    ok = parse_u64(value, s.seed);
+  } else if (key == "campus_edge_count") {
+    ok = parse_size(value, s.campus_edge_count);
+  } else if (key == "campus_core_count") {
+    ok = parse_size(value, s.campus_core_count);
+  } else if (key == "waxman_edge_count") {
+    ok = parse_size(value, s.waxman_edge_count);
+  } else if (key == "waxman_core_count") {
+    ok = parse_size(value, s.waxman_core_count);
+  } else if (key == "packets") {
+    ok = parse_u64(value, s.packets);
+  } else if (key == "policies_per_class") {
+    ok = parse_size(value, s.policies_per_class);
+  } else if (key == "strategy") {
+    ok = parse_strategy(value, s.strategy);
+  } else if (key == "fail_one") {
+    s.fail_one = value;
+  } else if (key == "lp_engine") {
+    ok = parse_engine(value, s.lp_engine);
+  } else if (key == "lp_warm_start") {
+    ok = parse_bool(value, s.lp_warm_start);
+  } else if (key == "flow_cache") {
+    ok = parse_bool(value, s.flow_cache);
+  } else if (key == "label_switching") {
+    ok = parse_bool(value, s.label_switching);
+  } else if (key == "wp_cache_hit_rate") {
+    ok = parse_double(value, s.wp_cache_hit_rate);
+  } else if (key == "peer_health") {
+    ok = parse_bool(value, s.peer_health);
+  } else if (key == "faults") {
+    if (value == "none") {
+      s.faults = FaultScript::kNone;
+    } else if (value == "chaos") {
+      s.faults = FaultScript::kChaos;
+    } else if (value == "generated") {
+      s.faults = FaultScript::kGenerated;
+    } else {
+      ok = false;
+    }
+  } else if (key == "chaos_seed") {
+    ok = parse_u64(value, s.chaos_seed);
+  } else if (key == "epoch") {
+    ok = parse_double(value, s.epoch);
+  } else if (key == "trace_sample") {
+    ok = parse_double(value, s.trace_sample);
+  } else if (key == "verify") {
+    ok = parse_bool(value, s.verify);
+  } else if (key == "spans") {
+    ok = parse_bool(value, s.spans);
+  } else if (key == "reopt_period") {
+    ok = parse_double(value, s.reopt.epoch_period);
+  } else if (key == "reopt_threshold") {
+    ok = parse_double(value, s.reopt.drift_threshold);
+  } else if (key == "reopt_cooldown") {
+    ok = parse_int(value, s.reopt.cooldown_epochs);
+  } else if (key == "reopt_min_reports") {
+    ok = parse_u64(value, s.reopt.min_reports);
+  } else if (key == "reopt_request_reports") {
+    ok = parse_bool(value, s.reopt.request_reports);
+  } else if (key == "reopt_adaptive") {
+    ok = parse_bool(value, s.reopt.adaptive);
+  } else if (key == "reopt_noise_mult") {
+    ok = parse_double(value, s.reopt.noise_multiplier);
+  } else if (key == "reopt_predictive") {
+    ok = parse_bool(value, s.reopt.predictive);
+  } else {
+    return FieldStatus::kUnknownKey;
+  }
+  return ok ? FieldStatus::kOk : FieldStatus::kBadValue;
 }
 
 SpecParseResult parse_text(const std::string& text, const ScenarioSpec& defaults) {
@@ -215,92 +307,15 @@ SpecParseResult parse_text(const std::string& text, const ScenarioSpec& defaults
     }
     const std::string key = trim(stripped.substr(0, eq));
     const std::string value = trim(stripped.substr(eq + 1));
-    bool ok = true;
-    if (key == "topology") {
-      if (value == "campus") {
-        s.topology = TopologyKind::kCampus;
-      } else if (value == "waxman") {
-        s.topology = TopologyKind::kWaxman;
-      } else {
-        ok = false;
-      }
-    } else if (key == "off_path") {
-      ok = parse_bool(value, s.off_path);
-    } else if (key == "seed") {
-      ok = parse_u64(value, s.seed);
-    } else if (key == "campus_edge_count") {
-      ok = parse_size(value, s.campus_edge_count);
-    } else if (key == "campus_core_count") {
-      ok = parse_size(value, s.campus_core_count);
-    } else if (key == "waxman_edge_count") {
-      ok = parse_size(value, s.waxman_edge_count);
-    } else if (key == "waxman_core_count") {
-      ok = parse_size(value, s.waxman_core_count);
-    } else if (key == "packets") {
-      ok = parse_u64(value, s.packets);
-    } else if (key == "policies_per_class") {
-      ok = parse_size(value, s.policies_per_class);
-    } else if (key == "strategy") {
-      ok = parse_strategy(value, s.strategy);
-    } else if (key == "fail_one") {
-      s.fail_one = value;
-    } else if (key == "lp_engine") {
-      ok = parse_engine(value, s.lp_engine);
-    } else if (key == "lp_warm_start") {
-      ok = parse_bool(value, s.lp_warm_start);
-    } else if (key == "flow_cache") {
-      ok = parse_bool(value, s.flow_cache);
-    } else if (key == "label_switching") {
-      ok = parse_bool(value, s.label_switching);
-    } else if (key == "wp_cache_hit_rate") {
-      ok = parse_double(value, s.wp_cache_hit_rate);
-    } else if (key == "peer_health") {
-      ok = parse_bool(value, s.peer_health);
-    } else if (key == "faults") {
-      if (value == "none") {
-        s.faults = FaultScript::kNone;
-      } else if (value == "chaos") {
-        s.faults = FaultScript::kChaos;
-      } else if (value == "generated") {
-        s.faults = FaultScript::kGenerated;
-      } else {
-        ok = false;
-      }
-    } else if (key == "chaos_seed") {
-      ok = parse_u64(value, s.chaos_seed);
-    } else if (key == "epoch") {
-      ok = parse_double(value, s.epoch);
-    } else if (key == "trace_sample") {
-      ok = parse_double(value, s.trace_sample);
-    } else if (key == "shards") {
-      ok = parse_size(value, s.shards);
-    } else if (key == "verify") {
-      ok = parse_bool(value, s.verify);
-    } else if (key == "spans") {
-      ok = parse_bool(value, s.spans);
-    } else if (key == "reopt_period") {
-      ok = parse_double(value, s.reopt.epoch_period);
-    } else if (key == "reopt_threshold") {
-      ok = parse_double(value, s.reopt.drift_threshold);
-    } else if (key == "reopt_cooldown") {
-      ok = parse_int(value, s.reopt.cooldown_epochs);
-    } else if (key == "reopt_min_reports") {
-      ok = parse_u64(value, s.reopt.min_reports);
-    } else if (key == "reopt_request_reports") {
-      ok = parse_bool(value, s.reopt.request_reports);
-    } else if (key == "reopt_adaptive") {
-      ok = parse_bool(value, s.reopt.adaptive);
-    } else if (key == "reopt_noise_mult") {
-      ok = parse_double(value, s.reopt.noise_multiplier);
-    } else if (key == "reopt_predictive") {
-      ok = parse_bool(value, s.reopt.predictive);
-    } else {
-      result.errors.push_back("line " + std::to_string(lineno) + ": unknown key `" + key + "`");
-      continue;
-    }
-    if (!ok) {
-      result.errors.push_back("line " + std::to_string(lineno) + ": bad value `" + value +
-                              "` for `" + key + "`");
+    switch (set_field(s, key, value)) {
+      case FieldStatus::kOk: break;
+      case FieldStatus::kUnknownKey:
+        result.errors.push_back("line " + std::to_string(lineno) + ": unknown key `" + key + "`");
+        break;
+      case FieldStatus::kBadValue:
+        result.errors.push_back("line " + std::to_string(lineno) + ": bad value `" + value +
+                                "` for `" + key + "`");
+        break;
     }
   }
   if (result.errors.empty()) {

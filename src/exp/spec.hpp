@@ -90,12 +90,6 @@ struct ScenarioSpec {
   std::uint64_t chaos_seed = 0;
   double epoch = 0.5;         // EpochRecorder sampling period (simulated s)
   double trace_sample = 1.0;  // PathTracer flow sampling rate in [0, 1]
-  /// Region count for the partitioned parallel engine (psim::Engine). 1
-  /// runs the historical serial simulator bit-for-bit; >1 splits the
-  /// topology into that many regions, each on its own worker thread.
-  /// Exports stay byte-identical for a fixed (seed, shards); different
-  /// shard counts are different (each internally deterministic) schedules.
-  std::size_t shards = 1;
 
   // --- enforcement-invariant verification ---
   /// Attach the verify::InvariantOracle as a live trace observer and report
@@ -134,6 +128,17 @@ struct SpecParseResult {
   std::vector<std::string> errors;  // one per offending line
   bool ok() const noexcept { return errors.empty(); }
 };
+
+/// Outcome of setting one field from its text value.
+enum class FieldStatus : std::uint8_t { kOk, kUnknownKey, kBadValue };
+
+/// Set the field named `key` (a spec-file key such as "packets") from its
+/// text value: the per-key parser parse_text applies to every line, shared
+/// with scenario_cli's valued flags. Integers must be plain decimal digits
+/// that fit the field (no sign, no trailing junk); doubles must consume the
+/// whole value. Cross-field constraints are left to validate(). On
+/// kBadValue or kUnknownKey the spec is unchanged.
+FieldStatus set_field(ScenarioSpec& s, const std::string& key, const std::string& value);
 
 /// Parse the `key = value` format over `defaults`. Missing keys keep their
 /// default; unknown keys, malformed lines and out-of-domain values are

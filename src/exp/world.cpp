@@ -101,26 +101,8 @@ void World::prepare_sim() {
   resolver = net::AddressResolver::build(network.topo);
   simnet = std::make_unique<sim::SimNetwork>(network.topo, routing, resolver);
 
-  // Region partition (shards == 1 is a relabeling that keeps the serial
-  // engine). Computed after add_controller_host so the controller node has
-  // a region like everyone else.
-  partition = net::partition_regions(network.topo, spec.shards);
-  simnet->enable_partition(partition);
-
-  if (partition.region_count <= 1) {
-    tracer = std::make_unique<obs::PathTracer>(spec.trace_sample);
-    simnet->set_tracer(tracer.get());
-  } else {
-    // One tracer per region — identical sampler (rate, default seed), so a
-    // flow is traced on every region it touches — each mirrored into an
-    // unbounded collector; merge_trace_shards rebuilds the global stream.
-    for (std::size_t r = 0; r < partition.region_count; ++r) {
-      region_tracers.push_back(std::make_unique<obs::PathTracer>(spec.trace_sample));
-      collectors.push_back(std::make_unique<obs::TraceCollector>());
-      region_tracers[r]->set_observer(collectors[r].get());
-      simnet->set_region_tracer(r, region_tracers[r].get());
-    }
-  }
+  tracer = std::make_unique<obs::PathTracer>(spec.trace_sample);
+  simnet->set_tracer(tracer.get());
 
   // Span attachment is pure observation: the tracer draws no randomness and
   // schedules no events, so a spans-on run and a spans-off run stay
@@ -137,11 +119,7 @@ void World::prepare_sim() {
     oracle = std::make_unique<verify::InvariantOracle>(network, deployment, gen.policies, plan,
                                                        &catalog);
     oracle->set_complete_stream(spec.trace_sample >= 1.0);
-    // Partitioned runs can't attach live — regions record concurrently — so
-    // run() replays the deterministically merged stream into the oracle
-    // after the calendar drains. Same records, same verdict; only the
-    // epoch-sampled verify_* series see the violations later.
-    if (tracer) tracer->set_observer(oracle.get());
+    tracer->set_observer(oracle.get());
     if (spans) oracle->set_span_tracer(spans.get());
   }
 
@@ -156,13 +134,7 @@ void World::prepare_sim() {
   opts.peer_health.min_probe_gap = 0.05;
   cp = control::install_control_plane(*simnet, network, deployment, gen.policies, *controller,
                                       controller_node, plan, opts);
-  // The controller endpoint's span clock must be the calendar its agent
-  // actually runs on — under partitioning, the controller node's region
-  // (identical to simulator() when serial).
-  if (spans) {
-    cp.controller->set_spans(spans.get(),
-                             &simnet->region_simulator(simnet->node_region(controller_node)));
-  }
+  if (spans) cp.controller->set_spans(spans.get(), &simnet->simulator());
 
   injector = std::make_unique<sim::FaultInjector>(*simnet, &routing);
   if (spans) injector->set_spans(spans.get());
@@ -192,8 +164,6 @@ void World::prepare_sim() {
     if (spans) reopt->set_spans(spans.get());
     reopt->register_metrics(registry);
   }
-
-  if (partition.region_count > 1) engine = std::make_unique<psim::Engine>(*simnet);
 }
 
 void World::arm_faults() {
@@ -270,44 +240,11 @@ void World::run() {
     if (reopt) reopt->stop();
     recorder->stop();
   });
-  if (engine) {
-    engine->run();
-  } else {
-    simnet->run();
-  }
-  if (oracle) {
-    // Partitioned runs verify post-hoc: the merged stream is the exact
-    // global record sequence a serial observer would need, ordered by
-    // (time, shard, within-shard order).
-    if (!collectors.empty()) {
-      for (const obs::TraceRecord& r : merged_trace_records()) oracle->on_record(r);
-    }
-    oracle->finish();
-  }
+  simnet->run();
+  if (oracle) oracle->finish();
 }
 
-std::vector<obs::TraceRecord> World::merged_trace_records() const {
-  std::vector<const obs::TraceCollector*> shards;
-  shards.reserve(collectors.size());
-  for (const auto& c : collectors) shards.push_back(c.get());
-  return obs::merge_trace_shards(shards);
-}
-
-std::string World::trace_json() const {
-  if (tracer) return obs::trace_to_json(*tracer, &network.topo);
-  // Merged collector streams are complete (no ring eviction), so the export
-  // reports zero overwrites and `recorded` equals the dumped record count.
-  return obs::trace_to_json(merged_trace_records(), spec.trace_sample,
-                            obs::TraceSampler::kDefaultSeed, trace_recorded(),
-                            /*overwritten=*/0, &network.topo);
-}
-
-std::uint64_t World::trace_recorded() const {
-  if (tracer) return tracer->sink().recorded();
-  std::uint64_t total = 0;
-  for (const auto& t : region_tracers) total += t->sink().recorded();
-  return total;
-}
+std::string World::trace_json() const { return obs::trace_to_json(*tracer, &network.topo); }
 
 MetricsSnapshot World::snapshot() const {
   MetricsSnapshot out;

@@ -28,9 +28,7 @@
 #include "control/reoptimize.hpp"
 #include "core/controller.hpp"
 #include "exp/spec.hpp"
-#include "net/partition.hpp"
 #include "net/topologies.hpp"
-#include "psim/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
@@ -74,17 +72,7 @@ public:
   net::AddressResolver resolver;
   std::unique_ptr<sim::SimNetwork> simnet;
   obs::MetricsRegistry registry;
-  /// Region assignment (region_count == spec.shards, clamped to the node
-  /// count). Always populated by prepare_sim, even for serial runs.
-  net::Partition partition;
-  /// Serial tracer (spec.shards == 1; null otherwise).
   std::unique_ptr<obs::PathTracer> tracer;
-  /// Partitioned tracing (spec.shards > 1): one tracer per region, each
-  /// mirrored into an unbounded collector so the merged stream is complete
-  /// regardless of ring wrap. trace_json()/trace_recorded() abstract over
-  /// both layouts.
-  std::vector<std::unique_ptr<obs::PathTracer>> region_tracers;
-  std::vector<std::unique_ptr<obs::TraceCollector>> collectors;
   control::ControlPlane cp;
   std::unique_ptr<sim::FaultInjector> injector;
   std::unique_ptr<control::HealthMonitor> monitor;
@@ -99,10 +87,6 @@ public:
   /// controller, drift loop and oracle when spec.spans is set (null
   /// otherwise). Export via obs::spans_to_json / render_spans_for_path.
   std::unique_ptr<obs::SpanTracer> spans;
-  /// Conservative windowed engine driving the partitioned network
-  /// (spec.shards > 1 only; null otherwise). Declared after simnet so its
-  /// worker threads are joined before the network they reference dies.
-  std::unique_ptr<psim::Engine> engine;
 
   World() = default;
   World(const World&) = delete;
@@ -121,16 +105,12 @@ public:
   /// Every registry value after (or during) a run, flattened.
   MetricsSnapshot snapshot() const;
 
-  /// The run's trace export, whichever engine produced it: the serial
-  /// tracer's ring, or the merged per-region collector streams.
+  /// The run's trace export (obs::trace_to_json of the tracer's ring).
   std::string trace_json() const;
-  /// Total sampled trace records across all tracers.
-  std::uint64_t trace_recorded() const;
+  /// Total sampled trace records, including any the ring overwrote.
+  std::uint64_t trace_recorded() const { return tracer->sink().recorded(); }
 
 private:
-  /// Per-region collector streams merged into the deterministic global
-  /// stream (empty for serial runs — read the tracer's sink instead).
-  std::vector<obs::TraceRecord> merged_trace_records() const;
   void arm_faults();
   void inject_wave(double at, std::uint64_t wave);
   bool sim_prepared_ = false;

@@ -206,14 +206,7 @@ std::string to_csv(const EpochRecorder& recorder) {
 }
 
 std::string trace_to_json(const PathTracer& tracer, const net::Topology* topo) {
-  return trace_to_json(tracer.sink().records(), tracer.sampler().rate(),
-                       tracer.sampler().seed(), tracer.sink().recorded(),
-                       tracer.sink().overwritten(), topo);
-}
-
-std::string trace_to_json(const std::vector<TraceRecord>& records, double sample_rate,
-                          std::uint64_t seed, std::uint64_t recorded, std::uint64_t overwritten,
-                          const net::Topology* topo) {
+  const std::vector<TraceRecord> records = tracer.sink().records();
   // Group by flow in first-traced order so the dump reads as per-flow paths.
   std::map<packet::FlowId, std::size_t> order;
   std::vector<std::pair<packet::FlowId, std::vector<const TraceRecord*>>> flows;
@@ -224,13 +217,13 @@ std::string trace_to_json(const std::vector<TraceRecord>& records, double sample
   }
 
   std::string out = "{\n  \"sample_rate\": ";
-  out += json_number(sample_rate);
+  out += json_number(tracer.sampler().rate());
   out += ",\n  \"seed\": ";
-  out += json_number(static_cast<double>(seed));
+  out += json_number(static_cast<double>(tracer.sampler().seed()));
   out += ",\n  \"recorded\": ";
-  out += json_number(static_cast<double>(recorded));
+  out += json_number(static_cast<double>(tracer.sink().recorded()));
   out += ",\n  \"overwritten\": ";
-  out += json_number(static_cast<double>(overwritten));
+  out += json_number(static_cast<double>(tracer.sink().overwritten()));
   out += ",\n  \"flows\": [\n";
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto& [flow, hops] = flows[i];

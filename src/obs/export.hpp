@@ -34,15 +34,6 @@ std::string to_csv(const EpochRecorder& recorder);
 /// simulated time, node id, node name (when `topo` is given) and hop kind.
 std::string trace_to_json(const PathTracer& tracer, const net::Topology* topo = nullptr);
 
-/// Records-level overload for partitioned runs: the caller supplies an
-/// already-merged record stream (see merge_trace_shards) plus the header
-/// facts a single tracer would have carried. The single-tracer overload is
-/// exactly this with the tracer's own sink/sampler, so serial output is
-/// unchanged byte for byte.
-std::string trace_to_json(const std::vector<TraceRecord>& records, double sample_rate,
-                          std::uint64_t seed, std::uint64_t recorded, std::uint64_t overwritten,
-                          const net::Topology* topo = nullptr);
-
 /// Span dump: {"started", "dropped", "spans": [...]} with spans in id
 /// (creation) order; each span carries ids, name, device/subsystem, trace
 /// tree links, sim-time start/end/duration, and sorted numeric attrs.

@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -70,31 +69,6 @@ std::vector<TraceRecord> TraceSink::records() const {
   const std::size_t head = static_cast<std::size_t>(recorded_ % capacity_);
   out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head), ring_.end());
   out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head));
-  return out;
-}
-
-std::vector<TraceRecord> merge_trace_shards(const std::vector<const TraceCollector*>& shards) {
-  struct Keyed {
-    const TraceRecord* r;
-    std::uint32_t shard;
-    std::uint64_t idx;
-  };
-  std::vector<Keyed> keyed;
-  std::size_t total = 0;
-  for (const TraceCollector* c : shards) total += c->records().size();
-  keyed.reserve(total);
-  for (std::uint32_t s = 0; s < shards.size(); ++s) {
-    const auto& recs = shards[s]->records();
-    for (std::uint64_t i = 0; i < recs.size(); ++i) keyed.push_back(Keyed{&recs[i], s, i});
-  }
-  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
-    if (a.r->at != b.r->at) return a.r->at < b.r->at;
-    if (a.shard != b.shard) return a.shard < b.shard;
-    return a.idx < b.idx;
-  });
-  std::vector<TraceRecord> out;
-  out.reserve(total);
-  for (const Keyed& k : keyed) out.push_back(*k.r);
   return out;
 }
 

@@ -152,30 +152,19 @@ private:
   TraceObserver* observer_ = nullptr;
 };
 
-/// Unbounded capture of one region's full trace stream (every sampled
-/// record, before any ring eviction). The partitioned engine attaches one
-/// per region tracer; merge_trace_shards() then rebuilds the global stream.
-/// Memory is proportional to the traffic actually traced — partitioned runs
-/// that export traces accept that cost in exchange for exact merging.
+/// Unbounded capture of a tracer's full record stream: every sampled record
+/// in emission order, before any ring eviction. Attach it as a PathTracer's
+/// observer when a consumer needs the complete stream after the run (e.g.
+/// replaying it into a fresh verify::InvariantOracle) while the ring itself
+/// stays bounded. Memory is proportional to the traffic actually traced.
 class TraceCollector final : public TraceObserver {
 public:
   void on_record(const TraceRecord& r) override { records_.push_back(r); }
 
   const std::vector<TraceRecord>& records() const noexcept { return records_; }
-  void clear() noexcept { records_.clear(); }
 
 private:
   std::vector<TraceRecord> records_;
 };
-
-/// Merge per-region trace streams into one deterministic global stream:
-/// stable sort by time, ties broken by (shard index, within-shard order).
-/// Per-packet causality survives because all equal-time records of one
-/// packet happen at one node, and a node lives in exactly one shard — so
-/// their relative (shard, index) order is their original order. Shard
-/// streams are NOT individually time-sorted (kInjected records are stamped
-/// at schedule time with a future `at`), hence the full sort.
-std::vector<TraceRecord> merge_trace_shards(
-    const std::vector<const TraceCollector*>& shards);
 
 }  // namespace sdmbox::obs

@@ -37,16 +37,12 @@ public:
 /// device's P_x slice); the pointed-to policies must outlive the classifier.
 std::unique_ptr<Classifier> make_linear_classifier(std::vector<const Policy*> view);
 std::unique_ptr<Classifier> make_trie_classifier(std::vector<const Policy*> view);
-std::unique_ptr<Classifier> make_tuple_space_classifier(std::vector<const Policy*> view);
 
 inline std::unique_ptr<Classifier> make_linear_classifier(const PolicyList& policies) {
   return make_linear_classifier(policies.all_pointers());
 }
 inline std::unique_ptr<Classifier> make_trie_classifier(const PolicyList& policies) {
   return make_trie_classifier(policies.all_pointers());
-}
-inline std::unique_ptr<Classifier> make_tuple_space_classifier(const PolicyList& policies) {
-  return make_tuple_space_classifier(policies.all_pointers());
 }
 
 }  // namespace sdmbox::policy

@@ -7,9 +7,6 @@
 #include "obs/trace.hpp"
 
 namespace sdmbox::sim {
-
-thread_local SimNetwork::RegionCtx* SimNetwork::tl_active_ = nullptr;
-
 namespace {
 // Trace hook: one pointer test when tracing is off; the sampler gate is
 // inside record().
@@ -17,75 +14,23 @@ inline void trace(obs::PathTracer* t, obs::Hop hop, const packet::Packet& pkt, d
                   net::NodeId node, std::uint64_t detail = 0) {
   if (t != nullptr) t->record(hop, pkt.flow_id(), at, node, detail, pkt.flow_seq);
 }
-
-/// Independent per-region loss streams derived from one seed: region 0 IS
-/// the seed (the historical serial stream, so single-region runs replay
-/// byte-identically), the rest are split off with a golden-ratio stride.
-std::uint64_t region_loss_seed(std::uint64_t seed, std::uint32_t region) {
-  return region == 0 ? seed : seed ^ (0x9e3779b97f4a7c15ULL * region);
-}
 }  // namespace
 
-void SimNetwork::RegionCtx::on_packet_event(PacketEvent ev) {
-  net->handle_at_node(*this, ev.node, std::move(ev.pkt), ev.injected_at, ev.origin, ev.from,
-                      ev.dest_hint);
+void SimNetwork::on_packet_event(PacketEvent ev) {
+  handle_at_node(ev.node, std::move(ev.pkt), ev.injected_at, ev.origin, ev.from, ev.dest_hint);
 }
 
 SimNetwork::SimNetwork(const net::Topology& topo, const net::RoutingTables& routing,
                        const net::AddressResolver& resolver)
     : topo_(topo), routing_(routing), resolver_(resolver) {
-  auto ctx = std::make_unique<RegionCtx>();
-  ctx->net = this;
-  ctx->index = 0;
-  ctx->sim.set_packet_sink(ctx.get());
-  regions_.push_back(std::move(ctx));
-  node_region_.assign(topo.node_count(), 0);
+  sim_.set_packet_sink(this);
   agents_.resize(topo.node_count());
   node_up_.assign(topo.node_count(), true);
   link_up_.assign(topo.link_count(), true);
   link_loss_.assign(topo.link_count(), 0.0);
-  link_cross_.assign(topo.link_count(), false);
   node_counters_.resize(topo.node_count());
-  link_counters_.resize(2 * topo.link_count());
+  link_counters_.resize(topo.link_count());
   link_free_at_.resize(topo.link_count(), 0.0);
-  link_free_dir_.resize(2 * topo.link_count(), 0.0);
-}
-
-void SimNetwork::enable_partition(const net::Partition& partition) {
-  SDM_CHECK_MSG(partition.node_region.size() == topo_.node_count(),
-                "partition does not match the topology");
-  SDM_CHECK_MSG(regions_.size() == 1 && regions_.front()->sim.pending() == 0 &&
-                    regions_.front()->sim.events_processed() == 0,
-                "enable_partition must precede agents and scheduling");
-  const std::size_t r_count = partition.region_count;
-  node_region_ = partition.node_region;
-  regions_.clear();
-  for (std::size_t r = 0; r < r_count; ++r) {
-    auto ctx = std::make_unique<RegionCtx>();
-    ctx->net = this;
-    ctx->index = static_cast<std::uint32_t>(r);
-    ctx->sim.set_packet_sink(ctx.get());
-    regions_.push_back(std::move(ctx));
-  }
-  reseed_regions();
-  if (r_count > 1) {
-    SDM_CHECK_MSG(partition.cross_links.empty() || partition.min_cross_delay_s > 0,
-                  "conservative lookahead requires positive cross-region delays");
-    lookahead_s_ = partition.min_cross_delay_s;
-    for (const net::LinkId l : partition.cross_links) link_cross_[l.v] = true;
-    global_sim_ = std::make_unique<Simulator>();
-    psim_ = std::make_unique<PsimState>();
-    psim_->boxes.resize(r_count * r_count);
-  }
-}
-
-void SimNetwork::reseed_regions() {
-  for (auto& ctx : regions_) ctx->loss_rng = util::Rng(region_loss_seed(loss_seed_, ctx->index));
-}
-
-void SimNetwork::seed_loss(std::uint64_t seed) {
-  loss_seed_ = seed;
-  reseed_regions();
 }
 
 void SimNetwork::attach(net::NodeId node, std::unique_ptr<NodeAgent> agent) {
@@ -94,16 +39,10 @@ void SimNetwork::attach(net::NodeId node, std::unique_ptr<NodeAgent> agent) {
 }
 
 void SimNetwork::inject(net::NodeId node, packet::Packet pkt, SimTime at) {
-  RegionCtx& ctx = *regions_[node_region_[node.v]];
-  // A region thread may only feed its own calendar: cross-region traffic
-  // must ride a link (and therefore a mailbox), never a direct schedule
-  // into a calendar another thread is running.
-  SDM_CHECK_MSG(tl_active_ == nullptr || tl_active_->net != this || tl_active_ == &ctx,
-                "region thread injected outside its region");
-  ++ctx.counters.injected;
-  trace(ctx.tracer, obs::Hop::kInjected, pkt, at, node);
-  ctx.sim.schedule_packet_at(at, std::move(pkt), node, net::NodeId{}, net::NodeId{},
-                             /*injected_at=*/at, /*origin=*/true);
+  ++counters_.injected;
+  trace(tracer_, obs::Hop::kInjected, pkt, at, node);
+  sim_.schedule_packet_at(at, std::move(pkt), node, net::NodeId{}, net::NodeId{},
+                          /*injected_at=*/at, /*origin=*/true);
 }
 
 void SimNetwork::set_node_up(net::NodeId node, bool up) {
@@ -137,49 +76,17 @@ double SimNetwork::link_loss(net::LinkId link) const {
   return link_loss_[link.v];
 }
 
-LinkCounters SimNetwork::link_counters(net::LinkId l) const {
-  const LinkCounters& a = link_counters_[2 * l.v];
-  const LinkCounters& b = link_counters_[2 * l.v + 1];
-  LinkCounters merged;
-  merged.packets = a.packets + b.packets;
-  merged.bytes = a.bytes + b.bytes;
-  merged.fragmentation_events = a.fragmentation_events + b.fragmentation_events;
-  merged.fragments = a.fragments + b.fragments;
-  merged.queue_drops = a.queue_drops + b.queue_drops;
-  merged.fault_drops = a.fault_drops + b.fault_drops;
-  merged.max_backlog_s = std::max(a.max_backlog_s, b.max_backlog_s);
-  return merged;
-}
-
-NetworkCounters SimNetwork::counters() const noexcept {
-  NetworkCounters total = regions_.front()->counters;
-  for (std::size_t r = 1; r < regions_.size(); ++r) {
-    const NetworkCounters& c = regions_[r]->counters;
-    total.injected += c.injected;
-    total.delivered += c.delivered;
-    total.dropped_ttl += c.dropped_ttl;
-    total.dropped_no_route += c.dropped_no_route;
-    total.dropped_node_down += c.dropped_node_down;
-    total.dropped_queue += c.dropped_queue;
-    total.dropped_link_down += c.dropped_link_down;
-    total.dropped_link_loss += c.dropped_link_loss;
-    total.total_latency += c.total_latency;
-  }
-  return total;
-}
-
-void SimNetwork::handle_at_node(RegionCtx& ctx, net::NodeId node, packet::Packet&& pkt,
-                                SimTime injected_at, bool origin, net::NodeId from,
-                                net::NodeId dest_hint) {
+void SimNetwork::handle_at_node(net::NodeId node, packet::Packet&& pkt, SimTime injected_at,
+                                bool origin, net::NodeId from, net::NodeId dest_hint) {
   if (!node_up_[node.v]) {
     // Crash-stop: the node is dark; whatever reaches it is lost.
     ++node_counters_[node.v].packets_dropped;
-    ++ctx.counters.dropped_node_down;
-    trace(ctx.tracer, obs::Hop::kDropNodeDown, pkt, ctx.sim.now(), node);
+    ++counters_.dropped_node_down;
+    trace(tracer_, obs::Hop::kDropNodeDown, pkt, sim_.now(), node);
     return;
   }
   ++node_counters_[node.v].packets_seen;
-  ctx.current_injected_at = injected_at;
+  current_injected_at_ = injected_at;
   if (agents_[node.v]) {
     agents_[node.v]->on_packet(*this, std::move(pkt), from);
     return;
@@ -191,7 +98,7 @@ void SimNetwork::handle_at_node(RegionCtx& ctx, net::NodeId node, packet::Packet
   const auto dest = dest_hint.valid() ? std::optional<net::NodeId>(dest_hint)
                                       : resolver_.resolve(pkt.routing_header().dst);
   if (dest && *dest == node) {
-    deliver_in(ctx, node, pkt);
+    deliver(node, pkt);
     return;
   }
   if (origin || net::is_forwarding(topo_.node(node).kind)) {
@@ -199,67 +106,64 @@ void SimNetwork::handle_at_node(RegionCtx& ctx, net::NodeId node, packet::Packet
     // a second resolver probe per hop (forward() is the agent entry point).
     if (!dest) {
       ++node_counters_[node.v].packets_dropped;
-      ++ctx.counters.dropped_no_route;
-      trace(ctx.tracer, obs::Hop::kDropNoRoute, pkt, ctx.sim.now(), node);
+      ++counters_.dropped_no_route;
+      trace(tracer_, obs::Hop::kDropNoRoute, pkt, sim_.now(), node);
       return;
     }
-    forward_resolved(ctx, node, std::move(pkt), *dest);
+    forward_resolved(node, std::move(pkt), *dest);
     return;
   }
-  deliver_in(ctx, node, pkt);
+  deliver(node, pkt);
 }
 
 void SimNetwork::forward(net::NodeId at_node, packet::Packet pkt) {
-  RegionCtx& ctx = ctx_for(at_node);
   const auto dest = resolver_.resolve(pkt.routing_header().dst);
   if (!dest) {
     ++node_counters_[at_node.v].packets_dropped;
-    ++ctx.counters.dropped_no_route;
-    trace(ctx.tracer, obs::Hop::kDropNoRoute, pkt, ctx.sim.now(), at_node);
+    ++counters_.dropped_no_route;
+    trace(tracer_, obs::Hop::kDropNoRoute, pkt, sim_.now(), at_node);
     return;
   }
-  forward_resolved(ctx, at_node, std::move(pkt), *dest);
+  forward_resolved(at_node, std::move(pkt), *dest);
 }
 
-void SimNetwork::forward_resolved(RegionCtx& ctx, net::NodeId at_node, packet::Packet&& pkt,
-                                  net::NodeId dest) {
+void SimNetwork::forward_resolved(net::NodeId at_node, packet::Packet&& pkt, net::NodeId dest) {
   if (dest == at_node) {
-    deliver_in(ctx, at_node, pkt);
+    deliver(at_node, pkt);
     return;
   }
   // TTL check on the header the network routes on.
   packet::Ipv4Header& h = pkt.outer ? *pkt.outer : pkt.inner;
   if (h.ttl == 0) {
     ++node_counters_[at_node.v].packets_dropped;
-    ++ctx.counters.dropped_ttl;
-    trace(ctx.tracer, obs::Hop::kDropTtl, pkt, ctx.sim.now(), at_node);
+    ++counters_.dropped_ttl;
+    trace(tracer_, obs::Hop::kDropTtl, pkt, sim_.now(), at_node);
     return;
   }
   --h.ttl;
   const net::NextHop hop = routing_.next_hop(at_node, dest);
   if (!hop.valid()) {
     ++node_counters_[at_node.v].packets_dropped;
-    ++ctx.counters.dropped_no_route;
-    trace(ctx.tracer, obs::Hop::kDropNoRoute, pkt, ctx.sim.now(), at_node);
+    ++counters_.dropped_no_route;
+    trace(tracer_, obs::Hop::kDropNoRoute, pkt, sim_.now(), at_node);
     return;
   }
   // The routing tables store the egress link next to the next-hop node, so
   // the forwarding path skips transmit()'s adjacency scan, and the resolved
   // destination rides along to spare the next hop its resolver probe.
-  transmit_on(ctx, hop.link, at_node, hop.node, std::move(pkt), dest);
+  transmit_on(hop.link, at_node, hop.node, std::move(pkt), dest);
 }
 
 void SimNetwork::transmit(net::NodeId from, net::NodeId to, packet::Packet pkt) {
   const net::LinkId link = topo_.find_link(from, to);
   SDM_CHECK_MSG(link.valid(), "transmit between non-adjacent nodes");
-  transmit_on(ctx_for(from), link, from, to, std::move(pkt), net::NodeId{});
+  transmit_on(link, from, to, std::move(pkt), net::NodeId{});
 }
 
-void SimNetwork::transmit_on(RegionCtx& ctx, net::LinkId link, net::NodeId from, net::NodeId to,
+void SimNetwork::transmit_on(net::LinkId link, net::NodeId from, net::NodeId to,
                              packet::Packet&& pkt, net::NodeId dest_hint) {
   const net::LinkParams& lp = topo_.link(link).params;
-  const std::size_t dir = from == topo_.link(link).a ? 0 : 1;
-  LinkCounters& lc = link_counters_[2 * link.v + dir];
+  LinkCounters& lc = link_counters_[link.v];
 
   if (!link_up_[link.v]) {
     // The link is dark: whatever is committed to it is lost. Routing only
@@ -267,8 +171,8 @@ void SimNetwork::transmit_on(RegionCtx& ctx, net::LinkId link, net::NodeId from,
     // then this is the crash window the dependability loop must cover.
     ++lc.fault_drops;
     ++node_counters_[from.v].packets_dropped;
-    ++ctx.counters.dropped_link_down;
-    trace(ctx.tracer, obs::Hop::kDropLinkDown, pkt, ctx.sim.now(), from, to.v);
+    ++counters_.dropped_link_down;
+    trace(tracer_, obs::Hop::kDropLinkDown, pkt, sim_.now(), from, to.v);
     return;
   }
 
@@ -278,29 +182,26 @@ void SimNetwork::transmit_on(RegionCtx& ctx, net::LinkId link, net::NodeId from,
   const std::uint32_t frags = packet::fragments_needed(wire, lp.mtu);
   if (frags == 0) {  // unfragmentable (pathological MTU): drop
     ++node_counters_[from.v].packets_dropped;
-    ++ctx.counters.dropped_no_route;
+    ++counters_.dropped_no_route;
     return;
   }
 
-  // Intra-region links keep the historical shared (half-duplex) horizon; a
-  // cross-region link gets one horizon per direction because its two ends
-  // transmit from different worker threads.
-  SimTime& free_at = link_cross_[link.v] ? link_free_dir_[2 * link.v + dir]
-                                         : link_free_at_[link.v];
+  // One shared (half-duplex) serialization horizon per link.
+  SimTime& free_at = link_free_at_[link.v];
   const std::uint64_t tx_bytes = wire + (frags - 1) * packet::kIpv4HeaderBytes;
   const double tx_time = static_cast<double>(tx_bytes) * 8.0 / lp.bandwidth_bps;
-  const SimTime start = std::max(ctx.sim.now(), free_at);
+  const SimTime start = std::max(sim_.now(), free_at);
   // Drop-tail: the backlog (everything already committed to the link) must
   // fit the configured buffer, measured in bytes at line rate.
-  const double backlog_s = start - ctx.sim.now();
+  const double backlog_s = start - sim_.now();
   if (lp.queue_limit_bytes > 0) {
     const double backlog_bytes = backlog_s * lp.bandwidth_bps / 8.0;
     if (backlog_bytes + static_cast<double>(tx_bytes) >
         static_cast<double>(lp.queue_limit_bytes)) {
       ++lc.queue_drops;
       ++node_counters_[from.v].packets_dropped;
-      ++ctx.counters.dropped_queue;
-      trace(ctx.tracer, obs::Hop::kDropQueue, pkt, ctx.sim.now(), from, to.v);
+      ++counters_.dropped_queue;
+      trace(tracer_, obs::Hop::kDropQueue, pkt, sim_.now(), from, to.v);
       return;
     }
   }
@@ -315,209 +216,48 @@ void SimNetwork::transmit_on(RegionCtx& ctx, net::LinkId link, net::NodeId from,
   // Probabilistic wire loss: the packet occupied the link (bytes above are
   // charged) but never arrives. Drawn only for lossy links, so fault-free
   // runs consume no randomness and stay bit-identical to the seed behavior.
-  if (link_loss_[link.v] > 0 && ctx.loss_rng.next_bool(link_loss_[link.v])) {
+  if (link_loss_[link.v] > 0 && loss_rng_.next_bool(link_loss_[link.v])) {
     ++lc.fault_drops;
     ++node_counters_[from.v].packets_dropped;
-    ++ctx.counters.dropped_link_loss;
-    trace(ctx.tracer, obs::Hop::kDropLinkLoss, pkt, ctx.sim.now(), from, to.v);
+    ++counters_.dropped_link_loss;
+    trace(tracer_, obs::Hop::kDropLinkLoss, pkt, sim_.now(), from, to.v);
     return;
   }
   const SimTime arrival = start + tx_time + lp.delay_us * 1e-6;
-  // One calendar lane per link direction (0 is the general lane):
+  // One calendar lane per link (0 is the general lane):
   // successive arrivals over a link are monotone because the serialization
   // horizon includes every earlier transmission, so link traffic appends in
   // O(1) instead of churning the overflow heap.
   const std::uint32_t lane = static_cast<std::uint32_t>(link.v) + 1;
-  RegionCtx& dst = *regions_[node_region_[to.v]];
-  if (&dst == &ctx || tl_active_ == nullptr || tl_active_->net != this) {
-    // Same region, or coordinator phase (workers parked): schedule directly.
-    dst.sim.schedule_packet_at(arrival, std::move(pkt), to, from, dest_hint,
-                               ctx.current_injected_at, /*origin=*/false, lane);
-    return;
-  }
-  // Cross-region during a window: park in the mailbox; the coordinator
-  // drains it at the barrier. The conservative window guarantees
-  // arrival > window end, so the destination never sees it late.
-  PacketEvent ev;
-  ev.pkt = std::move(pkt);
-  ev.node = to;
-  ev.from = from;
-  ev.dest_hint = dest_hint;
-  ev.injected_at = ctx.current_injected_at;
-  ev.origin = false;
-  mailbox_push(ctx, dst.index, arrival, lane, std::move(ev));
-}
-
-void SimNetwork::mailbox_push(RegionCtx& src, std::uint32_t dst_region, SimTime at,
-                              std::uint32_t lane, PacketEvent&& ev) {
-  SDM_CHECK(psim_ != nullptr);
-  Mailbox& box = psim_->boxes[src.index * regions_.size() + dst_region];
-  MailboxEntry entry;
-  entry.at = at;
-  entry.lane = lane;
-  entry.pos = box.pushes++;
-  entry.ev = std::move(ev);
-  if (box.ring.capacity() == 0) box.ring.reserve(mailbox_capacity_);
-  if (box.count < box.ring.capacity()) {
-    if (box.ring.size() <= box.count) {
-      box.ring.push_back(std::move(entry));
-    } else {
-      box.ring[box.count] = std::move(entry);
-    }
-    ++box.count;
-  } else {
-    ++box.overflows;
-    box.spill.push_back(std::move(entry));
-  }
-}
-
-std::size_t SimNetwork::drain_mailboxes() {
-  SDM_CHECK(psim_ != nullptr && tl_active_ == nullptr);
-  // Gather (box, entry) pairs, order by (arrival, source-major box, push
-  // order). The order is a pure function of the window's contents, so the
-  // destination calendars' sequence numbers — the global tiebreaker — are
-  // deterministic, and per (link, direction) the arrivals stay monotone so
-  // lane appends remain O(1).
-  struct Ref {
-    SimTime at;
-    std::uint32_t box;
-    std::uint64_t pos;
-    MailboxEntry* entry;
-  };
-  std::vector<Ref> refs;
-  for (std::uint32_t b = 0; b < psim_->boxes.size(); ++b) {
-    Mailbox& box = psim_->boxes[b];
-    for (std::size_t i = 0; i < box.count; ++i) {
-      refs.push_back(Ref{box.ring[i].at, b, box.ring[i].pos, &box.ring[i]});
-    }
-    for (MailboxEntry& e : box.spill) refs.push_back(Ref{e.at, b, e.pos, &e});
-  }
-  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.box != b.box) return a.box < b.box;
-    return a.pos < b.pos;
-  });
-  for (const Ref& r : refs) {
-    MailboxEntry& e = *r.entry;
-    RegionCtx& dst = *regions_[node_region_[e.ev.node.v]];
-    dst.sim.schedule_packet_at(e.at, std::move(e.ev.pkt), e.ev.node, e.ev.from, e.ev.dest_hint,
-                               e.ev.injected_at, e.ev.origin, e.lane);
-  }
-  for (Mailbox& box : psim_->boxes) {
-    box.count = 0;
-    box.spill.clear();
-  }
-  psim_->cross_messages += refs.size();
-  return refs.size();
-}
-
-std::uint64_t SimNetwork::mailbox_overflows() const noexcept {
-  if (!psim_) return 0;
-  std::uint64_t total = 0;
-  for (const Mailbox& box : psim_->boxes) total += box.overflows;
-  return total;
-}
-
-void SimNetwork::run(SimTime until) {
-  SDM_CHECK_MSG(psim_ == nullptr, "a partitioned network must be driven by psim::Engine");
-  regions_.front()->sim.run(until);
-}
-
-void SimNetwork::run_region_window(std::size_t r, SimTime until) {
-  RegionCtx& ctx = *regions_[r];
-  tl_active_ = &ctx;
-  ctx.sim.run(until);
-  tl_active_ = nullptr;
-}
-
-void SimNetwork::run_global_until(SimTime until) {
-  SDM_CHECK(psim_ != nullptr && tl_active_ == nullptr);
-  global_sim_->run(until);
-}
-
-void SimNetwork::reset_run() {
-  for (auto& ctx : regions_) {
-    ctx->sim.reset();
-    ctx->counters = NetworkCounters{};
-    ctx->current_injected_at = 0;
-  }
-  if (global_sim_) global_sim_->reset();
-  if (psim_) {
-    for (Mailbox& box : psim_->boxes) {
-      box.count = 0;
-      box.spill.clear();
-      box.pushes = 0;
-      box.overflows = 0;
-    }
-    psim_->cross_messages = 0;
-  }
-  reseed_regions();
-  std::fill(node_up_.begin(), node_up_.end(), true);
-  std::fill(link_up_.begin(), link_up_.end(), true);
-  std::fill(link_loss_.begin(), link_loss_.end(), 0.0);
-  std::fill(node_counters_.begin(), node_counters_.end(), NodeCounters{});
-  std::fill(link_counters_.begin(), link_counters_.end(), LinkCounters{});
-  std::fill(link_free_at_.begin(), link_free_at_.end(), 0.0);
-  std::fill(link_free_dir_.begin(), link_free_dir_.end(), 0.0);
+  sim_.schedule_packet_at(arrival, std::move(pkt), to, from, dest_hint, current_injected_at_,
+                          /*origin=*/false, lane);
 }
 
 void SimNetwork::deliver(net::NodeId at_node, const packet::Packet& pkt) {
-  deliver_in(ctx_for(at_node), at_node, pkt);
-}
-
-void SimNetwork::deliver_in(RegionCtx& ctx, net::NodeId at_node, const packet::Packet& pkt) {
   ++node_counters_[at_node.v].packets_delivered;
-  ++ctx.counters.delivered;
-  const SimTime latency = ctx.sim.now() - ctx.current_injected_at;
-  ctx.counters.total_latency += latency;
-  trace(ctx.tracer, obs::Hop::kDelivered, pkt, ctx.sim.now(), at_node);
+  ++counters_.delivered;
+  const SimTime latency = sim_.now() - current_injected_at_;
+  counters_.total_latency += latency;
+  trace(tracer_, obs::Hop::kDelivered, pkt, sim_.now(), at_node);
   if (delivery_observer_) delivery_observer_(pkt, latency);
 }
 
 void SimNetwork::register_metrics(obs::MetricsRegistry& registry) const {
   const obs::Labels net_labels{{"subsystem", "net"}};
-  if (regions_.size() == 1) {
-    // Serial: expose the region's counters directly (stable pointers, the
-    // historical byte-exact export).
-    const NetworkCounters& c = regions_.front()->counters;
-    registry.expose_counter("net_injected", net_labels, &c.injected);
-    registry.expose_counter("net_delivered", net_labels, &c.delivered);
-    registry.expose_counter("net_dropped_ttl", net_labels, &c.dropped_ttl);
-    registry.expose_counter("net_dropped_no_route", net_labels, &c.dropped_no_route);
-    registry.expose_counter("net_dropped_node_down", net_labels, &c.dropped_node_down);
-    registry.expose_counter("net_dropped_queue", net_labels, &c.dropped_queue);
-    registry.expose_counter("net_dropped_link_down", net_labels, &c.dropped_link_down);
-    registry.expose_counter("net_dropped_link_loss", net_labels, &c.dropped_link_loss);
-  } else {
-    // Partitioned: the totals live across regions, so they are exported as
-    // gauges evaluated at collection time (the collector only ever runs in
-    // the coordinator phase, when the counters are quiescent).
-    const auto total = [this](std::uint64_t NetworkCounters::* field) {
-      return [this, field] {
-        std::uint64_t sum = 0;
-        for (const auto& ctx : regions_) sum += ctx->counters.*field;
-        return static_cast<double>(sum);
-      };
-    };
-    registry.expose_gauge("net_injected", net_labels, total(&NetworkCounters::injected));
-    registry.expose_gauge("net_delivered", net_labels, total(&NetworkCounters::delivered));
-    registry.expose_gauge("net_dropped_ttl", net_labels, total(&NetworkCounters::dropped_ttl));
-    registry.expose_gauge("net_dropped_no_route", net_labels,
-                          total(&NetworkCounters::dropped_no_route));
-    registry.expose_gauge("net_dropped_node_down", net_labels,
-                          total(&NetworkCounters::dropped_node_down));
-    registry.expose_gauge("net_dropped_queue", net_labels,
-                          total(&NetworkCounters::dropped_queue));
-    registry.expose_gauge("net_dropped_link_down", net_labels,
-                          total(&NetworkCounters::dropped_link_down));
-    registry.expose_gauge("net_dropped_link_loss", net_labels,
-                          total(&NetworkCounters::dropped_link_loss));
-  }
+  registry.expose_counter("net_injected", net_labels, &counters_.injected);
+  registry.expose_counter("net_delivered", net_labels, &counters_.delivered);
+  registry.expose_counter("net_dropped_ttl", net_labels, &counters_.dropped_ttl);
+  registry.expose_counter("net_dropped_no_route", net_labels, &counters_.dropped_no_route);
+  registry.expose_counter("net_dropped_node_down", net_labels, &counters_.dropped_node_down);
+  registry.expose_counter("net_dropped_queue", net_labels, &counters_.dropped_queue);
+  registry.expose_counter("net_dropped_link_down", net_labels, &counters_.dropped_link_down);
+  registry.expose_counter("net_dropped_link_loss", net_labels, &counters_.dropped_link_loss);
   registry.expose_gauge("net_latency_total_s", net_labels,
-                        [this] { return counters().total_latency; });
+                        [this] { return counters_.total_latency; });
   registry.expose_gauge("net_mean_latency_s", net_labels, [this] {
-    const NetworkCounters c = counters();
-    return c.delivered == 0 ? 0.0 : c.total_latency / static_cast<double>(c.delivered);
+    return counters_.delivered == 0
+               ? 0.0
+               : counters_.total_latency / static_cast<double>(counters_.delivered);
   });
 
   // Per-device load for every forwarding node; host leaves stay out so a
@@ -534,8 +274,6 @@ void SimNetwork::register_metrics(obs::MetricsRegistry& registry) const {
 
   // Link totals as aggregate gauges: per-link series would dwarf everything
   // else, and the eval questions ("how much wire overhead?") are aggregate.
-  // link_counters_ holds one slot per direction; summing all slots is the
-  // same total as summing per-link merges.
   registry.expose_gauge("link_bytes_total", net_labels, [this] {
     std::uint64_t total = 0;
     for (const LinkCounters& lc : link_counters_) total += lc.bytes;

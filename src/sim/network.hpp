@@ -12,25 +12,12 @@
 // fragment header bytes to the link, but deliver the packet whole — the
 // paper's §III.E concern is the overhead, which this captures exactly,
 // without needing reassembly buffers.
-//
-// Partitioned execution: enable_partition() splits the node set into
-// regions, each with its own calendar (RegionCtx). With one region this is
-// exactly the historical serial network — one calendar, one loss RNG, one
-// tracer — bit for bit. With R > 1 the network becomes the substrate for
-// psim::Engine's conservative windowed execution: packet events run on the
-// calendar of the node's region, control-plane callbacks scheduled outside
-// packet context live on a separate coordinator ("global") calendar, and
-// cross-region transmissions park in per-(src,dst) mailboxes that the
-// coordinator drains at window barriers in a deterministic order. All
-// engine-facing hooks (run_region_window, drain_mailboxes, ...) are here so
-// the hot path never crosses a library boundary.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "net/partition.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "packet/packet.hpp"
@@ -67,8 +54,7 @@ struct NodeCounters {
   std::uint64_t packets_dropped = 0;   // TTL expiry / no route
 };
 
-/// Per-link counters (both directions combined in the accessor; stored per
-/// direction so the two regions sharing a cross link never write one slot).
+/// Per-link counters (both directions combined).
 struct LinkCounters {
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;             // wire bytes including fragment overhead
@@ -91,7 +77,7 @@ struct NetworkCounters {
   double total_latency = 0;            // sum of delivery latencies (s)
 };
 
-class SimNetwork {
+class SimNetwork final : private PacketSink {
 public:
   /// The topology, routing tables and resolver must outlive the network.
   SimNetwork(const net::Topology& topo, const net::RoutingTables& routing,
@@ -120,9 +106,7 @@ public:
   double link_loss(net::LinkId link) const;
 
   /// Reseed the loss RNG (call before the run for reproducible loss traces).
-  /// Region 0 draws from `seed` exactly (the historical serial stream);
-  /// further regions get independent streams derived from it.
-  void seed_loss(std::uint64_t seed);
+  void seed_loss(std::uint64_t seed) { loss_rng_ = util::Rng(seed); }
 
   /// Optional per-delivery observer: called with the delivered packet and
   /// its injection-to-delivery latency (latency studies, traces).
@@ -130,9 +114,7 @@ public:
   void on_delivered(DeliveryObserver observer) { delivery_observer_ = std::move(observer); }
 
   /// Inject a packet into the network at `node` at time `at` (it is handled
-  /// as if it had just arrived there). Under partitioned execution a region
-  /// thread may only inject at nodes of its own region (agents answering
-  /// their own traffic); the coordinator may inject anywhere.
+  /// as if it had just arrived there).
   void inject(net::NodeId node, packet::Packet pkt, SimTime at);
 
   /// Route one hop toward the packet's routing destination from `at_node`:
@@ -148,160 +130,32 @@ public:
   /// this when they terminate a packet).
   void deliver(net::NodeId at_node, const packet::Packet& pkt);
 
-  /// The calendar for "here": on a region thread, that region's calendar; on
-  /// the coordinator of a partitioned network, the global calendar; on a
-  /// serial network, the one calendar. Agents use this for now() and timers,
-  /// which keeps their callbacks on the thread that owns their node.
-  Simulator& simulator() noexcept {
-    if (tl_active_ != nullptr && tl_active_->net == this) return tl_active_->sim;
-    return psim_ ? *global_sim_ : regions_.front()->sim;
-  }
+  /// The one event calendar: agents use it for now() and timers.
+  Simulator& simulator() noexcept { return sim_; }
   const net::Topology& topology() const noexcept { return topo_; }
   const net::RoutingTables& routing() const noexcept { return routing_; }
   const net::AddressResolver& resolver() const noexcept { return resolver_; }
 
   const NodeCounters& node_counters(net::NodeId n) const { return node_counters_[n.v]; }
-  /// Both directions merged (stored per direction — see LinkCounters).
-  LinkCounters link_counters(net::LinkId l) const;
-  /// All regions merged; with one region this is the region's counters.
-  NetworkCounters counters() const noexcept;
+  const LinkCounters& link_counters(net::LinkId l) const { return link_counters_[l.v]; }
+  const NetworkCounters& counters() const noexcept { return counters_; }
 
   /// Attach a path tracer (nullable; null disables tracing — the default, and
   /// free on the hot path: every hook is one pointer test). The tracer must
-  /// outlive the network. On a partitioned network this sets region 0's
-  /// tracer; use set_region_tracer for the rest.
-  void set_tracer(obs::PathTracer* tracer) noexcept { regions_.front()->tracer = tracer; }
-  obs::PathTracer* tracer() const noexcept {
-    if (tl_active_ != nullptr && tl_active_->net == this) return tl_active_->tracer;
-    return regions_.front()->tracer;
-  }
+  /// outlive the network.
+  void set_tracer(obs::PathTracer* tracer) noexcept { tracer_ = tracer; }
+  obs::PathTracer* tracer() const noexcept { return tracer_; }
 
   /// Expose the network/node counters as registry views: net_* totals plus
   /// per-device node_packets_* for every forwarding node (hosts stay out —
   /// hundreds of leaf series would drown the dump).
   void register_metrics(obs::MetricsRegistry& registry) const;
 
-  /// Run the event loop to completion (or until `until`). Only valid on an
-  /// unpartitioned network (region count 1) — a partitioned one must be
-  /// driven by psim::Engine, which owns the window barriers.
-  void run(SimTime until = Simulator::kForever);
-
-  // ---- Partitioned execution (psim::Engine substrate) --------------------
-
-  /// Adopt a region partition. Must be called before any agent is attached
-  /// or event scheduled. With region_count 1 this is a no-op relabeling;
-  /// with more, per-region calendars, the coordinator calendar and the
-  /// cross-region mailboxes come into existence and run() is disabled in
-  /// favor of the engine hooks below.
-  void enable_partition(const net::Partition& partition);
-
-  bool partitioned() const noexcept { return psim_ != nullptr; }
-  std::size_t region_count() const noexcept { return regions_.size(); }
-  std::uint32_t node_region(net::NodeId n) const { return node_region_[n.v]; }
-  /// Conservative lookahead: minimum cross-region propagation delay
-  /// (infinity when there are no cross links).
-  double lookahead_s() const noexcept { return lookahead_s_; }
-
-  Simulator& region_simulator(std::size_t r) { return regions_[r]->sim; }
-  Simulator& global_simulator() { return psim_ ? *global_sim_ : regions_.front()->sim; }
-
-  /// Per-region tracers for partitioned runs. All regions must share the
-  /// same sampling rate + seed so a flow is either traced everywhere or
-  /// nowhere.
-  void set_region_tracer(std::size_t r, obs::PathTracer* tracer) { regions_[r]->tracer = tracer; }
-
-  SimTime next_region_event_time(std::size_t r) const { return regions_[r]->sim.next_event_time(); }
-  SimTime next_global_event_time() const {
-    return psim_ ? global_sim_->next_event_time() : Simulator::kForever;
-  }
-
-  /// Execute region r's calendar up to `until` (inclusive). Called from the
-  /// region's worker thread during a window; the thread-local active-region
-  /// binding covers packet events AND callback events (agent timers), so
-  /// everything the region does routes through its own calendar/tracer/RNG.
-  void run_region_window(std::size_t r, SimTime until);
-
-  /// Execute coordinator callbacks up to `until` (inclusive). Region
-  /// threads must be parked.
-  void run_global_until(SimTime until);
-
-  /// Move every parked cross-region packet into its destination region's
-  /// calendar, in (arrival time, source-major mailbox, push order) order so
-  /// the destination's sequence numbers — and therefore the whole run — are
-  /// a pure function of (seed, partition). Returns the number of messages
-  /// moved. Coordinator only.
-  std::size_t drain_mailboxes();
-
-  /// Ring capacity per (src,dst) mailbox before pushes spill to the growable
-  /// overflow area (counted, never dropped — the counter is the
-  /// backpressure signal). Takes effect on the next enable_partition/reset.
-  void set_mailbox_capacity(std::size_t n) { mailbox_capacity_ = n == 0 ? 1 : n; }
-  std::uint64_t mailbox_overflows() const noexcept;
-
-  /// Restore the just-constructed state for a rerun: every region clock,
-  /// the coordinator clock, mailboxes, link horizons, counters, fault flags
-  /// and loss RNGs. Calendar/pool capacity is retained (warm reruns).
-  void reset_run();
-
-  /// Packets carry an injection timestamp for latency accounting; agents
-  /// must not alter it.
-  struct InFlightMeta {
-    SimTime injected_at = 0;
-  };
+  /// Run the event loop to completion (or until `until`).
+  void run(SimTime until = Simulator::kForever) { sim_.run(until); }
 
 private:
-  /// One region's execution context: its calendar, its slice of the network
-  /// counters, its tracer and loss RNG, and the injection timestamp of the
-  /// packet it is currently handling. With one region there is exactly one
-  /// of these and the network degenerates to the historical serial engine.
-  struct RegionCtx final : PacketSink {
-    SimNetwork* net = nullptr;
-    std::uint32_t index = 0;
-    Simulator sim;
-    NetworkCounters counters;
-    SimTime current_injected_at = 0;
-    obs::PathTracer* tracer = nullptr;
-    util::Rng loss_rng{0x5dfa117ULL};  // "SD-fault"; reseed via seed_loss()
-
-    void on_packet_event(PacketEvent ev) override;
-  };
-
-  /// A cross-region packet parked until the next window barrier. `pos` is
-  /// the push order within its mailbox (part of the deterministic drain
-  /// key); `lane` is the destination-calendar lane (per link direction, so
-  /// drained arrivals keep their O(1) monotone-append property).
-  struct MailboxEntry {
-    SimTime at = 0;
-    std::uint32_t lane = 0;
-    std::uint64_t pos = 0;
-    PacketEvent ev;
-  };
-
-  /// SPSC by phase discipline: exactly one region thread pushes during
-  /// windows, only the coordinator drains between windows. The ring is
-  /// fixed capacity (allocated lazily on first use); overflow spills into a
-  /// growable vector and bumps `overflows` instead of dropping traffic.
-  struct Mailbox {
-    std::vector<MailboxEntry> ring;
-    std::size_t count = 0;
-    std::vector<MailboxEntry> spill;
-    std::uint64_t pushes = 0;
-    std::uint64_t overflows = 0;
-  };
-
-  /// State that exists only when region_count > 1.
-  struct PsimState {
-    std::vector<Mailbox> boxes;  // src * R + dst
-    std::uint64_t cross_messages = 0;
-  };
-
-  RegionCtx& ctx_for(net::NodeId node) noexcept {
-    if (tl_active_ != nullptr && tl_active_->net == this) return *tl_active_;
-    return *regions_[node_region_[node.v]];
-  }
-  void reseed_regions();
-  void mailbox_push(RegionCtx& src, std::uint32_t dst_region, SimTime at, std::uint32_t lane,
-                    PacketEvent&& ev);
+  void on_packet_event(PacketEvent ev) override;
 
   /// `origin` marks locally-generated packets: a leaf node may emit its own
   /// traffic even though it never forwards transit traffic. `from` is the
@@ -313,46 +167,34 @@ private:
   /// the dispatched event's storage until the single move into the next
   /// calendar slot (or into the consuming agent), instead of being moved at
   /// every call boundary.
-  void handle_at_node(RegionCtx& ctx, net::NodeId node, packet::Packet&& pkt,
-                      SimTime injected_at, bool origin, net::NodeId from, net::NodeId dest_hint);
+  void handle_at_node(net::NodeId node, packet::Packet&& pkt, SimTime injected_at, bool origin,
+                      net::NodeId from, net::NodeId dest_hint);
   /// forward() with the destination already resolved — handle_at_node has it
   /// in hand, so the pure-forwarding path resolves once per hop, not twice.
-  void forward_resolved(RegionCtx& ctx, net::NodeId at_node, packet::Packet&& pkt,
-                        net::NodeId dest);
+  void forward_resolved(net::NodeId at_node, packet::Packet&& pkt, net::NodeId dest);
   /// transmit() with the link already known (the routing tables carry the
   /// egress LinkId next to the next-hop node, so the forwarding path skips
   /// the adjacency scan) and the resolved destination to carry to the far
   /// end of the wire.
-  void transmit_on(RegionCtx& ctx, net::LinkId link, net::NodeId from, net::NodeId to,
-                   packet::Packet&& pkt, net::NodeId dest_hint);
-  void deliver_in(RegionCtx& ctx, net::NodeId at_node, const packet::Packet& pkt);
+  void transmit_on(net::LinkId link, net::NodeId from, net::NodeId to, packet::Packet&& pkt,
+                   net::NodeId dest_hint);
 
   const net::Topology& topo_;
   const net::RoutingTables& routing_;
   const net::AddressResolver& resolver_;
-  std::vector<std::unique_ptr<RegionCtx>> regions_;
-  std::vector<std::uint32_t> node_region_;
-  std::unique_ptr<Simulator> global_sim_;  // coordinator calendar (R > 1 only)
-  std::unique_ptr<PsimState> psim_;
-  double lookahead_s_ = 0;
-  std::uint64_t loss_seed_ = 0x5dfa117ULL;
-  std::size_t mailbox_capacity_ = 1024;
+  Simulator sim_;
+  NetworkCounters counters_;
+  SimTime current_injected_at_ = 0;  // of the packet being handled
+  obs::PathTracer* tracer_ = nullptr;
+  util::Rng loss_rng_{0x5dfa117ULL};  // "SD-fault"; reseed via seed_loss()
   std::vector<std::unique_ptr<NodeAgent>> agents_;
   std::vector<bool> node_up_;
   std::vector<bool> link_up_;
   std::vector<double> link_loss_;
-  std::vector<bool> link_cross_;  // endpoints in different regions
   std::vector<NodeCounters> node_counters_;
-  std::vector<LinkCounters> link_counters_;  // 2 per link: [2l], [2l+1] by direction
-  std::vector<SimTime> link_free_at_;   // shared serialization horizon (intra-region)
-  std::vector<SimTime> link_free_dir_;  // per-direction horizon (cross-region links)
+  std::vector<LinkCounters> link_counters_;
+  std::vector<SimTime> link_free_at_;  // serialization horizon per link
   DeliveryObserver delivery_observer_;
-
-  /// Bound for the duration of run_region_window on that window's worker
-  /// thread; null on the coordinator/serial path. Routes simulator(),
-  /// tracer() and counter writes to the active region without the callers
-  /// having to know about regions.
-  static thread_local RegionCtx* tl_active_;
 };
 
 }  // namespace sdmbox::sim

@@ -250,15 +250,6 @@ void Simulator::run(SimTime until) {
   }
 }
 
-SimTime Simulator::next_event_time() const noexcept {
-  const bool have_heap = !heap_.empty();
-  const bool have_lane = !lane_heap_.empty();
-  if (!have_heap && !have_lane) return kForever;
-  if (!have_heap) return lane_front(lane_heap_[0]).at;
-  if (!have_lane) return heap_.front().at;
-  return std::min(heap_.front().at, lane_front(lane_heap_[0]).at);
-}
-
 void Simulator::reset() {
   // Drop contents but keep capacity: pools, lanes, and heap storage stay
   // warm so a post-reset run does not re-pay their growth (the perf harness

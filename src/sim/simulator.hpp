@@ -67,11 +67,6 @@ public:
   std::uint64_t events_processed() const noexcept { return processed_; }
   std::size_t pending() const noexcept { return heap_.size() + lane_pending_; }
 
-  /// Timestamp of the earliest pending event, or kForever when the calendar
-  /// is empty. The conservative parallel engine (psim) uses this to size
-  /// execution windows without popping anything.
-  SimTime next_event_time() const noexcept;
-
   /// Schedule `fn` at absolute time `at` (>= now).
   void schedule_at(SimTime at, Handler fn);
 

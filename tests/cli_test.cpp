@@ -57,6 +57,10 @@ TEST(CliExitCodes, BadUsageExitsTwo) {
   EXPECT_EQ(run_cli("--packets"), 2);           // missing value
   EXPECT_EQ(run_cli("--packets 0"), 2);         // spec validation failure
   EXPECT_EQ(run_cli("--verify --trace-sample 0"), 2);  // verify needs a stream
+  // Numeric flags must parse completely, like their spec-file keys.
+  EXPECT_EQ(run_cli("--packets 300x"), 2);
+  EXPECT_EQ(run_cli("--seed abc"), 2);
+  EXPECT_EQ(run_cli("--trace-sample 0.5junk"), 2);
 }
 
 TEST(CliExitCodes, UnverifiableRunExitsThree) {

@@ -117,6 +117,15 @@ TEST(ScenarioSpec, ParseRejectsOutOfDomainValues) {
   // Label switching piggybacks on flow-cache entries.
   EXPECT_FALSE(parse_text("flow_cache = false\n").ok());
   EXPECT_TRUE(parse_text("flow_cache = false\nlabel_switching = false\n").ok());
+  // Integers must be unsigned decimal that fits the field: no sign wrapping
+  // modulo 2^64, no saturation, no narrowing into int.
+  EXPECT_FALSE(parse_text("seed = -1\n").ok());
+  EXPECT_FALSE(parse_text("packets = -1\n").ok());
+  EXPECT_FALSE(parse_text("policies_per_class = -3\n").ok());
+  EXPECT_FALSE(parse_text("seed = +7\n").ok());
+  EXPECT_FALSE(parse_text("seed = 18446744073709551616\n").ok());  // 2^64
+  EXPECT_FALSE(parse_text("reopt_cooldown = 4294967297\n").ok());  // 2^32 + 1
+  EXPECT_TRUE(parse_text("seed = 18446744073709551615\n").ok());   // 2^64 - 1
 }
 
 TEST(ScenarioSpec, LpEngineKeyParsesAndRejects) {

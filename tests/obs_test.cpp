@@ -274,6 +274,37 @@ TEST(Trace, ObserverSeesEverySampledRecordBeforeEviction) {
   EXPECT_TRUE(gated.seen.empty());
 }
 
+TEST(Trace, CollectorKeepsEveryRecordInOrderWhileRingWraps) {
+  obs::TraceCollector collector;
+  PathTracer tracer(1.0, /*capacity=*/3);
+  tracer.set_observer(&collector);
+  constexpr std::uint32_t kRecords = 11;
+  for (std::uint32_t i = 0; i < kRecords; ++i) {
+    const obs::Hop hop = i % 2 == 0 ? obs::Hop::kInjected : obs::Hop::kDelivered;
+    tracer.record(hop, make_flow(i % 4), 0.5 * i, net::NodeId{i}, /*detail=*/100 + i,
+                  /*seq=*/i + 1);
+  }
+  EXPECT_EQ(tracer.sink().overwritten(), kRecords - 3);
+
+  // Every record survives in the collector, in emission order, field for
+  // field — while the ring kept only the newest three.
+  const auto& all = collector.records();
+  ASSERT_EQ(all.size(), kRecords);
+  for (std::uint32_t i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(all[i].at, 0.5 * i);
+    EXPECT_EQ(all[i].flow, make_flow(i % 4));
+    EXPECT_EQ(all[i].node, net::NodeId{i});
+    EXPECT_EQ(all[i].hop, i % 2 == 0 ? obs::Hop::kInjected : obs::Hop::kDelivered);
+    EXPECT_EQ(all[i].detail, 100u + i);
+    EXPECT_EQ(all[i].seq, i + 1u);
+  }
+  const auto ring = tracer.sink().records();
+  ASSERT_EQ(ring.size(), 3u);
+  for (std::size_t k = 0; k < ring.size(); ++k) {
+    EXPECT_EQ(ring[k].seq, all[kRecords - 3 + k].seq);
+  }
+}
+
 TEST(Spans, LifecycleParentingAndAttrs) {
   SpanTracer t;
   const SpanId root = t.begin("episode:crash", 2.05, 0, "FW3", "fault");

@@ -1,5 +1,5 @@
-// Policy text format (policy/parser), deny semantics, and the tuple-space
-// classifier (third engine, cross-checked against linear and trie).
+// Policy text format (policy/parser), deny semantics, and the trie
+// classifier cross-checked against the linear reference.
 #include <gtest/gtest.h>
 
 #include "analytic/load_evaluator.hpp"
@@ -183,18 +183,8 @@ TEST(Deny, AnalysisDistinguishesDenyFromPermit) {
 }
 
 // ---------------------------------------------------------------------------
-// Tuple-space classifier
+// Classifier equivalence
 // ---------------------------------------------------------------------------
-
-TEST(TupleSpace, ReportsNameAndMemory) {
-  PolicyList list;
-  TrafficDescriptor td;
-  td.src = net::Prefix(net::IpAddress(10, 0, 0, 0), 8);
-  list.add(td, {kFirewall});
-  const auto c = make_tuple_space_classifier(list);
-  EXPECT_STREQ(c->name(), "tuple-space");
-  EXPECT_GT(c->memory_bytes(), 0u);
-}
 
 class ThreeEngineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -220,7 +210,6 @@ TEST_P(ThreeEngineEquivalence, AllClassifiersAgreeOnRandomRuleSets) {
   }
   const auto linear = make_linear_classifier(list);
   const auto trie = make_trie_classifier(list);
-  const auto tuple = make_tuple_space_classifier(list);
   for (int i = 0; i < 3000; ++i) {
     packet::FlowId f;
     if (i % 2 == 0) {
@@ -239,7 +228,6 @@ TEST_P(ThreeEngineEquivalence, AllClassifiersAgreeOnRandomRuleSets) {
     f.protocol = rng.next_bool(0.5) ? packet::kProtoTcp : packet::kProtoUdp;
     const Policy* expected = linear->first_match(f);
     ASSERT_EQ(trie->first_match(f), expected) << f.to_string();
-    ASSERT_EQ(tuple->first_match(f), expected) << f.to_string();
   }
 }
 
