@@ -64,10 +64,7 @@ int main() {
     }
     simnet.run();
     // Reports in, LP solved, configs out — all in-band.
-    std::uint64_t report_bytes = 0;
-    for (auto* proxy : cp.proxies) {
-      report_bytes += proxy->send_report(simnet, cp.controller->address());
-    }
+    const std::uint64_t report_bytes = control::send_reports(simnet, cp);
     simnet.run();
     cp.controller->replan(simnet, control::ReplanRequest{});
     simnet.run();

@@ -120,7 +120,7 @@ RecoveryResult run_recovery(Recovery mode) {
   }
   r.lost = simnet.counters().dropped_node_down;
   r.delivered = simnet.counters().delivered;
-  for (const auto* d : cp.proxies) r.reroutes += d->proxy()->counters().failover_reroutes;
+  for (const auto* p : cp.agents.proxies) r.reroutes += p->device_counters().failover_reroutes;
   return r;
 }
 

@@ -65,10 +65,10 @@ DesTotals run_des(EvalScenario& s, const Workload& w, bool label_switching) {
   for (const auto* p : agents.proxies) {
     t.tunneled += p->counters().tunneled_packets;
     t.switched += p->counters().label_switched_packets;
-    t.classifier_lookups += p->counters().classifier_lookups;
+    t.classifier_lookups += p->device_counters().classifier_lookups;
   }
   for (const auto* m : agents.middleboxes) {
-    t.classifier_lookups += m->counters().classifier_lookups;
+    t.classifier_lookups += m->device_counters().classifier_lookups;
   }
   t.delivered = simnet.counters().delivered;
   return t;

@@ -3,9 +3,10 @@
 #
 # Usage: ci/scenario_arms.sh BUILD_DIR PACKETS [OUT_DIR]
 #
-# Runs three scenario_cli arms under the live enforcement-invariant oracle
+# Runs four scenario_cli arms under the live enforcement-invariant oracle
 # (--verify exits 3 on any violation):
 #   fault    the scripted chaos timeline (crash, link flap, lossy control link)
+#   offpath  the same timeline with off-path proxies behind edge-router loopbacks
 #   reopt    the same timeline with drift-triggered re-optimisation
 #   chaos    a seeded generated fault schedule
 # Each arm runs twice with the same seed, in OUT_DIR/1 and OUT_DIR/2 (default
@@ -40,6 +41,7 @@ run_arm() {
 }
 
 run_arm fault
+run_arm offpath --off-path
 run_arm reopt --reopt-period 0.5 --reopt-threshold 0.05
 run_arm chaos --faults generated --chaos-seed 7
 

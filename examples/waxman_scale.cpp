@@ -1,6 +1,6 @@
 // Scale demo: ISP-scale Waxman worlds, from the paper's 400-edge §IV.A
 // network up to 10k routers. Flows come from the streaming generator
-// (workload/stream_gen) so the flow list is never resident, the LB plan is
+// (workload::FlowStream) so the flow list is never resident, the LB plan is
 // solved by the sparse revised simplex, and — at sizes where the dense
 // tableau still finishes — both engines are run and cross-checked to 1e-6.
 //
@@ -29,7 +29,7 @@
 #include "net/topologies.hpp"
 #include "obs/export.hpp"
 #include "workload/policy_gen.hpp"
-#include "workload/stream_gen.hpp"
+#include "workload/traffic_matrix.hpp"
 
 using namespace sdmbox;
 

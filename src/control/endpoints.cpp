@@ -1,7 +1,6 @@
 #include "control/endpoints.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "control/health.hpp"
 #include "obs/metrics.hpp"
@@ -19,6 +18,13 @@ const char* to_string(ReplanTrigger t) noexcept {
 }
 
 namespace {
+
+// Reliable config channel: every kConfigPush carries a sequence number and
+// is retransmitted with exponential backoff until the device's kConfigAck
+// echoes it back.
+constexpr double kRetransmitTimeout = 0.1;  // initial retransmission timeout (s)
+constexpr double kRetransmitBackoff = 2.0;  // timeout multiplier per retry
+constexpr int kMaxRetransmits = 6;          // retries after the initial send
 
 /// Device -> controller rollout confirmation, echoing the push's sequence.
 void send_config_ack(sim::SimNetwork& net, net::NodeId node, net::IpAddress device,
@@ -39,13 +45,8 @@ void send_config_ack(sim::SimNetwork& net, net::NodeId node, net::IpAddress devi
 // ManagedDevice
 // ---------------------------------------------------------------------------
 
-ManagedDevice::ManagedDevice(net::NodeId node, net::IpAddress address,
-                             std::unique_ptr<core::ProxyAgent> proxy,
-                             std::unique_ptr<core::MiddleboxAgent> middlebox)
-    : node_(node), address_(address), proxy_(std::move(proxy)), middlebox_(std::move(middlebox)) {
-  SDM_CHECK_MSG((proxy_ != nullptr) != (middlebox_ != nullptr),
-                "a managed device wraps exactly one agent");
-}
+ManagedDevice::ManagedDevice(std::unique_ptr<core::DeviceAgent> agent)
+    : node_(agent->node()), address_(agent->address()), agent_(std::move(agent)) {}
 
 void ManagedDevice::on_packet(sim::SimNetwork& net, packet::Packet pkt, net::NodeId from) {
   if (pkt.kind == packet::PacketKind::kConfigPush && pkt.routing_header().dst == address_) {
@@ -70,8 +71,7 @@ void ManagedDevice::on_packet(sim::SimNetwork& net, packet::Packet pkt, net::Nod
     bool applied = false;
     if (pkt.control_payload != nullptr) {
       if (auto config = decode_device_config(*pkt.control_payload)) {
-        applied = proxy_ ? proxy_->apply_config(std::move(*config))
-                         : middlebox_->apply_config(std::move(*config));
+        applied = agent_->apply_config(std::move(*config));
       }
     }
     ++(applied ? counters_.configs_applied : counters_.configs_rejected);
@@ -94,22 +94,11 @@ void ManagedDevice::on_packet(sim::SimNetwork& net, packet::Packet pkt, net::Nod
     net.forward(node_, std::move(pkt));
     return;
   }
-  if (proxy_ != nullptr) {
-    proxy_->on_packet(net, std::move(pkt), from);
-  } else {
-    middlebox_->on_packet(net, std::move(pkt), from);
-  }
+  agent_->on_packet(net, std::move(pkt), from);
 }
 
-std::size_t ManagedDevice::send_report(sim::SimNetwork& net, net::IpAddress controller) {
-  SDM_CHECK_MSG(proxy_ != nullptr, "only proxies produce measurement reports");
-  MeasurementReport report;
-  report.src_subnet = proxy_->subnet_index();
-  for (const auto& m : proxy_->measurements()) {
-    report.lines.push_back(MeasurementReport::Line{m.policy.v, m.dst_subnet, m.packets});
-  }
-  proxy_->clear_measurements();
-
+std::size_t ManagedDevice::send_report(sim::SimNetwork& net, net::IpAddress controller,
+                                       const MeasurementReport& report) {
   packet::Packet pkt;
   pkt.kind = packet::PacketKind::kMeasurementReport;
   pkt.inner.src = address_;
@@ -121,6 +110,21 @@ std::size_t ManagedDevice::send_report(sim::SimNetwork& net, net::IpAddress cont
   pkt.payload_bytes = static_cast<std::uint32_t>(bytes);
   ++counters_.reports_sent;
   net.inject(node_, std::move(pkt), net.simulator().now());
+  return bytes;
+}
+
+std::size_t send_reports(sim::SimNetwork& net, const ControlPlane& plane) {
+  std::size_t bytes = 0;
+  for (std::size_t s = 0; s < plane.proxies.size(); ++s) {
+    core::ProxyAgent& proxy = *plane.agents.proxies[s];
+    MeasurementReport report;
+    report.src_subnet = proxy.subnet_index();
+    for (const auto& m : proxy.measurements()) {
+      report.lines.push_back(MeasurementReport::Line{m.policy.v, m.dst_subnet, m.packets});
+    }
+    proxy.clear_measurements();
+    bytes += plane.proxies[s]->send_report(net, plane.controller->address(), report);
+  }
   return bytes;
 }
 
@@ -143,21 +147,15 @@ void ControllerAgent::on_packet(sim::SimNetwork& net, packet::Packet pkt, net::N
     ++acks_;
     const auto node_it = addr_to_node_.find(pkt.inner.src.value());
     if (node_it != addr_to_node_.end()) {
-      double attempts = 1;
       const auto p = pending_.find(node_it->second);
       if (p != pending_.end() && p->second.seq == pkt.control_seq) {
-        attempts = p->second.attempts;
-        pending_.erase(p);  // rollout confirmed; retransmission timers go idle
+        // Rollout confirmed; retransmission timers go idle.
+        resolve_push_span(p->second, net.simulator().now(), "ack");
+        pending_.erase(p);
       } else if (pkt.control_seq != 0) {
         // Ack for a push no longer outstanding (duplicate after a
         // retransmission, or overtaken by a newer push).
         ++stale_acks_;
-      }
-      if (spans_ != nullptr) {
-        const auto sp = span_pending_.find(node_it->second);
-        if (sp != span_pending_.end() && sp->second.seq == pkt.control_seq) {
-          resolve_push_span(node_it->second, net.simulator().now(), "ack", attempts);
-        }
       }
     }
     net.deliver(node_, pkt);
@@ -203,49 +201,41 @@ void ControllerAgent::schedule_retransmit(sim::SimNetwork& net, std::uint32_t de
     const auto it = pending_.find(device_v);
     if (it == pending_.end() || it->second.seq != seq) return;  // acked or superseded
     PendingPush& push = it->second;
-    if (push.attempts > retransmit_.max_retries) {
+    if (push.attempts > kMaxRetransmits) {
       // Give up — and void the differential fingerprint, or the device (which
       // may never have applied this slice) would be skipped forever.
       ++pushes_abandoned_;
       last_pushed_.erase(device_v);
-      const double attempts = push.attempts;
+      const PendingPush abandoned = std::move(push);
       pending_.erase(it);
-      resolve_push_span(device_v, net.simulator().now(), "abandoned", attempts);
+      resolve_push_span(abandoned, net.simulator().now(), "abandoned");
       return;
     }
     ++push.attempts;
     ++retransmissions_;
-    if (spans_ != nullptr) {
-      const auto sp = span_pending_.find(device_v);
-      if (sp != span_pending_.end() && sp->second.seq == seq) {
-        const auto id = spans_->instant("retransmit", net.simulator().now(),
-                                        sp->second.push_span, "", "controller");
-        spans_->set_attr(id, "attempt", push.attempts);
-      }
+    if (spans_ != nullptr && push.push_span != 0) {
+      const auto id =
+          spans_->instant("retransmit", net.simulator().now(), push.push_span, "", "controller");
+      spans_->set_attr(id, "attempt", push.attempts);
     }
     send_push(net, push);
-    schedule_retransmit(net, device_v, seq, rto * retransmit_.backoff);
+    schedule_retransmit(net, device_v, seq, rto * kRetransmitBackoff);
   });
 }
 
-void ControllerAgent::resolve_push_span(std::uint32_t device_v, double now, const char* how,
-                                        double attempts) {
-  if (spans_ == nullptr) return;
-  const auto it = span_pending_.find(device_v);
-  if (it == span_pending_.end()) return;
-  const PushSpanState state = it->second;
-  span_pending_.erase(it);
+void ControllerAgent::resolve_push_span(const PendingPush& push, double now, const char* how) {
+  if (spans_ == nullptr || push.push_span == 0) return;
   if (std::string_view(how) == "ack") {
-    const auto ack = spans_->instant("ack", now, state.push_span, "", "controller");
-    spans_->set_attr(ack, "attempts", attempts);
+    const auto ack = spans_->instant("ack", now, push.push_span, "", "controller");
+    spans_->set_attr(ack, "attempts", push.attempts);
   } else {
     // superseded / abandoned / voided: mark the push span with its fate.
-    spans_->set_attr(state.push_span, how, 1);
+    spans_->set_attr(push.push_span, how, 1);
   }
-  spans_->end(state.push_span, now);
-  const auto rs = replan_spans_.find(state.replan_span);
+  spans_->end(push.push_span, now);
+  const auto rs = replan_spans_.find(push.replan_span);
   if (rs != replan_spans_.end() && rs->second.outstanding > 0) {
-    if (--rs->second.outstanding == 0) complete_replan_span(state.replan_span, now);
+    if (--rs->second.outstanding == 0) complete_replan_span(push.replan_span, now);
   }
 }
 
@@ -298,21 +288,21 @@ std::size_t ControllerAgent::distribute(sim::SimNetwork& net,
     if (spans_ != nullptr) {
       const double now = net.simulator().now();
       // A newer push to the same device supersedes any older in-flight one.
-      resolve_push_span(node_v, now, "superseded", 0);
-      const auto span = spans_->begin("push", now, current_replan_span_,
-                                      net.topology().node(device).name, "controller");
-      spans_->set_attr(span, "bytes", static_cast<double>(push.payload->size()));
-      spans_->set_attr(span, "seq", static_cast<double>(push.seq));
-      span_pending_[node_v] = PushSpanState{push.seq, span, current_replan_span_};
+      if (const auto old = pending_.find(node_v); old != pending_.end()) {
+        resolve_push_span(old->second, now, "superseded");
+      }
+      push.push_span = spans_->begin("push", now, current_replan_span_,
+                                     net.topology().node(device).name, "controller");
+      push.replan_span = current_replan_span_;
+      spans_->set_attr(push.push_span, "bytes", static_cast<double>(push.payload->size()));
+      spans_->set_attr(push.push_span, "seq", static_cast<double>(push.seq));
       const auto rs = replan_spans_.find(current_replan_span_);
       if (rs != replan_spans_.end()) ++rs->second.outstanding;
     }
     send_push(net, push);
-    if (retransmit_.enabled) {
-      const std::uint64_t seq = push.seq;
-      pending_[node_v] = std::move(push);  // a newer push supersedes any older pending one
-      schedule_retransmit(net, node_v, seq, retransmit_.rto);
-    }
+    const std::uint64_t seq = push.seq;
+    pending_[node_v] = std::move(push);  // a newer push supersedes any older pending one
+    schedule_retransmit(net, node_v, seq, kRetransmitTimeout);
     ++pushed;
     ++pushes_sent_;
   }
@@ -321,12 +311,12 @@ std::size_t ControllerAgent::distribute(sim::SimNetwork& net,
 
 void ControllerAgent::forget_device(net::NodeId device) {
   last_pushed_.erase(device.v);
-  pending_.erase(device.v);
+  const auto it = pending_.find(device.v);
+  if (it == pending_.end()) return;
   // Any in-flight push span is voided — the device's applied state is
   // unknown, the next replan resends its full slice.
-  if (spans_ != nullptr && span_clock_ != nullptr) {
-    resolve_push_span(device.v, span_clock_->now(), "voided", 0);
-  }
+  if (span_clock_ != nullptr) resolve_push_span(it->second, span_clock_->now(), "voided");
+  pending_.erase(it);
 }
 
 ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest& request) {
@@ -357,7 +347,6 @@ ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest&
     replan_spans_.emplace(rspan, std::move(state));
   }
 
-  const auto started = std::chrono::steady_clock::now();
   // A kFailure replan scoped to exactly one failed element patches the last
   // distributed plan locally instead of recomputing + recompiling: only the
   // devices whose chains traverse the failed element change, so every other
@@ -436,9 +425,6 @@ ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest&
     out.plan = controller_.compile(request.strategy);
     compiled = true;
   }
-  out.solve_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                           started)
-                     .count();
 
   if (rspan != 0 && compiled) {
     // Solve cost is modeled from the pivot count (wall time isn't
@@ -505,43 +491,29 @@ ControlPlane install_control_plane(sim::SimNetwork& simnet, net::GeneratedNetwor
   cp.controller = controller_agent.get();
   simnet.attach(controller_node, std::move(controller_agent));
 
-  for (std::size_t s = 0; s < network.proxies.size(); ++s) {
-    auto proxy =
-        std::make_unique<core::ProxyAgent>(network, s, policies, initial_plan, options);
-    auto managed = std::make_unique<ManagedDevice>(
-        network.proxies[s], network.topo.node(network.proxies[s]).address, std::move(proxy),
-        nullptr);
-    cp.proxies.push_back(managed.get());
-    simnet.attach(network.proxies[s], std::move(managed));
-  }
-  if (network.proxy_mode == net::ProxyMode::kOffPath) {
-    for (std::size_t e = 0; e < network.edge_routers.size(); ++e) {
-      simnet.attach(network.edge_routers[e],
-                    std::make_unique<core::EdgeLoopbackAgent>(network.edge_routers[e],
-                                                              network.proxies[e]));
-    }
-  }
-  for (const core::MiddleboxInfo& m : deployment.middleboxes()) {
-    auto box =
-        std::make_unique<core::MiddleboxAgent>(network, m, policies, initial_plan, options);
-    auto managed = std::make_unique<ManagedDevice>(m.node, network.topo.node(m.node).address,
-                                                   nullptr, std::move(box));
-    cp.middleboxes.push_back(managed.get());
-    simnet.attach(m.node, std::move(managed));
-  }
+  std::vector<ManagedDevice*> managed;  // every proxy, then every middlebox
+  cp.agents = core::install_devices(
+      simnet, network, deployment, policies, initial_plan, options,
+      [&](std::unique_ptr<core::DeviceAgent> agent) -> std::unique_ptr<sim::NodeAgent> {
+        auto device = std::make_unique<ManagedDevice>(std::move(agent));
+        managed.push_back(device.get());
+        return device;
+      });
+  const auto first_middlebox =
+      managed.begin() + static_cast<std::ptrdiff_t>(cp.agents.proxies.size());
+  cp.proxies.assign(managed.begin(), first_middlebox);
+  cp.middleboxes.assign(first_middlebox, managed.end());
   return cp;
 }
 
 void ManagedDevice::register_metrics(obs::MetricsRegistry& registry) const {
-  const std::string& device = proxy_ ? proxy_->name() : middlebox_->name();
-  const obs::Labels base{{"device", device}, {"subsystem", "control"}};
+  const obs::Labels base{{"device", agent_->name()}, {"subsystem", "control"}};
   registry.expose_counter("control_configs_applied", base, &counters_.configs_applied);
   registry.expose_counter("control_configs_rejected", base, &counters_.configs_rejected);
   registry.expose_counter("control_configs_duplicate", base, &counters_.configs_duplicate);
   registry.expose_counter("control_acks_sent", base, &counters_.acks_sent);
   registry.expose_counter("control_reports_sent", base, &counters_.reports_sent);
-  if (proxy_) proxy_->register_metrics(registry);
-  if (middlebox_) middlebox_->register_metrics(registry);
+  agent_->register_metrics(registry);
 }
 
 void ControllerAgent::register_metrics(obs::MetricsRegistry& registry) const {

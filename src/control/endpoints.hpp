@@ -9,9 +9,9 @@
 // real deployment would have.
 //
 // Pieces:
-//  * ManagedDevice — wraps a ProxyAgent/MiddleboxAgent; intercepts config
-//    pushes addressed to the device, decodes and applies them, and (for
-//    proxies) emits measurement reports on demand; everything else is
+//  * ManagedDevice — wraps one device agent (proxy or middlebox); intercepts
+//    config pushes addressed to the device, decodes and applies them, and
+//    sends the measurement reports it is handed; everything else is
 //    delegated to the wrapped agent untouched.
 //  * ControllerAgent — collects measurement reports into a TrafficMatrix;
 //    replan() is the single re-plan entry point (initial rollout, failure
@@ -21,7 +21,8 @@
 //    node or link — serializes per-device slices and injects the changed
 //    ones.
 //  * install_control_plane — attaches a controller host node plus managed
-//    devices over a whole GeneratedNetwork.
+//    devices over a whole GeneratedNetwork; send_reports has every proxy
+//    report its measurements in-band.
 #pragma once
 
 #include <memory>
@@ -58,48 +59,28 @@ struct ControlCounters {
   std::uint64_t reports_sent = 0;
 };
 
-/// Reliable config channel: every kConfigPush carries a sequence number and
-/// is retransmitted with exponential backoff until the device's kConfigAck
-/// echoes it back, up to `max_retries` retries. Disabled => the seed's
-/// fire-and-forget behavior.
-struct RetransmitParams {
-  bool enabled = true;
-  double rto = 0.1;       // initial retransmission timeout (s)
-  double backoff = 2.0;   // rto multiplier per retry
-  int max_retries = 6;    // retries after the initial send
-};
-
 /// Wraps a device agent; owns it.
 class ManagedDevice final : public sim::NodeAgent {
 public:
-  /// Exactly one of `proxy` / `middlebox` is set.
-  ManagedDevice(net::NodeId node, net::IpAddress address,
-                std::unique_ptr<core::ProxyAgent> proxy,
-                std::unique_ptr<core::MiddleboxAgent> middlebox);
+  explicit ManagedDevice(std::unique_ptr<core::DeviceAgent> agent);
 
   void on_packet(sim::SimNetwork& net, packet::Packet pkt, net::NodeId from) override;
 
-  /// Proxy only: package the current measurements as a report packet to
-  /// `controller`, inject it, and clear the local counters (§III.C
-  /// "periodically, all policy proxies send their measured traffic").
+  /// Inject `report` toward `controller` as a kMeasurementReport packet.
   /// Returns the encoded report size in bytes.
-  std::size_t send_report(sim::SimNetwork& net, net::IpAddress controller);
+  std::size_t send_report(sim::SimNetwork& net, net::IpAddress controller,
+                          const MeasurementReport& report);
 
-  core::ProxyAgent* proxy() const noexcept { return proxy_.get(); }
-  core::MiddleboxAgent* middlebox() const noexcept { return middlebox_.get(); }
   const ControlCounters& counters() const noexcept { return counters_; }
 
   /// Expose this device's control_* series plus the wrapped agent's series.
   void register_metrics(obs::MetricsRegistry& registry) const;
-  std::uint64_t config_version() const noexcept {
-    return proxy_ ? proxy_->config_version() : middlebox_->config_version();
-  }
+  std::uint64_t config_version() const noexcept { return agent_->config_version(); }
 
 private:
   net::NodeId node_;
   net::IpAddress address_;
-  std::unique_ptr<core::ProxyAgent> proxy_;
-  std::unique_ptr<core::MiddleboxAgent> middlebox_;
+  std::unique_ptr<core::DeviceAgent> agent_;
   /// Highest config sequence applied (0 = none yet). Duplicates are re-acked
   /// without re-applying; lower sequences are rejected as stale.
   std::uint64_t last_seq_ = 0;
@@ -164,8 +145,6 @@ struct ReplanOutcome {
   bool lp_warm_started = false;     // solve re-used the previous basis
   bool patched = false;             // plan locally patched, no recompile
   std::size_t devices_patched = 0;  // devices whose assignments the patch touched
-  double solve_ms = 0;              // measured wall-clock compile time — NOT
-                                    // deterministic; never feed into exports
 };
 
 /// The controller host's agent.
@@ -179,10 +158,10 @@ public:
   /// The one re-plan entry point: optionally recompute assignments, obtain a
   /// plan (precompiled, or compiled per `request.strategy`), and distribute
   /// it differentially — one sequenced kConfigPush per device whose slice
-  /// CHANGED since the last push, retransmitted with exponential backoff
-  /// until acked when retransmission is enabled (abandonment voids the
-  /// device's differential fingerprint so the next replan resends its full
-  /// slice).
+  /// CHANGED since the last push, retransmitted until acked: 0.1 s initial
+  /// timeout, doubling per retry, abandoned after 6 retries (abandonment
+  /// voids the device's differential fingerprint so the next replan resends
+  /// its full slice).
   ///
   /// A kLoadBalanced compile with zero reports collected since the last
   /// solve is suppressed: solving Eq. (2) on an empty matrix would push a
@@ -203,8 +182,6 @@ public:
   std::uint64_t pushes_skipped_unchanged() const noexcept { return pushes_skipped_; }
   std::uint64_t push_bytes_sent() const noexcept { return push_bytes_; }
 
-  void set_retransmit(RetransmitParams params) { retransmit_ = params; }
-  const RetransmitParams& retransmit() const noexcept { return retransmit_; }
   /// Pushes sent but not yet acked (0 after a completed rollout).
   std::size_t outstanding_pushes() const noexcept { return pending_.size(); }
   std::uint64_t retransmissions() const noexcept { return retransmissions_; }
@@ -268,18 +245,12 @@ public:
   }
 
 private:
+  /// One push awaiting its ack, plus its spans (0 when no tracer is attached).
   struct PendingPush {
     std::uint64_t seq = 0;
     net::IpAddress device_addr;
     std::shared_ptr<const std::vector<std::uint8_t>> payload;
     int attempts = 1;  // sends so far (initial + retries)
-  };
-
-  /// Span bookkeeping for one in-flight push, kept separate from the
-  /// protocol's pending_ map so observation works even when retransmission
-  /// is disabled (fire-and-forget pushes still have an ack to await).
-  struct PushSpanState {
-    std::uint64_t seq = 0;
     obs::SpanId push_span = 0;
     obs::SpanId replan_span = 0;
   };
@@ -299,9 +270,9 @@ private:
   /// Returns the number of pushes sent; increments the config version.
   std::size_t distribute(sim::SimNetwork& net, const core::EnforcementPlan& plan);
 
-  /// Close a push span (ack / supersede / abandon / forget) and, when its
+  /// Close a push's span (ack / supersede / abandon / forget) and, when its
   /// replan has no outstanding pushes left, complete the replan span.
-  void resolve_push_span(std::uint32_t device_v, double now, const char* how, double attempts);
+  void resolve_push_span(const PendingPush& push, double now, const char* how);
   void complete_replan_span(obs::SpanId replan_span, double now);
 
   net::NodeId node_;
@@ -323,7 +294,6 @@ private:
   /// Last pushed slice per device, version field zeroed for comparison —
   /// the differential-push baseline.
   std::unordered_map<std::uint32_t, std::vector<std::uint8_t>> last_pushed_;
-  RetransmitParams retransmit_;
   std::uint64_t push_seq_ = 0;  // global config-push sequence counter
   std::unordered_map<std::uint32_t, PendingPush> pending_;  // device node -> in-flight push
   std::unordered_map<std::uint32_t, std::uint32_t> addr_to_node_;  // device addr -> node
@@ -334,7 +304,6 @@ private:
   HealthMonitor* health_ = nullptr;
   obs::SpanTracer* spans_ = nullptr;
   const sim::Simulator* span_clock_ = nullptr;
-  std::unordered_map<std::uint32_t, PushSpanState> span_pending_;  // device node -> span state
   std::unordered_map<obs::SpanId, ReplanSpanState> replan_spans_;
   obs::SpanId current_replan_span_ = 0;  // set around distribute() by replan()
   stats::Histogram conv_solve_latency_;
@@ -345,8 +314,11 @@ private:
 struct ControlPlane {
   ControllerAgent* controller = nullptr;
   net::NodeId controller_node;
-  std::vector<ManagedDevice*> proxies;      // parallel to network.proxies
-  std::vector<ManagedDevice*> middleboxes;  // parallel to deployment order
+  /// The wrapped agents typed by role (plus the off-path edge loopbacks),
+  /// for reading role counters.
+  core::InstalledAgents agents;
+  std::vector<ManagedDevice*> proxies;      // parallel to agents.proxies
+  std::vector<ManagedDevice*> middleboxes;  // parallel to agents.middleboxes
 };
 
 /// Create a controller host attached to the network core, wrap every proxy
@@ -364,5 +336,10 @@ ControlPlane install_control_plane(sim::SimNetwork& simnet, net::GeneratedNetwor
 
 /// Register the controller's and every managed device's series.
 void register_metrics(obs::MetricsRegistry& registry, const ControlPlane& plane);
+
+/// §III.C "periodically, all policy proxies send their measured traffic":
+/// each proxy, in network order, packages its measurements as a report
+/// packet to the controller and clears them. Returns the encoded bytes sent.
+std::size_t send_reports(sim::SimNetwork& net, const ControlPlane& plane);
 
 }  // namespace sdmbox::control

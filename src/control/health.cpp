@@ -14,10 +14,8 @@ HealthMonitor::HealthMonitor(ControllerAgent& agent, core::Deployment& deploymen
   for (const core::MiddleboxInfo& m : deployment.middleboxes()) {
     devices_.push_back(Device{m.node, network.topo.node(m.node).address, false});
   }
-  if (params_.monitor_proxies) {
-    for (const net::NodeId p : network.proxies) {
-      devices_.push_back(Device{p, network.topo.node(p).address, true});
-    }
+  for (const net::NodeId p : network.proxies) {
+    devices_.push_back(Device{p, network.topo.node(p).address, true});
   }
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     by_addr_[devices_[i].address.value()] = i;
@@ -107,11 +105,10 @@ void HealthMonitor::round(sim::SimNetwork& net) {
     ++counters_.probes_sent;
     net.inject(agent_.node(), std::move(probe), now);
   }
-  if (!newly_failed.empty() && params_.auto_repair) {
+  if (!newly_failed.empty()) {
     // One dead middlebox -> patch the plan around it; anything more complex
     // falls back to the full recompute path.
-    repush(net, params_.patch_single_failure && newly_failed.size() == 1 ? newly_failed.front()
-                                                                         : net::NodeId{});
+    repush(net, newly_failed.size() == 1 ? newly_failed.front() : net::NodeId{});
   }
   // The episode contexts only existed so the repush's replan span could
   // parent under (and later close) them.
@@ -146,9 +143,7 @@ void HealthMonitor::on_probe_reply(sim::SimNetwork& net, net::IpAddress from,
     episode = spans_->correlated_open(d.node.v);
     if (episode != 0) spans_->push_context(episode);
   }
-  if (!d.is_proxy && deployment_.set_failed(d.node, false) && params_.auto_repair) {
-    repush(net);
-  }
+  if (!d.is_proxy && deployment_.set_failed(d.node, false)) repush(net);
   if (episode != 0) spans_->pop_context();
 }
 
@@ -156,7 +151,7 @@ void HealthMonitor::repush(sim::SimNetwork& net, net::NodeId failed_node) {
   try {
     ReplanRequest request;
     request.trigger = ReplanTrigger::kFailure;
-    request.strategy = params_.repush_strategy;
+    request.strategy = core::StrategyKind::kHotPotato;
     if (failed_node.valid()) {
       request.failed_node = failed_node;
     } else {

@@ -8,11 +8,15 @@
 // traffic they vouch for: a partitioned device IS a failed device from the
 // controller's point of view). A device that fails to answer
 // `miss_threshold` consecutive rounds is declared failed; middleboxes are
-// marked in the Deployment and the controller recomputes + pushes a fresh
+// marked in the Deployment and the controller pushes a hot-potato recovery
 // plan — the paper's dependability loop (§III.A "the controller
 // re-configures the software-defined middleboxes"), closed end to end
-// in-band. A declared-failed device that answers again is revived the same
-// way.
+// in-band. When a round declares exactly one middlebox failed, the recovery
+// patches the current plan around it and repushes only the devices whose
+// chains traversed it; anything else recomputes assignments. A
+// declared-failed device that answers again is revived the same way.
+// Proxies are probed too: their failure can't be routed around (they ARE
+// the subnet's enforcement point), but the operator still wants to know.
 //
 // Detection latency and false positives are first-class counters because
 // the probe_period × miss_threshold trade-off is exactly what
@@ -33,20 +37,6 @@ struct HealthParams {
   /// Consecutive unanswered rounds before a device is declared failed.
   /// Worst-case detection latency ≈ (miss_threshold + 1) × probe_period.
   int miss_threshold = 3;
-  /// Probe proxies too (their failure can't be routed around — no recompute
-  /// helps — but the operator still wants to know).
-  bool monitor_proxies = true;
-  /// Recompute + push automatically on every declared failure/revival.
-  bool auto_repair = true;
-  /// Strategy for the recovery plan (kLoadBalanced additionally needs fresh
-  /// measurement reports at the controller).
-  core::StrategyKind repush_strategy = core::StrategyKind::kHotPotato;
-  /// When a probe round declares exactly ONE middlebox failed, scope the
-  /// recovery replan to it (ReplanRequest.failed_node): the plan is patched
-  /// locally and only devices whose chains traversed the dead box are
-  /// re-pushed. Multi-failure rounds and revivals always take the full
-  /// recompute path.
-  bool patch_single_failure = true;
 };
 
 struct HealthCounters {
@@ -73,8 +63,8 @@ public:
     bool failed = false;  // true = declared failed, false = revived
   };
 
-  /// Monitors every middlebox of `deployment` (and every proxy of `network`
-  /// when monitor_proxies). `deployment` must be the instance the
+  /// Monitors every middlebox of `deployment` and every proxy of `network`.
+  /// `deployment` must be the instance the
   /// controller's recompute consults — declarations flow through
   /// Deployment::set_failed. Registers itself with `agent` for
   /// kHeartbeatAck dispatch; all references must outlive the monitor.

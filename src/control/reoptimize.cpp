@@ -177,20 +177,19 @@ void DriftDetector::mark_solved(const std::vector<double>& observed) {
 ReoptimizePolicy::ReoptimizePolicy(ControllerAgent& agent, const ControlPlane& plane,
                                    const obs::EpochRecorder& recorder, ReoptimizeOptions params)
     : agent_(agent),
-      proxies_(plane.proxies),
-      middleboxes_(plane.middleboxes),
+      plane_(plane),
       recorder_(recorder),
       params_(params),
       detector_(params) {
   SDM_CHECK_MSG(params_.epoch_period > 0, "re-optimisation epoch period must be positive");
-  SDM_CHECK_MSG(!middleboxes_.empty(), "the loop needs middleboxes to watch");
-  base_.assign(middleboxes_.size(), 0.0);
-  // Per-function drift groups: plane.middleboxes parallels the deployment's
+  SDM_CHECK_MSG(!plane_.agents.middleboxes.empty(), "the loop needs middleboxes to watch");
+  base_.assign(plane_.agents.middleboxes.size(), 0.0);
+  // Per-function drift groups: plane.agents.middleboxes parallels the deployment's
   // middlebox order, which is also the order cumulative_loads() reads, so
   // index i in the observed vector IS deployment middlebox i. Groups that
   // span the whole deployment duplicate the global drift and are skipped.
   const core::Deployment& dep = agent_.controller().deployment();
-  SDM_CHECK_MSG(dep.middleboxes().size() == middleboxes_.size(),
+  SDM_CHECK_MSG(dep.middleboxes().size() == plane_.agents.middleboxes.size(),
                 "control plane and deployment disagree on the middlebox set");
   std::vector<std::vector<std::size_t>> groups;
   for (const policy::FunctionId e : dep.all_functions().to_vector()) {
@@ -213,9 +212,9 @@ void ReoptimizePolicy::stop() noexcept {
 }
 
 std::vector<double> ReoptimizePolicy::cumulative_loads() const {
-  std::vector<double> cum(middleboxes_.size(), 0.0);
-  for (std::size_t i = 0; i < middleboxes_.size(); ++i) {
-    const obs::Labels labels{{"device", middleboxes_[i]->middlebox()->name()},
+  std::vector<double> cum(plane_.agents.middleboxes.size(), 0.0);
+  for (std::size_t i = 0; i < plane_.agents.middleboxes.size(); ++i) {
+    const obs::Labels labels{{"device", plane_.agents.middleboxes[i]->name()},
                              {"subsystem", "middlebox"}};
     cum[i] = recorder_.latest("mbx_processed_packets", labels).value_or(0.0);
   }
@@ -268,7 +267,6 @@ void ReoptimizePolicy::epoch(sim::SimNetwork& net) {
       if (outcome.lp_warm_started) ++counters_.solve_warm_starts;
       counters_.pushes += outcome.pushes_sent;
       counters_.push_bytes += outcome.push_bytes;
-      solve_ms_wall_ += outcome.solve_ms;
       solve_ms_modeled_ += modeled_solve_ms(outcome.lp_pivots);
       detector_.mark_solved(window);
       base_ = cum;
@@ -293,9 +291,7 @@ void ReoptimizePolicy::epoch(sim::SimNetwork& net) {
   }
   log_.push_back(Event{counters_.epochs, net.simulator().now(), decision, detector_.last_drift()});
 
-  if (params_.request_reports) {
-    for (ManagedDevice* proxy : proxies_) proxy->send_report(net, agent_.address());
-  }
+  if (params_.request_reports) send_reports(net, plane_);
 }
 
 void ReoptimizePolicy::register_metrics(obs::MetricsRegistry& registry) const {
@@ -313,7 +309,7 @@ void ReoptimizePolicy::register_metrics(obs::MetricsRegistry& registry) const {
   registry.expose_counter("reopt_pushes", labels, &counters_.pushes);
   registry.expose_counter("reopt_push_bytes", labels, &counters_.push_bytes);
   // Modeled (pivot-derived), NOT wall time: keeps same-seed exports
-  // byte-identical. solve_ms_wall() has the measured number.
+  // byte-identical.
   registry.expose_gauge("reopt_solve_ms", labels, [this] { return solve_ms_modeled_; });
   registry.expose_gauge("reopt_last_drift", labels, [this] { return detector_.last_drift(); });
   registry.expose_gauge("reopt_effective_threshold", labels,

@@ -150,9 +150,6 @@ public:
   const ReoptimizeCounters& counters() const noexcept { return counters_; }
   const DriftDetector& detector() const noexcept { return detector_; }
   const ReoptimizeOptions& params() const noexcept { return params_; }
-  /// Measured wall-clock milliseconds spent in LP solves (human-facing
-  /// only; NOT deterministic, never exported through the registry).
-  double solve_ms_wall() const noexcept { return solve_ms_wall_; }
   /// Deterministic modeled solve cost in milliseconds (0.5 ms per solve +
   /// 0.02 ms per simplex pivot): the registry's reopt_solve_ms, chosen over
   /// wall time so same-seed runs export byte-identical evidence.
@@ -181,14 +178,12 @@ private:
 
   ControllerAgent& agent_;
   obs::SpanTracer* spans_ = nullptr;
-  std::vector<ManagedDevice*> proxies_;
-  std::vector<ManagedDevice*> middleboxes_;
+  const ControlPlane& plane_;
   const obs::EpochRecorder& recorder_;
   ReoptimizeOptions params_;
   DriftDetector detector_;
   ReoptimizeCounters counters_;
   std::vector<double> base_;  // cumulative loads at the last reference reset
-  double solve_ms_wall_ = 0;
   double solve_ms_modeled_ = 0;
   std::vector<Event> log_;
   std::shared_ptr<sim::Simulator::Periodic> periodic_;

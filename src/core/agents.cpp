@@ -86,35 +86,134 @@ void PeerHealth::register_metrics(obs::MetricsRegistry& registry,
 
 namespace {
 
-/// Reply to a liveness probe: a kHeartbeatAck echoing the probe's sequence
-/// back to the prober.
-void answer_heartbeat(sim::SimNetwork& net, net::NodeId self, net::IpAddress self_addr,
-                      const Packet& probe) {
-  Packet ack;
-  ack.kind = packet::PacketKind::kHeartbeatAck;
-  ack.inner.src = self_addr;
-  ack.inner.dst = probe.inner.src;
-  ack.inner.protocol = packet::kProtoUdp;
-  ack.payload_bytes = 8;
-  ack.control_seq = probe.control_seq;
-  net.forward(self, std::move(ack));
+/// Pack (src_subnet, dst_subnet) into a FlowEntry::user_tag: 16 bits each,
+/// enough for every address plan (at most 16383 subnets); 0xffff encodes -1.
+std::int32_t pack_subnets(int s, int d) noexcept {
+  return static_cast<std::int32_t>(((static_cast<std::uint32_t>(s) & 0xffff) << 16) |
+                                   (static_cast<std::uint32_t>(d) & 0xffff));
+}
+std::pair<int, int> unpack_subnets(std::int32_t tag) noexcept {
+  const auto u = static_cast<std::uint32_t>(tag);
+  const int s = static_cast<int>(u >> 16);
+  const int d = static_cast<int>(u & 0xffff);
+  return {s == 0xffff ? -1 : s, d == 0xffff ? -1 : d};
 }
 
-/// The next candidate in M_x^e after `pick` (wrapping) that is not
-/// blacklisted; `pick` itself when there is none.
-net::NodeId failover_pick(const NodeConfig& cfg, policy::FunctionId e, net::NodeId pick,
-                          const PeerHealth& health, sim::SimTime now) {
-  const std::vector<net::NodeId>& cands = cfg.candidates_for(e);
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// DeviceAgent
+// ---------------------------------------------------------------------------
+
+DeviceAgent::DeviceAgent(const net::GeneratedNetwork& network, net::NodeId self,
+                         const policy::PolicyList& policies, const EnforcementPlan& plan,
+                         const AgentOptions& options)
+    : network_(network),
+      policies_(policies),
+      options_(options),
+      self_(self),
+      address_(network.topo.node(self).address),
+      flow_table_(options.flow_idle_timeout, options.flow_table_capacity),
+      peer_health_(options.peer_health) {
+  apply_config(slice_for_device(plan, self_));
+}
+
+const std::string& DeviceAgent::name() const { return network_.topo.node(self_).name; }
+
+bool DeviceAgent::apply_config(DeviceConfig config) {
+  if (classifier_ != nullptr && config.version <= config_.version) return false;
+  SDM_CHECK_MSG(config.node.node == self_, "config pushed to the wrong device");
+  config_ = std::move(config);
+  classifier_ = policy::make_trie_classifier(
+      policies_.subset_pointers(config_.node.relevant_policies));
+  return true;
+}
+
+int DeviceAgent::subnet_of(net::IpAddress a) const noexcept {
+  for (std::size_t i = 0; i < network_.subnets.size(); ++i) {
+    if (network_.subnets[i].contains(a)) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+DeviceAgent::Classified DeviceAgent::classify(sim::SimNetwork& net, const packet::FlowId& flow,
+                                              sim::SimTime now, std::uint64_t seq,
+                                              std::optional<int> src_subnet) {
+  Classified out;
+  std::uint64_t flow_hash = 0;
+  if (options_.enable_flow_cache) {
+    // One 5-tuple hash per packet: the miss path reuses it for the insert.
+    flow_hash = tables::FlowTable::hash_of(flow);
+    if (tables::FlowEntry* entry = flow_table_.lookup(flow, flow_hash, now)) {
+      trace(net, obs::Hop::kCacheHit, flow, now, self_, 0, seq);
+      out.pol = entry->is_negative() ? nullptr : &policies_.at(entry->policy);
+      out.entry = entry;
+      std::tie(out.src_subnet, out.dst_subnet) = unpack_subnets(entry->user_tag);
+      return out;
+    }
+    trace(net, obs::Hop::kCacheMiss, flow, now, self_, 0, seq);
+  }
+  ++device_counters_.classifier_lookups;
+  out.pol = classifier_->first_match(flow);
+  trace(net, obs::Hop::kClassified, flow, now, self_, out.pol ? out.pol->id.v : 0, seq);
+  out.src_subnet = src_subnet ? *src_subnet : subnet_of(flow.src);
+  out.dst_subnet = subnet_of(flow.dst);
+  if (options_.enable_flow_cache) {
+    out.entry = &flow_table_.insert(flow, flow_hash, out.pol ? out.pol->id : PolicyId{},
+                                    out.pol ? out.pol->actions : policy::ActionList{}, now);
+    out.entry->user_tag = pack_subnets(out.src_subnet, out.dst_subnet);
+  }
+  return out;
+}
+
+net::NodeId DeviceAgent::failover(sim::SimNetwork& net, net::NodeId pick, policy::FunctionId e,
+                                  const packet::FlowId& flow, sim::SimTime now,
+                                  std::uint64_t seq) {
+  if (!options_.peer_health.enabled || !peer_health_.blacklisted(pick, now)) return pick;
+  const std::vector<net::NodeId>& cands = config_.node.candidates_for(e);
   std::size_t at = 0;
   while (at < cands.size() && cands[at] != pick) ++at;
   for (std::size_t step = 1; step <= cands.size(); ++step) {
     const net::NodeId alt = cands[(at + step) % cands.size()];
-    if (!health.blacklisted(alt, now)) return alt;
+    if (peer_health_.blacklisted(alt, now)) continue;  // `pick` itself included
+    ++device_counters_.failover_reroutes;
+    trace(net, obs::Hop::kFailoverReroute, flow, now, self_, alt.v, seq);
+    return alt;
   }
   return pick;
 }
 
-}  // namespace
+bool DeviceAgent::handle_liveness(sim::SimNetwork& net, const Packet& pkt) {
+  if (pkt.kind == packet::PacketKind::kHeartbeat) {
+    // Reply with a kHeartbeatAck echoing the probe's sequence to the prober.
+    ++device_counters_.heartbeats_answered;
+    Packet ack;
+    ack.kind = packet::PacketKind::kHeartbeatAck;
+    ack.inner.src = address_;
+    ack.inner.dst = pkt.inner.src;
+    ack.inner.protocol = packet::kProtoUdp;
+    ack.payload_bytes = 8;
+    ack.control_seq = pkt.control_seq;
+    net.forward(self_, std::move(ack));
+    net.deliver(self_, pkt);
+    return true;
+  }
+  if (pkt.kind == packet::PacketKind::kHeartbeatAck) {
+    if (const auto peer = net.resolver().resolve(pkt.inner.src)) {
+      peer_health_.on_reply(*peer, net.simulator().now());
+    }
+    net.deliver(self_, pkt);
+    return true;
+  }
+  return false;
+}
+
+void DeviceAgent::register_device_metrics(obs::MetricsRegistry& registry,
+                                          const obs::Labels& base) const {
+  flow_table_.register_metrics(registry,
+                               obs::Labels{{"device", name()}, {"subsystem", "flow_cache"}});
+  peer_health_.register_metrics(registry, base);
+}
 
 // ---------------------------------------------------------------------------
 // ProxyAgent
@@ -123,15 +222,9 @@ net::NodeId failover_pick(const NodeConfig& cfg, policy::FunctionId e, net::Node
 ProxyAgent::ProxyAgent(const net::GeneratedNetwork& network, std::size_t subnet_index,
                        const policy::PolicyList& policies, const EnforcementPlan& plan,
                        AgentOptions options)
-    : network_(network),
-      policies_(policies),
-      options_(options),
+    : DeviceAgent(network, network.proxies.at(subnet_index), policies, plan, options),
       subnet_index_(subnet_index),
-      self_(network.proxies.at(subnet_index)),
-      subnet_(network.subnets.at(subnet_index)),
-      address_(network.topo.node(self_).address),
-      flow_table_(options.flow_idle_timeout, options.flow_table_capacity),
-      peer_health_(options.peer_health) {
+      subnet_(network.subnets.at(subnet_index)) {
   SDM_CHECK_MSG(!options_.enable_label_switching || options_.enable_flow_cache,
                 "label switching requires the flow cache (labels live in flow entries)");
   // Flows pinned (tunneled or label-switched) to a box declared locally dead
@@ -147,57 +240,25 @@ ProxyAgent::ProxyAgent(const net::GeneratedNetwork& network, std::size_t subnet_
       return true;
     });
   });
-  apply_config(slice_for_device(plan, self_));
 }
-
-net::NodeId ProxyAgent::apply_failover(sim::SimNetwork& net, net::NodeId pick,
-                                       policy::FunctionId e, const packet::FlowId& flow,
-                                       sim::SimTime now, std::uint64_t seq) {
-  if (!options_.peer_health.enabled || !peer_health_.blacklisted(pick, now)) return pick;
-  const net::NodeId alt = failover_pick(config_.node, e, pick, peer_health_, now);
-  if (alt != pick) {
-    ++counters_.failover_reroutes;
-    trace(net, obs::Hop::kFailoverReroute, flow, now, self_, alt.v, seq);
-  }
-  return alt;
-}
-
-const std::string& ProxyAgent::name() const { return network_.topo.node(self_).name; }
 
 void ProxyAgent::register_metrics(obs::MetricsRegistry& registry) const {
   const obs::Labels base{{"device", name()}, {"subsystem", "proxy"}};
   registry.expose_counter("proxy_outbound_packets", base, &counters_.outbound_packets);
   registry.expose_counter("proxy_inbound_packets", base, &counters_.inbound_packets);
-  registry.expose_counter("proxy_classifier_lookups", base, &counters_.classifier_lookups);
+  registry.expose_counter("proxy_classifier_lookups", base,
+                          &device_counters_.classifier_lookups);
   registry.expose_counter("proxy_tunneled_packets", base, &counters_.tunneled_packets);
   registry.expose_counter("proxy_label_switched_packets", base,
                           &counters_.label_switched_packets);
   registry.expose_counter("proxy_permit_packets", base, &counters_.permit_packets);
   registry.expose_counter("proxy_denied_packets", base, &counters_.denied_packets);
   registry.expose_counter("proxy_confirmations", base, &counters_.confirmations);
-  registry.expose_counter("proxy_heartbeats_answered", base, &counters_.heartbeats_answered);
-  registry.expose_counter("proxy_failover_reroutes", base, &counters_.failover_reroutes);
+  registry.expose_counter("proxy_heartbeats_answered", base,
+                          &device_counters_.heartbeats_answered);
+  registry.expose_counter("proxy_failover_reroutes", base, &device_counters_.failover_reroutes);
   registry.expose_counter("proxy_teardowns_received", base, &counters_.teardowns_received);
-  flow_table_.register_metrics(registry,
-                               obs::Labels{{"device", name()}, {"subsystem", "flow_cache"}});
-  peer_health_.register_metrics(registry, base);
-}
-
-bool ProxyAgent::apply_config(DeviceConfig config) {
-  if (classifier_ != nullptr && config.version <= config_.version) return false;
-  SDM_CHECK_MSG(config.node.node == self_, "config pushed to the wrong device");
-  config_ = std::move(config);
-  p_x_ = policies_.subset_pointers(config_.node.relevant_policies);
-  classifier_ = options_.trie_classifier ? policy::make_trie_classifier(p_x_)
-                                         : policy::make_linear_classifier(p_x_);
-  return true;
-}
-
-int ProxyAgent::resolve_dst_subnet(net::IpAddress dst) const noexcept {
-  for (std::size_t i = 0; i < network_.subnets.size(); ++i) {
-    if (network_.subnets[i].contains(dst)) return static_cast<int>(i);
-  }
-  return -1;
+  register_device_metrics(registry, base);
 }
 
 std::vector<ProxyAgent::Measurement> ProxyAgent::measurements() const {
@@ -223,19 +284,7 @@ void ProxyAgent::on_packet(sim::SimNetwork& net, Packet pkt, net::NodeId /*from*
   }
 
   if (pkt.routing_header().dst == address_) {
-    if (pkt.kind == packet::PacketKind::kHeartbeat) {
-      ++counters_.heartbeats_answered;
-      answer_heartbeat(net, self_, address_, pkt);
-      net.deliver(self_, pkt);
-      return;
-    }
-    if (pkt.kind == packet::PacketKind::kHeartbeatAck) {
-      if (const auto peer = net.resolver().resolve(pkt.inner.src)) {
-        peer_health_.on_reply(*peer, now);
-      }
-      net.deliver(self_, pkt);
-      return;
-    }
+    if (handle_liveness(net, pkt)) return;
     if (pkt.kind == packet::PacketKind::kLabelTeardown) {
       // A middlebox downstream lost the chain for this label: forget the
       // flow so its next packet re-establishes through a live candidate.
@@ -269,52 +318,20 @@ void ProxyAgent::on_packet(sim::SimNetwork& net, Packet pkt, net::NodeId /*from*
 void ProxyAgent::handle_outbound(sim::SimNetwork& net, Packet pkt) {
   const tables::SimTime now = net.simulator().now();
   const packet::FlowId flow = pkt.flow_id();
-
-  PolicyId matched;
-  int dst_subnet = -1;
-  const policy::ActionList* actions = nullptr;
-  tables::FlowEntry* entry = nullptr;
-  if (options_.enable_flow_cache) {
-    // One 5-tuple hash per packet: the miss path reuses it for the insert.
-    const std::uint64_t flow_hash = tables::FlowTable::hash_of(flow);
-    entry = flow_table_.lookup(flow, flow_hash, now);
-    if (entry == nullptr) {
-      trace(net, obs::Hop::kCacheMiss, flow, now, self_, 0, pkt.flow_seq);
-      ++counters_.classifier_lookups;
-      const policy::Policy* pol = classifier_->first_match(flow);
-      trace(net, obs::Hop::kClassified, flow, now, self_, pol ? pol->id.v : 0, pkt.flow_seq);
-      entry = &flow_table_.insert(flow, flow_hash, pol ? pol->id : PolicyId{},
-                                  pol ? pol->actions : policy::ActionList{}, now);
-      // Cache the destination-subnet index for measurement reporting.
-      entry->user_tag = resolve_dst_subnet(flow.dst);
-    } else {
-      trace(net, obs::Hop::kCacheHit, flow, now, self_, 0, pkt.flow_seq);
-    }
-    matched = entry->policy;
-    actions = &entry->actions;
-    dst_subnet = entry->user_tag;
-  } else {
-    ++counters_.classifier_lookups;
-    const policy::Policy* pol = classifier_->first_match(flow);
-    trace(net, obs::Hop::kClassified, flow, now, self_, pol ? pol->id.v : 0, pkt.flow_seq);
-    static const policy::ActionList kEmpty;
-    matched = pol ? pol->id : PolicyId{};
-    actions = pol ? &pol->actions : &kEmpty;
-    dst_subnet = resolve_dst_subnet(flow.dst);
-  }
+  const Classified c = classify(net, flow, now, pkt.flow_seq, subnet_index());
+  tables::FlowEntry* entry = c.entry;
 
   // Measurement (§III.C): per-policy outbound volume with destination
   // breakdown, reported to the controller on request.
-  if (matched.valid()) {
-    ++measure_[(std::uint64_t{matched.v} << 32) |
-               static_cast<std::uint32_t>(dst_subnet)];
+  if (c.pol != nullptr) {
+    ++measure_[(std::uint64_t{c.pol->id.v} << 32) | static_cast<std::uint32_t>(c.dst_subnet)];
   }
 
-  if (actions->empty()) {
-    if (matched.valid() && policies_.at(matched).deny) {
+  if (c.pol == nullptr || c.pol->actions.empty()) {
+    if (c.pol != nullptr && c.pol->deny) {
       // Deny rule: the proxy drops the packet inline.
       ++counters_.denied_packets;
-      trace(net, obs::Hop::kDenied, flow, now, self_, matched.v, pkt.flow_seq);
+      trace(net, obs::Hop::kDenied, flow, now, self_, c.pol->id.v, pkt.flow_seq);
       return;
     }
     // No policy, or an explicit permit: plain routing.
@@ -324,8 +341,8 @@ void ProxyAgent::handle_outbound(sim::SimNetwork& net, Packet pkt) {
     return;
   }
 
-  const policy::Policy& pol = policies_.at(matched);
-  const policy::FunctionId first_fn = actions->front();
+  const policy::Policy& pol = *c.pol;
+  const policy::FunctionId first_fn = pol.actions.front();
   net::NodeId first;
   const bool pinned = options_.enable_label_switching && entry != nullptr &&
                       entry->label_switched && net::NodeId{entry->next_hop_node}.valid();
@@ -337,9 +354,9 @@ void ProxyAgent::handle_outbound(sim::SimNetwork& net, Packet pkt) {
     // pinned box drops this entry, which un-pins the flow.
     first = net::NodeId{entry->next_hop_node};
   } else {
-    first = select_next_hop(config_, pol, first_fn, flow, subnet_index(), dst_subnet);
+    first = select_next_hop(config_, pol, first_fn, flow, c.src_subnet, c.dst_subnet);
     SDM_CHECK_MSG(first.valid(), "no candidate middlebox for first chain function");
-    first = apply_failover(net, first, first_fn, flow, now, pkt.flow_seq);
+    first = failover(net, first, first_fn, flow, now, pkt.flow_seq);
   }
   const net::IpAddress first_addr = net.topology().node(first).address;
   if (entry != nullptr) entry->next_hop_node = first.v;
@@ -374,39 +391,13 @@ void ProxyAgent::handle_outbound(sim::SimNetwork& net, Packet pkt) {
 // MiddleboxAgent
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Pack (src_subnet, dst_subnet) into a FlowEntry::user_tag. Subnet indices
-/// fit 12 bits (the address plan allows 4095 subnets); 0xfff encodes -1.
-std::int32_t pack_subnets(int s, int d) noexcept {
-  return ((s & 0xfff) << 12) | (d & 0xfff);
-}
-std::pair<int, int> unpack_subnets(std::int32_t tag) noexcept {
-  const int s = (tag >> 12) & 0xfff;
-  const int d = tag & 0xfff;
-  return {s == 0xfff ? -1 : s, d == 0xfff ? -1 : d};
-}
-
-int subnet_index_of(const net::GeneratedNetwork& network, net::IpAddress a) noexcept {
-  for (std::size_t i = 0; i < network.subnets.size(); ++i) {
-    if (network.subnets[i].contains(a)) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-}  // namespace
-
 MiddleboxAgent::MiddleboxAgent(const net::GeneratedNetwork& network, const MiddleboxInfo& info,
                                const policy::PolicyList& policies, const EnforcementPlan& plan,
                                AgentOptions options)
-    : network_(network),
-      info_(info),
-      policies_(policies),
-      options_(options),
-      flow_table_(options.flow_idle_timeout, options.flow_table_capacity),
-      label_table_(options.flow_idle_timeout),
-      peer_health_(options.peer_health) {
-  SDM_CHECK_MSG(!info_.functions.empty(), "middlebox agent needs at least one function");
+    : DeviceAgent(network, info.node, policies, plan, options),
+      functions_(info.functions),
+      label_table_(options.flow_idle_timeout) {
+  SDM_CHECK_MSG(!functions_.empty(), "middlebox agent needs at least one function");
   // A pinned next hop stopped answering: chains switched through it are
   // broken mid-path, and only the owning proxy can re-establish them. Drop
   // the label entries and tell each proxy which label died (§III.E soft
@@ -420,129 +411,68 @@ MiddleboxAgent::MiddleboxAgent(const net::GeneratedNetwork& network, const Middl
       packet::FlowId torn;
       torn.src = key.src;
       torn.dst = entry.proxy_addr;
-      trace(net, obs::Hop::kLabelTeardown, torn, net.simulator().now(), info_.node, key.label);
+      trace(net, obs::Hop::kLabelTeardown, torn, net.simulator().now(), self_, key.label);
       Packet teardown;
       teardown.kind = packet::PacketKind::kLabelTeardown;
-      teardown.inner.src = net.topology().node(info_.node).address;
+      teardown.inner.src = address_;
       teardown.inner.dst = entry.proxy_addr;
       teardown.inner.protocol = packet::kProtoUdp;
       teardown.payload_bytes = 8;
       teardown.control_seq = key.label;  // labels are locally unique per proxy
       ++counters_.teardowns_sent;
-      net.forward(info_.node, std::move(teardown));
+      net.forward(self_, std::move(teardown));
     }
   });
-  apply_config(slice_for_device(plan, info_.node));
 }
-
-net::NodeId MiddleboxAgent::apply_failover(sim::SimNetwork& net, net::NodeId pick,
-                                           policy::FunctionId e, const packet::FlowId& flow,
-                                           sim::SimTime now, std::uint64_t seq) {
-  if (!options_.peer_health.enabled || !peer_health_.blacklisted(pick, now)) return pick;
-  const net::NodeId alt = failover_pick(config_.node, e, pick, peer_health_, now);
-  if (alt != pick) {
-    ++counters_.failover_reroutes;
-    trace(net, obs::Hop::kFailoverReroute, flow, now, info_.node, alt.v, seq);
-  }
-  return alt;
-}
-
-const std::string& MiddleboxAgent::name() const { return info_.name; }
 
 void MiddleboxAgent::register_metrics(obs::MetricsRegistry& registry) const {
   const obs::Labels base{{"device", name()}, {"subsystem", "middlebox"}};
   registry.expose_counter("mbx_processed_packets", base, &counters_.processed_packets);
-  registry.expose_counter("mbx_classifier_lookups", base, &counters_.classifier_lookups);
+  registry.expose_counter("mbx_classifier_lookups", base, &device_counters_.classifier_lookups);
   registry.expose_counter("mbx_tunneled_out", base, &counters_.tunneled_out);
   registry.expose_counter("mbx_label_switched_in", base, &counters_.label_switched_in);
   registry.expose_counter("mbx_chain_tails", base, &counters_.chain_tails);
   registry.expose_counter("mbx_confirmations_sent", base, &counters_.confirmations_sent);
   registry.expose_counter("mbx_cache_responses", base, &counters_.cache_responses);
   registry.expose_counter("mbx_anomalies", base, &counters_.anomalies);
-  registry.expose_counter("mbx_heartbeats_answered", base, &counters_.heartbeats_answered);
-  registry.expose_counter("mbx_failover_reroutes", base, &counters_.failover_reroutes);
+  registry.expose_counter("mbx_heartbeats_answered", base,
+                          &device_counters_.heartbeats_answered);
+  registry.expose_counter("mbx_failover_reroutes", base, &device_counters_.failover_reroutes);
   registry.expose_counter("mbx_teardowns_sent", base, &counters_.teardowns_sent);
-  flow_table_.register_metrics(registry,
-                               obs::Labels{{"device", name()}, {"subsystem", "flow_cache"}});
   label_table_.register_metrics(registry,
                                 obs::Labels{{"device", name()}, {"subsystem", "label_table"}});
-  peer_health_.register_metrics(registry, base);
-}
-
-bool MiddleboxAgent::apply_config(DeviceConfig config) {
-  if (classifier_ != nullptr && config.version <= config_.version) return false;
-  SDM_CHECK_MSG(config.node.node == info_.node, "config pushed to the wrong device");
-  config_ = std::move(config);
-  p_x_ = policies_.subset_pointers(config_.node.relevant_policies);
-  classifier_ = options_.trie_classifier ? policy::make_trie_classifier(p_x_)
-                                         : policy::make_linear_classifier(p_x_);
-  return true;
-}
-
-MiddleboxAgent::Resolved MiddleboxAgent::resolve_policy(sim::SimNetwork& net,
-                                                        const packet::FlowId& flow,
-                                                        sim::SimTime now, std::uint64_t seq) {
-  Resolved out;
-  if (options_.enable_flow_cache) {
-    // One 5-tuple hash per packet: the miss path reuses it for the insert.
-    const std::uint64_t flow_hash = tables::FlowTable::hash_of(flow);
-    if (tables::FlowEntry* entry = flow_table_.lookup(flow, flow_hash, now)) {
-      trace(net, obs::Hop::kCacheHit, flow, now, info_.node, 0, seq);
-      out.pol = entry->is_negative() ? nullptr : &policies_.at(entry->policy);
-      std::tie(out.src_subnet, out.dst_subnet) = unpack_subnets(entry->user_tag);
-      return out;
-    }
-    trace(net, obs::Hop::kCacheMiss, flow, now, info_.node, 0, seq);
-    ++counters_.classifier_lookups;
-    out.pol = classifier_->first_match(flow);
-    trace(net, obs::Hop::kClassified, flow, now, info_.node, out.pol ? out.pol->id.v : 0, seq);
-    out.src_subnet = subnet_index_of(network_, flow.src);
-    out.dst_subnet = subnet_index_of(network_, flow.dst);
-    tables::FlowEntry& entry =
-        flow_table_.insert(flow, flow_hash, out.pol ? out.pol->id : PolicyId{},
-                           out.pol ? out.pol->actions : policy::ActionList{}, now);
-    entry.user_tag = pack_subnets(out.src_subnet, out.dst_subnet);
-    return out;
-  }
-  ++counters_.classifier_lookups;
-  out.pol = classifier_->first_match(flow);
-  trace(net, obs::Hop::kClassified, flow, now, info_.node, out.pol ? out.pol->id.v : 0, seq);
-  out.src_subnet = subnet_index_of(network_, flow.src);
-  out.dst_subnet = subnet_index_of(network_, flow.dst);
-  return out;
+  register_device_metrics(registry, base);
 }
 
 void MiddleboxAgent::on_packet(sim::SimNetwork& net, Packet pkt, net::NodeId /*from*/) {
-  const net::IpAddress my_addr = net.topology().node(info_.node).address;
-  if (pkt.outer && pkt.outer->dst == my_addr) {
+  if (pkt.outer && pkt.outer->dst == address_) {
     handle_tunneled(net, std::move(pkt));
     return;
   }
-  if (!pkt.outer && pkt.inner.dst == my_addr && packet::has_label(pkt.inner)) {
+  if (!pkt.outer && pkt.inner.dst == address_ && packet::has_label(pkt.inner)) {
     handle_switched(net, std::move(pkt));
     return;
   }
-  if (!pkt.outer && pkt.inner.dst == my_addr) {
-    if (pkt.kind == packet::PacketKind::kHeartbeat) {
-      ++counters_.heartbeats_answered;
-      answer_heartbeat(net, info_.node, my_addr, pkt);
-      net.deliver(info_.node, pkt);
-      return;
-    }
-    if (pkt.kind == packet::PacketKind::kHeartbeatAck) {
-      if (const auto peer = net.resolver().resolve(pkt.inner.src)) {
-        peer_health_.on_reply(*peer, net.simulator().now());
-      }
-      net.deliver(info_.node, pkt);
-      return;
-    }
-  }
+  if (!pkt.outer && pkt.inner.dst == address_ && handle_liveness(net, pkt)) return;
   // Anything else is misdirected: a middlebox is a leaf and should only see
   // traffic addressed to it. Count and sink.
   ++counters_.anomalies;
-  trace(net, obs::Hop::kAnomaly, pkt.flow_id(), net.simulator().now(), info_.node, 0,
-        pkt.flow_seq);
-  net.deliver(info_.node, pkt);
+  trace(net, obs::Hop::kAnomaly, pkt.flow_id(), net.simulator().now(), self_, 0, pkt.flow_seq);
+  net.deliver(self_, pkt);
+}
+
+tables::LabelEntry* MiddleboxAgent::bind_label(const tables::LabelKey& key,
+                                               const policy::Policy& pol,
+                                               std::size_t first_position, std::size_t position,
+                                               net::IpAddress proxy, sim::SimTime now) {
+  const std::uint64_t key_hash = tables::LabelTable::hash_of(key);
+  if (label_table_.lookup(key, key_hash, now) != nullptr) return nullptr;
+  tables::LabelEntry e;
+  e.actions = pol.actions;
+  e.first_position = first_position;
+  e.position = position;
+  e.proxy_addr = proxy;
+  return &label_table_.insert(key, key_hash, std::move(e), now);
 }
 
 void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
@@ -550,20 +480,20 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
   const packet::Ipv4Header outer = pkt.decapsulate();  // outer.src = originating proxy
 
   const packet::FlowId flow = pkt.flow_id();
-  trace(net, obs::Hop::kTunnelDecap, flow, now, info_.node, 0, pkt.flow_seq);
-  const Resolved resolved = resolve_policy(net, flow, now, pkt.flow_seq);
-  const policy::Policy* pol = resolved.pol;
+  trace(net, obs::Hop::kTunnelDecap, flow, now, self_, 0, pkt.flow_seq);
+  const Classified c = classify(net, flow, now, pkt.flow_seq, std::nullopt);
+  const policy::Policy* pol = c.pol;
   const std::size_t first_position = pkt.chain_pos;
   std::size_t position = pkt.chain_pos;
   if (pol == nullptr || position >= pol->actions.size() ||
-      !info_.functions.contains(pol->actions[position])) {
+      !functions_.contains(pol->actions[position])) {
     // The sender believed we serve this chain position but our policy view
     // disagrees (e.g. stale config). Fail open: forward toward the real
     // destination — still counting one processing pass.
     ++counters_.processed_packets;
     ++counters_.anomalies;
-    trace(net, obs::Hop::kAnomaly, flow, now, info_.node, 0, pkt.flow_seq);
-    net.forward(info_.node, std::move(pkt));
+    trace(net, obs::Hop::kAnomaly, flow, now, self_, 0, pkt.flow_seq);
+    net.forward(self_, std::move(pkt));
     return;
   }
 
@@ -572,22 +502,22 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
   // middlebox never forwards to itself (Π_x excludes own functions).
   for (;;) {
     ++counters_.processed_packets;
-    trace(net, obs::Hop::kFunctionApplied, flow, now, info_.node, pol->actions[position].v,
+    trace(net, obs::Hop::kFunctionApplied, flow, now, self_, pol->actions[position].v,
           pkt.flow_seq);
     // §III.F: a web proxy with the page cached answers the source directly;
     // the rest of the chain never sees the flow.
     if (pol->actions[position] == policy::kWebProxy &&
         wp_cache_hit(flow, options_.wp_cache_hit_rate)) {
       ++counters_.cache_responses;
-      trace(net, obs::Hop::kWpCacheResponse, flow, now, info_.node, 0, pkt.flow_seq);
+      trace(net, obs::Hop::kWpCacheResponse, flow, now, self_, 0, pkt.flow_seq);
       std::swap(pkt.inner.src, pkt.inner.dst);
       std::swap(pkt.src_port, pkt.dst_port);
       packet::clear_label(pkt.inner);
-      net.forward(info_.node, std::move(pkt));
+      net.forward(self_, std::move(pkt));
       return;
     }
     if (position + 1 >= pol->actions.size() ||
-        !info_.functions.contains(pol->actions[position + 1])) {
+        !functions_.contains(pol->actions[position + 1])) {
       break;
     }
     ++position;
@@ -595,27 +525,19 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
 
   const std::uint16_t label =
       options_.enable_label_switching ? packet::get_label(pkt.inner) : 0;
+  const tables::LabelKey key{pkt.inner.src, label};
   const policy::FunctionId next_fn = pol->next_after(position);
 
   if (next_fn.valid()) {
-    net::NodeId y = select_next_hop(config_, *pol, next_fn, flow, resolved.src_subnet,
-                                    resolved.dst_subnet);
+    net::NodeId y = select_next_hop(config_, *pol, next_fn, flow, c.src_subnet, c.dst_subnet);
     SDM_CHECK_MSG(y.valid(), "no candidate middlebox for mid-chain function");
-    SDM_CHECK_MSG(y != info_.node, "local continuation must not re-tunnel to self");
-    y = apply_failover(net, y, next_fn, flow, now, pkt.flow_seq);
+    SDM_CHECK_MSG(y != self_, "local continuation must not re-tunnel to self");
+    y = failover(net, y, next_fn, flow, now, pkt.flow_seq);
     const net::IpAddress y_addr = net.topology().node(y).address;
-    peer_health_.on_use(net, info_.node, net.topology().node(info_.node).address, y, y_addr);
+    peer_health_.on_use(net, self_, address_, y, y_addr);
     if (label != 0) {
-      const tables::LabelKey key{pkt.inner.src, label};
-      const std::uint64_t key_hash = tables::LabelTable::hash_of(key);
-      if (label_table_.lookup(key, key_hash, now) == nullptr) {
-        tables::LabelEntry e;
-        e.actions = pol->actions;
-        e.first_position = first_position;
-        e.position = position;
-        e.next_hop = y_addr;
-        e.proxy_addr = outer.src;
-        label_table_.insert(key, key_hash, std::move(e), now);
+      if (tables::LabelEntry* e = bind_label(key, *pol, first_position, position, outer.src, now)) {
+        e->next_hop = y_addr;
       }
     }
     // Re-tunnel, preserving the proxy as the outer source (§III.E: the tail
@@ -624,40 +546,31 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
     pkt.chain_pos = static_cast<std::uint8_t>(position + 1);
     pkt.encapsulate(outer.src, y_addr);
     ++counters_.tunneled_out;
-    trace(net, obs::Hop::kTunnelEncap, flow, now, info_.node, y.v, pkt.flow_seq);
-    net.forward(info_.node, std::move(pkt));
+    trace(net, obs::Hop::kTunnelEncap, flow, now, self_, y.v, pkt.flow_seq);
+    net.forward(self_, std::move(pkt));
     return;
   }
 
   // Chain tail: record ⟨src|l, a, dst⟩, notify the proxy, release the packet
   // toward its true destination on plain routing (§III.B/E).
   ++counters_.chain_tails;
-  trace(net, obs::Hop::kChainTail, flow, now, info_.node, 0, pkt.flow_seq);
+  trace(net, obs::Hop::kChainTail, flow, now, self_, 0, pkt.flow_seq);
   if (label != 0) {
-    const tables::LabelKey key{pkt.inner.src, label};
-    const std::uint64_t key_hash = tables::LabelTable::hash_of(key);
-    if (label_table_.lookup(key, key_hash, now) == nullptr) {
-      tables::LabelEntry e;
-      e.actions = pol->actions;
-      e.first_position = first_position;
-      e.position = position;
-      e.final_dst = pkt.inner.dst;
-      e.proxy_addr = outer.src;
-      label_table_.insert(key, key_hash, std::move(e), now);
-
+    if (tables::LabelEntry* e = bind_label(key, *pol, first_position, position, outer.src, now)) {
+      e->final_dst = pkt.inner.dst;
       Packet confirm;
       confirm.kind = packet::PacketKind::kLabelConfirm;
-      confirm.inner.src = net.topology().node(info_.node).address;
+      confirm.inner.src = address_;
       confirm.inner.dst = outer.src;  // the proxy
       confirm.inner.protocol = packet::kProtoUdp;
       confirm.payload_bytes = 16;
       confirm.control_flow = flow;
       ++counters_.confirmations_sent;
-      net.forward(info_.node, std::move(confirm));
+      net.forward(self_, std::move(confirm));
     }
     packet::clear_label(pkt.inner);
   }
-  net.forward(info_.node, std::move(pkt));
+  net.forward(self_, std::move(pkt));
 }
 
 void MiddleboxAgent::handle_switched(sim::SimNetwork& net, Packet pkt) {
@@ -673,21 +586,21 @@ void MiddleboxAgent::handle_switched(sim::SimNetwork& net, Packet pkt) {
   // the rewritten tuple (best effort).
   packet::FlowId tflow = pkt.flow_id();
   if (entry != nullptr && entry->is_chain_tail()) tflow.dst = *entry->final_dst;
-  trace(net, obs::Hop::kLabelSwitchRx, tflow, now, info_.node, label, pkt.flow_seq);
+  trace(net, obs::Hop::kLabelSwitchRx, tflow, now, self_, label, pkt.flow_seq);
   counters_.processed_packets += entry != nullptr ? entry->functions_applied() : 1;
   if (entry == nullptr) {
     // Soft state expired under us; without the original destination the
     // packet cannot be repaired here. Count and drop — the transport layer
     // retransmits and the proxy's next first-packet re-establishes state.
     ++counters_.anomalies;
-    trace(net, obs::Hop::kAnomaly, tflow, now, info_.node, label, pkt.flow_seq);
+    trace(net, obs::Hop::kAnomaly, tflow, now, self_, label, pkt.flow_seq);
     return;
   }
   if (entry->is_chain_tail()) {
     pkt.inner.dst = *entry->final_dst;
     packet::clear_label(pkt.inner);
     ++counters_.chain_tails;
-    trace(net, obs::Hop::kChainTail, tflow, now, info_.node, 0, pkt.flow_seq);
+    trace(net, obs::Hop::kChainTail, tflow, now, self_, 0, pkt.flow_seq);
   } else {
     SDM_CHECK(entry->next_hop.has_value());
     const net::IpAddress nh = *entry->next_hop;
@@ -695,11 +608,11 @@ void MiddleboxAgent::handle_switched(sim::SimNetwork& net, Packet pkt) {
     // one peer whose death this box would otherwise never notice: probe it.
     // (The blacklist hook then tears the pinned chains down via the proxy.)
     if (const auto peer = net.resolver().resolve(nh)) {
-      peer_health_.on_use(net, info_.node, net.topology().node(info_.node).address, *peer, nh);
+      peer_health_.on_use(net, self_, address_, *peer, nh);
     }
     pkt.inner.dst = nh;
   }
-  net.forward(info_.node, std::move(pkt));
+  net.forward(self_, std::move(pkt));
 }
 
 // ---------------------------------------------------------------------------
@@ -725,14 +638,23 @@ void EdgeLoopbackAgent::on_packet(sim::SimNetwork& net, Packet pkt, net::NodeId 
 
 // ---------------------------------------------------------------------------
 
-InstalledAgents install_agents(sim::SimNetwork& net, const net::GeneratedNetwork& network,
-                               const Deployment& deployment, const policy::PolicyList& policies,
-                               const EnforcementPlan& plan, const AgentOptions& options) {
+InstalledAgents install_devices(sim::SimNetwork& net, const net::GeneratedNetwork& network,
+                                const Deployment& deployment, const policy::PolicyList& policies,
+                                const EnforcementPlan& plan, const AgentOptions& options,
+                                const DeviceWrap& wrap) {
+  const auto attach = [&](std::unique_ptr<DeviceAgent> agent) {
+    const net::NodeId node = agent->node();
+    if (wrap) {
+      net.attach(node, wrap(std::move(agent)));
+    } else {
+      net.attach(node, std::move(agent));
+    }
+  };
   InstalledAgents out;
   for (std::size_t s = 0; s < network.proxies.size(); ++s) {
     auto agent = std::make_unique<ProxyAgent>(network, s, policies, plan, options);
     out.proxies.push_back(agent.get());
-    net.attach(network.proxies[s], std::move(agent));
+    attach(std::move(agent));
   }
   if (network.proxy_mode == net::ProxyMode::kOffPath) {
     for (std::size_t e = 0; e < network.edge_routers.size(); ++e) {
@@ -745,14 +667,15 @@ InstalledAgents install_agents(sim::SimNetwork& net, const net::GeneratedNetwork
   for (const MiddleboxInfo& m : deployment.middleboxes()) {
     auto agent = std::make_unique<MiddleboxAgent>(network, m, policies, plan, options);
     out.middleboxes.push_back(agent.get());
-    net.attach(m.node, std::move(agent));
+    attach(std::move(agent));
   }
   return out;
 }
 
-void register_metrics(obs::MetricsRegistry& registry, const InstalledAgents& agents) {
-  for (const ProxyAgent* proxy : agents.proxies) proxy->register_metrics(registry);
-  for (const MiddleboxAgent* mbx : agents.middleboxes) mbx->register_metrics(registry);
+InstalledAgents install_agents(sim::SimNetwork& net, const net::GeneratedNetwork& network,
+                               const Deployment& deployment, const policy::PolicyList& policies,
+                               const EnforcementPlan& plan, const AgentOptions& options) {
+  return install_devices(net, network, deployment, policies, plan, options, nullptr);
 }
 
 }  // namespace sdmbox::core

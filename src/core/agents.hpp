@@ -1,17 +1,23 @@
 // Packet-level SDM data plane: the proxy and middlebox agents (§III.B-E).
 //
+// A policy proxy and a software-defined middlebox are the same kind of
+// device, and DeviceAgent is what they share: the controller's slice
+// (P_x, M_x^e, t(x,y)) and its classifier, the §III.D flow cache in front of
+// it, local peer liveness with candidate failover, and the config-apply rule.
+// The two roles add only their own packet handling:
+//
 // ProxyAgent guards one stub subnet in-path. For outbound packets it
-// classifies against its P_x slice (through the flow cache of §III.D),
-// tunnels policy traffic IP-over-IP to the chosen first middlebox, and —
-// when label switching is enabled — allocates a per-flow label, embeds it in
-// the header, and flips the flow to destination-rewrite forwarding once the
-// chain tail's confirmation control packet arrives (§III.E).
+// classifies (flow cache -> P_x classifier), tunnels policy traffic
+// IP-over-IP to the chosen first middlebox, and — when label switching is
+// enabled — allocates a per-flow label, embeds it in the header, and flips
+// the flow to destination-rewrite forwarding once the chain tail's
+// confirmation control packet arrives (§III.E).
 //
 // MiddleboxAgent performs its network function on every packet it receives,
-// resolves the action list (flow cache -> P_x classifier), picks the next
-// middlebox with the plan's strategy, and either re-tunnels (keeping the
-// proxy's address as the outer source, so the tail knows where to send the
-// confirmation) or follows its label table for switched packets.
+// classifies the same way, picks the next middlebox with the plan's
+// strategy, and either re-tunnels (keeping the proxy's address as the outer
+// source, so the tail knows where to send the confirmation) or follows its
+// label table for switched packets.
 //
 // Both agents are pure consumers of the compiled EnforcementPlan — they
 // never talk to the controller at packet time, which is the paper's central
@@ -20,6 +26,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -62,8 +69,6 @@ struct AgentOptions {
   bool enable_flow_cache = true;
   /// §III.E label switching (requires the flow cache).
   bool enable_label_switching = false;
-  /// Use the hierarchical-trie classifier instead of linear scan.
-  bool trie_classifier = true;
   double flow_idle_timeout = 30.0;
   std::size_t flow_table_capacity = 1 << 20;
   /// §III.F: probability that a WP middlebox serves a flow from cache, in
@@ -125,61 +130,131 @@ private:
   PeerHealthCounters counters_;
 };
 
+/// Counters every SDM device keeps, whatever its role. Each role exposes
+/// them under its own series prefix (proxy_* / mbx_*).
+struct DeviceCounters {
+  std::uint64_t classifier_lookups = 0;   // multi-field matches actually performed
+  std::uint64_t heartbeats_answered = 0;  // liveness probes replied to
+  std::uint64_t failover_reroutes = 0;    // packets steered past a blacklisted box
+};
+
 struct ProxyCounters {
   std::uint64_t outbound_packets = 0;
   std::uint64_t inbound_packets = 0;
-  std::uint64_t classifier_lookups = 0;   // multi-field matches actually performed
   std::uint64_t tunneled_packets = 0;     // sent IP-over-IP
   std::uint64_t label_switched_packets = 0;
   std::uint64_t permit_packets = 0;       // matched a permit policy or nothing
   std::uint64_t denied_packets = 0;       // dropped by a deny policy
   std::uint64_t confirmations = 0;        // label confirmations received
-  std::uint64_t heartbeats_answered = 0;  // liveness probes replied to
-  std::uint64_t failover_reroutes = 0;    // packets steered past a blacklisted box
   std::uint64_t teardowns_received = 0;   // kLabelTeardown notices from middleboxes
 };
 
 struct MiddleboxCounters {
   std::uint64_t processed_packets = 0;    // packets this middlebox applied its function to
-  std::uint64_t classifier_lookups = 0;
   std::uint64_t tunneled_out = 0;
   std::uint64_t label_switched_in = 0;
   std::uint64_t chain_tails = 0;          // packets for which this box ended the chain
   std::uint64_t confirmations_sent = 0;
   std::uint64_t cache_responses = 0;      // WP only: packets answered from cache (§III.F)
   std::uint64_t anomalies = 0;            // packets this box could not interpret
-  std::uint64_t heartbeats_answered = 0;  // liveness probes replied to
-  std::uint64_t failover_reroutes = 0;    // packets steered past a blacklisted box
   std::uint64_t teardowns_sent = 0;       // kLabelTeardown notices sent to proxies
 };
 
-class ProxyAgent final : public sim::NodeAgent {
+/// The device core shared by both roles: node and address, the pushed
+/// DeviceConfig, the P_x trie classifier built from it, the flow table, and
+/// PeerHealth. All references must outlive the agent.
+class DeviceAgent : public sim::NodeAgent {
 public:
-  /// `subnet_index` locates this proxy's subnet in `network`. All references
-  /// must outlive the agent. The agent takes its initial configuration as a
-  /// slice of `plan` (exactly what the controller would push).
+  // PeerHealth's hooks and timers hold the agent's address.
+  DeviceAgent(const DeviceAgent&) = delete;
+  DeviceAgent& operator=(const DeviceAgent&) = delete;
+
+  /// Install a newer configuration (a control-plane push). Stale versions
+  /// (<= current) are ignored; returns whether it was applied. The flow
+  /// cache is kept — cached policies stay valid because policy ids are
+  /// stable — but future selections use the new candidates/ratios.
+  bool apply_config(DeviceConfig config);
+  std::uint64_t config_version() const noexcept { return config_.version; }
+
+  net::NodeId node() const noexcept { return self_; }
+  net::IpAddress address() const noexcept { return address_; }
+  /// This device's name in the topology.
+  const std::string& name() const;
+
+  const DeviceCounters& device_counters() const noexcept { return device_counters_; }
+  const tables::FlowTable& flow_table() const noexcept { return flow_table_; }
+  const PeerHealth& peer_health() const noexcept { return peer_health_; }
+
+  /// Expose this device's series labeled with its name: the role's own
+  /// (proxy_* or mbx_*), flow_cache_* and peer_*.
+  virtual void register_metrics(obs::MetricsRegistry& registry) const = 0;
+
+protected:
+  /// Takes the initial configuration as `self`'s slice of `plan` (exactly
+  /// what the controller would push).
+  DeviceAgent(const net::GeneratedNetwork& network, net::NodeId self,
+              const policy::PolicyList& policies, const EnforcementPlan& plan,
+              const AgentOptions& options);
+
+  /// A flow's policy of P_x (null when none matches) and its (source,
+  /// destination) stub-subnet indices (-1 outside every subnet), which
+  /// Eq. (1) split ratios and the proxy's measurement key on.
+  struct Classified {
+    const policy::Policy* pol = nullptr;
+    tables::FlowEntry* entry = nullptr;  // the flow's cache entry; null without the cache
+    int src_subnet = -1;
+    int dst_subnet = -1;
+  };
+  /// §III.D: the flow cache, then on a miss the P_x classifier, with the
+  /// kCacheMiss / kCacheHit / kClassified trace records. The policy and the
+  /// subnet pair are cached together. `src_subnet` is the flow's source
+  /// subnet when the caller already knows it (a proxy classifies only its
+  /// own subnet's outbound flows); nullopt looks it up.
+  Classified classify(sim::SimNetwork& net, const packet::FlowId& flow, sim::SimTime now,
+                      std::uint64_t seq, std::optional<int> src_subnet);
+
+  /// Replace a blacklisted `pick` with the next live candidate for `e`
+  /// (wrapping past the end of M_x^e); keeps `pick` if every alternative is
+  /// also blacklisted (fail open — a guess beats a guaranteed drop).
+  net::NodeId failover(sim::SimNetwork& net, net::NodeId pick, policy::FunctionId e,
+                       const packet::FlowId& flow, sim::SimTime now, std::uint64_t seq);
+
+  /// Liveness traffic addressed to this device: answer a kHeartbeat, feed a
+  /// kHeartbeatAck to PeerHealth, and sink either. False (packet untouched)
+  /// for every other kind.
+  bool handle_liveness(sim::SimNetwork& net, const packet::Packet& pkt);
+
+  /// Register flow_cache_* and peer_* (the latter under `base`).
+  void register_device_metrics(obs::MetricsRegistry& registry, const obs::Labels& base) const;
+
+  const net::GeneratedNetwork& network_;
+  const policy::PolicyList& policies_;
+  AgentOptions options_;
+  net::NodeId self_;
+  net::IpAddress address_;
+  DeviceConfig config_;
+  std::unique_ptr<policy::Classifier> classifier_;
+  tables::FlowTable flow_table_;
+  PeerHealth peer_health_;
+  DeviceCounters device_counters_;
+
+private:
+  int subnet_of(net::IpAddress a) const noexcept;
+};
+
+class ProxyAgent final : public DeviceAgent {
+public:
+  /// `subnet_index` locates this proxy's subnet in `network`.
   ProxyAgent(const net::GeneratedNetwork& network, std::size_t subnet_index,
              const policy::PolicyList& policies, const EnforcementPlan& plan,
              AgentOptions options);
 
   void on_packet(sim::SimNetwork& net, packet::Packet pkt, net::NodeId from) override;
 
-  /// Install a newer configuration (a control-plane push). Stale versions
-  /// (<= current) are ignored; returns whether it was applied. The flow
-  /// cache is kept — cached action lists stay valid because policy ids are
-  /// stable — but future selections use the new candidates/ratios.
-  bool apply_config(DeviceConfig config);
-  std::uint64_t config_version() const noexcept { return config_.version; }
-
   const ProxyCounters& counters() const noexcept { return counters_; }
-  const tables::FlowTable& flow_table() const noexcept { return flow_table_; }
-  const PeerHealth& peer_health() const noexcept { return peer_health_; }
-
-  /// This proxy's device name in the topology.
-  const std::string& name() const;
 
   /// Expose proxy_*, flow_cache_* and peer_* series labeled with this device.
-  void register_metrics(obs::MetricsRegistry& registry) const;
+  void register_metrics(obs::MetricsRegistry& registry) const override;
 
   /// Measured outbound volumes since the last clear: (policy, dst_subnet)
   /// -> packets. What this proxy reports to the controller (§III.C).
@@ -194,30 +269,14 @@ public:
 
 private:
   void handle_outbound(sim::SimNetwork& net, packet::Packet pkt);
-  int resolve_dst_subnet(net::IpAddress dst) const noexcept;
-  /// Replace `pick` with the next non-blacklisted candidate for `e` (wrapping
-  /// past the end of M_x^e); keeps `pick` if every alternative is also
-  /// blacklisted (fail open — a guess beats a guaranteed drop).
-  net::NodeId apply_failover(sim::SimNetwork& net, net::NodeId pick, policy::FunctionId e,
-                             const packet::FlowId& flow, sim::SimTime now, std::uint64_t seq);
 
-  const net::GeneratedNetwork& network_;
-  const policy::PolicyList& policies_;
-  AgentOptions options_;
   std::size_t subnet_index_;
-  net::NodeId self_;
   net::Prefix subnet_;
-  net::IpAddress address_;
-  DeviceConfig config_;
-  std::vector<const policy::Policy*> p_x_;
-  std::unique_ptr<policy::Classifier> classifier_;
-  tables::FlowTable flow_table_;
-  PeerHealth peer_health_;
   ProxyCounters counters_;
   std::unordered_map<std::uint64_t, std::uint64_t> measure_;  // (policy<<32|subnet) -> packets
 };
 
-class MiddleboxAgent final : public sim::NodeAgent {
+class MiddleboxAgent final : public DeviceAgent {
 public:
   MiddleboxAgent(const net::GeneratedNetwork& network, const MiddleboxInfo& info,
                  const policy::PolicyList& policies, const EnforcementPlan& plan,
@@ -225,48 +284,26 @@ public:
 
   void on_packet(sim::SimNetwork& net, packet::Packet pkt, net::NodeId from) override;
 
-  /// Install a newer configuration (see ProxyAgent::apply_config).
-  bool apply_config(DeviceConfig config);
-  std::uint64_t config_version() const noexcept { return config_.version; }
-
   const MiddleboxCounters& counters() const noexcept { return counters_; }
-  const tables::FlowTable& flow_table() const noexcept { return flow_table_; }
   const tables::LabelTable& label_table() const noexcept { return label_table_; }
-  const PeerHealth& peer_health() const noexcept { return peer_health_; }
-
-  /// This middlebox's deployment name.
-  const std::string& name() const;
 
   /// Expose mbx_*, flow_cache_*, label_table_* and peer_* series labeled
   /// with this device.
-  void register_metrics(obs::MetricsRegistry& registry) const;
+  void register_metrics(obs::MetricsRegistry& registry) const override;
 
 private:
   void handle_tunneled(sim::SimNetwork& net, packet::Packet pkt);
   void handle_switched(sim::SimNetwork& net, packet::Packet pkt);
-  /// Resolve the action list for a flow via cache + classifier, along with
-  /// the flow's (source, destination) subnet indices (-1 when outside any
-  /// stub subnet) — needed for Eq. (1) per-(s,d) split ratios.
-  struct Resolved {
-    const policy::Policy* pol = nullptr;
-    int src_subnet = -1;
-    int dst_subnet = -1;
-  };
-  Resolved resolve_policy(sim::SimNetwork& net, const packet::FlowId& flow, sim::SimTime now,
-                          std::uint64_t seq);
-  net::NodeId apply_failover(sim::SimNetwork& net, net::NodeId pick, policy::FunctionId e,
-                             const packet::FlowId& flow, sim::SimTime now, std::uint64_t seq);
+  /// §III.E: bind ⟨src|label⟩ to the chain segment [first_position,
+  /// position] of `pol` this box served for the proxy at `proxy`, unless the
+  /// label is bound already. Returns the new entry for the caller to finish
+  /// (next hop mid-chain, final destination at the tail); null when bound.
+  tables::LabelEntry* bind_label(const tables::LabelKey& key, const policy::Policy& pol,
+                                 std::size_t first_position, std::size_t position,
+                                 net::IpAddress proxy, sim::SimTime now);
 
-  const net::GeneratedNetwork& network_;
-  const MiddleboxInfo& info_;
-  const policy::PolicyList& policies_;
-  AgentOptions options_;
-  DeviceConfig config_;
-  std::vector<const policy::Policy*> p_x_;
-  std::unique_ptr<policy::Classifier> classifier_;
-  tables::FlowTable flow_table_;
+  policy::FunctionSet functions_;
   tables::LabelTable label_table_;
-  PeerHealth peer_health_;
   MiddleboxCounters counters_;
 };
 
@@ -290,21 +327,31 @@ private:
   std::uint64_t looped_ = 0;
 };
 
-/// Attach proxy agents to every proxy and middlebox agents to every
-/// middlebox of the network; for off-path networks, also attach the
-/// loopback behavior to every edge router. Returns non-owning pointers (the
-/// network owns the agents) for counter inspection.
+/// Non-owning pointers to a network's installed agents, typed by role, for
+/// counter inspection (the network — or the wrapper — owns the agents).
 struct InstalledAgents {
   std::vector<ProxyAgent*> proxies;          // parallel to network.proxies
   std::vector<MiddleboxAgent*> middleboxes;  // parallel to deployment order
   std::vector<EdgeLoopbackAgent*> loopbacks;  // off-path mode only; parallel to edge_routers
 };
+
+/// Puts a proxy or middlebox agent behind another NodeAgent before it is
+/// attached (the in-band control plane wraps each in a ManagedDevice).
+using DeviceWrap =
+    std::function<std::unique_ptr<sim::NodeAgent>(std::unique_ptr<DeviceAgent>)>;
+
+/// Build and attach every agent of the network: a ProxyAgent per proxy
+/// (network order), for off-path networks an EdgeLoopbackAgent per edge
+/// router, then a MiddleboxAgent per deployed middlebox (deployment order).
+/// `wrap`, when set, sees the proxies and then the middleboxes in that order.
+InstalledAgents install_devices(sim::SimNetwork& net, const net::GeneratedNetwork& network,
+                                const Deployment& deployment, const policy::PolicyList& policies,
+                                const EnforcementPlan& plan, const AgentOptions& options,
+                                const DeviceWrap& wrap);
+
+/// install_devices with every agent attached bare.
 InstalledAgents install_agents(sim::SimNetwork& net, const net::GeneratedNetwork& network,
                                const Deployment& deployment, const policy::PolicyList& policies,
                                const EnforcementPlan& plan, const AgentOptions& options);
-
-/// Register every installed agent's series into `registry` (one call per
-/// proxy / middlebox; loopback agents carry no counters worth a series).
-void register_metrics(obs::MetricsRegistry& registry, const InstalledAgents& agents);
 
 }  // namespace sdmbox::core

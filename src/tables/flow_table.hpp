@@ -52,8 +52,8 @@ struct FlowEntry {
   std::uint16_t label = 0;
   /// Set when the label-switching confirmation control packet arrived.
   bool label_switched = false;
-  /// Free annotation slot for the owning agent (the proxy caches the flow's
-  /// destination-subnet index here for measurement reporting). -1 = unset.
+  /// Free annotation slot for the owning agent (the agents cache the flow's
+  /// packed source and destination subnet indices here). -1 = unset.
   std::int32_t user_tag = -1;
   SimTime last_used = 0;
   /// Topology node the flow's packets are currently tunneled to (the first

@@ -58,6 +58,59 @@ struct GeneratedFlows {
   std::uint64_t background_packets = 0;
 };
 
+/// The flow generator, one record at a time. Flows are drawn until their
+/// policy packets reach the target — each one-to-many web flow followed by
+/// its return companion when requested — and then the background tail.
+/// The companion is derived from its forward flow without further draws, so
+/// it is held back in a one-slot buffer: peak residency is O(1) regardless
+/// of how many flows the stream emits, which is what lets ISP-scale worlds
+/// (examples/waxman_scale) measure traffic without a resident flow list.
+class FlowStream {
+public:
+  /// Upper bound on FlowRecords the stream ever holds at once (the record
+  /// being emitted + one buffered web-return companion). The residency test
+  /// pins this: streaming never becomes O(total flows).
+  static constexpr std::size_t kMaxResident = 2;
+
+  /// `network`, `policies` and `rng` must outlive the stream.
+  FlowStream(const net::GeneratedNetwork& network, const GeneratedPolicies& policies,
+             const FlowGenParams& params, util::Rng& rng);
+
+  /// Produce the next flow; false when the stream is exhausted.
+  bool next(FlowRecord& out);
+
+  std::uint64_t emitted() const noexcept { return emitted_; }
+  std::uint64_t total_packets() const noexcept { return total_packets_; }
+  std::uint64_t background_packets() const noexcept { return background_packets_; }
+  /// High-water mark of resident FlowRecords (<= kMaxResident by design).
+  std::size_t peak_resident() const noexcept { return peak_resident_; }
+
+private:
+  FlowRecord make_main_flow();
+  FlowRecord make_background_flow();
+
+  const net::GeneratedNetwork& network_;
+  const GeneratedPolicies& policies_;
+  FlowGenParams params_;
+  util::Rng& rng_;
+
+  std::vector<const PolicyClassInfo*> pools_[3];
+  double weight_total_ = 0;
+
+  enum class Phase : std::uint8_t { kMain, kBackground, kDone };
+  Phase phase_ = Phase::kMain;
+  FlowRecord pending_;  // web-return companion awaiting emission
+  bool has_pending_ = false;
+  std::uint64_t emitted_ = 0;
+  std::uint64_t main_flow_count_ = 0;  // flows (companions included) before background
+  std::uint64_t background_target_ = 0;
+  std::uint64_t background_emitted_ = 0;
+  std::uint64_t total_packets_ = 0;
+  std::uint64_t background_packets_ = 0;
+  std::size_t peak_resident_ = 0;
+};
+
+/// Drain a FlowStream into a resident flow list.
 GeneratedFlows generate_flows(const net::GeneratedNetwork& network,
                               const GeneratedPolicies& policies, const FlowGenParams& params,
                               util::Rng& rng);

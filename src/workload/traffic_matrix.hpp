@@ -80,4 +80,9 @@ private:
   double grand_total_ = 0;
 };
 
+/// Measure a whole stream exactly as TrafficMatrix::measure measures a flow
+/// list, without ever materializing the list.
+TrafficMatrix measure_stream(const policy::PolicyList& policies, FlowStream& stream,
+                             const MeasureOptions& options = {});
+
 }  // namespace sdmbox::workload

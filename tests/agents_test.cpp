@@ -167,12 +167,12 @@ TEST_F(AgentsTest, FlowCacheClassifiesOnlyFirstPacket) {
   h.simnet.run();
   const auto& proxy = *h.agents.proxies[static_cast<std::size_t>(f.src_subnet)];
   EXPECT_EQ(proxy.counters().outbound_packets, 10u);
-  EXPECT_EQ(proxy.counters().classifier_lookups, 1u);
+  EXPECT_EQ(proxy.device_counters().classifier_lookups, 1u);
   EXPECT_EQ(proxy.flow_table().stats().hits, 9u);
   // Each middlebox on the chain classified once too.
   for (const auto* m : h.agents.middleboxes) {
     if (m->counters().processed_packets > 0) {
-      EXPECT_EQ(m->counters().classifier_lookups, 1u);
+      EXPECT_EQ(m->device_counters().classifier_lookups, 1u);
     }
   }
 }
@@ -186,7 +186,8 @@ TEST_F(AgentsTest, WithoutFlowCacheEveryPacketIsClassified) {
   f.packets = 10;
   inject_flow(h, s, f, 0.0, 1e-3);
   h.simnet.run();
-  EXPECT_EQ(h.agents.proxies[static_cast<std::size_t>(f.src_subnet)]->counters()
+  EXPECT_EQ(h.agents.proxies[static_cast<std::size_t>(f.src_subnet)]
+                ->device_counters()
                 .classifier_lookups,
             10u);
 }
@@ -205,29 +206,9 @@ TEST_F(AgentsTest, NegativeCacheShortCircuitsNonMatchingFlows) {
   }
   h.simnet.run();
   const auto& proxy = *h.agents.proxies[0];
-  EXPECT_EQ(proxy.counters().classifier_lookups, 1u);
+  EXPECT_EQ(proxy.device_counters().classifier_lookups, 1u);
   EXPECT_EQ(proxy.flow_table().stats().negative_hits, 4u);
   EXPECT_EQ(proxy.counters().permit_packets, 5u);
-}
-
-TEST_F(AgentsTest, LinearAndTrieClassifierAgentsAgree) {
-  const auto plan = s.controller->compile(StrategyKind::kHotPotato);
-  AgentOptions trie_opt;
-  AgentOptions lin_opt;
-  lin_opt.trie_classifier = false;
-  Harness ht(s, plan, trie_opt);
-  Harness hl(s, plan, lin_opt);
-  for (const auto& f : s.flows.flows) {
-    const net::NodeId proxy = s.network.proxies[static_cast<std::size_t>(f.src_subnet)];
-    ht.simnet.inject(proxy, make_packet(f.id), 0.0);
-    hl.simnet.inject(proxy, make_packet(f.id), 0.0);
-  }
-  ht.simnet.run();
-  hl.simnet.run();
-  for (std::size_t i = 0; i < ht.agents.middleboxes.size(); ++i) {
-    EXPECT_EQ(ht.agents.middleboxes[i]->counters().processed_packets,
-              hl.agents.middleboxes[i]->counters().processed_packets);
-  }
 }
 
 // ---------------------------------------------------------------------------

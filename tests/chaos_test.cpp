@@ -277,21 +277,23 @@ ChaosOutcome run_chaos(bool with_spans = true) {
   const auto& ic = injector.counters();
   fp << ic.node_crashes << ' ' << ic.node_restarts << ' ' << ic.link_downs << ' '
      << ic.link_ups << ' ' << ic.loss_changes << ' ' << ic.reconvergences << '\n';
-  for (const auto* d : cp.proxies) {
-    const auto& c = d->counters();
-    const auto& ph = d->proxy()->peer_health().counters();
-    const auto& pc = d->proxy()->counters();
+  for (std::size_t i = 0; i < cp.proxies.size(); ++i) {
+    const auto& c = cp.proxies[i]->counters();
+    const core::ProxyAgent& proxy = *cp.agents.proxies[i];
+    const auto& ph = proxy.peer_health().counters();
+    const auto& pc = proxy.counters();
     fp << c.configs_applied << ',' << c.configs_rejected << ',' << c.configs_duplicate << ','
        << ph.probes_sent << ',' << ph.blacklists << ',' << pc.outbound_packets << ','
-       << pc.failover_reroutes << ',' << pc.teardowns_received << ' ';
+       << proxy.device_counters().failover_reroutes << ',' << pc.teardowns_received << ' ';
   }
   fp << '\n';
-  for (const auto* d : cp.middleboxes) {
-    const auto& c = d->counters();
-    const auto& mc = d->middlebox()->counters();
+  for (std::size_t i = 0; i < cp.middleboxes.size(); ++i) {
+    const auto& c = cp.middleboxes[i]->counters();
+    const core::MiddleboxAgent& mbx = *cp.agents.middleboxes[i];
+    const auto& mc = mbx.counters();
     fp << c.configs_applied << ',' << c.configs_rejected << ',' << c.configs_duplicate << ','
-       << mc.processed_packets << ',' << mc.failover_reroutes << ',' << mc.teardowns_sent
-       << ' ';
+       << mc.processed_packets << ',' << mbx.device_counters().failover_reroutes << ','
+       << mc.teardowns_sent << ' ';
   }
   fp << '\n';
   out.fingerprint = fp.str();

@@ -168,7 +168,13 @@ struct Loop {
   ControlPlane cp;
 };
 
+/// Inject every flow where its hosts' traffic enters the network: at the
+/// proxy in-path, at the edge router (which loops it through the proxy)
+/// off-path.
 void inject_flows(Loop& loop, const Scenario& s, double start) {
+  const std::vector<net::NodeId>& entries = s.network.proxy_mode == net::ProxyMode::kOffPath
+                                                ? s.network.edge_routers
+                                                : s.network.proxies;
   double t = start;
   for (const auto& f : s.flows.flows) {
     for (std::uint64_t j = 0; j < f.packets; ++j) {
@@ -179,9 +185,45 @@ void inject_flows(Loop& loop, const Scenario& s, double start) {
       p.dst_port = f.id.dst_port;
       p.payload_bytes = 300;
       p.flow_seq = j;
-      loop.simnet.inject(s.network.proxies[static_cast<std::size_t>(f.src_subnet)], p, t);
+      loop.simnet.inject(entries[static_cast<std::size_t>(f.src_subnet)], p, t);
       t += 1e-7;
     }
+  }
+}
+
+/// Every proxy reports in-band; the matrix the controller assembles from
+/// the reports must equal the scenario's ground truth.
+void expect_reports_rebuild_traffic(Loop& loop, const Scenario& s) {
+  send_reports(loop.simnet, loop.cp);
+  loop.simnet.run();
+
+  EXPECT_EQ(loop.cp.controller->reports_received(), s.network.proxies.size());
+  EXPECT_EQ(loop.cp.controller->malformed_messages(), 0u);
+  const auto& collected = loop.cp.controller->collected();
+  EXPECT_DOUBLE_EQ(collected.grand_total(), s.traffic.grand_total());
+  for (const auto& p : s.gen.policies.all()) {
+    EXPECT_DOUBLE_EQ(collected.total(p.id), s.traffic.total(p.id));
+    for (const int src : s.traffic.active_sources(p.id)) {
+      EXPECT_DOUBLE_EQ(collected.from(p.id, src), s.traffic.from(p.id, src));
+    }
+    for (const int dst : s.traffic.active_destinations(p.id)) {
+      EXPECT_DOUBLE_EQ(collected.to(p.id, dst), s.traffic.to(p.id, dst));
+    }
+  }
+}
+
+/// Each middlebox processed exactly what the offline analytic evaluation of
+/// `plan` predicts for one pass of the scenario's flows (`before` holds the
+/// processed counts before that pass).
+void expect_loads_follow_plan(const Loop& loop, const Scenario& s,
+                              const core::EnforcementPlan& plan,
+                              const std::vector<std::uint64_t>& before) {
+  const auto expected = analytic::evaluate_loads(s.network, s.deployment, s.gen.policies, plan,
+                                                 s.flows.flows);
+  for (std::size_t i = 0; i < loop.cp.agents.middleboxes.size(); ++i) {
+    const auto delta = loop.cp.agents.middleboxes[i]->counters().processed_packets - before[i];
+    EXPECT_EQ(delta, expected.load_of(s.deployment.middleboxes()[i].node))
+        << s.deployment.middleboxes()[i].name;
   }
 }
 
@@ -195,25 +237,7 @@ TEST(ControlLoop, ReportsReconstructTheTrafficMatrixExactly) {
 
   inject_flows(loop, s, 0.0);
   loop.simnet.run();
-  for (auto* proxy : loop.cp.proxies) {
-    proxy->send_report(loop.simnet, loop.cp.controller->address());
-  }
-  loop.simnet.run();
-
-  EXPECT_EQ(loop.cp.controller->reports_received(), s.network.proxies.size());
-  EXPECT_EQ(loop.cp.controller->malformed_messages(), 0u);
-  // The matrix assembled from in-band reports equals ground truth.
-  const auto& collected = loop.cp.controller->collected();
-  EXPECT_DOUBLE_EQ(collected.grand_total(), s.traffic.grand_total());
-  for (const auto& p : s.gen.policies.all()) {
-    EXPECT_DOUBLE_EQ(collected.total(p.id), s.traffic.total(p.id));
-    for (const int src : s.traffic.active_sources(p.id)) {
-      EXPECT_DOUBLE_EQ(collected.from(p.id, src), s.traffic.from(p.id, src));
-    }
-    for (const int dst : s.traffic.active_destinations(p.id)) {
-      EXPECT_DOUBLE_EQ(collected.to(p.id, dst), s.traffic.to(p.id, dst));
-    }
-  }
+  expect_reports_rebuild_traffic(loop, s);
 }
 
 TEST(ControlLoop, ConfigPushSwitchesStrategyMidRun) {
@@ -228,9 +252,7 @@ TEST(ControlLoop, ConfigPushSwitchesStrategyMidRun) {
   inject_flows(loop, s, 0.0);
   loop.simnet.run();
   // Reports -> controller; controller reoptimizes and pushes LB configs.
-  for (auto* proxy : loop.cp.proxies) {
-    proxy->send_report(loop.simnet, loop.cp.controller->address());
-  }
+  send_reports(loop.simnet, loop.cp);
   loop.simnet.run();
   const control::ReplanOutcome reopt = loop.cp.controller->replan(loop.simnet, ReplanRequest{});
   EXPECT_TRUE(reopt.solved);
@@ -252,18 +274,51 @@ TEST(ControlLoop, ConfigPushSwitchesStrategyMidRun) {
   // Epoch 2 traffic follows the pushed LB plan: per-box processed deltas
   // match the offline analytic evaluation of lb_plan.
   std::vector<std::uint64_t> before;
-  for (auto* device : loop.cp.middleboxes) {
-    before.push_back(device->middlebox()->counters().processed_packets);
+  for (const auto* mbx : loop.cp.agents.middleboxes) {
+    before.push_back(mbx->counters().processed_packets);
   }
   inject_flows(loop, s, loop.simnet.simulator().now() + 1.0);
   loop.simnet.run();
-  const auto expected = analytic::evaluate_loads(s.network, s.deployment, s.gen.policies,
-                                                 lb_plan, s.flows.flows);
-  for (std::size_t i = 0; i < loop.cp.middleboxes.size(); ++i) {
-    const auto delta =
-        loop.cp.middleboxes[i]->middlebox()->counters().processed_packets - before[i];
-    EXPECT_EQ(delta, expected.load_of(s.deployment.middleboxes()[i].node))
-        << s.deployment.middleboxes()[i].name;
+  expect_loads_follow_plan(loop, s, lb_plan, before);
+}
+
+TEST(ControlLoop, OffPathNetworkRunsTheInBandLoop) {
+  // The off-path install attaches an edge-router loopback next to every
+  // managed proxy: control traffic to and from the proxies, like data,
+  // detours through it.
+  ScenarioParams sp;
+  sp.seed = 85;
+  sp.target_packets = 3000;
+  sp.proxy_mode = net::ProxyMode::kOffPath;
+  Scenario s = make_scenario(sp);
+  const auto initial = s.controller->compile(StrategyKind::kHotPotato);
+  Loop loop(s, initial);
+  ASSERT_EQ(loop.cp.agents.loopbacks.size(), s.network.edge_routers.size());
+
+  // Push an LB plan in-band: every managed device applies and acks it.
+  const auto plan = s.controller->compile(StrategyKind::kLoadBalanced, &s.traffic);
+  const ReplanOutcome pushed = loop.cp.controller->replan(
+      loop.simnet, ReplanRequest{.trigger = ReplanTrigger::kInitial, .plan = &plan});
+  loop.simnet.run();
+  EXPECT_EQ(pushed.pushes_sent, s.network.proxies.size() + s.deployment.size());
+  EXPECT_EQ(loop.cp.controller->acks_received(), pushed.pushes_sent);
+  EXPECT_EQ(loop.cp.controller->outstanding_pushes(), 0u);
+  for (const auto& devices : {loop.cp.proxies, loop.cp.middleboxes}) {
+    for (const auto* device : devices) {
+      EXPECT_EQ(device->counters().configs_applied, 1u);
+      EXPECT_EQ(device->counters().acks_sent, 1u);
+      EXPECT_EQ(device->config_version(), 1u);
+    }
+  }
+
+  // Traffic enters at the edge routers and follows the pushed plan.
+  inject_flows(loop, s, loop.simnet.simulator().now() + 1.0);
+  loop.simnet.run();
+  expect_loads_follow_plan(loop, s, plan,
+                           std::vector<std::uint64_t>(loop.cp.agents.middleboxes.size(), 0));
+  expect_reports_rebuild_traffic(loop, s);
+  for (const auto* loopback : loop.cp.agents.loopbacks) {
+    EXPECT_GT(loopback->looped_packets(), 0u);
   }
 }
 
@@ -281,10 +336,9 @@ TEST(ControlLoop, StaleConfigVersionsAreRejected) {
                                            .plan = &plan});  // version 1
   loop.simnet.run();
   // Hand-deliver a stale (version 0) config to proxy 0: must be rejected.
-  auto* device = loop.cp.proxies[0];
   core::DeviceConfig stale = core::slice_for_device(initial, s.network.proxies[0], 0);
-  EXPECT_FALSE(device->proxy()->apply_config(std::move(stale)));
-  EXPECT_EQ(device->config_version(), 1u);
+  EXPECT_FALSE(loop.cp.agents.proxies[0]->apply_config(std::move(stale)));
+  EXPECT_EQ(loop.cp.proxies[0]->config_version(), 1u);
 }
 
 TEST(ControlLoop, MeasurementsClearAfterReporting) {
@@ -297,12 +351,14 @@ TEST(ControlLoop, MeasurementsClearAfterReporting) {
   inject_flows(loop, s, 0.0);
   loop.simnet.run();
   bool any_nonempty = false;
-  for (auto* proxy : loop.cp.proxies) {
-    any_nonempty |= !proxy->proxy()->measurements().empty();
-    proxy->send_report(loop.simnet, loop.cp.controller->address());
-    EXPECT_TRUE(proxy->proxy()->measurements().empty());
+  for (const auto* proxy : loop.cp.agents.proxies) {
+    any_nonempty |= !proxy->measurements().empty();
   }
   EXPECT_TRUE(any_nonempty);
+  send_reports(loop.simnet, loop.cp);
+  for (const auto* proxy : loop.cp.agents.proxies) {
+    EXPECT_TRUE(proxy->measurements().empty());
+  }
 }
 
 }  // namespace
