@@ -1,6 +1,6 @@
 // Ablation A2 (§III.D): per-packet handling cost with and without the flow
 // cache, and with/without negative caching, under a realistic flow-churn
-// mix. Complements micro_classifier (which isolates the raw engines).
+// mix.
 #include <benchmark/benchmark.h>
 
 #include "policy/classifier.hpp"

@@ -115,41 +115,6 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-/// Compiler barrier for hand-rolled measurement loops (the plain-main
-/// benches don't link google-benchmark): forces `value` to be materialized.
-template <typename T>
-inline void keep(T&& value) noexcept {
-  asm volatile("" : : "g"(value) : "memory");
-}
-
-/// One named scalar in a bench's machine-readable result set.
-struct BenchMetric {
-  std::string name;
-  double value;
-};
-
-/// Perf-trajectory record: write BENCH_<name>.json in the working directory
-/// so CI can archive per-commit throughput numbers. Schema (stable — future
-/// sessions diff these files across commits):
-///   { "bench": "<name>", "metrics": { "<metric>": <number>, ... } }
-/// Metric names use unit suffixes (_per_sec, _per_event, ...). Values must be
-/// finite (NaN/Inf would not be valid JSON).
-inline void emit_bench_json(const std::string& name, const std::vector<BenchMetric>& metrics) {
-  std::string body = "{\n  \"bench\": \"" + name + "\",\n  \"metrics\": {";
-  const char* sep = "\n";
-  for (const BenchMetric& m : metrics) {
-    char value[64];
-    std::snprintf(value, sizeof value, "%.17g", m.value);
-    body += sep;
-    body += "    \"" + m.name + "\": " + value;
-    sep = ",\n";
-  }
-  body += "\n  }\n}\n";
-  const std::string path = "BENCH_" + name + ".json";
-  obs::write_file(path, body);
-  std::fprintf(stderr, "bench metrics written to %s\n", path.c_str());
-}
-
 /// Telemetry escape hatch shared by the benches: when SDMBOX_METRICS_OUT is
 /// set, render `registry` for the path's extension (.json / .csv / .prom)
 /// and write it there; a no-op otherwise, so the tables stay the benches'

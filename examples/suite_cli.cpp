@@ -20,13 +20,14 @@
 //                           # EVERY replicate of EVERY arm; exit 3 if any
 //                           # replicate reports a violation or incomplete
 //                           # trace coverage
+// Bad usage (an unknown flag, a missing value, or a number that is not plain
+// decimal digits) prints usage and exits 2.
 //
 // Example:
 //   ./build/examples/suite_cli --jobs 8 --seeds 5 --out suite.json
 //   ./build/examples/suite_cli --spec myrun.spec --seeds 3
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -110,16 +111,17 @@ bool parse(int argc, char** argv, CliOptions& opt) {
     const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     if (arg == "--jobs") {
       const char* v = next();
-      if (v == nullptr) return false;
-      opt.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      std::uint64_t jobs = 0;
+      if (v == nullptr || !exp::parse_u64(v, jobs) || jobs > UINT_MAX) return false;
+      opt.jobs = static_cast<unsigned>(jobs);
     } else if (arg == "--seeds") {
       const char* v = next();
-      if (v == nullptr) return false;
-      opt.seeds = std::strtoull(v, nullptr, 10);
+      std::uint64_t seeds = 0;
+      if (v == nullptr || !exp::parse_u64(v, seeds)) return false;
+      opt.seeds = seeds;
     } else if (arg == "--seed") {
       const char* v = next();
-      if (v == nullptr) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
+      if (v == nullptr || !exp::parse_u64(v, opt.seed)) return false;
     } else if (arg == "--spec") {
       const char* v = next();
       if (v == nullptr) return false;

@@ -15,17 +15,17 @@
 //   --seed S              master seed (default 1)
 //   --json FILE           write deterministic per-size metrics (no wall
 //                         times, no RSS) for same-seed reproducibility diffs
-//   --bench               write BENCH_waxman_scale.json (wall times + RSS)
+// Malformed or missing numbers print usage and exit 2.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/controller.hpp"
+#include "exp/spec.hpp"
 #include "net/topologies.hpp"
 #include "obs/export.hpp"
 #include "workload/policy_gen.hpp"
@@ -52,14 +52,13 @@ double peak_rss_kb() {
 }
 
 struct Args {
-  std::size_t edges = 0;  // 0 = sweep
-  std::size_t max_edges = 5000;
-  std::size_t dense_max_edges = 1000;
+  std::uint64_t edges = 0;  // 0 = sweep
+  std::uint64_t max_edges = 5000;
+  std::uint64_t dense_max_edges = 1000;
   std::uint64_t packets = 2'000'000;
   lp::SimplexEngine engine = lp::SimplexEngine::kSparse;
   std::uint64_t seed = 1;
   std::string json_path;
-  bool bench = false;
 };
 
 /// Deterministic facts about one world+solve: everything here must be a
@@ -78,12 +77,11 @@ struct SizeResult {
   std::size_t lp_rows = 0;
   std::size_t pivots = 0;
   double lambda = 0;
-  // Record-only (BENCH json, never the deterministic export):
+  // Printed only, never in the deterministic export:
   double build_s = 0;
   double stream_s = 0;
   double solve_ms = 0;
   double dense_solve_ms = 0;  // 0 when the dense cross-check was skipped
-  std::size_t dense_pivots = 0;
   double rss_kb = 0;
 };
 
@@ -156,7 +154,6 @@ SizeResult run_size(std::size_t edges, const Args& args) {
     SDM_CHECK_MSG(dlp.status == lp::SolveStatus::kOptimal, "dense LB solve must be optimal");
     SDM_CHECK_MSG(std::fabs(dlp.lambda - lp.lambda) <= 1e-6,
                   "dense and sparse lambda disagree");
-    r.dense_pivots = dlp.pivots;
   }
   r.rss_kb = peak_rss_kb();
   return r;
@@ -202,44 +199,10 @@ void write_metrics_json(const std::string& path, const Args& args,
   std::fprintf(stderr, "deterministic metrics written to %s\n", path.c_str());
 }
 
-/// Perf-trajectory record (same schema as bench/common.hpp's
-/// emit_bench_json — examples don't link the bench scaffolding).
-void write_bench_json(const std::vector<SizeResult>& results) {
-  std::string body = "{\n  \"bench\": \"waxman_scale\",\n  \"metrics\": {";
-  const char* sep = "\n";
-  const auto add = [&](const std::string& name, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    body += sep;
-    body += "    \"" + name + "\": " + buf;
-    sep = ",\n";
-  };
-  for (const SizeResult& r : results) {
-    const std::string tag = "e" + std::to_string(r.edges);
-    add(tag + "_routers", static_cast<double>(r.routers));
-    add(tag + "_flows", static_cast<double>(r.flows));
-    add(tag + "_lp_vars", static_cast<double>(r.lp_vars));
-    add(tag + "_lp_rows", static_cast<double>(r.lp_rows));
-    add(tag + "_build_s", r.build_s);
-    add(tag + "_stream_s", r.stream_s);
-    add(tag + "_solve_ms", r.solve_ms);
-    add(tag + "_pivots", static_cast<double>(r.pivots));
-    add(tag + "_peak_rss_kb", r.rss_kb);
-    if (r.dense_solve_ms > 0) {
-      add(tag + "_dense_solve_ms", r.dense_solve_ms);
-      add(tag + "_dense_pivots", static_cast<double>(r.dense_pivots));
-      add(tag + "_speedup_dense_over_sparse", r.dense_solve_ms / r.solve_ms);
-    }
-  }
-  body += "\n  }\n}\n";
-  obs::write_file("BENCH_waxman_scale.json", body);
-  std::fprintf(stderr, "bench metrics written to BENCH_waxman_scale.json\n");
-}
-
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--edges N] [--max-edges N] [--dense-max-edges N] [--packets N]\n"
-               "          [--engine sparse|dense] [--seed S] [--json FILE] [--bench]\n",
+               "          [--engine sparse|dense] [--seed S] [--json FILE]\n",
                argv0);
   return 2;
 }
@@ -248,38 +211,32 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto value = [&]() -> const char* {
-      SDM_CHECK_MSG(i + 1 < argc, "missing value for flag");
-      return argv[++i];
-    };
-    if (a == "--edges") {
-      args.edges = static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
-    } else if (a == "--max-edges") {
-      args.max_edges = static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
-    } else if (a == "--dense-max-edges") {
-      args.dense_max_edges = static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
-    } else if (a == "--packets") {
-      args.packets = std::strtoull(value(), nullptr, 10);
-    } else if (a == "--seed") {
-      args.seed = std::strtoull(value(), nullptr, 10);
-    } else if (a == "--engine") {
-      const std::string e = value();
-      if (e == "sparse") {
-        args.engine = lp::SimplexEngine::kSparse;
-      } else if (e == "dense") {
-        args.engine = lp::SimplexEngine::kDense;
-      } else {
-        return usage(argv[0]);
-      }
-    } else if (a == "--json") {
-      args.json_path = value();
-    } else if (a == "--bench") {
-      args.bench = true;
+  for (int i = 1; i < argc; i += 2) {
+    // Every flag takes a value.
+    if (i + 1 == argc) return usage(argv[0]);
+    const std::string flag = argv[i];
+    const std::string value = argv[i + 1];
+    bool ok = true;
+    if (flag == "--edges") {
+      ok = exp::parse_u64(value, args.edges);
+    } else if (flag == "--max-edges") {
+      ok = exp::parse_u64(value, args.max_edges);
+    } else if (flag == "--dense-max-edges") {
+      ok = exp::parse_u64(value, args.dense_max_edges);
+    } else if (flag == "--packets") {
+      ok = exp::parse_u64(value, args.packets);
+    } else if (flag == "--seed") {
+      ok = exp::parse_u64(value, args.seed);
+    } else if (flag == "--engine" && value == "sparse") {
+      args.engine = lp::SimplexEngine::kSparse;
+    } else if (flag == "--engine" && value == "dense") {
+      args.engine = lp::SimplexEngine::kDense;
+    } else if (flag == "--json") {
+      args.json_path = value;
     } else {
-      return usage(argv[0]);
+      ok = false;
     }
+    if (!ok) return usage(argv[0]);
   }
 
   std::vector<std::size_t> sizes;
@@ -311,6 +268,5 @@ int main(int argc, char** argv) {
   }
 
   if (!args.json_path.empty()) write_metrics_json(args.json_path, args, results);
-  if (args.bench) write_bench_json(results);
   return 0;
 }

@@ -10,6 +10,19 @@
 #include "util/strings.hpp"
 
 namespace sdmbox::exp {
+
+bool parse_u64(const std::string& v, std::uint64_t& out) {
+  // strtoull alone would accept a sign (negating modulo 2^64) and saturate
+  // out-of-range values, so demand a leading digit and check ERANGE.
+  if (v.empty() || v[0] < '0' || v[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
+  if (end != v.c_str() + v.size() || errno == ERANGE) return false;
+  out = parsed;
+  return true;
+}
+
 namespace {
 
 /// %.17g round-trips doubles exactly; integral values render as integers so
@@ -43,18 +56,6 @@ bool parse_bool(const std::string& v, bool& out) {
     return true;
   }
   return false;
-}
-
-bool parse_u64(const std::string& v, std::uint64_t& out) {
-  // strtoull alone would accept a sign (negating modulo 2^64) and saturate
-  // out-of-range values, so demand a leading digit and check ERANGE.
-  if (v.empty() || v[0] < '0' || v[0] > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size() || errno == ERANGE) return false;
-  out = parsed;
-  return true;
 }
 
 bool parse_size(const std::string& v, std::size_t& out) {

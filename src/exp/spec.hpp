@@ -140,6 +140,12 @@ enum class FieldStatus : std::uint8_t { kOk, kUnknownKey, kBadValue };
 /// kBadValue or kUnknownKey the spec is unchanged.
 FieldStatus set_field(ScenarioSpec& s, const std::string& key, const std::string& value);
 
+/// The strict decimal parser behind every integer spec key, for CLIs whose
+/// numeric flags are not spec keys: `v` must be plain decimal digits that
+/// fit 64 bits (no sign, whitespace or trailing junk). On false `out` is
+/// unchanged.
+bool parse_u64(const std::string& v, std::uint64_t& out);
+
 /// Parse the `key = value` format over `defaults`. Missing keys keep their
 /// default; unknown keys, malformed lines and out-of-domain values are
 /// reported with their line number.

@@ -263,7 +263,7 @@ void SimNetwork::register_metrics(obs::MetricsRegistry& registry) const {
   // Per-device load for every forwarding node; host leaves stay out so a
   // campus topology doesn't register hundreds of near-identical series.
   for (std::size_t i = 0; i < topo_.node_count(); ++i) {
-    const net::Node& node = topo_.node(net::NodeId{i});
+    const net::Node& node = topo_.node(net::NodeId{static_cast<std::uint32_t>(i)});
     if (node.kind == net::NodeKind::kHost) continue;
     obs::Labels dev{{"device", node.name}, {"subsystem", "net"}};
     registry.expose_counter("node_packets_seen", dev, &node_counters_[i].packets_seen);

@@ -6,8 +6,9 @@
 //
 // The contract is part of the CLI's documented interface (--help prints it;
 // CI scripts and the suite runner branch on it), so each path gets an
-// end-to-end process-level test. The binary path is injected by CMake via
-// SDMBOX_SCENARIO_CLI_PATH.
+// end-to-end process-level test. suite_cli shares the usage half of it. The
+// binary paths are injected by CMake via SDMBOX_SCENARIO_CLI_PATH and
+// SDMBOX_SUITE_CLI_PATH.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -21,13 +22,18 @@ namespace {
 
 std::string out_path(const std::string& name) { return ::testing::TempDir() + name; }
 
-// Run the CLI with `args`, stdout to `capture` (or /dev/null), and return the
-// process exit code (-1 when the child did not exit normally).
-int run_cli(const std::string& args, const std::string& capture = {}) {
-  std::string cmd = std::string(SDMBOX_SCENARIO_CLI_PATH) + " " + args;
+// Run `binary` with `args`, stdout to `capture` (or /dev/null), and return
+// the process exit code (-1 when the child did not exit normally).
+int run_binary(const std::string& binary, const std::string& args,
+               const std::string& capture = {}) {
+  std::string cmd = binary + " " + args;
   cmd += " > " + (capture.empty() ? std::string("/dev/null") : capture) + " 2> /dev/null";
   const int status = std::system(cmd.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+int run_cli(const std::string& args, const std::string& capture = {}) {
+  return run_binary(SDMBOX_SCENARIO_CLI_PATH, args, capture);
 }
 
 std::string slurp(const std::string& path) {
@@ -78,6 +84,27 @@ TEST(CliExitCodes, SpansExportRidesAVerifiedRun) {
   EXPECT_NE(text.find("\"episode:crash\""), std::string::npos);
   EXPECT_NE(text.find("\"detect\""), std::string::npos);
   EXPECT_NE(text.find("\"push\""), std::string::npos);
+}
+
+TEST(SuiteCliExitCodes, MalformedNumbersExitTwo) {
+  // Each would otherwise run a suite, so keep any output out of the cwd.
+  const std::string out = " --out " + out_path("suite_bad.json");
+  EXPECT_EQ(run_binary(SDMBOX_SUITE_CLI_PATH, "--jobs abc" + out), 2);
+  EXPECT_EQ(run_binary(SDMBOX_SUITE_CLI_PATH, "--seeds 1x" + out), 2);
+  EXPECT_EQ(run_binary(SDMBOX_SUITE_CLI_PATH, "--seed -1" + out), 2);
+  EXPECT_EQ(run_binary(SDMBOX_SUITE_CLI_PATH, "--jobs 4294967296" + out), 2);
+  EXPECT_EQ(run_binary(SDMBOX_SUITE_CLI_PATH, "--seeds 0" + out), 2);
+  EXPECT_EQ(run_binary(SDMBOX_SUITE_CLI_PATH, "--jobs"), 2);  // missing value
+}
+
+TEST(SuiteCliExitCodes, WellFormedNumbersRun) {
+  const std::string spec = out_path("suite_small.spec");
+  std::ofstream(spec) << "packets = 300\nfaults = none\n";
+  const std::string json = out_path("suite_small.json");
+  EXPECT_EQ(run_binary(SDMBOX_SUITE_CLI_PATH,
+                       "--jobs 1 --seeds 2 --seed 7 --spec " + spec + " --out " + json),
+            0);
+  EXPECT_NE(slurp(json).find("\"base_seed\": 7"), std::string::npos);
 }
 
 }  // namespace

@@ -36,7 +36,8 @@ void expect_engines_agree(const LpModel& m) {
   EXPECT_EQ(check_feasible(m, sparse.values), "");
 }
 
-// Same synthetic Eq.(2)-shaped instance as bench/micro_simplex.
+// Synthetic Eq.(2)-shaped instance: sources -> middlebox layer 1 -> middlebox
+// layer 2, with capacity rows and min λ.
 LpModel make_chain_lp(std::size_t sources, std::size_t layer1, std::size_t layer2,
                       std::uint64_t seed) {
   util::Rng rng(seed);
