@@ -3,12 +3,14 @@
 #
 # Usage: ci/scenario_arms.sh BUILD_DIR PACKETS [OUT_DIR]
 #
-# Runs four scenario_cli arms under the live enforcement-invariant oracle
+# Runs five scenario_cli arms under the live enforcement-invariant oracle
 # (--verify exits 3 on any violation):
 #   fault    the scripted chaos timeline (crash, link flap, lossy control link)
 #   offpath  the same timeline with off-path proxies behind edge-router loopbacks
 #   reopt    the same timeline with drift-triggered re-optimisation
 #   chaos    a seeded generated fault schedule
+#   waxman   the scripted timeline on the Waxman world at 200,000 packets
+#            (ignores PACKETS), so the oracle's tables grow and recycle at scale
 # Each arm runs twice with the same seed, in OUT_DIR/1 and OUT_DIR/2 (default
 # OUT_DIR: arms). Its metrics, trace and span exports must be valid JSON, and
 # they and its stdout must be byte-identical between the two runs.
@@ -44,6 +46,7 @@ run_arm fault
 run_arm offpath --off-path
 run_arm reopt --reopt-period 0.5 --reopt-threshold 0.05
 run_arm chaos --faults generated --chaos-seed 7
+run_arm waxman --topology waxman --packets 200000
 
 # The oracle's series and span attributions, and the drift loop's series,
 # made it into the exports.

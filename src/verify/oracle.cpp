@@ -10,8 +10,9 @@ namespace {
 
 /// Narratives keep the full story of short paths and elide the middle of
 /// pathological ones.
-constexpr std::size_t kHistoryCap = 96;
+constexpr std::uint32_t kHistoryCap = 96;
 constexpr std::size_t kSummaryViolations = 5;
+constexpr std::uint64_t kFlowSeed = 0x5eedULL;
 
 std::string fmt_time(double t) {
   char buf[32];
@@ -21,12 +22,33 @@ std::string fmt_time(double t) {
 
 /// Is `seq` a subsequence of `path`? Used below trace rate 1.0, where
 /// mid-chain switched records (rewritten 5-tuple) may be unsampled.
-bool subsequence_of(const std::vector<net::NodeId>& seq, const std::vector<net::NodeId>& path) {
+bool subsequence_of(std::span<const net::NodeId> seq, const std::vector<net::NodeId>& path) {
   std::size_t i = 0;
   for (const net::NodeId n : path) {
     if (i < seq.size() && seq[i] == n) ++i;
   }
   return i == seq.size();
+}
+
+bool has_path(const std::vector<std::vector<net::NodeId>>& paths,
+              std::span<const net::NodeId> boxes) {
+  return std::any_of(paths.begin(), paths.end(), [&](const std::vector<net::NodeId>& p) {
+    return std::ranges::equal(p, boxes);
+  });
+}
+
+/// A packet's index key hashes everything but the destination, so a
+/// mid-chain switched record (destination rewritten) probes the same chain
+/// as the packet it belongs to.
+std::uint64_t packet_hash(packet::FlowId flow, std::uint64_t seq) noexcept {
+  flow.dst = net::IpAddress{};
+  return util::mix64(flow.hash(0xa11a5ULL) ^ (seq * 0x9e3779b97f4a7c15ULL));
+}
+
+/// Flows that agree on everything but the destination share an alias.
+bool same_alias(const packet::FlowId& a, const packet::FlowId& b) noexcept {
+  return a.src == b.src && a.src_port == b.src_port && a.dst_port == b.dst_port &&
+         a.protocol == b.protocol;
 }
 
 }  // namespace
@@ -68,11 +90,6 @@ std::string VerifyReport::summary() const {
   return out;
 }
 
-std::size_t InvariantOracle::PacketKeyHash::operator()(const PacketKey& k) const noexcept {
-  return static_cast<std::size_t>(
-      util::mix64(k.flow.hash(0xa11a5ULL) ^ (k.seq * 0x9e3779b97f4a7c15ULL)));
-}
-
 InvariantOracle::InvariantOracle(const net::GeneratedNetwork& network,
                                  const core::Deployment& deployment,
                                  const policy::PolicyList& policies,
@@ -89,7 +106,11 @@ InvariantOracle::InvariantOracle(const net::GeneratedNetwork& network,
     if (p.valid() && p.v < proxy_nodes_.size()) proxy_nodes_[p.v] = true;
   }
   for (const core::MiddleboxInfo& m : deployment.middleboxes()) {
-    box_functions_.emplace(m.node.v, m.functions);
+    if (m.node.v >= box_functions_.size()) box_functions_.resize(m.node.v + 1);
+    box_functions_[m.node.v] = m.functions;
+  }
+  for (const policy::Policy& p : policies.all()) {
+    chain_cap_ = std::max(chain_cap_, static_cast<std::uint32_t>(p.actions.size()));
   }
 }
 
@@ -104,9 +125,8 @@ bool InvariantOracle::at_destination(net::NodeId n, const packet::FlowId& flow) 
   return terminal.has_value() && *terminal == n;
 }
 
-const policy::FunctionSet* InvariantOracle::box_functions(net::NodeId n) const {
-  const auto it = box_functions_.find(n.v);
-  return it == box_functions_.end() ? nullptr : &it->second;
+bool InvariantOracle::implements(net::NodeId n, policy::FunctionId fn) const noexcept {
+  return n.v < box_functions_.size() && box_functions_[n.v].contains(fn);
 }
 
 std::string InvariantOracle::function_name(policy::FunctionId fn) const {
@@ -132,18 +152,32 @@ std::string InvariantOracle::describe_chain(const policy::Policy& pol) const {
 
 std::string InvariantOracle::hop_story(const PacketState& ps) const {
   std::string out;
-  for (std::size_t i = 0; i < ps.history.size(); ++i) {
-    const obs::TraceRecord& r = ps.history[i];
-    if (i) out += " -> ";
-    out += "t=" + fmt_time(r.at) + ' ' + obs::to_string(r.hop) + '@' + node_name(r.node);
-    if (r.detail != 0) out += "(detail=" + std::to_string(r.detail) + ')';
+  for (std::uint32_t e = ps.history_head; e != kNil; e = history_[e].next) {
+    const HistoryEntry& h = history_[e];
+    if (e != ps.history_head) out += " -> ";
+    out += "t=" + fmt_time(h.at) + ' ' + obs::to_string(h.hop) + '@' + node_name(h.node);
+    if (h.detail != 0) out += "(detail=" + std::to_string(h.detail) + ')';
   }
-  if (ps.history.size() == kHistoryCap) out += " -> ... (history capped)";
+  if (ps.history_count == kHistoryCap) out += " -> ... (history capped)";
   return out;
 }
 
-InvariantOracle::FlowState& InvariantOracle::flow_state(const packet::FlowId& flow) {
-  return flows_[flow];
+std::uint32_t InvariantOracle::find_flow(const packet::FlowId& flow,
+                                         std::uint64_t hash) const noexcept {
+  return flow_index_.find(hash, [&](std::uint32_t s) { return flows_[s].flow == flow; });
+}
+
+InvariantOracle::FlowState& InvariantOracle::flow_state(PacketState& ps) {
+  if (ps.flow_slot == kNil) {
+    const std::uint64_t hash = ps.flow.hash(kFlowSeed);
+    ps.flow_slot = find_flow(ps.flow, hash);
+    if (ps.flow_slot == kNil) {
+      ps.flow_slot = flows_.push();
+      flows_[ps.flow_slot].flow = ps.flow;
+      flow_index_.insert(hash, ps.flow_slot);
+    }
+  }
+  return flows_[ps.flow_slot];
 }
 
 const policy::Policy* InvariantOracle::committed_policy(const FlowState& fs) const {
@@ -152,16 +186,90 @@ const policy::Policy* InvariantOracle::committed_policy(const FlowState& fs) con
 }
 
 InvariantOracle::PacketState* InvariantOracle::find_packet(const obs::TraceRecord& r) {
-  const PacketKey exact{r.flow, r.seq};
-  if (const auto it = packets_.find(exact); it != packets_.end()) return &it->second;
-  // Mid-chain switched records carry a rewritten destination: resolve via the
-  // destination-agnostic alias registered at kLabelSwitchTx.
-  PacketKey alias = exact;
-  alias.flow.dst = net::IpAddress{};
-  if (const auto ait = aliases_.find(alias); ait != aliases_.end()) {
-    if (const auto it = packets_.find(ait->second); it != packets_.end()) return &it->second;
+  // One probe walk serves both lookups: the exact (flow, seq) wins; failing
+  // that, the packet holding the record's alias, since mid-chain switched
+  // records carry a rewritten destination.
+  std::uint32_t alias = kNil;
+  const std::uint32_t exact =
+      packet_index_.find(packet_hash(r.flow, r.seq), [&](std::uint32_t s) {
+        const PacketState& ps = packets_[s];
+        if (ps.seq != r.seq || !same_alias(ps.flow, r.flow)) return false;
+        if (ps.flow.dst == r.flow.dst) return true;
+        if (ps.has_alias) alias = s;
+        return false;
+      });
+  const std::uint32_t slot = exact != kNil ? exact : alias;
+  return slot == kNil ? nullptr : &packets_[slot];
+}
+
+InvariantOracle::PacketState& InvariantOracle::open_packet(const obs::TraceRecord& r) {
+  const std::uint64_t hash = packet_hash(r.flow, r.seq);
+  std::uint32_t slot = packet_index_.find(hash, [&](std::uint32_t s) {
+    return packets_[s].seq == r.seq && packets_[s].flow == r.flow;
+  });
+  if (slot != kNil) {
+    // Same (flow, seq) injected twice: the old packet's fate is unknowable,
+    // and its alias and history go with it.
+    ++report_.packets_in_flight;
+    release(packets_[slot]);
+  } else {
+    if (packet_free_ != kNil) {
+      slot = packet_free_;
+      packet_free_ = packets_[slot].next_free;
+    } else {
+      slot = packets_.push();
+      applied_.resize(applied_.size() + chain_cap_);
+      boxes_.resize(boxes_.size() + chain_cap_);
+    }
+    packet_index_.insert(hash, slot);
   }
-  return nullptr;
+  PacketState& ps = packets_[slot];
+  ps = PacketState{.flow = r.flow, .seq = r.seq, .hash = hash, .slot = slot, .live = true};
+  return ps;
+}
+
+void InvariantOracle::release(PacketState& ps) {
+  if (ps.history_head != kNil) {
+    history_[ps.history_tail].next = history_free_;
+    history_free_ = ps.history_head;
+  }
+  if (ps.box_count > chain_cap_) long_boxes_.erase(ps.slot);
+}
+
+void InvariantOracle::push_history(PacketState& ps, const obs::TraceRecord& r) {
+  if (ps.history_count == kHistoryCap) return;
+  std::uint32_t e = history_free_;
+  if (e != kNil) {
+    history_free_ = history_[e].next;
+  } else {
+    e = history_.push();
+  }
+  history_[e] = HistoryEntry{r.at, r.detail, r.node, r.hop, kNil};
+  if (ps.history_tail == kNil) {
+    ps.history_head = e;
+  } else {
+    history_[ps.history_tail].next = e;
+  }
+  ps.history_tail = e;
+  ++ps.history_count;
+}
+
+std::span<const net::NodeId> InvariantOracle::boxes(const PacketState& ps) const {
+  if (ps.box_count > chain_cap_) return long_boxes_.at(ps.slot);
+  return {boxes_.data() + std::size_t{ps.slot} * chain_cap_, ps.box_count};
+}
+
+void InvariantOracle::push_box(PacketState& ps, net::NodeId box) {
+  const std::span<const net::NodeId> seen = boxes(ps);
+  if (!seen.empty() && seen.back() == box) return;
+  if (ps.box_count < chain_cap_) {
+    boxes_[std::size_t{ps.slot} * chain_cap_ + ps.box_count] = box;
+  } else {
+    std::vector<net::NodeId>& spill = long_boxes_[ps.slot];
+    if (spill.empty()) spill.assign(seen.begin(), seen.end());
+    spill.push_back(box);
+  }
+  ++ps.box_count;
 }
 
 void InvariantOracle::violation(ViolationKind kind, const PacketState& ps, double at,
@@ -169,11 +277,11 @@ void InvariantOracle::violation(ViolationKind kind, const PacketState& ps, doubl
   ++violation_counts_[static_cast<std::size_t>(kind)];
   Violation v;
   v.kind = kind;
-  v.flow = ps.key.flow;
-  v.seq = ps.key.seq;
+  v.flow = ps.flow;
+  v.seq = ps.seq;
   v.at = at;
-  v.narrative = std::string("[") + to_string(kind) + "] flow " + ps.key.flow.to_string() +
-                " seq " + std::to_string(ps.key.seq) + ": " + cause + "; hops: " + hop_story(ps);
+  v.narrative = std::string("[") + to_string(kind) + "] flow " + ps.flow.to_string() + " seq " +
+                std::to_string(ps.seq) + ": " + cause + "; hops: " + hop_story(ps);
   report_.violations.push_back(std::move(v));
 }
 
@@ -182,9 +290,9 @@ void InvariantOracle::handle_teardown(const obs::TraceRecord& r) {
   // Only proxy-side teardown records carry true 5-tuples (the middlebox-side
   // ones are synthesized from the label key, which lost the full tuple).
   if (!is_proxy(r.node)) return;
-  const auto it = flows_.find(r.flow);
-  if (it == flows_.end()) return;
-  FlowState& fs = it->second;
+  const std::uint32_t slot = find_flow(r.flow, r.flow.hash(kFlowSeed));
+  if (slot == kNil) return;
+  FlowState& fs = flows_[slot];
   ++fs.epoch;
   fs.torn_at = r.at;
   if (fs.established.size() <= fs.epoch) fs.established.resize(fs.epoch + 1);
@@ -210,12 +318,14 @@ void InvariantOracle::handle_classified(const obs::TraceRecord& r, FlowState& fs
 
 void InvariantOracle::handle_function(const obs::TraceRecord& r, PacketState& ps) {
   const policy::FunctionId fn{static_cast<std::uint8_t>(r.detail)};
-  if (ps.boxes.empty() || ps.boxes.back() != r.node) ps.boxes.push_back(r.node);
-  ps.applied.push_back(fn);
+  push_box(ps, r.node);
+  if (ps.applied_count < chain_cap_) {
+    applied_[std::size_t{ps.slot} * chain_cap_ + ps.applied_count] = fn;
+  }
+  ++ps.applied_count;
 
   // Invariant 1a: functions are applied by deployed implementers only.
-  const policy::FunctionSet* fns = box_functions(r.node);
-  if (fns == nullptr || !fns->contains(fn)) {
+  if (!implements(r.node, fn)) {
     if (!ps.violated) {
       violation(ViolationKind::kUnexpectedFunction, ps, r.at,
                 "function " + function_name(fn) + " applied at " + node_name(r.node) +
@@ -228,8 +338,7 @@ void InvariantOracle::handle_function(const obs::TraceRecord& r, PacketState& ps
 
   // Invariant 1b: policy order. Checked against the datapath's committed
   // policy; the ground-truth cross-check happens at delivery.
-  FlowState& fs = flow_state(ps.key.flow);
-  const policy::Policy* pol = committed_policy(fs);
+  const policy::Policy* pol = committed_policy(flow_state(ps));
   if (pol == nullptr || ps.violated) return;
   if (ps.visited < pol->actions.size() && pol->actions[ps.visited] == fn) {
     ++ps.visited;
@@ -250,12 +359,12 @@ void InvariantOracle::handle_function(const obs::TraceRecord& r, PacketState& ps
   ++report_.packets_violating;
 }
 
-void InvariantOracle::handle_chain_tail(const obs::TraceRecord& r, PacketState& ps) {
+void InvariantOracle::handle_chain_tail(PacketState& ps) {
   ps.chain_tail = true;
   if (ps.mode != Mode::kTunneled || ps.violated || ps.unverified) return;
-  FlowState& fs = flow_state(ps.key.flow);
+  FlowState& fs = flow_state(ps);
   const policy::Policy* pol = committed_policy(fs);
-  if (pol == nullptr || ps.applied.size() != pol->actions.size() ||
+  if (pol == nullptr || ps.applied_count != pol->actions.size() ||
       ps.visited != pol->actions.size()) {
     return;
   }
@@ -264,10 +373,8 @@ void InvariantOracle::handle_chain_tail(const obs::TraceRecord& r, PacketState& 
   // epoch are legal — failover mid-establishment installs more than one.
   if (fs.established.size() <= fs.epoch) fs.established.resize(fs.epoch + 1);
   auto& paths = fs.established[fs.epoch];
-  if (std::find(paths.begin(), paths.end(), ps.boxes) == paths.end()) {
-    paths.push_back(ps.boxes);
-  }
-  (void)r;
+  const std::span<const net::NodeId> seen = boxes(ps);
+  if (!has_path(paths, seen)) paths.emplace_back(seen.begin(), seen.end());
 }
 
 void InvariantOracle::note_delivered_ok() {
@@ -291,7 +398,7 @@ void InvariantOracle::note_delivered_ok() {
 }
 
 void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& ps) {
-  FlowState& fs = flow_state(ps.key.flow);
+  FlowState& fs = flow_state(ps);
   if (!fs.touched_proxy) {
     // Control/cross traffic that never crossed a policy proxy (controller
     // pushes, heartbeats, management flows): out of the oracle's scope.
@@ -301,7 +408,7 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
   // Policy traffic consumed somewhere other than its destination is an
   // anomaly sink (misdirected packets are swallowed, not forwarded):
   // accounted, and never a completed delivery.
-  if (!at_destination(r.node, ps.key.flow)) {
+  if (!at_destination(r.node, ps.flow)) {
     ps.anomaly = true;
     ++report_.packets_anomaly_sunk;
     return;
@@ -313,7 +420,7 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
 
   // Invariant 2 uses the oracle's own ground truth — the full policy list,
   // not any device's possibly-stale slice.
-  const policy::Policy* gt = policies_->first_match(ps.key.flow);
+  const policy::Policy* gt = policies_->first_match(ps.flow);
   const policy::Policy* pol = committed_policy(fs);
   if (pol != nullptr && gt != nullptr && pol->id != gt->id) ++report_.policy_conflicts;
 
@@ -327,35 +434,38 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
     }
     return;
   }
-  const policy::ActionList& required = gt != nullptr ? gt->actions : policy::ActionList{};
-  if (required.empty()) {
+  if (gt == nullptr || gt->actions.empty()) {
     note_delivered_ok();
     return;
   }
   if (ps.violated) return;  // already reported upstream; don't cascade
 
-  const std::string chain = describe_chain(*gt);
+  const policy::ActionList& required = gt->actions;
+  const auto requires_chain = [&] {
+    return "policy " + std::to_string(gt->id.v) + " requires chain " + describe_chain(*gt);
+  };
   switch (ps.mode) {
     case Mode::kOpen:
     case Mode::kPlain:
     case Mode::kDenied: {
       violation(ViolationKind::kDeliveredWithoutChain, ps, r.at,
-                "policy " + std::to_string(gt->id.v) + " requires chain " + chain +
-                    ", but the packet reached " + node_name(r.node) +
+                requires_chain() + ", but the packet reached " + node_name(r.node) +
                     " with no enforcement at all");
       ps.violated = true;
       ++report_.packets_violating;
       return;
     }
     case Mode::kTunneled: {
-      if (ps.applied == required) {
+      // required fits in chain_cap_, so equal counts mean fully stored lists.
+      const policy::FunctionId* applied = applied_.data() + std::size_t{ps.slot} * chain_cap_;
+      if (ps.applied_count == required.size() &&
+          std::equal(required.begin(), required.end(), applied)) {
         note_delivered_ok();
         return;
       }
-      if (ps.applied.empty()) {
+      if (ps.applied_count == 0) {
         violation(ViolationKind::kDeliveredWithoutChain, ps, r.at,
-                  "policy " + std::to_string(gt->id.v) + " requires chain " + chain +
-                      ", but the tunneled packet reached " + node_name(r.node) +
+                  requires_chain() + ", but the tunneled packet reached " + node_name(r.node) +
                       " with no function applied");
       } else {
         std::string missing;
@@ -364,8 +474,7 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
           missing += function_name(required[i]);
         }
         violation(ViolationKind::kSkippedFunction, ps, r.at,
-                  "policy " + std::to_string(gt->id.v) + " requires chain " + chain +
-                      ", but the packet was delivered with [" +
+                  requires_chain() + ", but the packet was delivered with [" +
                       (missing.empty() ? "chain content mismatch" : missing) + "] unvisited");
       }
       ps.violated = true;
@@ -375,8 +484,7 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
     case Mode::kSwitched: {
       if (!ps.chain_tail) {
         violation(ViolationKind::kDeliveredWithoutChain, ps, r.at,
-                  "policy " + std::to_string(gt->id.v) + " requires chain " + chain +
-                      ", but the switched packet reached " + node_name(r.node) +
+                  requires_chain() + ", but the switched packet reached " + node_name(r.node) +
                       " without traversing a chain tail");
         ps.violated = true;
         ++report_.packets_violating;
@@ -400,20 +508,20 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
         ++report_.packets_violating;
         return;
       }
+      const std::span<const net::NodeId> seen = boxes(ps);
       const bool matched =
           complete_stream_
-              ? std::find(paths->begin(), paths->end(), ps.boxes) != paths->end()
+              ? has_path(*paths, seen)
               : std::any_of(paths->begin(), paths->end(),
                             [&](const std::vector<net::NodeId>& p) {
-                              return !p.empty() && !ps.boxes.empty() &&
-                                     p.back() == ps.boxes.back() &&
-                                     subsequence_of(ps.boxes, p);
+                              return !p.empty() && !seen.empty() && p.back() == seen.back() &&
+                                     subsequence_of(seen, p);
                             });
       if (!matched) {
         std::string observed;
-        for (std::size_t i = 0; i < ps.boxes.size(); ++i) {
+        for (std::size_t i = 0; i < seen.size(); ++i) {
           if (i) observed += "->";
-          observed += node_name(ps.boxes[i]);
+          observed += node_name(seen[i]);
         }
         std::string expect;
         for (std::size_t i = 0; i < paths->size(); ++i) {
@@ -437,12 +545,11 @@ void InvariantOracle::handle_delivered(const obs::TraceRecord& r, PacketState& p
 }
 
 void InvariantOracle::finalize(PacketState& ps) {
-  if (ps.has_alias) {
-    PacketKey alias = ps.key;
-    alias.flow.dst = net::IpAddress{};
-    aliases_.erase(alias);
-  }
-  packets_.erase(ps.key);  // ps dangles after this line
+  release(ps);
+  packet_index_.erase(ps.hash, ps.slot);
+  ps.live = false;
+  ps.next_free = packet_free_;
+  packet_free_ = ps.slot;
 }
 
 void InvariantOracle::on_record(const obs::TraceRecord& r) {
@@ -455,17 +562,9 @@ void InvariantOracle::on_record(const obs::TraceRecord& r) {
     return;
   }
   if (r.hop == Hop::kInjected) {
-    const PacketKey key{r.flow, r.seq};
-    auto [it, inserted] = packets_.try_emplace(key);
-    if (!inserted) {
-      // Same (flow, seq) injected twice: the old packet's fate is unknowable.
-      ++report_.packets_in_flight;
-      it->second = PacketState{};
-    }
+    PacketState& ps = open_packet(r);
     ++report_.packets_tracked;
-    PacketState& ps = it->second;
-    ps.key = key;
-    ps.history.push_back(r);
+    push_history(ps, r);
     return;
   }
 
@@ -475,19 +574,19 @@ void InvariantOracle::on_record(const obs::TraceRecord& r) {
     return;
   }
   PacketState& ps = *psp;
-  if (ps.history.size() < kHistoryCap) ps.history.push_back(r);
+  push_history(ps, r);
 
   bool terminal = false;
   switch (r.hop) {
     case Hop::kClassified:
-      handle_classified(r, flow_state(ps.key.flow));
+      handle_classified(r, flow_state(ps));
       break;
     case Hop::kCacheHit:
     case Hop::kCacheMiss:
-      if (is_proxy(r.node)) flow_state(ps.key.flow).touched_proxy = true;
+      if (is_proxy(r.node)) flow_state(ps).touched_proxy = true;
       break;
     case Hop::kDenied: {
-      FlowState& fs = flow_state(ps.key.flow);
+      FlowState& fs = flow_state(ps);
       fs.touched_proxy = true;
       if (!fs.policy_known) {
         fs.policy = policy::PolicyId{static_cast<std::uint32_t>(r.detail)};
@@ -499,12 +598,12 @@ void InvariantOracle::on_record(const obs::TraceRecord& r) {
       break;
     }
     case Hop::kPermitted:
-      flow_state(ps.key.flow).touched_proxy = true;
+      flow_state(ps).touched_proxy = true;
       if (ps.mode == Mode::kOpen) ps.mode = Mode::kPlain;
       break;
     case Hop::kTunnelEncap:
       if (is_proxy(r.node) && ps.mode == Mode::kOpen) {
-        FlowState& fs = flow_state(ps.key.flow);
+        FlowState& fs = flow_state(ps);
         fs.touched_proxy = true;
         if (!fs.policy_known && fs.has_candidate) {
           fs.policy = policy::PolicyId{static_cast<std::uint32_t>(fs.candidate)};
@@ -521,7 +620,7 @@ void InvariantOracle::on_record(const obs::TraceRecord& r) {
       break;
     case Hop::kLabelSwitchTx:
       if (is_proxy(r.node) && ps.mode == Mode::kOpen) {
-        FlowState& fs = flow_state(ps.key.flow);
+        FlowState& fs = flow_state(ps);
         fs.touched_proxy = true;
         if (!fs.policy_known && fs.has_candidate) {
           fs.policy = policy::PolicyId{static_cast<std::uint32_t>(fs.candidate)};
@@ -530,17 +629,16 @@ void InvariantOracle::on_record(const obs::TraceRecord& r) {
         ps.mode = Mode::kSwitched;
         ps.label = static_cast<std::uint16_t>(r.detail);
         ps.path_epoch = fs.epoch;
-        // Register the destination-agnostic alias for mid-chain records.
-        PacketKey alias = ps.key;
-        alias.flow.dst = net::IpAddress{};
-        const auto [it, inserted] = aliases_.try_emplace(alias, ps.key);
-        if (!inserted && !(it->second == ps.key)) {
+        // Claim the destination-agnostic alias for mid-chain records.
+        const std::uint32_t holder = packet_index_.find(ps.hash, [&](std::uint32_t s) {
+          const PacketState& other = packets_[s];
+          return other.has_alias && other.seq == ps.seq && same_alias(other.flow, ps.flow);
+        });
+        if (holder != kNil) {
           // Two in-flight switched packets share everything but the
           // destination: neither can be attributed mid-chain. Flag both —
           // counted, never silently excused.
-          if (const auto oit = packets_.find(it->second); oit != packets_.end()) {
-            oit->second.unverified = true;
-          }
+          packets_[holder].unverified = true;
           ps.unverified = true;
         } else {
           ps.has_alias = true;
@@ -548,10 +646,10 @@ void InvariantOracle::on_record(const obs::TraceRecord& r) {
       }
       break;
     case Hop::kLabelSwitchRx:
-      if (ps.boxes.empty() || ps.boxes.back() != r.node) ps.boxes.push_back(r.node);
+      push_box(ps, r.node);
       break;
     case Hop::kChainTail:
-      handle_chain_tail(r, ps);
+      handle_chain_tail(ps);
       break;
     case Hop::kWpCacheResponse:
       // §III.F legal truncation: the chain's web proxy answered from cache.
@@ -609,7 +707,9 @@ const VerifyReport& InvariantOracle::finish() {
   // Open packets are unfinished business, not violations: their terminal
   // record never arrived (in flight at end of run, or silently consumed
   // after an anomaly). Counted so nothing is silently excused.
-  for (const auto& [key, ps] : packets_) {
+  for (std::uint32_t i = 0; i < packets_.size(); ++i) {
+    const PacketState& ps = packets_[i];
+    if (!ps.live) continue;
     if (ps.anomaly) {
       ++report_.packets_dropped;
     } else {

@@ -39,6 +39,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,6 +53,8 @@
 #include "obs/trace.hpp"
 #include "policy/function.hpp"
 #include "policy/policy.hpp"
+#include "tables/flat_index.hpp"
+#include "tables/slab.hpp"
 
 namespace sdmbox::verify {
 
@@ -153,15 +156,7 @@ public:
   void set_span_tracer(obs::SpanTracer* spans) noexcept { spans_ = spans; }
 
 private:
-  // ---- per-packet state ----
-  struct PacketKey {
-    packet::FlowId flow;
-    std::uint64_t seq = 0;
-    friend bool operator==(const PacketKey&, const PacketKey&) noexcept = default;
-  };
-  struct PacketKeyHash {
-    std::size_t operator()(const PacketKey& k) const noexcept;
-  };
+  static constexpr std::uint32_t kNil = tables::FlatIndex::kNil;
 
   enum class Mode : std::uint8_t {
     kOpen,      // injected, not yet classified into a path
@@ -171,24 +166,51 @@ private:
     kSwitched,  // label-switched chain traversal
   };
 
+  // ---- per-packet state ----
+  // Slab slots recycled through a LIFO free list, found through one
+  // FlatIndex keyed by the destination-agnostic hash of (flow, seq): the
+  // exact lookup and the mid-chain alias fallback walk the same probe chain.
   struct PacketState {
-    PacketKey key;
+    packet::FlowId flow;  // original 5-tuple
+    std::uint64_t seq = 0;
+    std::uint64_t hash = 0;           // packet_hash(flow, seq): the index key
+    std::uint32_t slot = 0;           // own slab index (per-slot storage base)
+    std::uint32_t flow_slot = kNil;   // cached FlowState slot; kNil until first use
+    std::uint32_t next_free = kNil;   // free-list link while dead
+    std::uint32_t visited = 0;        // chain functions confirmed in order
+    std::uint32_t path_epoch = 0;     // flow's teardown epoch at switch time
+    /// Exact list lengths. The first `chain_cap_` entries live in per-slot
+    /// storage; boxes past that spill to long_boxes_.
+    std::uint32_t applied_count = 0;  // functions applied, in order
+    std::uint32_t box_count = 0;      // distinct consecutive middlebox visits
+    std::uint32_t history_head = kNil;  // chain in the history pool; fuels narratives
+    std::uint32_t history_tail = kNil;
+    std::uint32_t history_count = 0;    // capped at kHistoryCap
+    std::uint16_t label = 0;
     Mode mode = Mode::kOpen;
+    bool live = false;
     bool chain_tail = false;
     bool violated = false;
     bool anomaly = false;
     bool unverified = false;  // alias collision: identity ambiguous
-    std::uint32_t visited = 0;        // chain functions confirmed in order
-    std::uint32_t path_epoch = 0;     // flow's teardown epoch at switch time
-    std::uint16_t label = 0;
+    /// Owns the destination-agnostic alias that mid-chain switched records
+    /// (rewritten destination) resolve through. At most one live packet per
+    /// alias holds it.
     bool has_alias = false;
-    std::vector<policy::FunctionId> applied;  // functions applied, in order
-    std::vector<net::NodeId> boxes;   // distinct consecutive middlebox visits
-    std::vector<obs::TraceRecord> history;  // capped; fuels narratives
+  };
+
+  /// One hop of a packet's story in the shared, free-listed history pool.
+  struct HistoryEntry {
+    double at = 0;
+    std::uint64_t detail = 0;
+    net::NodeId node;
+    obs::Hop hop = obs::Hop::kInjected;
+    std::uint32_t next = kNil;
   };
 
   // ---- per-flow state ----
   struct FlowState {
+    packet::FlowId flow;
     policy::PolicyId policy;      // committed matched policy
     bool policy_known = false;
     bool touched_proxy = false;   // flow crossed a policy proxy (in scope)
@@ -200,12 +222,18 @@ private:
     /// per epoch: failover during establishment can legally install several.
     std::vector<std::vector<std::vector<net::NodeId>>> established;
   };
-  struct FlowHash {
-    std::size_t operator()(const packet::FlowId& f) const noexcept { return f.hash(0x5eedULL); }
-  };
 
   PacketState* find_packet(const obs::TraceRecord& r);
-  FlowState& flow_state(const packet::FlowId& flow);
+  /// Slot for an injected packet, fresh or (re-injection) reset in place.
+  PacketState& open_packet(const obs::TraceRecord& r);
+  /// Return a packet's history entries and spilled boxes to their pools.
+  void release(PacketState& ps);
+  void push_history(PacketState& ps, const obs::TraceRecord& r);
+  void push_box(PacketState& ps, net::NodeId box);
+  std::span<const net::NodeId> boxes(const PacketState& ps) const;
+  std::uint32_t find_flow(const packet::FlowId& flow, std::uint64_t hash) const noexcept;
+  /// The packet's flow, created on first use and cached in the packet.
+  FlowState& flow_state(PacketState& ps);
   /// Count a clean delivery, attributing it to any open replan/unenforced
   /// episode span.
   void note_delivered_ok();
@@ -214,9 +242,9 @@ private:
   void handle_classified(const obs::TraceRecord& r, FlowState& fs);
   void handle_teardown(const obs::TraceRecord& r);
   void handle_function(const obs::TraceRecord& r, PacketState& ps);
-  void handle_chain_tail(const obs::TraceRecord& r, PacketState& ps);
+  void handle_chain_tail(PacketState& ps);
   void handle_delivered(const obs::TraceRecord& r, PacketState& ps);
-  void finalize(PacketState& ps);  // remove from open maps after terminal hop
+  void finalize(PacketState& ps);  // free the slot after the terminal hop
 
   void violation(ViolationKind kind, const PacketState& ps, double at,
                  const std::string& cause);
@@ -227,7 +255,7 @@ private:
 
   bool is_proxy(net::NodeId n) const noexcept;
   bool at_destination(net::NodeId n, const packet::FlowId& flow) const;
-  const policy::FunctionSet* box_functions(net::NodeId n) const;
+  bool implements(net::NodeId n, policy::FunctionId fn) const noexcept;
 
   const net::Topology* topo_;
   const core::Deployment* deployment_;
@@ -239,20 +267,27 @@ private:
   /// addresses without device nodes, so their delivery point is the
   /// destination subnet's terminal, not a node owning the exact address.
   net::AddressResolver resolver_;
-  std::vector<bool> proxy_nodes_;                       // indexed by NodeId.v
-  std::unordered_map<std::uint32_t, policy::FunctionSet> box_functions_;
+  std::vector<bool> proxy_nodes_;                    // indexed by NodeId.v
+  std::vector<policy::FunctionSet> box_functions_;   // indexed by NodeId.v; empty = no box
+  /// Per-slot capacity of the applied/boxes storage: the longest chain in
+  /// the policy list, so every required chain fits.
+  std::uint32_t chain_cap_ = 0;
 
   bool complete_stream_ = true;
   bool finished_ = false;
   obs::SpanTracer* spans_ = nullptr;
 
-  std::unordered_map<packet::FlowId, FlowState, FlowHash> flows_;
-  std::unordered_map<PacketKey, PacketState, PacketKeyHash> packets_;
-  /// Mid-chain switched records carry a rewritten destination; this alias —
-  /// keyed on everything BUT the destination — maps them back to the packet.
-  /// Registered at kLabelSwitchTx, dropped at finalize. A colliding alias
-  /// marks both packets unverified (counted, never silently excused).
-  std::unordered_map<PacketKey, PacketKey, PacketKeyHash> aliases_;
+  tables::StableSlab<FlowState> flows_;  // never shrinks: packets cache slots
+  tables::FlatIndex flow_index_;         // FlowId hash → flows_ slot
+  tables::StableSlab<PacketState> packets_;
+  tables::FlatIndex packet_index_;       // packet_hash → packets_ slot
+  std::uint32_t packet_free_ = kNil;
+  std::vector<policy::FunctionId> applied_;  // chain_cap_ entries per packet slot
+  std::vector<net::NodeId> boxes_;           // chain_cap_ entries per packet slot
+  /// Full box lists of the rare packets whose boxes outgrew chain_cap_.
+  std::unordered_map<std::uint32_t, std::vector<net::NodeId>> long_boxes_;
+  tables::StableSlab<HistoryEntry> history_;
+  std::uint32_t history_free_ = kNil;
 
   VerifyReport report_;
   std::array<std::uint64_t, kViolationKindCount> violation_counts_{};

@@ -3,8 +3,10 @@
 // per-link state to their high-water marks, an identical second wave
 // performs no heap allocation at all — with bare forwarding, with agents
 // behind the §III.D flow cache, and with §III.E label switching on top.
-// Flow-table hits, misses and evictions at capacity, and label-table hits,
-// allocate nothing either.
+// So does a label-switched wave traced in full into the live enforcement
+// oracle, once a tunneled and a label-switched wave have grown the oracle's
+// packet slab, index and history pool. Flow-table hits, misses and
+// evictions at capacity, and label-table hits, allocate nothing either.
 //
 // This binary replaces the global allocation functions with counting
 // wrappers around malloc/free, so it must stay its own test executable.
@@ -16,15 +18,19 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/agents.hpp"
+#include "obs/trace.hpp"
 #include "scenario.hpp"
 #include "sim/network.hpp"
 #include "tables/flow_table.hpp"
 #include "tables/label_table.hpp"
 #include "util/rng.hpp"
+#include "verify/oracle.hpp"
 
 namespace {
 
@@ -60,7 +66,15 @@ namespace {
 
 std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
 
-enum class Datapath { kBare, kFlowCache, kLabelSwitching };
+enum class Datapath { kBare, kFlowCache, kLabelSwitching, kVerifiedLabelSwitching };
+
+/// The oracle's verdict over every wave of a verified run.
+struct Verdict {
+  bool ok = false;
+  std::uint64_t tracked = 0;
+  std::uint64_t delivered_ok = 0;
+  std::string summary;
+};
 
 struct WaveResult {
   std::uint64_t allocations = 0;
@@ -68,11 +82,13 @@ struct WaveResult {
   std::uint64_t delivered = 0;
   std::uint64_t label_switched = 0;
   std::size_t packets = 0;
+  std::optional<Verdict> verify;  // verified datapath only
 };
 
-/// Sends every packet of the campus workload from its proxy twice, in two
-/// identical waves over an LB plan, and reports what the second wave cost.
-WaveResult second_wave(Datapath datapath) {
+/// Sends every packet of the campus workload from its proxy in identical
+/// waves over an LB plan, and reports what the last wave cost. One warm-up
+/// wave precedes it; the verified datapath gets a second, label-switched one.
+WaveResult measured_wave(Datapath datapath) {
   testing::ScenarioParams sp;
   sp.seed = 2019;
   sp.target_packets = 5000;
@@ -85,8 +101,18 @@ WaveResult second_wave(Datapath datapath) {
   core::InstalledAgents agents;
   if (datapath != Datapath::kBare) {
     core::AgentOptions options;
-    options.enable_label_switching = datapath == Datapath::kLabelSwitching;
+    options.enable_label_switching = datapath == Datapath::kLabelSwitching ||
+                                     datapath == Datapath::kVerifiedLabelSwitching;
     agents = core::install_agents(simnet, s.network, s.deployment, s.gen.policies, plan, options);
+  }
+  // Every packet traced, into a ring small enough to fill during the
+  // warm-up, so the measured wave only overwrites it.
+  obs::PathTracer tracer(1.0, 4096);
+  std::optional<verify::InvariantOracle> oracle;
+  if (datapath == Datapath::kVerifiedLabelSwitching) {
+    oracle.emplace(s.network, s.deployment, s.gen.policies, plan, &s.catalog);
+    tracer.set_observer(&*oracle);
+    simnet.set_tracer(&tracer);
   }
   const auto label_switched = [&] {
     std::uint64_t n = 0;
@@ -119,6 +145,9 @@ WaveResult second_wave(Datapath datapath) {
   };
 
   send();  // warm-up: grows every pool and table to its high-water mark
+  // The first wave is almost all tunneled; a label-switched one grows the
+  // oracle's state for switched packets.
+  if (oracle.has_value()) send();
   const std::uint64_t events_before = simnet.simulator().events_processed();
   const std::uint64_t delivered_before = simnet.counters().delivered;
   const std::uint64_t label_switched_before = label_switched();
@@ -130,6 +159,11 @@ WaveResult second_wave(Datapath datapath) {
   r.delivered = simnet.counters().delivered - delivered_before;
   r.label_switched = label_switched() - label_switched_before;
   r.packets = wave.size();
+  if (oracle.has_value()) {
+    const verify::VerifyReport& report = oracle->finish();
+    r.verify = Verdict{report.ok(), report.packets_tracked, report.packets_delivered_ok,
+                       report.summary()};
+  }
   return r;
 }
 
@@ -140,16 +174,26 @@ void expect_allocation_free(const WaveResult& r) {
   EXPECT_GT(r.events, 2 * r.packets);
 }
 
-TEST(AllocationFree, BareForwardingWave) { expect_allocation_free(second_wave(Datapath::kBare)); }
+TEST(AllocationFree, BareForwardingWave) { expect_allocation_free(measured_wave(Datapath::kBare)); }
 
 TEST(AllocationFree, FlowCacheAgentsWave) {
-  expect_allocation_free(second_wave(Datapath::kFlowCache));
+  expect_allocation_free(measured_wave(Datapath::kFlowCache));
 }
 
 TEST(AllocationFree, LabelSwitchingAgentsWave) {
-  const WaveResult r = second_wave(Datapath::kLabelSwitching);
+  const WaveResult r = measured_wave(Datapath::kLabelSwitching);
   expect_allocation_free(r);
   EXPECT_EQ(r.label_switched, r.packets);  // every flow's label was set up in the warm-up
+}
+
+TEST(AllocationFree, VerifiedLabelSwitchingWave) {
+  const WaveResult r = measured_wave(Datapath::kVerifiedLabelSwitching);
+  expect_allocation_free(r);
+  EXPECT_EQ(r.label_switched, r.packets);
+  ASSERT_TRUE(r.verify.has_value());
+  EXPECT_TRUE(r.verify->ok) << r.verify->summary;
+  EXPECT_EQ(r.verify->tracked, 3 * r.packets);
+  EXPECT_EQ(r.verify->delivered_ok, r.verify->tracked);
 }
 
 constexpr std::size_t kLive = 1 << 12;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -102,18 +103,40 @@ obs::TraceRecord rec(obs::Hop hop, const packet::FlowId& flow, double at, net::N
 // Feed a legitimate, complete tunneled traversal for (flow, seq): classify,
 // encap, every chain function in policy order at its implementer, chain
 // tail, delivery at the destination terminal.
-void feed_clean_tunneled(OracleRig& rig, std::uint64_t seq, double t0 = 1.0) {
+void feed_clean_tunneled(OracleRig& rig, const packet::FlowId& flow, std::uint64_t seq,
+                         double t0) {
   using obs::Hop;
   InvariantOracle& o = *rig.oracle;
-  o.on_record(rec(Hop::kInjected, rig.flow, t0, rig.proxy, 0, seq));
-  o.on_record(rec(Hop::kClassified, rig.flow, t0 + 0.01, rig.proxy, rig.pol->id.v, seq));
-  o.on_record(rec(Hop::kTunnelEncap, rig.flow, t0 + 0.02, rig.proxy, rig.boxes[0].v, seq));
+  o.on_record(rec(Hop::kInjected, flow, t0, rig.proxy, 0, seq));
+  o.on_record(rec(Hop::kClassified, flow, t0 + 0.01, rig.proxy, rig.pol->id.v, seq));
+  o.on_record(rec(Hop::kTunnelEncap, flow, t0 + 0.02, rig.proxy, rig.boxes[0].v, seq));
   double t = t0 + 0.03;
   for (std::size_t i = 0; i < rig.boxes.size(); ++i, t += 0.01) {
-    o.on_record(rec(Hop::kFunctionApplied, rig.flow, t, rig.boxes[i], rig.pol->actions[i].v, seq));
+    o.on_record(rec(Hop::kFunctionApplied, flow, t, rig.boxes[i], rig.pol->actions[i].v, seq));
   }
-  o.on_record(rec(Hop::kChainTail, rig.flow, t, rig.boxes.back(), 0, seq));
-  o.on_record(rec(Hop::kDelivered, rig.flow, t + 0.01, rig.dst_terminal, 0, seq));
+  o.on_record(rec(Hop::kChainTail, flow, t, rig.boxes.back(), 0, seq));
+  o.on_record(rec(Hop::kDelivered, flow, t + 0.01, rig.dst_terminal, 0, seq));
+}
+
+void feed_clean_tunneled(OracleRig& rig, std::uint64_t seq, double t0 = 1.0) {
+  feed_clean_tunneled(rig, rig.flow, seq, t0);
+}
+
+// Feed (flow, seq) riding the established box sequence over label `label`,
+// through the chain tail to delivery.
+void feed_clean_switched(OracleRig& rig, const packet::FlowId& flow, std::uint64_t seq,
+                         double t0, std::uint64_t label) {
+  using obs::Hop;
+  InvariantOracle& o = *rig.oracle;
+  o.on_record(rec(Hop::kInjected, flow, t0, rig.proxy, 0, seq));
+  o.on_record(rec(Hop::kLabelSwitchTx, flow, t0 + 0.01, rig.proxy, label, seq));
+  double t = t0 + 0.02;
+  for (const net::NodeId box : rig.boxes) {
+    o.on_record(rec(Hop::kLabelSwitchRx, flow, t, box, label, seq));
+    t += 0.01;
+  }
+  o.on_record(rec(Hop::kChainTail, flow, t, rig.boxes.back(), 0, seq));
+  o.on_record(rec(Hop::kDelivered, flow, t + 0.01, rig.dst_terminal, 0, seq));
 }
 
 std::uint64_t count_of(const verify::VerifyReport& r, ViolationKind k) {
@@ -147,11 +170,27 @@ TEST(Oracle, CatchesSkippedFunction) {
                     rig.boxes[i], rig.pol->actions[i].v));
   }
   o.on_record(rec(Hop::kDelivered, rig.flow, 1.2, rig.dst_terminal));
+
+  // A sibling flow, tunneled before any classification committed a policy
+  // (so no order check runs on the way), applies its ground-truth chain in
+  // reverse: the function count matches, the content does not.
+  packet::FlowId other = rig.flow;
+  other.dst = net::IpAddress(rig.flow.dst.value() + 1);
+  ASSERT_EQ(rig.s.gen.policies.first_match(other), rig.pol);
+  o.on_record(rec(Hop::kInjected, other, 2.0, rig.proxy, 0, 2));
+  o.on_record(rec(Hop::kTunnelEncap, other, 2.01, rig.proxy, rig.boxes.back().v, 2));
+  for (std::size_t i = rig.boxes.size(); i-- > 0;) {
+    o.on_record(rec(Hop::kFunctionApplied, other, 2.02, rig.boxes[i], rig.pol->actions[i].v, 2));
+  }
+  o.on_record(rec(Hop::kDelivered, other, 2.1, rig.dst_terminal, 0, 2));
+
   const auto& r = o.finish();
-  ASSERT_EQ(r.violations.size(), 1u) << r.summary();
-  EXPECT_EQ(count_of(r, ViolationKind::kSkippedFunction), 1u);
+  ASSERT_EQ(r.violations.size(), 2u) << r.summary();
+  EXPECT_EQ(count_of(r, ViolationKind::kSkippedFunction), 2u);
   EXPECT_NE(r.violations[0].narrative.find("skipped_function"), std::string::npos);
   EXPECT_NE(r.violations[0].narrative.find("unvisited"), std::string::npos);
+  EXPECT_EQ(r.violations[1].seq, 2u);
+  EXPECT_NE(r.violations[1].narrative.find("unvisited"), std::string::npos);
 }
 
 TEST(Oracle, CatchesReorderedChain) {
@@ -244,28 +283,40 @@ TEST(Oracle, CatchesLabelPathDivergence) {
   }
   o.on_record(rec(Hop::kChainTail, rig.flow, 2.03, rig.boxes.front(), 0, 2));
   o.on_record(rec(Hop::kDelivered, rig.flow, 2.1, rig.dst_terminal, 0, 2));
+  // seq 3 bounces between the first two boxes, visiting more boxes than the
+  // longest policy chain has functions: the whole path is still compared
+  // and told.
+  ASSERT_NE(rig.boxes[0], rig.boxes[1]);
+  std::size_t longest = 0;
+  for (const policy::Policy& p : rig.s.gen.policies.all()) {
+    longest = std::max(longest, p.actions.size());
+  }
+  o.on_record(rec(Hop::kInjected, rig.flow, 3.0, rig.proxy, 0, 3));
+  o.on_record(rec(Hop::kLabelSwitchTx, rig.flow, 3.01, rig.proxy, 9, 3));
+  std::string bounced;
+  for (std::size_t i = 0; i <= longest; ++i) {
+    const net::NodeId box = rig.boxes[i % 2];
+    o.on_record(rec(Hop::kLabelSwitchRx, rig.flow, 3.02, box, 9, 3));
+    bounced += (i ? "->" : "") + rig.s.network.topo.node(box).name;
+  }
+  o.on_record(rec(Hop::kChainTail, rig.flow, 3.03, rig.boxes[longest % 2], 0, 3));
+  o.on_record(rec(Hop::kDelivered, rig.flow, 3.1, rig.dst_terminal, 0, 3));
   const auto& r = o.finish();
-  ASSERT_EQ(r.violations.size(), 1u) << r.summary();
+  ASSERT_EQ(r.violations.size(), 2u) << r.summary();
   EXPECT_EQ(r.violations[0].kind, ViolationKind::kLabelPathDivergence);
   EXPECT_NE(r.violations[0].narrative.find("established"), std::string::npos);
+  EXPECT_EQ(r.violations[1].kind, ViolationKind::kLabelPathDivergence);
+  EXPECT_NE(r.violations[1].narrative.find("path visited [" + bounced + "]"), std::string::npos)
+      << r.violations[1].narrative;
 }
 
 TEST(Oracle, AcceptsSwitchedPacketOnEstablishedPath) {
-  using obs::Hop;
   OracleRig rig = make_rig();
   ASSERT_NE(rig.pol, nullptr);
   InvariantOracle& o = *rig.oracle;
   feed_clean_tunneled(rig, 1);
   // seq 2 follows exactly the established box sequence over labels.
-  o.on_record(rec(Hop::kInjected, rig.flow, 2.0, rig.proxy, 0, 2));
-  o.on_record(rec(Hop::kLabelSwitchTx, rig.flow, 2.01, rig.proxy, 9, 2));
-  double t = 2.02;
-  for (const net::NodeId box : rig.boxes) {
-    o.on_record(rec(Hop::kLabelSwitchRx, rig.flow, t, box, 9, 2));
-    t += 0.01;
-  }
-  o.on_record(rec(Hop::kChainTail, rig.flow, t, rig.boxes.back(), 0, 2));
-  o.on_record(rec(Hop::kDelivered, rig.flow, t + 0.01, rig.dst_terminal, 0, 2));
+  feed_clean_switched(rig, rig.flow, 2, 2.0, 9);
   const auto& r = o.finish();
   EXPECT_TRUE(r.ok()) << r.summary();
   EXPECT_EQ(r.packets_delivered_ok, 2u);
@@ -316,6 +367,84 @@ TEST(Oracle, AliasCollisionMarksBothPacketsUnverified) {
   EXPECT_TRUE(r.violations.empty()) << r.summary();
   EXPECT_EQ(r.packets_unverified, 1u);  // the delivered one; the other is open
   EXPECT_EQ(r.packets_in_flight, 1u);
+}
+
+TEST(Oracle, DuplicateInjectionDropsTheOldAlias) {
+  using obs::Hop;
+  OracleRig rig = make_rig();
+  ASSERT_NE(rig.pol, nullptr);
+  InvariantOracle& o = *rig.oracle;
+  packet::FlowId other = rig.flow;
+  other.dst = net::IpAddress(rig.flow.dst.value() + 1);
+  ASSERT_EQ(rig.s.gen.policies.first_match(other), rig.pol);
+  ASSERT_EQ(net::AddressResolver::build(rig.s.network.topo).resolve(other.dst),
+            std::optional<net::NodeId>(rig.dst_terminal));
+  // (flow, 5) label-switches and so holds the alias shared with (other, 5)...
+  o.on_record(rec(Hop::kInjected, rig.flow, 1.0, rig.proxy, 0, 5));
+  o.on_record(rec(Hop::kClassified, rig.flow, 1.01, rig.proxy, rig.pol->id.v, 5));
+  o.on_record(rec(Hop::kLabelSwitchTx, rig.flow, 1.02, rig.proxy, 11, 5));
+  // ...until it is injected again: the re-injected copy holds no alias, and
+  // it is lost on the wire.
+  o.on_record(rec(Hop::kInjected, rig.flow, 1.1, rig.proxy, 0, 5));
+  o.on_record(rec(Hop::kDropLinkLoss, rig.flow, 1.2, rig.proxy, 0, 5));
+  // `other` establishes its chain path, then rides it switched with seq 5:
+  // its alias is free, so the packet is checked, not left unverified.
+  feed_clean_tunneled(rig, other, 1, 2.0);
+  feed_clean_switched(rig, other, 5, 3.0, 12);
+  const auto& r = o.finish();
+  EXPECT_TRUE(r.ok()) << r.summary();
+  EXPECT_EQ(r.packets_unverified, 0u);
+  EXPECT_EQ(r.packets_delivered_ok, 2u);
+  EXPECT_EQ(r.packets_dropped, 1u);
+  EXPECT_EQ(r.packets_in_flight, 1u);  // the first copy of (flow, 5), fate unknown
+}
+
+TEST(Oracle, NarrativeTellsOnlyThisPacketsHops) {
+  using obs::Hop;
+  OracleRig rig = make_rig();
+  ASSERT_NE(rig.pol, nullptr);
+  InvariantOracle& o = *rig.oracle;
+  const auto name = [&](net::NodeId n) { return rig.s.network.topo.node(n).name; };
+  const auto detail = [](std::uint64_t d) {
+    return d == 0 ? std::string() : "(detail=" + std::to_string(d) + ")";
+  };
+  // seq 1 completes cleanly, so its state (and hop history) is freed first.
+  feed_clean_tunneled(rig, 1);
+  // seq 2 is tunneled but delivered with no function applied.
+  o.on_record(rec(Hop::kInjected, rig.flow, 2.0, rig.proxy, 0, 2));
+  o.on_record(rec(Hop::kClassified, rig.flow, 2.01, rig.proxy, rig.pol->id.v, 2));
+  o.on_record(rec(Hop::kTunnelEncap, rig.flow, 2.02, rig.proxy, rig.boxes[0].v, 2));
+  o.on_record(rec(Hop::kDelivered, rig.flow, 2.1, rig.dst_terminal, 0, 2));
+  // seq 3 wanders through more reroutes than the history keeps, then is
+  // delivered with no enforcement at all.
+  o.on_record(rec(Hop::kInjected, rig.flow, 3.0, rig.proxy, 0, 3));
+  for (int i = 0; i < 120; ++i) {
+    o.on_record(rec(Hop::kFailoverReroute, rig.flow, 3.01, rig.boxes[0], 0, 3));
+  }
+  o.on_record(rec(Hop::kDelivered, rig.flow, 3.5, rig.dst_terminal, 0, 3));
+  const auto& r = o.finish();
+  ASSERT_EQ(r.violations.size(), 2u) << r.summary();
+
+  const std::string expected =
+      "hops: t=2 injected@" + name(rig.proxy) + " -> t=2.01 classified@" + name(rig.proxy) +
+      detail(rig.pol->id.v) + " -> t=2.02 tunnel_encap@" + name(rig.proxy) +
+      detail(rig.boxes[0].v) + " -> t=2.1 delivered@" + name(rig.dst_terminal);
+  const std::string& story = r.violations[0].narrative;
+  EXPECT_EQ(r.violations[0].seq, 2u);
+  ASSERT_GE(story.size(), expected.size());
+  EXPECT_EQ(story.substr(story.size() - expected.size()), expected);
+
+  const std::string& capped = r.violations[1].narrative;
+  EXPECT_EQ(r.violations[1].seq, 3u);
+  const std::string suffix = " -> ... (history capped)";
+  ASSERT_GE(capped.size(), suffix.size());
+  EXPECT_EQ(capped.substr(capped.size() - suffix.size()), suffix);
+  const std::string hops = capped.substr(capped.find("hops: "));
+  std::size_t kept = 0;
+  for (std::size_t at = hops.find("t="); at != std::string::npos; at = hops.find("t=", at + 1)) {
+    ++kept;
+  }
+  EXPECT_EQ(kept, 96u);
 }
 
 TEST(Oracle, ReplayOverWrappedRingReportsIncompleteCoverage) {
