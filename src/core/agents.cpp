@@ -1,5 +1,7 @@
 #include "core/agents.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -26,7 +28,7 @@ void PeerHealth::on_use(sim::SimNetwork& net, net::NodeId self, net::IpAddress s
                         net::NodeId peer, net::IpAddress peer_addr) {
   if (!params_.enabled) return;
   const sim::SimTime now = net.simulator().now();
-  Peer& p = peers_[peer.v];
+  Peer& p = peer_state(peer);
   if (p.probe_outstanding || now - p.last_probe_at < params_.min_probe_gap ||
       now < p.blacklisted_until) {
     return;
@@ -46,7 +48,7 @@ void PeerHealth::on_use(sim::SimNetwork& net, net::NodeId self, net::IpAddress s
   net.forward(self, std::move(probe));
 
   net.simulator().schedule_in(params_.probe_timeout, [this, &net, peer, peer_addr, seq] {
-    Peer& q = peers_[peer.v];
+    Peer& q = peer_state(peer);
     if (q.acked >= seq) return;  // answered in time
     q.probe_outstanding = false;
     ++q.misses;
@@ -61,7 +63,7 @@ void PeerHealth::on_use(sim::SimNetwork& net, net::NodeId self, net::IpAddress s
 
 void PeerHealth::on_reply(net::NodeId peer, sim::SimTime now) {
   if (!params_.enabled) return;
-  Peer& p = peers_[peer.v];
+  Peer& p = peer_state(peer);
   ++counters_.replies;
   p.acked = p.seq;
   p.probe_outstanding = false;
@@ -72,8 +74,17 @@ void PeerHealth::on_reply(net::NodeId peer, sim::SimTime now) {
 
 bool PeerHealth::blacklisted(net::NodeId peer, sim::SimTime now) const {
   if (!params_.enabled) return false;
-  const auto it = peers_.find(peer.v);
-  return it != peers_.end() && now < it->second.blacklisted_until;
+  for (const auto& [id, p] : peers_) {
+    if (id == peer.v) return now < p.blacklisted_until;
+  }
+  return false;
+}
+
+PeerHealth::Peer& PeerHealth::peer_state(net::NodeId peer) {
+  for (auto& [id, p] : peers_) {
+    if (id == peer.v) return p;
+  }
+  return peers_.emplace_back(peer.v, Peer{}).second;
 }
 
 void PeerHealth::register_metrics(obs::MetricsRegistry& registry,
@@ -130,10 +141,15 @@ bool DeviceAgent::apply_config(DeviceConfig config) {
 }
 
 int DeviceAgent::subnet_of(net::IpAddress a) const noexcept {
-  for (std::size_t i = 0; i < network_.subnets.size(); ++i) {
-    if (network_.subnets[i].contains(a)) return static_cast<int>(i);
-  }
-  return -1;
+  // The subnets ascend and are disjoint (checked by install_devices), so the
+  // only one that can contain `a` is the last whose base is <= a.
+  const std::vector<net::Prefix>& subnets = network_.subnets;
+  const auto it = std::upper_bound(subnets.begin(), subnets.end(), a,
+                                   [](net::IpAddress v, const net::Prefix& p) {
+                                     return v < p.first();
+                                   });
+  if (it == subnets.begin() || !std::prev(it)->contains(a)) return -1;
+  return static_cast<int>(std::prev(it) - subnets.begin());
 }
 
 DeviceAgent::Classified DeviceAgent::classify(sim::SimNetwork& net, const packet::FlowId& flow,
@@ -650,6 +666,10 @@ InstalledAgents install_devices(sim::SimNetwork& net, const net::GeneratedNetwor
       net.attach(node, std::move(agent));
     }
   };
+  for (std::size_t s = 1; s < network.subnets.size(); ++s) {
+    SDM_CHECK_MSG(network.subnets[s - 1].last() < network.subnets[s].first(),
+                  "stub subnets must ascend and be disjoint");
+  }
   InstalledAgents out;
   for (std::size_t s = 0; s < network.proxies.size(); ++s) {
     auto agent = std::make_unique<ProxyAgent>(network, s, policies, plan, options);

@@ -124,9 +124,14 @@ private:
     sim::SimTime blacklisted_until = -1e18;
   };
 
+  /// The state of `peer`, created on first use.
+  Peer& peer_state(net::NodeId peer);
+
   PeerHealthParams params_;
   BlacklistHook hook_;
-  std::unordered_map<std::uint32_t, Peer> peers_;
+  // (NodeId.v, state), in first-use order. An agent probes only the few
+  // candidates it tunnels to, so a linear scan beats hashing.
+  std::vector<std::pair<std::uint32_t, Peer>> peers_;
   PeerHealthCounters counters_;
 };
 

@@ -13,9 +13,7 @@
 // advertises stub prefixes.
 #pragma once
 
-#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/shortest_path.hpp"
@@ -89,14 +87,19 @@ public:
   std::optional<NodeId> owning_edge_router(IpAddress a) const;
 
 private:
-  std::unordered_map<std::uint32_t, NodeId> exact_;
-  // Subnets keyed by (prefix length desc, base) for longest-prefix scan.
-  struct SubnetEntry {
-    Prefix prefix;
-    NodeId terminal;
-    NodeId edge_router;
+  // Both answers are fixed between consecutive cut points (every device
+  // address a and a+1, every subnet's first and last+1), so build() computes
+  // them once per interval and a lookup is one binary search.
+  struct Interval {
+    std::uint32_t first;  // lowest address of the interval
+    NodeId terminal;      // resolve(); invalid when nothing matches
+    NodeId edge_router;   // owning_edge_router(); invalid outside every subnet
   };
-  std::vector<SubnetEntry> subnets_;  // sorted by descending prefix length
+  const Interval& interval_of(IpAddress a) const;
+
+  // Sorted by `first`, equal neighbours merged, the first starting at
+  // 0.0.0.0; empty in a default-constructed resolver, which matches nothing.
+  std::vector<Interval> intervals_;
 };
 
 }  // namespace sdmbox::net

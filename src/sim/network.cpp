@@ -183,6 +183,7 @@ void SimNetwork::transmit_on(net::LinkId link, net::NodeId from, net::NodeId to,
   if (frags == 0) {  // unfragmentable (pathological MTU): drop
     ++node_counters_[from.v].packets_dropped;
     ++counters_.dropped_no_route;
+    trace(tracer_, obs::Hop::kDropNoRoute, pkt, sim_.now(), from, to.v);
     return;
   }
 

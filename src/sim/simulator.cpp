@@ -44,76 +44,83 @@ std::uint32_t Simulator::acquire_packet_slot() {
 }
 
 void Simulator::calendar_push(HeapItem item, std::uint32_t lane) {
-  // Monotone streams (bulk injection sweeps, per-link FIFO arrivals) ride
-  // their lane; anything out of order goes to the overflow heap. Appending
-  // at an equal time is still lane-eligible: seq is monotone, so FIFO order
-  // IS (at, seq) order.
-  if (lane >= lanes_.size()) lanes_.resize(lane + 1);
+  // Monotone streams (per-link FIFO arrivals) ride their lane; anything out
+  // of order goes to the overflow heap. Appending at an equal time is still
+  // lane-eligible: seq is monotone, so FIFO order IS (at, seq) order.
+  if (lane >= lanes_.size()) {
+    SDM_CHECK_MSG(lane <= kSlotMask, "calendar lane id out of range");
+    lanes_.resize(lane + 1);
+  }
   Lane& l = lanes_[lane];
   if (l.head == l.items.size()) {
     l.items.clear();
     l.head = 0;
     l.items.push_back(item);
     ++lane_pending_;
-    laneheap_push(lane);  // the lane just became non-empty
+    laneheap_push(lane_node(item, lane));  // the lane just became non-empty
     return;
   }
   if (item.at >= l.items.back().at) {
-    l.items.push_back(item);
+    l.items.push_back(item);  // never the front: the lane's node stays valid
     ++lane_pending_;
     return;
   }
   heap_push(item);
 }
 
-void Simulator::laneheap_push(std::uint32_t lane) {
-  // Hole-based sift-up over lane ids, ordered by each lane's front item.
+void Simulator::laneheap_push(HeapItem node) {
+  // Hole-based sift-up over lane nodes.
   std::size_t i = lane_heap_.size();
-  lane_heap_.push_back(lane);
+  lane_heap_.push_back(node);
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
-    if (!lane_before(lane, lane_heap_[parent])) break;
+    if (!before(node, lane_heap_[parent])) break;
     lane_heap_[i] = lane_heap_[parent];
     i = parent;
   }
-  lane_heap_[i] = lane;
+  lane_heap_[i] = node;
 }
 
-void Simulator::laneheap_sift_down(std::size_t i) noexcept {
+void Simulator::laneheap_sift_down(HeapItem node) noexcept {
+  // Place `node` in the root hole. A level reads only the four adjacent
+  // 16-byte child nodes; no compare loads through a lane.
   const std::size_t n = lane_heap_.size();
-  const std::uint32_t moving = lane_heap_[i];
+  std::size_t i = 0;
   for (;;) {
     const std::size_t first = i * kArity + 1;
     if (first >= n) break;
     std::size_t best = first;
     const std::size_t last = std::min(first + kArity, n);
     for (std::size_t c = first + 1; c < last; ++c) {
-      if (lane_before(lane_heap_[c], lane_heap_[best])) best = c;
+      if (before(lane_heap_[c], lane_heap_[best])) best = c;
     }
-    if (!lane_before(lane_heap_[best], moving)) break;
+    if (!before(lane_heap_[best], node)) break;
     lane_heap_[i] = lane_heap_[best];
     i = best;
   }
-  lane_heap_[i] = moving;
+  lane_heap_[i] = node;
 }
 
-void Simulator::lane_pop_min() noexcept {
-  // Advance the minimum lane (the root) past its front; its new front (or
-  // its removal, when drained) re-sifts only the root — appends elsewhere
-  // never disturb the small heap because they cannot change a lane's front.
-  const std::uint32_t lid = lane_heap_[0];
+Simulator::HeapItem Simulator::lane_pop_min() noexcept {
+  // Take the front of the minimum lane (the root) and advance the lane. Its
+  // new front (or its removal, when drained) re-sifts only the root —
+  // appends elsewhere never disturb the heap because they cannot change a
+  // lane's front.
+  const std::uint32_t lid = node_lane(lane_heap_[0]);
   Lane& l = lanes_[lid];
+  const HeapItem top = l.items[l.head];
   ++l.head;
   --lane_pending_;
   if (l.head == l.items.size()) {
     l.items.clear();
     l.head = 0;
-    lane_heap_[0] = lane_heap_.back();
+    const HeapItem tail = lane_heap_.back();
     lane_heap_.pop_back();
-    if (!lane_heap_.empty()) laneheap_sift_down(0);
+    if (!lane_heap_.empty()) laneheap_sift_down(tail);
   } else {
-    laneheap_sift_down(0);
+    laneheap_sift_down(lane_node(l.items[l.head], lid));
   }
+  return top;
 }
 
 void Simulator::heap_push(HeapItem item) {
@@ -129,17 +136,18 @@ void Simulator::heap_push(HeapItem item) {
   heap_[i] = item;
 }
 
-void Simulator::heap_pop_min() noexcept {
+Simulator::HeapItem Simulator::heap_pop_min() noexcept {
   // Bottom-up deletion: the root hole walks down the min-child chain to a
   // leaf on child-only comparisons, then the detached tail element sifts up
   // from there. The tail is almost always leaf-worthy (recently scheduled,
   // far-future time), so the sift-up exits immediately — cheaper than the
   // classic sift-down, which compares the tail against the best child at
   // every level of a deep heap.
+  const HeapItem min = heap_.front();
   const HeapItem item = heap_.back();
   heap_.pop_back();
   const std::size_t n = heap_.size();
-  if (n == 0) return;
+  if (n == 0) return min;
   std::size_t i = 0;
   for (;;) {
     const std::size_t first = i * kArity + 1;
@@ -159,6 +167,7 @@ void Simulator::heap_pop_min() noexcept {
     i = parent;
   }
   heap_[i] = item;
+  return min;
 }
 
 void Simulator::schedule_at(SimTime at, Handler fn) {
@@ -216,18 +225,14 @@ void Simulator::run(SimTime until) {
     const bool have_heap = !heap_.empty();
     const bool have_lane = !lane_heap_.empty();
     if (!have_heap && !have_lane) break;
-    // Each lane is sorted by construction and the lane heap tracks the
+    // Each lane is sorted by construction and the lane heap's root is the
     // minimum lane front, so the next event overall is the smaller of the
-    // overflow-heap top and the best lane front by (at, seq).
+    // overflow-heap top and that root by (at, seq). A lane node differs
+    // from its front only in the slot bits, which never decide the order.
     const bool from_lane =
-        have_lane && (!have_heap || before(lane_front(lane_heap_[0]), heap_.front()));
-    const HeapItem top = from_lane ? lane_front(lane_heap_[0]) : heap_.front();
-    if (top.at > until) break;
-    if (from_lane) {
-      lane_pop_min();
-    } else {
-      heap_pop_min();
-    }
+        have_lane && (!have_heap || before(lane_heap_.front(), heap_.front()));
+    if ((from_lane ? lane_heap_.front().at : heap_.front().at) > until) break;
+    const HeapItem top = from_lane ? lane_pop_min() : heap_pop_min();
     now_ = top.at;
     ++processed_;
     const std::uint32_t slot = static_cast<std::uint32_t>(top.key) & kSlotMask;

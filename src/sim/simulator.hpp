@@ -14,13 +14,13 @@
 // numbers and sifts never touch the payload pools — with the payloads in
 // free-listed per-kind slot pools (callback slots are small; packet slots
 // carry the Packet by value). Entries live in monotone lanes (sorted runs
-// for naturally FIFO streams: bulk injection sweeps, per-link arrivals)
-// merged through a small heap of lane fronts, with a 4-ary overflow heap
-// for anything scheduled out of order. Events at equal times fire in
-// scheduling order: the monotone sequence number breaks ties, which keeps
-// runs bit-for-bit deterministic, a requirement for reproducing the paper's
-// figures from fixed seeds. The pop order is exactly what the previous
-// std::priority_queue<Event> produced; only the storage changed.
+// for naturally FIFO streams such as per-link arrivals) merged through a
+// heap that keys each live lane by a copy of its front entry, with a 4-ary
+// overflow heap for anything scheduled out of order. Events at equal times
+// fire in scheduling order: the monotone sequence number breaks ties, which
+// keeps runs bit-for-bit deterministic, a requirement for reproducing the
+// paper's figures from fixed seeds. The pop order is exactly what the
+// previous std::priority_queue<Event> produced; only the storage changed.
 #pragma once
 
 #include <cstdint>
@@ -165,36 +165,39 @@ private:
 
   /// Monotone lane: a sorted run of events consumed front to back. Events
   /// scheduled on a lane in nondecreasing time order append in O(1); an
-  /// out-of-order event falls back to the overflow heap. This matches the
-  /// two dominant calendar shapes — bulk workload injection (thousands of
-  /// packets staggered across the run, lane 0) and per-link FIFO arrivals
-  /// (a link's serialization horizon makes each link's arrival times
-  /// monotone, lane 1+link) — so the common case never churns a deep cold
-  /// heap. Every lane is sorted by (at, seq) by construction and equal-time
-  /// appends are FIFO = seq order, so the exact global minimum is
-  /// min(overflow-heap top, lane fronts), tracked by a small 4-ary heap of
-  /// lane ids ordered by their front items.
+  /// out-of-order event falls back to the overflow heap. Per-link FIFO
+  /// arrivals (a link's serialization horizon makes each link's arrival
+  /// times monotone, lane 1+link) are the dominant shape, so steady
+  /// forwarding never churns the overflow heap. Every lane is sorted by
+  /// (at, seq) by construction and equal-time appends are FIFO = seq order,
+  /// so the exact global minimum is min(overflow-heap top, lane fronts).
   struct Lane {
     std::vector<HeapItem> items;
     std::size_t head = 0;
   };
+
+  /// The lane fronts are tracked by a 4-ary heap with one node per
+  /// non-empty lane. A node is a copy of the lane's front item with the
+  /// lane id in place of the slot bits: sifts compare nodes in place,
+  /// without a load through the lane, and seq — unique and above the slot
+  /// bits — still decides the (at, seq) order. Only a pop changes a lane's
+  /// front, so only the root's copy is ever refreshed.
+  static HeapItem lane_node(const HeapItem& front, std::uint32_t lane) noexcept {
+    return HeapItem{front.at, (front.key & ~std::uint64_t{kSlotMask}) | lane};
+  }
+  static std::uint32_t node_lane(const HeapItem& node) noexcept {
+    return static_cast<std::uint32_t>(node.key) & kSlotMask;
+  }
 
   std::uint64_t next_key(std::uint32_t slot);
   std::uint32_t acquire_callback_slot();
   std::uint32_t acquire_packet_slot();
   void calendar_push(HeapItem item, std::uint32_t lane);
   void heap_push(HeapItem item);
-  void heap_pop_min() noexcept;
-  const HeapItem& lane_front(std::uint32_t lane) const noexcept {
-    const Lane& l = lanes_[lane];
-    return l.items[l.head];
-  }
-  bool lane_before(std::uint32_t a, std::uint32_t b) const noexcept {
-    return before(lane_front(a), lane_front(b));
-  }
-  void laneheap_push(std::uint32_t lane);
-  void laneheap_sift_down(std::size_t i) noexcept;
-  void lane_pop_min() noexcept;
+  HeapItem heap_pop_min() noexcept;
+  void laneheap_push(HeapItem node);
+  void laneheap_sift_down(HeapItem node) noexcept;
+  HeapItem lane_pop_min() noexcept;
 
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
@@ -203,10 +206,10 @@ private:
   std::vector<PacketSlot> pkt_pool_;
   std::uint32_t cb_free_ = kNil;
   std::uint32_t pkt_free_ = kNil;
-  std::vector<HeapItem> heap_;  // overflow 4-ary min-heap keyed by (at, seq)
-  std::vector<Lane> lanes_;     // grown on demand by lane id
-  std::vector<std::uint32_t> lane_heap_;  // non-empty lane ids, min-heap by front
-  std::size_t lane_pending_ = 0;          // events currently queued across lanes
+  std::vector<HeapItem> heap_;       // overflow 4-ary min-heap keyed by (at, seq)
+  std::vector<Lane> lanes_;          // grown on demand by lane id
+  std::vector<HeapItem> lane_heap_;  // one lane_node per non-empty lane, min-heap
+  std::size_t lane_pending_ = 0;     // events currently queued across lanes
   PacketSink* sink_ = nullptr;
 };
 

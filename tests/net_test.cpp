@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "net/ip.hpp"
 #include "net/routing.hpp"
@@ -341,6 +344,119 @@ TEST(Resolver, UnknownAddressIsNullopt) {
   const auto net = make_campus_topology();
   const auto res = AddressResolver::build(net.topo);
   EXPECT_FALSE(res.resolve(IpAddress(203, 0, 113, 7)).has_value());
+}
+
+/// The resolver's reference semantics, written the plain way: an exact
+/// device match (the lowest NodeId wins a shared address), else the first
+/// stub subnet containing the address in (length desc, base asc) order.
+class LinearResolver {
+public:
+  explicit LinearResolver(const Topology& topo) {
+    for (std::uint32_t i = 0; i < topo.node_count(); ++i) {
+      const Node& node = topo.node(NodeId{i});
+      exact_.emplace(node.address.value(), NodeId{i});
+      if (node.kind == NodeKind::kEdgeRouter && node.has_subnet) {
+        subnets_.push_back(Entry{node.subnet, node.subnet_terminal, NodeId{i}});
+      }
+    }
+    std::sort(subnets_.begin(), subnets_.end(), [](const Entry& a, const Entry& b) {
+      if (a.prefix.length() != b.prefix.length()) return a.prefix.length() > b.prefix.length();
+      return a.prefix.base() < b.prefix.base();
+    });
+  }
+
+  std::optional<NodeId> resolve(IpAddress a) const {
+    if (const auto it = exact_.find(a.value()); it != exact_.end()) return it->second;
+    for (const Entry& e : subnets_) {
+      if (e.prefix.contains(a)) return e.terminal;
+    }
+    return std::nullopt;
+  }
+
+  std::optional<NodeId> owning_edge_router(IpAddress a) const {
+    for (const Entry& e : subnets_) {
+      if (e.prefix.contains(a)) return e.edge_router;
+    }
+    return std::nullopt;
+  }
+
+private:
+  struct Entry {
+    Prefix prefix;
+    NodeId terminal;
+    NodeId edge_router;
+  };
+  std::map<std::uint32_t, NodeId> exact_;
+  std::vector<Entry> subnets_;
+};
+
+/// Probe both lookups at every address where an answer can change: a-1, a
+/// and a+1 around each device address, first-1, first, last and last+1 of
+/// each stub subnet, and both ends of the address space. Returns the number
+/// of probes that resolved, so callers can see the probes were not vacuous.
+std::size_t expect_matches_reference(const Topology& topo) {
+  const AddressResolver res = AddressResolver::build(topo);
+  const LinearResolver ref(topo);
+  std::vector<std::uint32_t> probes{0, ~std::uint32_t{0}};
+  for (std::uint32_t i = 0; i < topo.node_count(); ++i) {
+    const Node& node = topo.node(NodeId{i});
+    const std::uint32_t a = node.address.value();
+    probes.insert(probes.end(), {a - 1, a, a + 1});
+    if (!node.has_subnet) continue;
+    const std::uint32_t first = node.subnet.first().value();
+    const std::uint32_t last = node.subnet.last().value();
+    probes.insert(probes.end(), {first - 1, first, last, last + 1});
+  }
+  std::size_t resolved = 0;
+  for (const std::uint32_t v : probes) {
+    const IpAddress a(v);
+    EXPECT_EQ(res.resolve(a), ref.resolve(a)) << a.to_string();
+    EXPECT_EQ(res.owning_edge_router(a), ref.owning_edge_router(a)) << a.to_string();
+    if (ref.resolve(a)) ++resolved;
+  }
+  return resolved;
+}
+
+TEST(Resolver, MatchesLinearReferenceAtEveryBoundary) {
+  const auto campus = make_campus_topology();
+  EXPECT_GT(expect_matches_reference(campus.topo), campus.topo.node_count());
+
+  CampusParams off_path;
+  off_path.proxy_mode = ProxyMode::kOffPath;
+  const auto off = make_campus_topology(off_path);
+  EXPECT_GT(expect_matches_reference(off.topo), off.topo.node_count());
+
+  const auto waxman = make_waxman_topology();
+  EXPECT_GT(expect_matches_reference(waxman.topo), waxman.topo.node_count());
+
+  // A /16 that contains a /24 owned by another edge router, a device inside
+  // the /24, two devices sharing one address, and devices at both ends of
+  // the address space.
+  Topology topo;
+  const NodeId wide = topo.add_node(NodeKind::kEdgeRouter, "wide", IpAddress(172, 16, 0, 1));
+  const NodeId narrow = topo.add_node(NodeKind::kEdgeRouter, "narrow", IpAddress(172, 16, 0, 2));
+  const NodeId proxy = topo.add_node(NodeKind::kPolicyProxy, "proxy", IpAddress(10, 1, 2, 1));
+  const NodeId dup_a = topo.add_node(NodeKind::kHost, "dup_a", IpAddress(10, 1, 9, 9));
+  const NodeId dup_b = topo.add_node(NodeKind::kHost, "dup_b", IpAddress(10, 1, 9, 9));
+  topo.add_node(NodeKind::kHost, "top", IpAddress(255, 255, 255, 255));
+  topo.add_node(NodeKind::kHost, "bottom", IpAddress(0, 0, 0, 0));
+  topo.set_subnet(wide, Prefix(IpAddress(10, 1, 0, 0), 16));
+  topo.set_subnet(narrow, Prefix(IpAddress(10, 1, 2, 0), 24), proxy);
+  EXPECT_GT(expect_matches_reference(topo), topo.node_count());
+
+  const AddressResolver res = AddressResolver::build(topo);
+  EXPECT_EQ(res.resolve(IpAddress(10, 1, 2, 77)), proxy);
+  EXPECT_EQ(res.owning_edge_router(IpAddress(10, 1, 2, 77)), narrow);
+  EXPECT_EQ(res.resolve(IpAddress(10, 1, 3, 0)), wide);
+  EXPECT_EQ(res.owning_edge_router(IpAddress(10, 1, 2, 1)), narrow);
+  EXPECT_EQ(res.resolve(IpAddress(10, 1, 9, 9)), dup_a);
+  EXPECT_NE(res.resolve(IpAddress(10, 1, 9, 9)), dup_b);
+  EXPECT_EQ(res.owning_edge_router(IpAddress(10, 1, 9, 9)), wide);
+  EXPECT_FALSE(res.owning_edge_router(IpAddress(255, 255, 255, 255)).has_value());
+  EXPECT_FALSE(res.resolve(IpAddress(10, 2, 0, 0)).has_value());
+  // A resolver that was never built matches nothing.
+  EXPECT_FALSE(AddressResolver{}.resolve(IpAddress(10, 1, 2, 77)).has_value());
+  EXPECT_FALSE(AddressResolver{}.owning_edge_router(IpAddress(10, 1, 2, 77)).has_value());
 }
 
 // ---------------------------------------------------------------------------

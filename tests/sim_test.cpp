@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <limits>
+#include <numeric>
 
 #include "net/topologies.hpp"
+#include "obs/trace.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace sdmbox::sim {
 namespace {
@@ -168,6 +173,86 @@ TEST(Simulator, OutOfOrderSchedulesMergeIntoGlobalTimeOrder) {
   EXPECT_EQ(fired, (std::vector<double>{0.5, 1, 2, 2.5, 3, 4, 5, 6, 6.5, 7, 8}));
 }
 
+TEST(Simulator, ManyLanesPopInExactTimeSeqOrder) {
+  // Packet events on 64 lanes plus callbacks. Most schedules append
+  // monotonically to their lane (often at the lane's last time, so
+  // equal-time runs form); some land anywhere from now on, which sends
+  // them to the overflow heap when they undercut the lane. Handlers keep
+  // scheduling, often onto the lane being popped, so lanes drain and
+  // refill mid-run. Dispatch must follow (time, schedule order) exactly.
+  constexpr std::uint32_t kLanes = 64;
+  constexpr std::size_t kEvents = 20000;
+  Simulator s;
+  util::Rng rng(2019);
+  std::vector<double> at;  // at[id]: the time event `id` was scheduled for
+  std::vector<double> lane_tail(kLanes + 1, 0.0);
+  std::vector<std::uint32_t> fired;
+  std::function<void(std::uint32_t)> on_fire;
+
+  struct LaneSink final : PacketSink {
+    void on_packet_event(PacketEvent ev) override { fire(ev.node.v, ev.from.v); }
+    std::function<void(std::uint32_t, std::uint32_t)> fire;
+  } sink;
+  s.set_packet_sink(&sink);
+
+  // Schedule event number at.size() on `lane`; lane 0 with `callback` set
+  // schedules a callback event instead of a packet event.
+  const auto schedule = [&](std::uint32_t lane, bool callback) {
+    if (at.size() >= kEvents) return;
+    const auto id = static_cast<std::uint32_t>(at.size());
+    const double base = std::max(s.now(), lane_tail[lane]);
+    const double r = rng.next_double();
+    double t = base + rng.next_double() * 0.002;  // a monotone append
+    if (r < 0.1) {
+      t = s.now() + rng.next_double() * 0.05;  // anywhere from now on
+    } else if (r < 0.4) {
+      t = base;  // an equal-time append
+    }
+    lane_tail[lane] = std::max(lane_tail[lane], t);
+    at.push_back(t);
+    if (callback) {
+      s.schedule_at(t, [&on_fire, id] { on_fire(id); });
+    } else {
+      s.schedule_packet_at(t, packet::Packet{}, NodeId{id}, NodeId{lane}, NodeId{}, 0, false,
+                           lane);
+    }
+  };
+  const auto follow_up = [&](std::uint32_t lane) {
+    const double r = rng.next_double();
+    if (r < 0.45) {
+      schedule(lane, false);  // the lane being popped
+    } else if (r < 0.85) {
+      schedule(static_cast<std::uint32_t>(rng.next_below(kLanes + 1)), false);
+    } else if (r < 0.97) {
+      schedule(0, true);
+    }
+  };
+  on_fire = [&](std::uint32_t id) {
+    fired.push_back(id);
+    follow_up(0);
+  };
+  sink.fire = [&](std::uint32_t id, std::uint32_t lane) {
+    fired.push_back(id);
+    follow_up(lane);
+    if (rng.next_bool(0.05)) follow_up(lane);
+  };
+
+  for (int i = 0; i < 2000; ++i) {
+    const auto lane = static_cast<std::uint32_t>(rng.next_below(kLanes + 1));
+    schedule(lane, lane == 0 && rng.next_bool(0.5));
+  }
+  s.run();
+
+  ASSERT_EQ(at.size(), kEvents);
+  std::vector<std::uint32_t> expected(kEvents);
+  std::iota(expected.begin(), expected.end(), 0u);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return at[a] < at[b]; });
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(s.events_processed(), kEvents);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
 TEST(Simulator, ResetDropsPendingPacketEvents) {
   Simulator s;
   RecordingSink sink(s);
@@ -325,6 +410,37 @@ TEST_F(SimNetworkTest, AgentInterceptsPackets) {
   EXPECT_EQ(raw->last_from, network.edge_routers[5]);
   // The packet was consumed at the proxy, never reaching the host.
   EXPECT_EQ(simnet.node_counters(network.hosts[5][0]).packets_delivered, 0u);
+}
+
+TEST_F(SimNetworkTest, UnfragmentableDropIsTraced) {
+  // Two routers joined by one link whose MTU leaves no room for payload.
+  net::Topology topo;
+  const NodeId a = topo.add_node(net::NodeKind::kCoreRouter, "a", IpAddress(172, 16, 0, 1));
+  const NodeId b = topo.add_node(net::NodeKind::kCoreRouter, "b", IpAddress(172, 16, 0, 2));
+  net::LinkParams tiny;
+  tiny.mtu = 28;
+  topo.add_link(a, b, tiny);
+  const auto rt = net::RoutingTables::compute(topo);
+  const auto res = net::AddressResolver::build(topo);
+  SimNetwork n(topo, rt, res);
+  obs::PathTracer tracer(1.0);
+  n.set_tracer(&tracer);
+
+  packet::Packet p;
+  p.inner.src = topo.node(a).address;
+  p.inner.dst = topo.node(b).address;
+  p.payload_bytes = 200;
+  n.inject(a, p, 0.0);
+  n.run();
+
+  EXPECT_EQ(n.counters().dropped_no_route, 1u);
+  // Every drop leaves a record: the oracle counts drops only from those.
+  const auto records = tracer.sink().records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].hop, obs::Hop::kInjected);
+  EXPECT_EQ(records[1].hop, obs::Hop::kDropNoRoute);
+  EXPECT_EQ(records[1].node, a);
+  EXPECT_EQ(records[1].detail, b.v);
 }
 
 TEST_F(SimNetworkTest, DeterministicAcrossRuns) {
