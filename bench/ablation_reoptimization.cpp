@@ -3,10 +3,11 @@
 // replayed over measurement epochs; we compare the realized max middlebox
 // load when the split ratios are (a) recomputed from the previous epoch's
 // reports, (b) frozen at epoch 0, (c) solved on each epoch's own traffic
-// (oracle), and (d) re-solved only when the drift-triggered closed loop
-// (control::DriftDetector — the exact trigger core the online
-// ReoptimizePolicy runs) decides the observed load distribution drifted
-// away from what the current plan was solved for. The point of (d): load
+// (oracle), and (d) re-solved only when control::DriftDetector decides the
+// observed load distribution drifted away from what the current plan was
+// solved for. Arm (d) runs the global detector only: the online
+// ReoptimizePolicy also adds one drift group per deployed function
+// (set_groups), which this bench does not. The point of (d): load
 // within a few percent of every-epoch re-solving at a fraction of the LP
 // solves and config pushes. The drift arm also warm-starts every re-solve
 // from the previous basis while the every-epoch arm solves cold, so the

@@ -13,7 +13,8 @@
 #            (ignores PACKETS), so the oracle's tables grow and recycle at scale
 # Each arm runs twice with the same seed, in OUT_DIR/1 and OUT_DIR/2 (default
 # OUT_DIR: arms). Its metrics, trace and span exports must be valid JSON, and
-# they and its stdout must be byte-identical between the two runs.
+# they and its stdout must be byte-identical between the two runs. The reopt
+# arm must also re-solve at least once.
 set -eu
 
 if [ "$#" -lt 2 ]; then
@@ -54,3 +55,12 @@ grep -q verify_violations "$out/1/fault_metrics.json"
 grep -q packets_in_window "$out/1/fault_spans.json"
 grep -q episode:crash "$out/1/fault_spans.json"
 grep -q reopt_epochs "$out/1/reopt_metrics.json"
+
+# The drift loop actually re-solved. If proxies were never asked for
+# reports, every epoch would be suppressed and the greps above would pass.
+python3 -c '
+import json, sys
+metrics = json.load(open(sys.argv[1]))["metrics"]
+solves = sum(m["value"] for m in metrics if m["name"] == "reopt_solves")
+sys.exit(0 if solves >= 1 else "reopt arm: reopt_solves = %g, expected >= 1" % solves)
+' "$out/1/reopt_metrics.json"

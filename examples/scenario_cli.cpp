@@ -34,11 +34,6 @@
 //                [--reopt-threshold X]  # total-variation drift trigger (0.1)
 //                [--reopt-cooldown N]   # epochs between solves (2)
 //                [--reopt-min-reports N] # reports required per solve (1)
-//                [--reopt-adaptive]     # raise the trigger to the measured
-//                                       # report noise floor
-//                [--reopt-noise-mult X] # noise multiplier for adaptive (3.0)
-//                [--reopt-predictive]   # trigger on the one-epoch-ahead
-//                                       # trend extrapolation
 //                [--help]               # print usage to stdout, exit 0
 //
 // Exit codes (the contract cli_test drives): 0 = run completed (and, with
@@ -102,7 +97,6 @@ void usage(const char* argv0, std::FILE* out) {
                "          [--epoch SECS] [--trace-sample RATE]\n"
                "          [--reopt-period SECS] [--reopt-threshold X]\n"
                "          [--reopt-cooldown N] [--reopt-min-reports N]\n"
-               "          [--reopt-adaptive] [--reopt-noise-mult X] [--reopt-predictive]\n"
                "          [--help]\n"
                "exit codes: 0 = run completed (and --verify passed)\n"
                "            2 = bad usage or unbuildable spec\n"
@@ -118,7 +112,7 @@ bool is_spec_flag(const std::string& arg) {
       "--topology",        "--strategy",       "--packets",           "--policies-per-class",
       "--seed",            "--fail-one",       "--lp-engine",         "--faults",
       "--chaos-seed",      "--epoch",          "--trace-sample",      "--reopt-period",
-      "--reopt-threshold", "--reopt-cooldown", "--reopt-min-reports", "--reopt-noise-mult"};
+      "--reopt-threshold", "--reopt-cooldown", "--reopt-min-reports"};
   return std::find(std::begin(kFlags), std::end(kFlags), arg) != std::end(kFlags);
 }
 
@@ -183,10 +177,6 @@ bool parse(int argc, char** argv, CliOptions& opt) {
     } else if (arg == "--help" || arg == "-h") {
       opt.help = true;
       return true;
-    } else if (arg == "--reopt-adaptive") {
-      opt.spec.reopt.adaptive = true;
-    } else if (arg == "--reopt-predictive") {
-      opt.spec.reopt.predictive = true;
     } else {
       return false;
     }
@@ -234,13 +224,12 @@ int run_sim(exp::World& world, const CliOptions& opt) {
                   registry.total("mbx_failover_reroutes"));
   if (world.reopt) {
     const auto& rc = world.reopt->counters();
-    std::printf("reopt: %llu epochs, %llu triggered (%llu predicted) / %llu suppressed "
+    std::printf("reopt: %llu epochs, %llu triggered / %llu suppressed "
                 "(drift %llu, cooldown %llu, reports %llu), %llu solves "
                 "(%llu pivots, %llu warm, %.2fms modeled), %llu pushes (%llu bytes), "
                 "last drift %.4f\n",
                 static_cast<unsigned long long>(rc.epochs),
                 static_cast<unsigned long long>(rc.triggered),
-                static_cast<unsigned long long>(rc.triggered_predicted),
                 static_cast<unsigned long long>(rc.suppressed),
                 static_cast<unsigned long long>(rc.suppressed_drift),
                 static_cast<unsigned long long>(rc.suppressed_cooldown),

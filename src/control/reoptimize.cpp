@@ -1,6 +1,5 @@
 #include "control/reoptimize.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <numeric>
 
@@ -24,7 +23,6 @@ const char* to_string(DriftDetector::Decision d) noexcept {
   switch (d) {
     case DriftDetector::Decision::kSeeded: return "seeded";
     case DriftDetector::Decision::kTrigger: return "trigger";
-    case DriftDetector::Decision::kTriggerPredicted: return "trigger-predicted";
     case DriftDetector::Decision::kBelowThreshold: return "below-threshold";
     case DriftDetector::Decision::kCooldown: return "cooldown";
     case DriftDetector::Decision::kTooFewReports: return "too-few-reports";
@@ -49,8 +47,6 @@ DriftDetector::DriftDetector(const ReoptimizeOptions& options) : opt_(options) {
   SDM_CHECK_MSG(opt_.drift_threshold >= 0 && opt_.drift_threshold <= 1,
                 "drift threshold must be in [0, 1]");
   SDM_CHECK_MSG(opt_.cooldown_epochs >= 1, "cooldown must be at least 1 epoch");
-  SDM_CHECK_MSG(opt_.noise_multiplier >= 0, "noise multiplier must be non-negative");
-  effective_threshold_ = opt_.drift_threshold;
 }
 
 double DriftDetector::drift(const std::vector<double>& reference,
@@ -88,29 +84,6 @@ double DriftDetector::drift_grouped(const std::vector<double>& reference,
   return d;
 }
 
-void DriftDetector::update_noise(const std::vector<double>& shares) {
-  if (share_mean_.size() != shares.size()) {
-    share_mean_.assign(shares.size(), 0.0);
-    share_m2_.assign(shares.size(), 0.0);
-    share_samples_ = 0;
-  }
-  ++share_samples_;
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    const double delta = shares[i] - share_mean_[i];
-    share_mean_[i] += delta / static_cast<double>(share_samples_);
-    share_m2_[i] += delta * (shares[i] - share_mean_[i]);
-  }
-}
-
-double DriftDetector::share_noise() const noexcept {
-  if (share_samples_ < 2) return 0;
-  double sum = 0;
-  for (const double m2 : share_m2_) {
-    sum += std::sqrt(std::max(0.0, m2) / static_cast<double>(share_samples_ - 1));
-  }
-  return 0.5 * sum;
-}
-
 DriftDetector::Decision DriftDetector::evaluate(const std::vector<double>& observed,
                                                 std::uint64_t pending_reports) {
   ++epochs_since_solve_;
@@ -120,53 +93,27 @@ DriftDetector::Decision DriftDetector::evaluate(const std::vector<double>& obser
     // No load observed at all: nothing to compare (and nothing worth
     // re-balancing). Never seed the reference from silence.
     last_drift_ = 0;
-    last_predicted_drift_ = 0;
     return Decision::kBelowThreshold;
-  }
-  const std::vector<double> shares = normalize(observed);
-  update_noise(shares);
-  effective_threshold_ = opt_.drift_threshold;
-  if (opt_.adaptive) {
-    effective_threshold_ = std::max(opt_.drift_threshold, opt_.noise_multiplier * share_noise());
   }
   if (!has_reference_) {
     // Observe-first: the first usable window defines what the current plan
     // serves; drift is measured against it from the next epoch on.
-    reference_ = shares;
+    reference_ = normalize(observed);
     has_reference_ = true;
     last_drift_ = 0;
-    last_predicted_drift_ = 0;
-    prev_shares_ = shares;
     return Decision::kSeeded;
   }
   SDM_CHECK_MSG(observed.size() == reference_.size(),
                 "drift needs load vectors over the same middlebox set");
   last_drift_ = drift_grouped(reference_, observed);
-  // One-epoch-ahead linear extrapolation of the share vector: where the
-  // distribution will be if the current trend holds for one more epoch.
-  last_predicted_drift_ = 0;
-  if (opt_.predictive && prev_shares_.size() == shares.size()) {
-    std::vector<double> predicted(shares.size());
-    for (std::size_t i = 0; i < shares.size(); ++i) {
-      predicted[i] = std::max(0.0, 2 * shares[i] - prev_shares_[i]);
-    }
-    last_predicted_drift_ = drift_grouped(reference_, predicted);
-  }
-  prev_shares_ = shares;
   if (epochs_since_solve_ < opt_.cooldown_epochs) return Decision::kCooldown;
-  if (last_drift_ > effective_threshold_) return Decision::kTrigger;
-  if (opt_.predictive && last_predicted_drift_ > effective_threshold_) {
-    return Decision::kTriggerPredicted;
-  }
+  if (last_drift_ > opt_.drift_threshold) return Decision::kTrigger;
   return Decision::kBelowThreshold;
 }
 
 void DriftDetector::mark_solved(const std::vector<double>& observed) {
   reference_ = normalize(observed);
   has_reference_ = true;
-  // The trend restarts at the new reference: the measurement window is
-  // re-based after a solve, so yesterday's shares no longer extrapolate.
-  prev_shares_ = reference_;
   epochs_since_solve_ = 0;
 }
 
@@ -228,8 +175,7 @@ void ReoptimizePolicy::epoch(sim::SimNetwork& net) {
   for (std::size_t i = 0; i < cum.size(); ++i) window[i] = cum[i] - base_[i];
 
   DriftDetector::Decision decision = detector_.evaluate(window, agent_.pending_reports());
-  const bool predicted = decision == DriftDetector::Decision::kTriggerPredicted;
-  if (decision == DriftDetector::Decision::kTrigger || predicted) {
+  if (decision == DriftDetector::Decision::kTrigger) {
     // The drift trigger roots this episode's trace tree, exactly like a
     // crash roots a failure episode: the replan span below becomes its
     // child via the context stack. Drift never leaves the network
@@ -238,10 +184,7 @@ void ReoptimizePolicy::epoch(sim::SimNetwork& net) {
     if (spans_ != nullptr) {
       episode = spans_->begin("episode:drift", net.simulator().now(), 0, "", "reoptimize");
       spans_->set_attr(episode, "drift", detector_.last_drift());
-      spans_->set_attr(episode, "threshold", detector_.effective_threshold());
-      if (predicted) {
-        spans_->set_attr(episode, "predicted_drift", detector_.last_predicted_drift());
-      }
+      spans_->set_attr(episode, "threshold", detector_.threshold());
       spans_->set_attr(episode, "unenforced", 0);
       spans_->push_context(episode);
     }
@@ -261,7 +204,6 @@ void ReoptimizePolicy::epoch(sim::SimNetwork& net) {
       }
     } else {
       ++counters_.triggered;
-      if (predicted) ++counters_.triggered_predicted;
       ++counters_.solves;
       counters_.solve_pivots += outcome.lp_pivots;
       if (outcome.lp_warm_started) ++counters_.solve_warm_starts;
@@ -270,12 +212,10 @@ void ReoptimizePolicy::epoch(sim::SimNetwork& net) {
       solve_ms_modeled_ += modeled_solve_ms(outcome.lp_pivots);
       detector_.mark_solved(window);
       base_ = cum;
-      SDM_LOG_INFO("reopt", (predicted ? "predicted drift " : "drift ")
-                                << (predicted ? detector_.last_predicted_drift()
-                                              : detector_.last_drift())
-                                << " > " << detector_.effective_threshold()
-                                << ": re-solved (λ = " << outcome.lambda << ", "
-                                << outcome.pushes_sent << " pushes)");
+      SDM_LOG_INFO("reopt", "drift " << detector_.last_drift() << " > "
+                                     << detector_.threshold() << ": re-solved (λ = "
+                                     << outcome.lambda << ", " << outcome.pushes_sent
+                                     << " pushes)");
     }
   } else if (decision == DriftDetector::Decision::kSeeded) {
     // The reference window is consumed: measure future windows from here.
@@ -291,14 +231,13 @@ void ReoptimizePolicy::epoch(sim::SimNetwork& net) {
   }
   log_.push_back(Event{counters_.epochs, net.simulator().now(), decision, detector_.last_drift()});
 
-  if (params_.request_reports) send_reports(net, plane_);
+  send_reports(net, plane_);
 }
 
 void ReoptimizePolicy::register_metrics(obs::MetricsRegistry& registry) const {
   const obs::Labels labels{{"subsystem", "reoptimize"}};
   registry.expose_counter("reopt_epochs", labels, &counters_.epochs);
   registry.expose_counter("reopt_triggered", labels, &counters_.triggered);
-  registry.expose_counter("reopt_triggered_predicted", labels, &counters_.triggered_predicted);
   registry.expose_counter("reopt_suppressed", labels, &counters_.suppressed);
   registry.expose_counter("reopt_suppressed_drift", labels, &counters_.suppressed_drift);
   registry.expose_counter("reopt_suppressed_cooldown", labels, &counters_.suppressed_cooldown);
@@ -312,8 +251,6 @@ void ReoptimizePolicy::register_metrics(obs::MetricsRegistry& registry) const {
   // byte-identical.
   registry.expose_gauge("reopt_solve_ms", labels, [this] { return solve_ms_modeled_; });
   registry.expose_gauge("reopt_last_drift", labels, [this] { return detector_.last_drift(); });
-  registry.expose_gauge("reopt_effective_threshold", labels,
-                        [this] { return detector_.effective_threshold(); });
 }
 
 }  // namespace sdmbox::control

@@ -39,7 +39,6 @@ namespace sdmbox::control {
 struct ReoptimizeCounters {
   std::uint64_t epochs = 0;               // evaluations run
   std::uint64_t triggered = 0;            // drift triggers that led to a solve
-  std::uint64_t triggered_predicted = 0;  //   ... of which trend-extrapolation fired early
   std::uint64_t suppressed = 0;           // evaluations that did NOT solve
   std::uint64_t suppressed_drift = 0;     //   ... drift below threshold
   std::uint64_t suppressed_cooldown = 0;  //   ... inside the cooldown window
@@ -53,24 +52,21 @@ struct ReoptimizeCounters {
 
 /// The pure trigger core: given an observed per-middlebox load vector and
 /// the number of pending reports, decide whether to re-solve. Stateful in
-/// the reference share vector (what the current plan was solved for), the
-/// cooldown clock, and — for the adaptive/predictive modes — a running
-/// noise estimate of the share vector and the previous window's shares.
+/// the reference share vector (what the current plan was solved for) and
+/// the cooldown clock.
 class DriftDetector {
 public:
   enum class Decision : std::uint8_t {
-    kSeeded,            // first usable window: reference established, no solve
-    kTrigger,           // drift above threshold, gates passed — re-solve now
-    kTriggerPredicted,  // current drift below, but the one-epoch-ahead
-                        // extrapolation crosses threshold — re-solve early
-    kBelowThreshold,    // distribution close enough to the reference
-    kCooldown,          // drift may be high, but the last solve is too recent
-    kTooFewReports,     // not enough pending reports to trust a solve
+    kSeeded,          // first usable window: reference established, no solve
+    kTrigger,         // drift above threshold, gates passed — re-solve now
+    kBelowThreshold,  // distribution close enough to the reference
+    kCooldown,        // drift may be high, but the last solve is too recent
+    kTooFewReports,   // not enough pending reports to trust a solve
   };
 
   DriftDetector(double threshold, int cooldown_epochs, std::uint64_t min_reports);
-  /// All knobs from one ReoptimizeOptions (epoch_period/request_reports are
-  /// loop concerns and ignored here).
+  /// All knobs from one ReoptimizeOptions (epoch_period is a loop concern
+  /// and ignored here).
   explicit DriftDetector(const ReoptimizeOptions& options);
 
   /// Per-function index groups over the observed vector (the middleboxes
@@ -94,17 +90,8 @@ public:
   /// Drift computed by the most recent evaluate() that got far enough to
   /// compare (0 before that).
   double last_drift() const noexcept { return last_drift_; }
-  /// Drift of the one-epoch-ahead extrapolation (predictive mode only; 0
-  /// otherwise).
-  double last_predicted_drift() const noexcept { return last_predicted_drift_; }
   bool has_reference() const noexcept { return has_reference_; }
   double threshold() const noexcept { return opt_.drift_threshold; }
-  /// Threshold the last evaluate() actually compared against: the base
-  /// threshold, raised to noise_multiplier * noise in adaptive mode.
-  double effective_threshold() const noexcept { return effective_threshold_; }
-  /// Running noise estimate: half the summed per-component stddev of the
-  /// observed share vectors (commensurable with total-variation drift).
-  double share_noise() const noexcept;
 
   /// Total-variation distance between the normalized forms of two raw load
   /// vectors: 0.5 * sum |a_i/sum(a) - b_i/sum(b)|, in [0, 1]. An empty
@@ -117,7 +104,6 @@ private:
   /// Max of the global TV distance and every group's own TV distance.
   double drift_grouped(const std::vector<double>& reference,
                        const std::vector<double>& observed) const;
-  void update_noise(const std::vector<double>& shares);
 
   ReoptimizeOptions opt_;
   std::vector<std::vector<std::size_t>> groups_;
@@ -125,13 +111,6 @@ private:
   bool has_reference_ = false;
   int epochs_since_solve_ = 0;
   double last_drift_ = 0;
-  double last_predicted_drift_ = 0;
-  double effective_threshold_ = 0;
-  std::vector<double> prev_shares_;  // previous usable window (trend base)
-  // Welford running stats over per-middlebox shares, for the noise estimate.
-  std::vector<double> share_mean_;
-  std::vector<double> share_m2_;
-  std::uint64_t share_samples_ = 0;
 };
 
 /// The online loop. Owns nothing but its counters: the agent, control plane

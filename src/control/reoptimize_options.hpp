@@ -18,8 +18,7 @@ struct ReoptimizeOptions {
   double epoch_period = 0.5;
 
   /// Total-variation drift (in [0,1]) between the reference load shares and
-  /// the current window that triggers a re-plan. In adaptive mode this is
-  /// the floor of the effective threshold.
+  /// the current window that triggers a re-plan.
   double drift_threshold = 0.1;
 
   /// Epochs that must elapse after a solve before the next trigger
@@ -28,21 +27,6 @@ struct ReoptimizeOptions {
 
   /// Minimum load reports that must arrive in a window before it is trusted.
   std::uint64_t min_reports = 1;
-
-  /// Broadcast a report request each epoch before evaluating drift.
-  bool request_reports = true;
-
-  /// Scale the trigger threshold to measured report noise: the effective
-  /// threshold becomes max(drift_threshold, noise_multiplier * noise) where
-  /// noise is a running stddev estimate of the per-middlebox load shares.
-  bool adaptive = false;
-
-  /// Multiplier on the noise estimate in adaptive mode.
-  double noise_multiplier = 3.0;
-
-  /// Trend-extrapolate the load shares one epoch ahead and trigger early
-  /// when the extrapolated drift crosses the (effective) threshold.
-  bool predictive = false;
 
   friend bool operator==(const ReoptimizeOptions&, const ReoptimizeOptions&) = default;
 };

@@ -29,7 +29,7 @@ std::size_t Controller::k_for(policy::FunctionId e) const noexcept {
   for (const auto& [f, k] : params_.k) {
     if (f == e) return k;
   }
-  return params_.default_k;
+  return 1;
 }
 
 void Controller::recompute() { compute_assignments(); }

@@ -23,15 +23,13 @@ namespace sdmbox::core {
 
 struct ControllerParams {
   /// Candidate-set sizes per function; the paper's evaluation uses
-  /// FW=4, IDS=4, WP=2, TM=2 (§IV.A).
+  /// FW=4, IDS=4, WP=2, TM=2 (§IV.A). A function not listed gets 1.
   std::vector<std::pair<policy::FunctionId, std::size_t>> k = {
       {policy::kFirewall, 4},
       {policy::kIntrusionDetection, 4},
       {policy::kWebProxy, 2},
       {policy::kTrafficMeasure, 2},
   };
-  /// Candidate-set size for functions not listed in `k`.
-  std::size_t default_k = 1;
   /// Use the per-(s,d,p) Eq. (1) instead of Eq. (2) (ablation only).
   bool use_eq1 = false;
   /// Warm-start each load-balancing solve from the previous compile's

@@ -93,50 +93,48 @@ public:
     out.basis = sol.basis;
     out.warm_started = sol.warm_started;
 
-    if (opt.even_secondary) {
-      // Lexicographic pass 2: the min-max objective pins only the most
-      // loaded middlebox; any λ-optimal vertex qualifies, so non-binding
-      // types can come out arbitrarily skewed. Fix λ at its optimum and
-      // minimize the total overload above each middlebox's fair share
-      // (per-function demand / |M^e|), which is what "load-balanced
-      // enforcement" means in the paper's Table III (max ≈ min per type).
-      std::unordered_map<std::uint8_t, double> demand;  // per function, normalized
-      for (const policy::Policy& p : in_.policies.all()) {
-        const double tp = in_.traffic.total(p.id) * scale_;
-        for (const policy::FunctionId e : p.actions) demand[e.v] += tp;
-      }
-      model_.set_objective_coeff(lambda_, 0.0);
-      model_.add_constraint({lp::Term{lambda_, 1.0}}, lp::Relation::kLessEqual,
-                            out.lambda + 1e-7 * (1.0 + out.lambda), "lambda-fix");
-      for (const MiddleboxInfo& m : in_.deployment.middleboxes()) {
-        const auto it = capacity_terms_.find(m.node.v);
-        if (it == capacity_terms_.end()) continue;
-        double fair = 0;
-        for (const policy::FunctionId e : m.functions.to_vector()) {
-          const auto d = demand.find(e.v);
-          const auto live = in_.deployment.active_implementers(e);
-          if (d != demand.end() && !live.empty()) {
-            fair += d->second / static_cast<double>(live.size());
-          }
-        }
-        // dev >= (load - fair) / C  <=>  load - C*dev <= fair
-        const lp::VarId dev = model_.add_variable("dev(" + m.name + ")", 1.0);
-        std::vector<lp::Term> terms = it->second;
-        terms.push_back(lp::Term{dev, -m.capacity * scale_});
-        model_.add_constraint(std::move(terms), lp::Relation::kLessEqual, fair,
-                              "fair(" + m.name + ")");
-      }
-      lp::Solution second = lp::solve(model_, opt.simplex);
-      out.pivots += second.pivots;
-      if (second.optimal()) {
-        violation = lp::check_feasible(model_, second.values, 1e-5);
-        SDM_CHECK_MSG(violation.empty(),
-                      "secondary LP solution failed feasibility audit: " + violation);
-        second.values.resize(sol.values.size());  // dev variables are internal
-        sol = std::move(second);
-      }
-      // On any non-optimal secondary outcome we keep the primary solution.
+    // Lexicographic pass 2: the min-max objective pins only the most
+    // loaded middlebox; any λ-optimal vertex qualifies, so non-binding
+    // types can come out arbitrarily skewed. Fix λ at its optimum and
+    // minimize the total overload above each middlebox's fair share
+    // (per-function demand / |M^e|), which is what "load-balanced
+    // enforcement" means in the paper's Table III (max ≈ min per type).
+    std::unordered_map<std::uint8_t, double> demand;  // per function, normalized
+    for (const policy::Policy& p : in_.policies.all()) {
+      const double tp = in_.traffic.total(p.id) * scale_;
+      for (const policy::FunctionId e : p.actions) demand[e.v] += tp;
     }
+    model_.set_objective_coeff(lambda_, 0.0);
+    model_.add_constraint({lp::Term{lambda_, 1.0}}, lp::Relation::kLessEqual,
+                          out.lambda + 1e-7 * (1.0 + out.lambda), "lambda-fix");
+    for (const MiddleboxInfo& m : in_.deployment.middleboxes()) {
+      const auto it = capacity_terms_.find(m.node.v);
+      if (it == capacity_terms_.end()) continue;
+      double fair = 0;
+      for (const policy::FunctionId e : m.functions.to_vector()) {
+        const auto d = demand.find(e.v);
+        const auto live = in_.deployment.active_implementers(e);
+        if (d != demand.end() && !live.empty()) {
+          fair += d->second / static_cast<double>(live.size());
+        }
+      }
+      // dev >= (load - fair) / C  <=>  load - C*dev <= fair
+      const lp::VarId dev = model_.add_variable("dev(" + m.name + ")", 1.0);
+      std::vector<lp::Term> terms = it->second;
+      terms.push_back(lp::Term{dev, -m.capacity * scale_});
+      model_.add_constraint(std::move(terms), lp::Relation::kLessEqual, fair,
+                            "fair(" + m.name + ")");
+    }
+    lp::Solution second = lp::solve(model_, opt.simplex);
+    out.pivots += second.pivots;
+    if (second.optimal()) {
+      violation = lp::check_feasible(model_, second.values, 1e-5);
+      SDM_CHECK_MSG(violation.empty(),
+                    "secondary LP solution failed feasibility audit: " + violation);
+      second.values.resize(sol.values.size());  // dev variables are internal
+      sol = std::move(second);
+    }
+    // On any non-optimal secondary outcome we keep the primary solution.
 
     // Marginalize records into per-(sender, e, p) share vectors.
     // Keyed by (sender, e, p, to) to merge duplicates (Eq. (1) pairs).
@@ -220,29 +218,22 @@ public:
 
 private:
   void build_policy(const policy::Policy& p, const FormulationOptions& opt) {
+    if (p.actions.empty()) return;
     const double total = in_.traffic.total(p.id) * scale_;
-    if (p.actions.empty() || (total <= 0 && !opt.stable_shape)) return;
     const auto& chain = p.actions;
     const std::size_t L = chain.size();
 
     // Source groups: proxies with identical first-hop candidate sets are
-    // interchangeable (exact; see DESIGN.md §6). Under stable_shape every
-    // source is enumerated (zero-volume groups carry a zero RHS) so the
-    // model's shape is independent of the matrix's sparsity.
+    // interchangeable (exact; see DESIGN.md §6). Every source is enumerated
+    // (zero-volume groups carry a zero RHS) so the model's shape is
+    // independent of the matrix's sparsity.
     struct Group {
       std::vector<net::NodeId> proxies;
       std::vector<net::NodeId> cands;
       double volume = 0;
     };
-    std::vector<int> sources;
-    if (opt.stable_shape) {
-      sources.resize(in_.network.proxies.size());
-      for (std::size_t i = 0; i < sources.size(); ++i) sources[i] = static_cast<int>(i);
-    } else {
-      sources = in_.traffic.active_sources(p.id);
-    }
     std::map<std::vector<std::uint32_t>, Group> groups;
-    for (const int s : sources) {
+    for (int s = 0; s < static_cast<int>(in_.network.proxies.size()); ++s) {
       const net::NodeId proxy = in_.network.proxies[static_cast<std::size_t>(s)];
       const auto& cands = candidates_of(in_.configs, proxy, chain[0]);
       SDM_CHECK_MSG(!cands.empty(), "no candidate middlebox for a policy's first function");

@@ -60,25 +60,16 @@ struct RatioResult {
   bool warm_started = false;
 };
 
+/// Both formulations always run the lexicographic fair-share second pass
+/// (Table III's max ≈ min per type), and Eq. (2) always builds every policy
+/// and source, traffic or not, so its shape — and a cached warm-start basis
+/// — survives changes in the matrix's sparsity (DESIGN.md §6, §14).
 struct FormulationOptions {
   /// Eq. (2): merge sources with identical first-hop candidate sets.
   bool aggregate_sources = true;
-  /// Lexicographic second pass: among λ-optimal solutions, pick one that
-  /// minimizes total overload above each middlebox's per-function fair
-  /// share. min-max alone pins only the binding type; the paper's Table III
-  /// shows every type tightly balanced, which requires this refinement.
-  bool even_secondary = true;
   /// Include the paper's redundant aggregate-conservation equalities
   /// (they never change the optimum; a test asserts that).
   bool include_redundant_constraints = false;
-  /// Eq. (2): build every policy and every source group into the model even
-  /// when the measured matrix has no traffic for them (their rows get a zero
-  /// RHS, their variables are pinned to 0 and never reach the ratio table).
-  /// The model's SHAPE then depends only on the configs and policies — not
-  /// on the matrix's sparsity — which is what lets a re-solve on the next
-  /// epoch's measurement warm-start from the previous optimal basis.
-  /// Eq. (1) ignores this (its per-(s,d) enumeration would explode).
-  bool stable_shape = true;
   lp::SimplexOptions simplex;
 };
 

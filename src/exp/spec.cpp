@@ -66,14 +66,10 @@ bool parse_size(const std::string& v, std::size_t& out) {
 }
 
 bool parse_int(const std::string& v, int& out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size() || errno == ERANGE) return false;
-  if (parsed < std::numeric_limits<int>::min() || parsed > std::numeric_limits<int>::max())
+  std::uint64_t u = 0;
+  if (!parse_u64(v, u) || u > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
     return false;
-  out = static_cast<int>(parsed);
+  out = static_cast<int>(u);
   return true;
 }
 
@@ -158,8 +154,6 @@ std::string ScenarioSpec::validate() const {
   if (!(reopt.drift_threshold >= 0 && reopt.drift_threshold <= 1))
     return "reopt_threshold must be in [0, 1]";
   if (reopt.cooldown_epochs < 1) return "reopt_cooldown must be >= 1";
-  if (!(reopt.noise_multiplier >= 0) || !std::isfinite(reopt.noise_multiplier))
-    return "reopt_noise_mult must be non-negative and finite";
   if (label_switching && !flow_cache) return "label_switching requires flow_cache";
   if (verify && trace_sample <= 0) return "verify requires trace_sample > 0";
   return {};
@@ -194,10 +188,6 @@ std::string ScenarioSpec::to_text() const {
   out << "reopt_threshold = " << fmt_double(reopt.drift_threshold) << '\n';
   out << "reopt_cooldown = " << reopt.cooldown_epochs << '\n';
   out << "reopt_min_reports = " << reopt.min_reports << '\n';
-  out << "reopt_request_reports = " << (reopt.request_reports ? "true" : "false") << '\n';
-  out << "reopt_adaptive = " << (reopt.adaptive ? "true" : "false") << '\n';
-  out << "reopt_noise_mult = " << fmt_double(reopt.noise_multiplier) << '\n';
-  out << "reopt_predictive = " << (reopt.predictive ? "true" : "false") << '\n';
   return out.str();
 }
 
@@ -273,14 +263,6 @@ FieldStatus set_field(ScenarioSpec& s, const std::string& key, const std::string
     ok = parse_int(value, s.reopt.cooldown_epochs);
   } else if (key == "reopt_min_reports") {
     ok = parse_u64(value, s.reopt.min_reports);
-  } else if (key == "reopt_request_reports") {
-    ok = parse_bool(value, s.reopt.request_reports);
-  } else if (key == "reopt_adaptive") {
-    ok = parse_bool(value, s.reopt.adaptive);
-  } else if (key == "reopt_noise_mult") {
-    ok = parse_double(value, s.reopt.noise_multiplier);
-  } else if (key == "reopt_predictive") {
-    ok = parse_bool(value, s.reopt.predictive);
   } else {
     return FieldStatus::kUnknownKey;
   }

@@ -33,7 +33,7 @@ namespace {
 /// plus the rhs held separately. The objective row holds reduced costs.
 class Tableau {
 public:
-  Tableau(const LpModel& model, double tol) : tol_(tol), n_(model.variable_count()) {
+  explicit Tableau(const LpModel& model) : n_(model.variable_count()) {
     const auto& constraints = model.constraints();
     m_ = constraints.size();
 
@@ -103,7 +103,7 @@ public:
       if (basis_[r] < art_start_) continue;
       std::size_t enter = cols_;
       for (std::size_t j = 0; j < art_start_; ++j) {
-        if (std::abs(rows_[r][j]) > tol_) {
+        if (std::abs(rows_[r][j]) > kTolerance) {
           enter = j;
           break;
         }
@@ -146,19 +146,18 @@ public:
 
 private:
   SolveStatus iterate(const SimplexOptions& opt, std::size_t& pivots, bool forbid_artificials) {
-    const std::size_t limit =
-        opt.max_iterations != 0 ? opt.max_iterations : 50 * (m_ + cols_) + 10000;
+    const std::size_t limit = pivot_limit(m_, cols_);
     const std::size_t scan_end = forbid_artificials ? art_start_ : cols_;
     std::size_t degenerate_run = 0;
     for (std::size_t iter = 0; iter < limit; ++iter) {
       const bool bland = degenerate_run >= opt.degenerate_switch;
       // Pricing: entering column with negative reduced cost.
       std::size_t enter = cols_;
-      double best = -tol_;
+      double best = -kTolerance;
       for (std::size_t j = 0; j < scan_end; ++j) {
         const double rc = obj_[j];
         if (bland) {
-          if (rc < -tol_) {
+          if (rc < -kTolerance) {
             enter = j;
             break;
           }
@@ -176,17 +175,17 @@ private:
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::size_t r = 0; r < m_; ++r) {
         const double a = rows_[r][enter];
-        if (a > tol_) {
+        if (a > kTolerance) {
           const double ratio = rhs_[r] / a;
-          if (ratio < best_ratio - tol_ ||
-              (ratio < best_ratio + tol_ && leave < m_ && basis_[r] < basis_[leave])) {
+          if (ratio < best_ratio - kTolerance ||
+              (ratio < best_ratio + kTolerance && leave < m_ && basis_[r] < basis_[leave])) {
             best_ratio = ratio;
             leave = r;
           }
         }
       }
       if (leave == m_) return SolveStatus::kUnbounded;
-      degenerate_run = best_ratio <= tol_ ? degenerate_run + 1 : 0;
+      degenerate_run = best_ratio <= kTolerance ? degenerate_run + 1 : 0;
       pivot(leave, enter);
       ++pivots;
     }
@@ -220,7 +219,6 @@ private:
     basis_[prow] = pcol;
   }
 
-  double tol_;
   std::size_t n_ = 0, m_ = 0, s_ = 0, a_ = 0, cols_ = 0, art_start_ = 0;
   std::vector<std::vector<double>> rows_;
   std::vector<double> rhs_;
@@ -237,9 +235,9 @@ Solution solve(const LpModel& model, const SimplexOptions& options) {
     // Vacuous model: feasible iff every constraint holds with x = {}.
     sol.status = SolveStatus::kOptimal;
     for (const Constraint& c : model.constraints()) {
-      const bool ok = c.relation == Relation::kLessEqual  ? 0.0 <= c.rhs + options.tolerance
-                      : c.relation == Relation::kEqual    ? std::abs(c.rhs) <= options.tolerance
-                                                          : 0.0 >= c.rhs - options.tolerance;
+      const bool ok = c.relation == Relation::kLessEqual  ? 0.0 <= c.rhs + kTolerance
+                      : c.relation == Relation::kEqual    ? std::abs(c.rhs) <= kTolerance
+                                                          : 0.0 >= c.rhs - kTolerance;
       if (!ok) sol.status = SolveStatus::kInfeasible;
     }
     return sol;
@@ -248,7 +246,7 @@ Solution solve(const LpModel& model, const SimplexOptions& options) {
 
   SDM_CHECK_MSG(model.has_default_bounds(),
                 "dense oracle engine only supports default [0, +inf) bounds");
-  Tableau tableau(model, options.tolerance);
+  Tableau tableau(model);
   SolveStatus st = tableau.phase1(options, sol.pivots);
   if (st != SolveStatus::kOptimal) {
     sol.status = st;

@@ -53,10 +53,17 @@ struct Basis {
   bool empty() const noexcept { return structural.empty() && logical.empty(); }
 };
 
+/// Reduced-cost tolerance of both engines (the dense tableau also uses it
+/// for its pivot and degeneracy tests).
+inline constexpr double kTolerance = 1e-9;
+
+/// Max pivots per phase for a model of `rows` rows and `cols` columns
+/// (structural, slack or logical, and artificial).
+constexpr std::size_t pivot_limit(std::size_t rows, std::size_t cols) noexcept {
+  return 50 * (rows + cols) + 10000;
+}
+
 struct SimplexOptions {
-  double tolerance = 1e-9;
-  /// Max pivots per phase; 0 derives a limit from the model size.
-  std::size_t max_iterations = 0;
   /// Consecutive degenerate pivots before switching to Bland's rule.
   std::size_t degenerate_switch = 64;
   SimplexEngine engine = SimplexEngine::kSparse;

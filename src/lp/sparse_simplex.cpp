@@ -208,8 +208,7 @@ public:
     sol.warm_started = warm;
     if (!warm) init_cold();
 
-    const std::size_t limit =
-        opt_.max_iterations != 0 ? opt_.max_iterations : 50 * (m_ + ntot_) + 10000;
+    const std::size_t limit = pivot_limit(m_, ntot_);
 
     if (!warm && art_count_ > 0) {
       // Phase 1: minimize the artificial sum.
@@ -465,9 +464,7 @@ private:
         cost_[j] = 1.0;
       }
     }
-    const std::size_t limit =
-        opt_.max_iterations != 0 ? opt_.max_iterations : 50 * (m_ + ntot_) + 10000;
-    const SolveStatus st = iterate(limit, pivots, /*phase1=*/true);
+    const SolveStatus st = iterate(pivot_limit(m_, ntot_), pivots, /*phase1=*/true);
 
     bool ok = st == SolveStatus::kOptimal;
     for (std::size_t k = 0; k < repair_.size(); ++k) {
@@ -569,7 +566,7 @@ private:
   bool eligible(std::size_t j, double d, int& dir) const {
     if (vstat_[j] == VarStatus::kBasic) return false;
     if (lo_[j] == hi_[j]) return false;  // fixed: never price
-    const double tol = opt_.tolerance;
+    constexpr double tol = kTolerance;
     switch (vstat_[j]) {
       case VarStatus::kAtLower:
         if (d < -tol) return dir = 1, true;

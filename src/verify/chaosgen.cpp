@@ -8,6 +8,14 @@
 namespace sdmbox::verify {
 namespace {
 
+constexpr double kStart = 1.5;     // first fault no earlier than this
+constexpr double kHorizon = 12.0;  // every element restored by this time
+constexpr int kCrashPairs = 2;     // middlebox crash/restart pairs
+constexpr int kLinkFlaps = 2;      // link down/up pairs on core-adjacent links
+constexpr int kLossEpisodes = 1;   // transient probabilistic-loss windows
+constexpr double kMinOutage = 0.3;
+constexpr double kMaxLoss = 0.3;   // peak loss rate of a loss episode
+
 /// Links safe to flap: both endpoints are pure forwarders (gateway / core /
 /// edge routers). Stub links to hosts, proxies or middleboxes would isolate
 /// an element outright instead of forcing a reroute.
@@ -30,11 +38,9 @@ std::vector<net::LinkId> flappable_links(const net::Topology& topo) {
 }  // namespace
 
 sim::FaultSchedule generate_chaos(const net::GeneratedNetwork& network,
-                                  const core::Deployment& deployment, std::uint64_t seed,
-                                  const ChaosGenParams& params) {
+                                  const core::Deployment& deployment, std::uint64_t seed) {
   sim::FaultSchedule schedule;
-  const double span = params.horizon - params.start;
-  if (!(span > 0)) return schedule;
+  constexpr double kSpan = kHorizon - kStart;
 
   // Distinct stream per concern so adding flaps never reshuffles crashes.
   util::Rng crash_rng(util::mix64(seed ^ 0xc4a55eedULL));
@@ -47,44 +53,40 @@ sim::FaultSchedule generate_chaos(const net::GeneratedNetwork& network,
   // Crash/restart pairs in disjoint time slices: each victim is down for a
   // random sub-window of its slice and guaranteed back up before the next
   // fault of this class — no compounding, every schedule recoverable.
-  if (!boxes.empty() && params.crash_pairs > 0) {
-    const double slice = span / params.crash_pairs;
-    for (int i = 0; i < params.crash_pairs; ++i) {
+  if (!boxes.empty()) {
+    constexpr double slice = kSpan / kCrashPairs;
+    for (int i = 0; i < kCrashPairs; ++i) {
       const net::NodeId victim = boxes[crash_rng.pick_index(boxes.size())];
-      const double s = params.start + slice * i;
+      const double s = kStart + slice * i;
       const double down = s + crash_rng.next_double() * slice * 0.4;
-      const double outage =
-          params.min_outage + crash_rng.next_double() * (slice * 0.5 - params.min_outage);
+      const double outage = kMinOutage + crash_rng.next_double() * (slice * 0.5 - kMinOutage);
       schedule.crash_node(down, victim);
-      schedule.restart_node(down + std::max(params.min_outage, outage), victim);
+      schedule.restart_node(down + std::max(kMinOutage, outage), victim);
     }
   }
 
   const std::vector<net::LinkId> links = flappable_links(network.topo);
-  if (!links.empty() && params.link_flaps > 0) {
-    const double slice = span / params.link_flaps;
-    for (int i = 0; i < params.link_flaps; ++i) {
+  if (!links.empty()) {
+    constexpr double slice = kSpan / kLinkFlaps;
+    for (int i = 0; i < kLinkFlaps; ++i) {
       const net::LinkId link = links[link_rng.pick_index(links.size())];
-      const double s = params.start + slice * i;
+      const double s = kStart + slice * i;
       const double down = s + link_rng.next_double() * slice * 0.4;
-      const double outage =
-          params.min_outage + link_rng.next_double() * (slice * 0.5 - params.min_outage);
+      const double outage = kMinOutage + link_rng.next_double() * (slice * 0.5 - kMinOutage);
       schedule.link_down(down, link);
-      schedule.link_up(down + std::max(params.min_outage, outage), link);
+      schedule.link_up(down + std::max(kMinOutage, outage), link);
     }
-  }
 
-  if (!links.empty() && params.loss_episodes > 0) {
-    const double slice = span / params.loss_episodes;
-    for (int i = 0; i < params.loss_episodes; ++i) {
+    constexpr double loss_slice = kSpan / kLossEpisodes;
+    for (int i = 0; i < kLossEpisodes; ++i) {
       const net::LinkId link = links[loss_rng.pick_index(links.size())];
-      const double s = params.start + slice * i;
-      const double begin = s + loss_rng.next_double() * slice * 0.4;
+      const double s = kStart + loss_slice * i;
+      const double begin = s + loss_rng.next_double() * loss_slice * 0.4;
       const double length =
-          params.min_outage + loss_rng.next_double() * (slice * 0.5 - params.min_outage);
-      const double rate = 0.05 + loss_rng.next_double() * (params.max_loss - 0.05);
+          kMinOutage + loss_rng.next_double() * (loss_slice * 0.5 - kMinOutage);
+      const double rate = 0.05 + loss_rng.next_double() * (kMaxLoss - 0.05);
       schedule.link_loss(begin, link, rate);
-      schedule.link_loss(begin + std::max(params.min_outage, length), link, 0.0);
+      schedule.link_loss(begin + std::max(kMinOutage, length), link, 0.0);
     }
   }
 

@@ -23,21 +23,12 @@
 
 namespace sdmbox::verify {
 
-struct ChaosGenParams {
-  double start = 1.5;    // first fault no earlier than this
-  double horizon = 12.0; // every element restored by this time
-  int crash_pairs = 2;   // middlebox crash/restart pairs
-  int link_flaps = 2;    // link down/up pairs on core-adjacent links
-  int loss_episodes = 1; // transient probabilistic-loss windows
-  double min_outage = 0.3;
-  double max_loss = 0.3; // peak loss rate of a loss episode
-};
-
-/// Derive a deterministic fault schedule from `seed`. Same inputs, same
-/// schedule — the generator is a pure function, so generated-fault runs keep
-/// the simulator's byte-identical replay property.
+/// Derive a deterministic fault schedule from `seed`: two middlebox
+/// crash/restart pairs, two core-adjacent link flaps and one loss episode,
+/// all inside [1.5 s, 12 s]. Same inputs, same schedule — the generator is a
+/// pure function, so generated-fault runs keep the simulator's
+/// byte-identical replay property.
 sim::FaultSchedule generate_chaos(const net::GeneratedNetwork& network,
-                                  const core::Deployment& deployment, std::uint64_t seed,
-                                  const ChaosGenParams& params = {});
+                                  const core::Deployment& deployment, std::uint64_t seed);
 
 }  // namespace sdmbox::verify

@@ -67,6 +67,11 @@ TEST(CliExitCodes, BadUsageExitsTwo) {
   EXPECT_EQ(run_cli("--packets 300x"), 2);
   EXPECT_EQ(run_cli("--seed abc"), 2);
   EXPECT_EQ(run_cli("--trace-sample 0.5junk"), 2);
+  EXPECT_EQ(run_cli("--packets 300 --reopt-cooldown +3"), 2);
+  // Deleted drift-mode flags are unknown, not silently accepted.
+  EXPECT_EQ(run_cli("--packets 300 --reopt-adaptive"), 2);
+  EXPECT_EQ(run_cli("--packets 300 --reopt-predictive"), 2);
+  EXPECT_EQ(run_cli("--packets 300 --reopt-noise-mult 2"), 2);
 }
 
 TEST(CliExitCodes, UnverifiableRunExitsThree) {

@@ -94,50 +94,6 @@ TEST(DriftDetector, GroupedDriftCatchesShiftsTheGlobalVectorHides) {
   EXPECT_DOUBLE_EQ(d.last_drift(), 0.25);
 }
 
-TEST(DriftDetector, AdaptiveThresholdRidesTheMeasuredNoiseFloor) {
-  ReoptimizeOptions opt;
-  opt.drift_threshold = 0.02;
-  opt.cooldown_epochs = 1;
-  opt.adaptive = true;
-  opt.noise_multiplier = 3.0;
-  DriftDetector d(opt);
-  EXPECT_EQ(d.evaluate({5, 5}, 1), Decision::kSeeded);
-  // Stationary-but-noisy reports: shares wobble ±0.04 around 0.5/0.5. The
-  // wobble exceeds the base threshold (drift 0.04 > 0.02) but IS the noise
-  // floor — the running stddev learns it and raises the effective bar.
-  for (int i = 0; i < 20; ++i) {
-    d.evaluate(i % 2 == 0 ? std::vector<double>{5.4, 4.6} : std::vector<double>{4.6, 5.4}, 1);
-  }
-  EXPECT_GT(d.effective_threshold(), d.threshold());
-  EXPECT_GT(d.share_noise(), 0.0);
-  // The same wobble no longer triggers...
-  EXPECT_EQ(d.evaluate({5.4, 4.6}, 1), Decision::kBelowThreshold);
-  // ...but a real redistribution still clears the raised bar.
-  EXPECT_EQ(d.evaluate({9, 1}, 1), Decision::kTrigger);
-}
-
-TEST(DriftDetector, PredictiveTriggersOnTrendBeforeThresholdCrossed) {
-  ReoptimizeOptions opt;
-  opt.drift_threshold = 0.2;
-  opt.cooldown_epochs = 1;
-  opt.predictive = true;
-  DriftDetector d(opt);
-  EXPECT_EQ(d.evaluate({5, 5}, 1), Decision::kSeeded);
-  // Drifting toward box 0, still under threshold each epoch on its own.
-  EXPECT_EQ(d.evaluate({5.6, 4.4}, 1), Decision::kBelowThreshold);
-  // Current drift 0.15 < 0.2, but one more epoch of this trend lands at
-  // shares {0.74, 0.26} — predicted drift 0.24 crosses, so solve NOW.
-  EXPECT_EQ(d.evaluate({6.5, 3.5}, 1), Decision::kTriggerPredicted);
-  EXPECT_LT(d.last_drift(), d.threshold());
-  EXPECT_GT(d.last_predicted_drift(), d.threshold());
-
-  // mark_solved re-bases the trend: the next window extrapolates from the
-  // new reference, not from pre-solve history.
-  d.mark_solved({6.5, 3.5});
-  EXPECT_EQ(d.evaluate({6.5, 3.5}, 1), Decision::kBelowThreshold);
-  EXPECT_DOUBLE_EQ(d.last_predicted_drift(), 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // The online loop on the simulator calendar
 // ---------------------------------------------------------------------------

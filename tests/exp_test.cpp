@@ -44,10 +44,6 @@ ScenarioSpec customized_spec() {
   s.reopt.drift_threshold = 0.0625;
   s.reopt.cooldown_epochs = 3;
   s.reopt.min_reports = 2;
-  s.reopt.request_reports = false;
-  s.reopt.adaptive = true;
-  s.reopt.noise_multiplier = 2.5;
-  s.reopt.predictive = true;
   return s;
 }
 
@@ -125,7 +121,15 @@ TEST(ScenarioSpec, ParseRejectsOutOfDomainValues) {
   EXPECT_FALSE(parse_text("seed = +7\n").ok());
   EXPECT_FALSE(parse_text("seed = 18446744073709551616\n").ok());  // 2^64
   EXPECT_FALSE(parse_text("reopt_cooldown = 4294967297\n").ok());  // 2^32 + 1
+  EXPECT_FALSE(parse_text("reopt_cooldown = +3\n").ok());
   EXPECT_TRUE(parse_text("seed = 18446744073709551615\n").ok());   // 2^64 - 1
+  // Deleted settings fail loudly as unknown keys instead of being ignored.
+  for (const char* key :
+       {"reopt_adaptive", "reopt_noise_mult", "reopt_predictive", "reopt_request_reports"}) {
+    const auto removed = parse_text(std::string(key) + " = 1\n");
+    ASSERT_FALSE(removed.ok()) << key;
+    EXPECT_NE(removed.errors.front().find("unknown key"), std::string::npos) << key;
+  }
 }
 
 TEST(ScenarioSpec, LpEngineKeyParsesAndRejects) {
