@@ -10,7 +10,6 @@
 //                [--topology campus|waxman] [--strategy hp|rand|lb]
 //                [--packets N] [--policies-per-class N] [--seed N]
 //                [--off-path] [--fail-one FW|IDS|WP|TM]
-//                [--lp-engine sparse|dense]  # LB simplex engine
 //                [--lp-warm-start]      # re-solve from the last basis (default)
 //                [--lp-cold-start]      # force from-scratch re-solves
 //                [--policy-file FILE]   # Table-I-style file; replaces the
@@ -21,7 +20,8 @@
 //                                       # implies --sim
 //                [--trace-out FILE]     # per-flow path trace JSON; implies --sim
 //                [--spans-out FILE]     # control-plane span export
-//                                       # (.json/.csv); implies --sim
+//                                       # (.json/.csv); implies --sim and
+//                                       # overrides a spec's `spans = false`
 //                [--verify]             # attach the enforcement-invariant
 //                                       # oracle live; non-zero exit on any
 //                                       # violation; implies --sim
@@ -37,8 +37,9 @@
 //                [--help]               # print usage to stdout, exit 0
 //
 // Exit codes (the contract cli_test drives): 0 = run completed (and, with
-// --verify, the oracle passed); 2 = bad usage / unbuildable spec; 3 =
-// --verify found violations or could not verify the run.
+// --verify, the oracle passed); 1 = an export could not be written, or the
+// --policy-file audit found errors; 2 = bad usage / unbuildable spec; 3 =
+// --verify found violations or could not verify the run (wins over 1).
 //
 // Example:
 //   ./build/examples/scenario_cli --topology waxman --strategy lb --packets 5000000
@@ -90,7 +91,7 @@ void usage(const char* argv0, std::FILE* out) {
                "          [--topology campus|waxman] [--strategy hp|rand|lb]\n"
                "          [--packets N] [--policies-per-class N] [--seed N]\n"
                "          [--off-path] [--fail-one FW|IDS|WP|TM]\n"
-               "          [--lp-engine sparse|dense] [--lp-warm-start] [--lp-cold-start]\n"
+               "          [--lp-warm-start] [--lp-cold-start]\n"
                "          [--sim] [--metrics-out FILE] [--trace-out FILE]\n"
                "          [--spans-out FILE]\n"
                "          [--verify] [--faults none|chaos|generated] [--chaos-seed N]\n"
@@ -99,6 +100,8 @@ void usage(const char* argv0, std::FILE* out) {
                "          [--reopt-cooldown N] [--reopt-min-reports N]\n"
                "          [--help]\n"
                "exit codes: 0 = run completed (and --verify passed)\n"
+               "            1 = an export could not be written, or the\n"
+               "                --policy-file audit found errors\n"
                "            2 = bad usage or unbuildable spec\n"
                "            3 = --verify found violations or could not verify\n",
                argv0);
@@ -109,10 +112,10 @@ void usage(const char* argv0, std::FILE* out) {
 /// accepts exactly what a --spec file line accepts.
 bool is_spec_flag(const std::string& arg) {
   static constexpr const char* kFlags[] = {
-      "--topology",        "--strategy",       "--packets",           "--policies-per-class",
-      "--seed",            "--fail-one",       "--lp-engine",         "--faults",
-      "--chaos-seed",      "--epoch",          "--trace-sample",      "--reopt-period",
-      "--reopt-threshold", "--reopt-cooldown", "--reopt-min-reports"};
+      "--topology",       "--strategy",          "--packets",      "--policies-per-class",
+      "--seed",           "--fail-one",          "--faults",       "--chaos-seed",
+      "--epoch",          "--trace-sample",      "--reopt-period", "--reopt-threshold",
+      "--reopt-cooldown", "--reopt-min-reports"};
   return std::find(std::begin(kFlags), std::end(kFlags), arg) != std::end(kFlags);
 }
 
@@ -173,7 +176,6 @@ bool parse(int argc, char** argv, CliOptions& opt) {
       const char* v = next();
       if (v == nullptr) return false;
       opt.spans_out = v;
-      opt.spec.spans = true;  // an export path always wins over `spans = false`
     } else if (arg == "--help" || arg == "-h") {
       opt.help = true;
       return true;
@@ -181,6 +183,8 @@ bool parse(int argc, char** argv, CliOptions& opt) {
       return false;
     }
   }
+  // An export path always wins over `spans = false`, wherever --spec came.
+  if (!opt.spans_out.empty()) opt.spec.spans = true;
   const std::string invalid = opt.spec.validate();
   if (!invalid.empty()) {
     std::fprintf(stderr, "invalid options: %s\n", invalid.c_str());
@@ -191,6 +195,7 @@ bool parse(int argc, char** argv, CliOptions& opt) {
 
 // Packet-level half: wire the sim onto the built world, narrate the fault
 // script, run the chaos timeline, and print / export what the registry saw.
+// Returns the process exit code.
 int run_sim(exp::World& world, const CliOptions& opt) {
   world.prepare_sim();
   world.simnet->simulator().attach_log_clock();  // SDMBOX_LOG lines carry sim time
@@ -243,20 +248,27 @@ int run_sim(exp::World& world, const CliOptions& opt) {
                 world.reopt->detector().last_drift());
   }
 
-  if (!opt.metrics_out.empty()) {
-    obs::write_file(opt.metrics_out,
-                    obs::render_for_path(registry, world.recorder.get(), opt.metrics_out));
+  // A failed write is logged by obs::write_file and gets no "written" line;
+  // it turns the exit code into 1 once every other export was attempted.
+  bool exported = true;
+  const auto write = [&](const std::string& path, const std::string& content) {
+    const bool ok = obs::write_file(path, content);
+    exported = exported && ok;
+    return ok;
+  };
+  if (!opt.metrics_out.empty() &&
+      write(opt.metrics_out,
+            obs::render_for_path(registry, world.recorder.get(), opt.metrics_out))) {
     std::printf("metrics (%zu series) written to %s\n", registry.size(),
                 opt.metrics_out.c_str());
   }
-  if (!opt.trace_out.empty()) {
-    obs::write_file(opt.trace_out, world.trace_json());
+  if (!opt.trace_out.empty() && write(opt.trace_out, world.trace_json())) {
     std::printf("trace (%llu hop records, rate %.3f) written to %s\n",
                 static_cast<unsigned long long>(world.trace_recorded()), world.spec.trace_sample,
                 opt.trace_out.c_str());
   }
-  if (!opt.spans_out.empty() && world.spans != nullptr) {
-    obs::write_file(opt.spans_out, obs::render_spans_for_path(*world.spans, opt.spans_out));
+  if (!opt.spans_out.empty() &&
+      write(opt.spans_out, obs::render_spans_for_path(*world.spans, opt.spans_out))) {
     std::printf("spans (%llu started, %llu dropped) written to %s\n",
                 static_cast<unsigned long long>(world.spans->started()),
                 static_cast<unsigned long long>(world.spans->dropped()),
@@ -271,7 +283,7 @@ int run_sim(exp::World& world, const CliOptions& opt) {
       return 3;
     }
   }
-  return 0;
+  return exported ? 0 : 1;
 }
 
 }  // namespace

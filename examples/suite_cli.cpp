@@ -21,7 +21,9 @@
 //                           # replicate reports a violation or incomplete
 //                           # trace coverage
 // Bad usage (an unknown flag, a missing value, or a number that is not plain
-// decimal digits) prints usage and exits 2.
+// decimal digits) prints usage and exits 2. A --spec file that does not parse
+// or cannot be built (e.g. an unknown fail_one function) also exits 2, after
+// saying why. A suite JSON that cannot be written exits 1.
 //
 // Example:
 //   ./build/examples/suite_cli --jobs 8 --seeds 5 --out suite.json
@@ -191,11 +193,17 @@ int main(int argc, char** argv) {
   // Task i = replicate (i % seeds) of arm (i / seeds); its seed depends only
   // on (base seed, i), so the grid is reproducible run-to-run and identical
   // whatever --jobs is.
-  const auto snapshots = runner.run<exp::MetricsSnapshot>(tasks, [&](std::size_t i) {
-    exp::ScenarioSpec spec = arms[i / opt.seeds].spec;
-    spec.seed = exp::derive_seed(opt.seed, i);
-    return exp::run_scenario(spec);
-  });
+  std::vector<exp::MetricsSnapshot> snapshots;
+  try {
+    snapshots = runner.run<exp::MetricsSnapshot>(tasks, [&](std::size_t i) {
+      exp::ScenarioSpec spec = arms[i / opt.seeds].spec;
+      spec.seed = exp::derive_seed(opt.seed, i);
+      return exp::run_scenario(spec);
+    });
+  } catch (const exp::BuildError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   std::vector<exp::ArmResult> results;
   results.reserve(arms.size());

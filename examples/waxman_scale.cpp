@@ -11,11 +11,11 @@
 //   --max-edges N         cap the sweep sizes (default 5000, max 10000)
 //   --dense-max-edges N   dense cross-check at sizes <= N (default 1000)
 //   --packets N           workload volume per world (default 2000000)
-//   --engine sparse|dense engine for the primary timed solve
 //   --seed S              master seed (default 1)
 //   --json FILE           write deterministic per-size metrics (no wall
 //                         times, no RSS) for same-seed reproducibility diffs
-// Malformed or missing numbers print usage and exit 2.
+// Malformed or missing numbers print usage and exit 2; a --json file that
+// cannot be written exits 1.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -56,13 +56,12 @@ struct Args {
   std::uint64_t max_edges = 5000;
   std::uint64_t dense_max_edges = 1000;
   std::uint64_t packets = 2'000'000;
-  lp::SimplexEngine engine = lp::SimplexEngine::kSparse;
   std::uint64_t seed = 1;
   std::string json_path;
 };
 
 /// Deterministic facts about one world+solve: everything here must be a
-/// pure function of (seed, size, engine) — no clocks, no RSS — so two runs
+/// pure function of (seed, size) — no clocks, no RSS — so two runs
 /// with the same arguments produce byte-identical --json exports.
 struct SizeResult {
   std::size_t edges = 0;
@@ -132,9 +131,7 @@ SizeResult run_size(std::size_t edges, const Args& args) {
   r.stream_s = secs(t0);
   deployment.set_uniform_capacity(std::max(1.0, traffic.grand_total()));
 
-  core::ControllerParams params;
-  params.lp.simplex.engine = args.engine;
-  const core::Controller controller(network, deployment, gen.policies, params);
+  const core::Controller controller(network, deployment, gen.policies);
   t0 = std::chrono::steady_clock::now();
   const core::RatioResult lp = controller.solve_load_balancing(traffic);
   r.solve_ms = secs(t0) * 1000.0;
@@ -144,7 +141,7 @@ SizeResult run_size(std::size_t edges, const Args& args) {
   r.pivots = lp.pivots;
   r.lambda = lp.lambda;
 
-  if (edges <= args.dense_max_edges && args.engine != lp::SimplexEngine::kDense) {
+  if (edges <= args.dense_max_edges) {
     core::ControllerParams dparams;
     dparams.lp.simplex.engine = lp::SimplexEngine::kDense;
     const core::Controller dense_ctrl(network, deployment, gen.policies, dparams);
@@ -170,11 +167,11 @@ void append_num(std::string& out, const char* key, double v, const char* sep = "
 }
 
 /// Deterministic export for CI same-seed diffs: facts only, no timings.
-void write_metrics_json(const std::string& path, const Args& args,
+/// False when the file could not be written.
+bool write_metrics_json(const std::string& path, const Args& args,
                         const std::vector<SizeResult>& results) {
-  std::string out = "{\n  \"example\": \"waxman_scale\",\n  \"engine\": \"";
-  out += lp::to_string(args.engine);
-  out += "\",\n  \"seed\": " + std::to_string(args.seed);
+  std::string out = "{\n  \"example\": \"waxman_scale\",\n  \"engine\": \"sparse\"";
+  out += ",\n  \"seed\": " + std::to_string(args.seed);
   out += ",\n  \"packets\": " + std::to_string(args.packets);
   out += ",\n  \"sizes\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -195,14 +192,15 @@ void write_metrics_json(const std::string& path, const Args& args,
     out += i + 1 < results.size() ? "    },\n" : "    }\n";
   }
   out += "  ]\n}\n";
-  obs::write_file(path, out);
+  if (!obs::write_file(path, out)) return false;
   std::fprintf(stderr, "deterministic metrics written to %s\n", path.c_str());
+  return true;
 }
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--edges N] [--max-edges N] [--dense-max-edges N] [--packets N]\n"
-               "          [--engine sparse|dense] [--seed S] [--json FILE]\n",
+               "          [--seed S] [--json FILE]\n",
                argv0);
   return 2;
 }
@@ -227,10 +225,6 @@ int main(int argc, char** argv) {
       ok = exp::parse_u64(value, args.packets);
     } else if (flag == "--seed") {
       ok = exp::parse_u64(value, args.seed);
-    } else if (flag == "--engine" && value == "sparse") {
-      args.engine = lp::SimplexEngine::kSparse;
-    } else if (flag == "--engine" && value == "dense") {
-      args.engine = lp::SimplexEngine::kDense;
     } else if (flag == "--json") {
       args.json_path = value;
     } else {
@@ -267,6 +261,6 @@ int main(int argc, char** argv) {
     results.push_back(r);
   }
 
-  if (!args.json_path.empty()) write_metrics_json(args.json_path, args, results);
+  if (!args.json_path.empty() && !write_metrics_json(args.json_path, args, results)) return 1;
   return 0;
 }

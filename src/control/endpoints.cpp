@@ -347,13 +347,14 @@ ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest&
     replan_spans_.emplace(rspan, std::move(state));
   }
 
-  // A kFailure replan scoped to exactly one failed element patches the last
+  // A kFailure replan scoped to one failed middlebox patches the last
   // distributed plan locally instead of recomputing + recompiling: only the
-  // devices whose chains traverse the failed element change, so every other
-  // slice stays byte-identical and the differential push skips it. Without a
-  // distributed plan to patch, the scope degrades to a full recompute.
-  const bool has_scope = request.trigger == ReplanTrigger::kFailure &&
-                         (request.failed_node.valid() != request.failed_link.valid());
+  // devices whose candidate lists contain the failed box change, so every
+  // other slice stays byte-identical and the differential push skips it.
+  // Without a distributed plan to patch, the scope degrades to a full
+  // recompute.
+  const bool has_scope =
+      request.trigger == ReplanTrigger::kFailure && request.failed_node.valid();
   const bool scoped_failure =
       has_scope && request.plan == nullptr && !last_plan_.configs.empty();
   if (!scoped_failure && (request.recompute_assignments || has_scope)) {
@@ -362,18 +363,16 @@ ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest&
 
   bool compiled = false;
   if (scoped_failure) {
-    const std::vector<net::NodeId> affected =
-        request.failed_node.valid() ? controller_.patch_failed_node(request.failed_node)
-                                    : controller_.patch_failed_link(request.failed_link);
+    const std::vector<net::NodeId> affected = controller_.patch_failed_node(request.failed_node);
     out.plan = last_plan_;
     for (const net::NodeId d : affected) {
       out.plan.configs[d.v] = controller_.configs().at(d.v);
     }
     // Shares whose target is no longer a candidate of the sender (the dead
-    // box, or a survivor evicted by re-ranking) are dropped; the agents fall
-    // back to hot-potato there until the next LP solve re-balances. Only
-    // affected devices can lose shares — the LP never assigned any outside
-    // the candidate sets, which are unchanged everywhere else.
+    // box) are dropped; the agents fall back to hot-potato there until the
+    // next LP solve re-balances. Only affected devices can lose shares — the
+    // LP never assigned any outside the candidate sets, which are unchanged
+    // everywhere else.
     out.plan.ratios.filter_shares(
         [&](net::NodeId from, policy::FunctionId e, net::NodeId to) {
           const auto it = out.plan.configs.find(from.v);

@@ -116,18 +116,18 @@ struct ReplanRequest {
   /// Distribute this precompiled plan instead of compiling one. Must outlive
   /// the call.
   const core::EnforcementPlan* plan = nullptr;
-  /// Single-failure scope, kFailure only: when exactly one of these is set
-  /// (and a plan has been distributed before), the replan PATCHES the
-  /// current plan instead of recomputing + recompiling it — candidate sets
-  /// are rebuilt only for devices whose chains traverse the failed element,
-  /// and split shares pointing at a dead or evicted candidate are dropped
-  /// (agents fall back to hot-potato there until the next solve). All other
-  /// device slices stay byte-identical, so the differential push reaches
-  /// only the affected devices. `failed_node` must already be marked failed
-  /// in the deployment (HealthMonitor does this before calling). When no
-  /// plan was ever distributed, the scope degrades to a full recompute.
+  /// Single-failure scope, kFailure only: when set (and a plan has been
+  /// distributed before), the replan PATCHES the current plan instead of
+  /// recomputing + recompiling it — candidate sets are rebuilt only for
+  /// devices whose candidate lists contain the failed middlebox, and split
+  /// shares pointing at it are dropped (agents fall back to hot-potato there
+  /// until the next solve). All other device slices stay byte-identical, so
+  /// the differential push reaches only the affected devices. The box must
+  /// already be marked failed in the deployment (HealthMonitor does this
+  /// before calling). When no plan was ever distributed, the scope degrades
+  /// to a full recompute. Link failures never come here: OSPF reconvergence
+  /// absorbs them, because tunnels address middleboxes by IP.
   net::NodeId failed_node{};
-  net::LinkId failed_link{};
 };
 
 /// What one replan() actually did.
@@ -215,7 +215,8 @@ public:
   /// arrived since the last solve (the pool would have been empty).
   std::uint64_t replans_suppressed() const noexcept { return replans_suppressed_; }
   /// Failure replans resolved by the scoped patch path (no LP, no full
-  /// recompute): only devices touching the failed element were repushed.
+  /// recompute): only devices whose candidates held the failed box were
+  /// repushed.
   std::uint64_t replans_patched() const noexcept { return replans_patched_; }
   std::uint64_t malformed_messages() const noexcept { return malformed_; }
   std::uint64_t current_version() const noexcept { return version_; }

@@ -7,6 +7,32 @@
 
 namespace sdmbox::core {
 
+namespace {
+
+using TreesFromMbox = std::unordered_map<std::uint32_t, net::ShortestPathTree>;
+
+/// The min(k, |pool|) implementers in `pool` closest to device x, nearest
+/// first; `from_mbox` holds a shortest-path tree from every pool member.
+std::vector<net::NodeId> rank_candidates(net::NodeId x, std::vector<net::NodeId> pool,
+                                         std::size_t k, const TreesFromMbox& from_mbox) {
+  std::sort(pool.begin(), pool.end(), [&](net::NodeId a, net::NodeId b) {
+    const double da = from_mbox.at(a.v).distance[x.v];
+    const double db = from_mbox.at(b.v).distance[x.v];
+    if (da != db) return da < db;
+    // Equal-cost tie-break: deterministic but *per-device*. Flat
+    // topologies (e.g. the campus core, where every non-local middlebox
+    // is equidistant) would otherwise herd every device onto the same
+    // lowest-id candidates, starving the rest — candidate sets must
+    // cover the deployment for the LP to balance (§III.C).
+    return util::hash_combine(util::mix64(x.v), a.v) <
+           util::hash_combine(util::mix64(x.v), b.v);
+  });
+  pool.resize(std::min(k, pool.size()));
+  return pool;
+}
+
+}  // namespace
+
 Controller::Controller(const net::GeneratedNetwork& network, const Deployment& deployment,
                        const policy::PolicyList& policies, ControllerParams params)
     : network_(network), deployment_(deployment), policies_(policies),
@@ -53,7 +79,7 @@ std::vector<net::NodeId> Controller::patch_failed_node(net::NodeId failed) {
   // Distances are needed only from the surviving implementers of the failed
   // box's functions — those are the only candidate lists that can change,
   // and every node that can enter one implements one of those functions.
-  std::unordered_map<std::uint32_t, net::ShortestPathTree> from_mbox;
+  TreesFromMbox from_mbox;
   for (const MiddleboxInfo& m : deployment_.middleboxes()) {
     if (m.node.v == failed.v) continue;
     if (m.functions.minus(info->functions) == m.functions) continue;  // disjoint
@@ -72,74 +98,10 @@ std::vector<net::NodeId> Controller::patch_failed_node(net::NodeId failed) {
       // Distances are static, so dropping a node that was never in this
       // top-k cannot reorder it: only lists containing the failed box move.
       if (!uses_failed) continue;
-      std::vector<net::NodeId> sorted = deployment_.active_implementers(e);
-      std::sort(sorted.begin(), sorted.end(), [&](net::NodeId a, net::NodeId b) {
-        const double da = from_mbox.at(a.v).distance[x.v];
-        const double db = from_mbox.at(b.v).distance[x.v];
-        if (da != db) return da < db;
-        return util::hash_combine(util::mix64(x.v), a.v) <
-               util::hash_combine(util::mix64(x.v), b.v);
-      });
-      sorted.resize(std::min(k_for(e), sorted.size()));
-      cands = std::move(sorted);
+      cands = rank_candidates(x, deployment_.active_implementers(e), k_for(e), from_mbox);
       touched = true;
     }
     if (touched) affected.push_back(x);
-  }
-  std::sort(affected.begin(), affected.end(),
-            [](net::NodeId a, net::NodeId b) { return a.v < b.v; });
-  return affected;
-}
-
-std::vector<net::NodeId> Controller::patch_failed_link(net::LinkId failed) {
-  SDM_CHECK_MSG(failed.v < network_.topo.link_count(),
-                "patch target is not a link of the topology");
-  std::vector<bool> down(network_.topo.link_count(), false);
-  down[failed.v] = true;
-
-  // Trees on the intact and the link-excluded topology from every
-  // middlebox. A device is affected iff the failed link moved at least one
-  // of its current candidates farther away — link removal never shortens a
-  // path, so an untouched list cannot be displaced by an outsider either.
-  std::unordered_map<std::uint32_t, net::ShortestPathTree> before;
-  std::unordered_map<std::uint32_t, net::ShortestPathTree> after;
-  for (const MiddleboxInfo& m : deployment_.middleboxes()) {
-    before.emplace(m.node.v, net::dijkstra(network_.topo, m.node));
-    after.emplace(m.node.v, net::dijkstra(network_.topo, m.node, &down));
-  }
-
-  const policy::FunctionSet all = deployment_.all_functions();
-  std::vector<net::NodeId> affected;
-  for (auto& [node_v, cfg] : configs_) {
-    const net::NodeId x{node_v};
-    bool touched = false;
-    for (const auto& cands : cfg.candidates) {
-      for (const net::NodeId c : cands) {
-        if (before.at(c.v).distance[x.v] != after.at(c.v).distance[x.v]) {
-          touched = true;
-          break;
-        }
-      }
-      if (touched) break;
-    }
-    if (!touched) continue;
-    // Re-rank every list of this device on the link-excluded metric. Lists
-    // whose members all kept their distances re-sort identically. The patch
-    // deliberately diverges from recompute() here: recompute() ranks on the
-    // intact topology and is unaware of link state.
-    for (policy::FunctionId e : all.minus(cfg.own_functions).to_vector()) {
-      std::vector<net::NodeId> sorted = deployment_.active_implementers(e);
-      std::sort(sorted.begin(), sorted.end(), [&](net::NodeId a, net::NodeId b) {
-        const double da = after.at(a.v).distance[x.v];
-        const double db = after.at(b.v).distance[x.v];
-        if (da != db) return da < db;
-        return util::hash_combine(util::mix64(x.v), a.v) <
-               util::hash_combine(util::mix64(x.v), b.v);
-      });
-      sorted.resize(std::min(k_for(e), sorted.size()));
-      cfg.candidates[e.v] = std::move(sorted);
-    }
-    affected.push_back(x);
   }
   std::sort(affected.begin(), affected.end(),
             [](net::NodeId a, net::NodeId b) { return a.v < b.v; });
@@ -160,7 +122,7 @@ void Controller::compute_assignments() {
 
   // Distances from every middlebox to every node via one Dijkstra per
   // middlebox (|M| is small; links are symmetric, so dist(m, x) = dist(x, m)).
-  std::unordered_map<std::uint32_t, net::ShortestPathTree> from_mbox;
+  TreesFromMbox from_mbox;
   for (const MiddleboxInfo& m : deployment_.middleboxes()) {
     from_mbox.emplace(m.node.v, net::dijkstra(network_.topo, m.node));
   }
@@ -175,22 +137,8 @@ void Controller::compute_assignments() {
     cfg.is_proxy = is_proxy;
     cfg.own_functions = own_functions;
     for (policy::FunctionId e : all.minus(own_functions).to_vector()) {
-      std::vector<net::NodeId> sorted = deployment_.active_implementers(e);
-      std::sort(sorted.begin(), sorted.end(), [&](net::NodeId a, net::NodeId b) {
-        const double da = from_mbox.at(a.v).distance[x.v];
-        const double db = from_mbox.at(b.v).distance[x.v];
-        if (da != db) return da < db;
-        // Equal-cost tie-break: deterministic but *per-device*. Flat
-        // topologies (e.g. the campus core, where every non-local middlebox
-        // is equidistant) would otherwise herd every device onto the same
-        // lowest-id candidates, starving the rest — candidate sets must
-        // cover the deployment for the LP to balance (§III.C).
-        return util::hash_combine(util::mix64(x.v), a.v) <
-               util::hash_combine(util::mix64(x.v), b.v);
-      });
-      const std::size_t k = std::min(k_for(e), sorted.size());
-      sorted.resize(k);
-      cfg.candidates[e.v] = std::move(sorted);
+      cfg.candidates[e.v] =
+          rank_candidates(x, deployment_.active_implementers(e), k_for(e), from_mbox);
     }
     return cfg;
   };

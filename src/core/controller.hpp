@@ -76,15 +76,6 @@ public:
   /// no live implementer left.
   std::vector<net::NodeId> patch_failed_node(net::NodeId failed);
 
-  /// Locally patch assignments after a single link failure: candidate sets
-  /// are re-ranked on link-excluded distances, but only for devices where
-  /// the failed link changed the distance to at least one current
-  /// candidate (removing a link only lengthens paths, so a non-candidate
-  /// can never overtake an unaffected list). Returns the affected devices
-  /// in ascending id order. The patch is transient: the next recompute()
-  /// re-ranks on the intact topology.
-  std::vector<net::NodeId> patch_failed_link(net::LinkId failed);
-
   /// Solver-side facts about one compile(), for callers that report them
   /// (ReplanOutcome, benches). All zero when the strategy needed no LP.
   struct SolveInfo {

@@ -76,7 +76,6 @@ Deployment deploy_middleboxes(net::GeneratedNetwork& network,
     MiddleboxInfo info;
     info.node = node;
     info.functions = functions;
-    info.capacity = params.capacity;
     info.name = name;
     dep.add(std::move(info));
   };

@@ -79,13 +79,13 @@ struct DeploymentParams {
   /// two consecutive chain functions processes both locally — the paper's
   /// Π_x excludes a box's own functions from needing any assignment.
   std::vector<std::pair<policy::FunctionSet, std::size_t>> combos;
-  double capacity = 1.0;
 };
 
 /// Add one middlebox node per requested count (single-function `counts`
 /// plus multi-function `combos`), each attached to a randomly chosen core
 /// router of `network` (with replacement, as the paper does), and return
-/// the deployment inventory.
+/// the deployment inventory. Every box starts at MiddleboxInfo's default
+/// capacity; callers normalize with Deployment::set_uniform_capacity.
 Deployment deploy_middleboxes(net::GeneratedNetwork& network, const policy::FunctionCatalog& catalog,
                               const DeploymentParams& params, util::Rng& rng);
 

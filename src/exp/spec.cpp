@@ -7,7 +7,9 @@
 #include <limits>
 #include <sstream>
 
+#include "net/topologies.hpp"
 #include "util/strings.hpp"
+#include "workload/flow_gen.hpp"
 
 namespace sdmbox::exp {
 
@@ -107,18 +109,6 @@ const char* strategy_token(core::StrategyKind s) noexcept {
   return "?";
 }
 
-bool parse_engine(const std::string& v, lp::SimplexEngine& out) {
-  if (v == "sparse") {
-    out = lp::SimplexEngine::kSparse;
-    return true;
-  }
-  if (v == "dense") {
-    out = lp::SimplexEngine::kDense;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 const char* to_string(TopologyKind k) noexcept {
@@ -141,10 +131,31 @@ const char* to_string(FaultScript f) noexcept {
 std::string ScenarioSpec::validate() const {
   if (packets == 0) return "packets must be > 0";
   if (policies_per_class == 0) return "policies_per_class must be > 0";
-  if (campus_edge_count == 0 || campus_core_count == 0)
-    return "campus topology needs edge and core routers";
-  if (waxman_edge_count == 0 || waxman_core_count == 0)
-    return "waxman topology needs edge and core routers";
+  // Sizes the selected topology's generators can build, each bound taken
+  // from the generator that enforces it (build_world keeps the default /20
+  // subnet slices). Campus edge routers may take every slice; the Waxman
+  // generator stops one short.
+  const bool campus = topology == TopologyKind::kCampus;
+  const std::string edge_key = campus ? "campus_edge_count" : "waxman_edge_count";
+  const std::size_t edges = campus ? campus_edge_count : waxman_edge_count;
+  const std::size_t max_edges = net::AddressPlan{}.max_subnets() - (campus ? 0 : 1);
+  if (edges < workload::kMinFlowSubnets || edges > max_edges) {
+    return edge_key + " must be in [" + std::to_string(workload::kMinFlowSubnets) + ", " +
+           std::to_string(max_edges) + "]";
+  }
+  if (campus && campus_core_count < net::kCampusUplinksPerEdge) {
+    return "campus_core_count must be >= " + std::to_string(net::kCampusUplinksPerEdge) +
+           " (uplinks per edge router)";
+  }
+  const std::size_t core_degree = net::WaxmanParams{}.core_degree;
+  if (!campus && waxman_core_count <= core_degree) {
+    return "waxman_core_count must be > " + std::to_string(core_degree) +
+           " (core-core links per core router)";
+  }
+  if (policies_per_class > edges) {
+    return "policies_per_class must be <= " + edge_key +
+           " (one-to-many policies need distinct source subnets)";
+  }
   if (!(epoch > 0) || !std::isfinite(epoch)) return "epoch must be a positive finite period";
   if (!(trace_sample >= 0 && trace_sample <= 1)) return "trace_sample must be in [0, 1]";
   if (!(wp_cache_hit_rate >= 0 && wp_cache_hit_rate <= 1))
@@ -172,7 +183,6 @@ std::string ScenarioSpec::to_text() const {
   out << "policies_per_class = " << policies_per_class << '\n';
   out << "strategy = " << strategy_token(strategy) << '\n';
   out << "fail_one = " << fail_one << '\n';
-  out << "lp_engine = " << lp::to_string(lp_engine) << '\n';
   out << "lp_warm_start = " << (lp_warm_start ? "true" : "false") << '\n';
   out << "flow_cache = " << (flow_cache ? "true" : "false") << '\n';
   out << "label_switching = " << (label_switching ? "true" : "false") << '\n';
@@ -223,8 +233,6 @@ FieldStatus set_field(ScenarioSpec& s, const std::string& key, const std::string
     ok = parse_strategy(value, s.strategy);
   } else if (key == "fail_one") {
     s.fail_one = value;
-  } else if (key == "lp_engine") {
-    ok = parse_engine(value, s.lp_engine);
   } else if (key == "lp_warm_start") {
     ok = parse_bool(value, s.lp_warm_start);
   } else if (key == "flow_cache") {

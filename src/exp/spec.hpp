@@ -12,8 +12,9 @@
 // Serialization is a line-based `key = value` text format ('#' comments,
 // unknown keys rejected, every field optional over the defaults), chosen
 // over JSON because the repo writes JSON but deliberately never parses it.
-// to_text() emits every field in a fixed order with %.17g doubles, so
-// parse_text(to_text(s)) == s exactly — the round trip the exp tests pin.
+// to_text() emits every field but lp_engine (not a spec key) in a fixed order
+// with %.17g doubles, so parse_text(to_text(s)) == s exactly — the round trip
+// the exp tests pin.
 //
 // Replicate seeds derive from (base_seed, task_index) via the splitmix64
 // sequence (util::mix64 is its finalizer): derive_seed(base, i) walks the
@@ -68,9 +69,9 @@ struct ScenarioSpec {
   // --- enforcement ---
   core::StrategyKind strategy = core::StrategyKind::kLoadBalanced;
   std::string fail_one;  // pre-fail one implementer of this function ("" = none)
-  /// Which simplex engine solves the LB LPs: the sparse revised simplex
-  /// (default) or the dense tableau oracle. Same optimum either way; the
-  /// pivot sequences (and so pivot-derived metrics) differ per engine.
+  /// Which simplex engine solves the LB LPs. Not a spec key: always the
+  /// sparse revised simplex (the dense tableau is a test-only oracle). Kept
+  /// as a field only because the benchmark harness still reads it.
   lp::SimplexEngine lp_engine = lp::SimplexEngine::kSparse;
   /// Warm-start re-solves from the previous compile's basis (sparse only).
   /// On by default since the incremental-reoptimization rework: the solver
@@ -118,8 +119,8 @@ struct ScenarioSpec {
   /// constraint, human-readable.
   std::string validate() const;
 
-  /// Full `key = value` rendering, every field, fixed order, round-trips
-  /// exactly through parse_text.
+  /// Full `key = value` rendering, every field but lp_engine, fixed order,
+  /// round-trips exactly through parse_text.
   std::string to_text() const;
 };
 

@@ -16,14 +16,6 @@ const char* to_string(SolveStatus s) noexcept {
   return "?";
 }
 
-const char* to_string(SimplexEngine e) noexcept {
-  switch (e) {
-    case SimplexEngine::kSparse: return "sparse";
-    case SimplexEngine::kDense: return "dense";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Dense tableau with an explicit basis. Column layout:

@@ -37,8 +37,6 @@ enum class SimplexEngine : std::uint8_t {
   kDense,   // dense tableau oracle
 };
 
-const char* to_string(SimplexEngine e) noexcept;
-
 /// Where a variable sits in an optimal basis. Nonbasic variables rest on a
 /// bound (or at zero for free variables); basic variables carry the solve.
 enum class VarStatus : std::uint8_t { kAtLower, kAtUpper, kNonbasicFree, kBasic };

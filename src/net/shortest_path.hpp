@@ -42,9 +42,6 @@ struct ShortestPathTree {
 ShortestPathTree dijkstra(const Topology& topo, NodeId source,
                           const std::vector<bool>* down_links = nullptr);
 
-/// Shortest-path distance matrix for all nodes (row = source).
-std::vector<ShortestPathTree> all_pairs_shortest_paths(const Topology& topo);
-
 /// The k nodes from `candidates` closest to `from` (ties by NodeId), in
 /// increasing distance order. Unreachable candidates are skipped; fewer than k
 /// results are returned if not enough candidates are reachable.

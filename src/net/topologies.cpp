@@ -45,6 +45,10 @@ IpAddress AddressPlan::host_in(const Prefix& subnet, std::uint32_t index) const 
 
 namespace {
 
+constexpr std::size_t kCampusGateways = 2;  // §IV.A: two Internet gateways
+constexpr double kWaxmanRegion = 100.0;     // core coordinates in [0, region)^2
+constexpr double kWaxmanAlpha = 0.4;        // Waxman locality parameter
+
 /// Attach a proxy and hosts behind an edge router; records them in the
 /// GeneratedNetwork inventory. In-path (Figure 2 proxy x): hosts hang off
 /// the proxy, which sits between the edge router and the subnet. Off-path
@@ -75,13 +79,12 @@ void attach_stub(GeneratedNetwork& net, AddressPlan& plan, NodeId edge, std::siz
 }  // namespace
 
 GeneratedNetwork make_campus_topology(const CampusParams& params) {
-  SDM_CHECK(params.gateway_count >= 1 && params.core_count >= 1 && params.edge_count >= 1);
-  SDM_CHECK(params.cores_per_edge >= 1 && params.cores_per_edge <= params.core_count);
+  SDM_CHECK(params.core_count >= kCampusUplinksPerEdge && params.edge_count >= 1);
   GeneratedNetwork net;
   net.proxy_mode = params.proxy_mode;
   AddressPlan plan;
 
-  for (std::size_t g = 0; g < params.gateway_count; ++g) {
+  for (std::size_t g = 0; g < kCampusGateways; ++g) {
     net.gateways.push_back(
         net.topo.add_node(NodeKind::kGatewayRouter, "gw" + std::to_string(g), plan.next_device()));
   }
@@ -97,9 +100,9 @@ GeneratedNetwork make_campus_topology(const CampusParams& params) {
         net.topo.add_node(NodeKind::kEdgeRouter, "edge" + std::to_string(e), plan.next_device());
     net.edge_routers.push_back(edge);
     // Redundant uplinks spread round-robin across the cores.
-    for (std::size_t u = 0; u < params.cores_per_edge; ++u) {
-      const std::size_t c = (e * params.cores_per_edge + u) % params.core_count;
-      net.topo.add_link(edge, net.core_routers[c], params.edge_link);
+    for (std::size_t u = 0; u < kCampusUplinksPerEdge; ++u) {
+      const std::size_t c = (e * kCampusUplinksPerEdge + u) % params.core_count;
+      net.topo.add_link(edge, net.core_routers[c], LinkParams{});
     }
     attach_stub(net, plan, edge, params.hosts_per_subnet, params.stub_link, params.proxy_mode);
   }
@@ -119,13 +122,13 @@ GeneratedNetwork make_waxman_topology(const WaxmanParams& params) {
 
   // Place core routers at random coordinates in the region.
   std::vector<std::pair<double, double>> pos(params.core_count);
-  for (auto& p : pos) p = {rng.next_double() * params.region, rng.next_double() * params.region};
+  for (auto& p : pos) p = {rng.next_double() * kWaxmanRegion, rng.next_double() * kWaxmanRegion};
   const auto dist = [&](std::size_t i, std::size_t j) {
     const double dx = pos[i].first - pos[j].first;
     const double dy = pos[i].second - pos[j].second;
     return std::sqrt(dx * dx + dy * dy);
   };
-  const double scale = params.region * std::numbers::sqrt2;  // max possible distance
+  const double scale = kWaxmanRegion * std::numbers::sqrt2;  // max possible distance
 
   for (std::size_t c = 0; c < params.core_count; ++c) {
     net.core_routers.push_back(
@@ -144,7 +147,7 @@ GeneratedNetwork make_waxman_topology(const WaxmanParams& params) {
       std::vector<std::pair<std::size_t, double>> weights;
       for (std::size_t v = 0; v < params.core_count; ++v) {
         if (v == u || linked[u][v]) continue;
-        const double w = std::exp(-dist(u, v) / (params.alpha * scale));
+        const double w = std::exp(-dist(u, v) / (kWaxmanAlpha * scale));
         weights.emplace_back(v, w);
         total += w;
       }
@@ -204,7 +207,7 @@ GeneratedNetwork make_waxman_topology(const WaxmanParams& params) {
     const NodeId edge =
         net.topo.add_node(NodeKind::kEdgeRouter, "edge" + std::to_string(e), plan.next_device());
     net.edge_routers.push_back(edge);
-    net.topo.add_link(edge, net.core_routers[e % params.core_count], params.edge_link);
+    net.topo.add_link(edge, net.core_routers[e % params.core_count], LinkParams{});
     attach_stub(net, plan, edge, params.hosts_per_subnet, params.stub_link, params.proxy_mode);
   }
   SDM_CHECK(net.topo.is_connected());

@@ -70,31 +70,30 @@ private:
   std::uint32_t subnet_count_ = 0;
 };
 
+/// Redundant core uplinks per campus edge router, spread round-robin over
+/// the cores: a campus needs at least this many core routers.
+inline constexpr std::size_t kCampusUplinksPerEdge = 2;
+
 struct CampusParams {
-  std::size_t gateway_count = 2;
   std::size_t core_count = 16;
   std::size_t edge_count = 10;
-  std::size_t cores_per_edge = 2;   // redundant uplinks per edge router
   std::size_t hosts_per_subnet = 2;
   ProxyMode proxy_mode = ProxyMode::kInPath;
   LinkParams core_link{};           // gateway-core and core-core fabric
-  LinkParams edge_link{};           // edge-core uplinks
   LinkParams stub_link{};           // edge-proxy and proxy-host
 };
 
-/// Build the campus topology of §IV.A. Deterministic (no randomness needed).
+/// Build the campus topology of §IV.A: two gateways, and edge-core uplinks
+/// with default LinkParams. Deterministic (no randomness needed).
 GeneratedNetwork make_campus_topology(const CampusParams& params = {});
 
 struct WaxmanParams {
   std::size_t core_count = 25;
   std::size_t edge_count = 400;
   std::size_t core_degree = 4;      // core-core links per core router
-  double region = 100.0;            // coordinates in [0, region)^2
-  double alpha = 0.4;               // Waxman locality parameter
   std::size_t hosts_per_subnet = 0;
   ProxyMode proxy_mode = ProxyMode::kInPath;
   LinkParams core_link{};
-  LinkParams edge_link{};
   LinkParams stub_link{};
   std::uint64_t seed = 1;
   /// Stub subnet slice width. The default /20 caps edge_count at 4094; use
@@ -103,8 +102,10 @@ struct WaxmanParams {
   std::uint8_t subnet_prefix_len = 20;
 };
 
-/// Build a Waxman random topology per §IV.A. Deterministic for a fixed seed;
-/// the core graph is post-processed to guarantee connectivity.
+/// Build a Waxman random topology per §IV.A: cores in a 100x100 region,
+/// locality parameter 0.4, edge-core links with default LinkParams.
+/// Deterministic for a fixed seed; the core graph is post-processed to
+/// guarantee connectivity.
 GeneratedNetwork make_waxman_topology(const WaxmanParams& params = {});
 
 }  // namespace sdmbox::net

@@ -223,7 +223,7 @@ std::string trace_to_json(const PathTracer& tracer, const net::Topology* topo) {
   out += ",\n  \"recorded\": ";
   out += json_number(static_cast<double>(tracer.sink().recorded()));
   out += ",\n  \"overwritten\": ";
-  out += json_number(static_cast<double>(tracer.sink().overwritten()));
+  out += json_number(static_cast<double>(tracer.sink().dropped()));
   out += ",\n  \"flows\": [\n";
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto& [flow, hops] = flows[i];

@@ -110,7 +110,6 @@ public:
   std::uint64_t recorded() const noexcept { return recorded_; }
   /// Records shed from the ring by overwrite; > 0 means history is incomplete.
   std::uint64_t dropped() const noexcept { return dropped_; }
-  std::uint64_t overwritten() const noexcept { return dropped_; }
 
 private:
   std::size_t capacity_;

@@ -22,9 +22,7 @@ std::uint16_t ephemeral_port(util::Rng& rng) {
 FlowStream::FlowStream(const net::GeneratedNetwork& network, const GeneratedPolicies& policies,
                        const FlowGenParams& params, util::Rng& rng)
     : network_(network), policies_(policies), params_(params), rng_(rng) {
-  SDM_CHECK(params.min_flow_packets >= 1);
-  SDM_CHECK(params.min_flow_packets <= params.max_flow_packets);
-  SDM_CHECK(network.subnets.size() >= 2);
+  SDM_CHECK(network.subnets.size() >= kMinFlowSubnets);
   pools_[0] = policies.of_class(PolicyClass::kManyToOne);
   pools_[1] = policies.of_class(PolicyClass::kOneToMany);
   pools_[2] = policies.of_class(PolicyClass::kOneToOne);
@@ -76,8 +74,7 @@ FlowRecord FlowStream::make_main_flow() {
   f.id.src_port = pol.descriptor.src_port.is_wildcard() ? ephemeral_port(rng_)
                                                         : pol.descriptor.src_port.lo;
   f.id.protocol = packet::kProtoTcp;
-  f.packets = rng_.next_power_law(params_.min_flow_packets, params_.max_flow_packets,
-                                  params_.power_law_alpha);
+  f.packets = rng_.next_power_law(kMinFlowPackets, kMaxFlowPackets, kFlowSizeAlpha);
   total_packets_ += f.packets;
   SDM_DCHECK(policies_.policies.first_match(f.id) == &pol);
 
@@ -122,8 +119,7 @@ FlowRecord FlowStream::make_background_flow() {
   f.id.dst_port = static_cast<std::uint16_t>(40000 + rng_.next_below(9000));
   f.id.src_port = ephemeral_port(rng_);
   f.id.protocol = packet::kProtoUdp;
-  f.packets = rng_.next_power_law(params_.min_flow_packets, params_.max_flow_packets,
-                                  params_.power_law_alpha);
+  f.packets = rng_.next_power_law(kMinFlowPackets, kMaxFlowPackets, kFlowSizeAlpha);
   background_packets_ += f.packets;
   SDM_DCHECK(policies_.policies.first_match(f.id) == nullptr);
   return f;

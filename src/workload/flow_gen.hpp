@@ -1,7 +1,7 @@
 // Flow synthesis (§IV.A).
 //
 // Flows are assigned one third to each of the three policy classes; sizes
-// follow a bounded discrete power law in [1, 5000] packets. With the default
+// follow a bounded discrete power law in [1, 5000] packets. With
 // alpha = 1.6 the mean flow size is ~33 packets, so the paper's 30k-300k
 // flow range spans its stated 1M-10M packet range. Every generated flow's
 // 5-tuple is constructed to first-match exactly its intended policy;
@@ -29,12 +29,19 @@ struct FlowRecord {
   policy::PolicyId intended;
 };
 
+/// Flow sizes: a bounded discrete power law over [kMinFlowPackets,
+/// kMaxFlowPackets] packets with exponent kFlowSizeAlpha.
+inline constexpr std::uint64_t kMinFlowPackets = 1;
+inline constexpr std::uint64_t kMaxFlowPackets = 5000;
+inline constexpr double kFlowSizeAlpha = 1.6;
+
+/// Every flow runs between two distinct stub subnets, so flow generation
+/// needs at least this many.
+inline constexpr std::size_t kMinFlowSubnets = 2;
+
 struct FlowGenParams {
   /// Generate flows until their packet total reaches this.
   std::uint64_t target_total_packets = 1'000'000;
-  std::uint64_t min_flow_packets = 1;
-  std::uint64_t max_flow_packets = 5000;
-  double power_law_alpha = 1.6;
   /// Fraction of additional flows (by count) matching no policy.
   double background_flow_fraction = 0.0;
   /// Relative flow-count weights of the three classes {many-to-one,

@@ -12,10 +12,10 @@ GeneratedPolicies generate_policies(const net::GeneratedNetwork& network,
   GeneratedPolicies out;
   const std::size_t subnet_count = network.subnets.size();
 
-  // Service ports are unique per policy so the three classes never overlap:
-  // a flow generated for one policy matches exactly that policy. Web policies
-  // share port 80 but are disjoint by source subnet.
-  std::uint16_t next_service_port = params.first_service_port;
+  // Service ports are unique per policy (counting up from 1000) so the three
+  // classes never overlap: a flow generated for one policy matches exactly
+  // that policy. Web policies share port 80 but are disjoint by source subnet.
+  std::uint16_t next_service_port = 1000;
 
   // (1) many-to-one: protect a service at a random destination subnet from
   // all sources. Action list FW -> IDS -> WP (§IV.A packet assignment).

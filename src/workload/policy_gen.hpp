@@ -52,7 +52,6 @@ struct PolicyGenParams {
   std::size_t one_to_many = 4;
   std::size_t one_to_one = 4;
   bool web_return_companions = false;
-  std::uint16_t first_service_port = 1000;
 };
 
 GeneratedPolicies generate_policies(const net::GeneratedNetwork& network,

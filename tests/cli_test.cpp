@@ -1,6 +1,7 @@
 // scenario_cli's exit-code contract, driven through the real binary:
 //
 //   0  run completed (and, with --verify, the oracle passed)
+//   1  an export could not be written (or the --policy-file audit failed)
 //   2  bad usage or an unbuildable spec
 //   3  --verify found violations or could not verify the run
 //
@@ -13,6 +14,7 @@
 
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -53,6 +55,7 @@ TEST(CliExitCodes, HelpPrintsTheContractOnStdoutAndExitsZero) {
   const std::string text = slurp(out);
   // The help text documents every exit code and the span export flag.
   EXPECT_NE(text.find("exit codes"), std::string::npos) << text;
+  EXPECT_NE(text.find("1 = "), std::string::npos);
   EXPECT_NE(text.find("2 = bad usage"), std::string::npos);
   EXPECT_NE(text.find("3 = --verify"), std::string::npos);
   EXPECT_NE(text.find("--spans-out"), std::string::npos);
@@ -72,6 +75,29 @@ TEST(CliExitCodes, BadUsageExitsTwo) {
   EXPECT_EQ(run_cli("--packets 300 --reopt-adaptive"), 2);
   EXPECT_EQ(run_cli("--packets 300 --reopt-predictive"), 2);
   EXPECT_EQ(run_cli("--packets 300 --reopt-noise-mult 2"), 2);
+  // The dense tableau is a test oracle, not a product switch.
+  EXPECT_EQ(run_cli("--packets 300 --lp-engine dense"), 2);
+  EXPECT_EQ(run_cli("--packets 300 --lp-engine sparse"), 2);
+  // A spec the topology generator cannot build is refused, not aborted on.
+  const std::string spec = out_path("cli_one_core.spec");
+  std::ofstream(spec) << "campus_core_count = 1\n";
+  EXPECT_EQ(run_cli("--packets 300 --faults none --spec " + spec), 2);
+}
+
+TEST(CliExitCodes, UnwritableExportExitsOne) {
+  // The run completes, but no export can land in a directory that does not
+  // exist: exit 1, and no "written to" claim on stdout.
+  const std::string target = out_path("sdmbox_no_such_dir/export.json");
+  const std::string stdout_path = out_path("cli_unwritable.txt");
+  for (const char* flag : {"--metrics-out", "--trace-out", "--spans-out"}) {
+    EXPECT_EQ(run_cli(std::string("--packets 300 --faults none ") + flag + " " + target,
+                      stdout_path),
+              1)
+        << flag;
+    const std::string text = slurp(stdout_path);
+    EXPECT_NE(text.find("sim run:"), std::string::npos) << flag;
+    EXPECT_EQ(text.find("written to"), std::string::npos) << flag << "\n" << text;
+  }
 }
 
 TEST(CliExitCodes, UnverifiableRunExitsThree) {
@@ -89,6 +115,16 @@ TEST(CliExitCodes, SpansExportRidesAVerifiedRun) {
   EXPECT_NE(text.find("\"episode:crash\""), std::string::npos);
   EXPECT_NE(text.find("\"detect\""), std::string::npos);
   EXPECT_NE(text.find("\"push\""), std::string::npos);
+
+  // The export path wins over `spans = false` even when --spec comes after.
+  const std::string spec = out_path("cli_spans_off.spec");
+  std::ofstream(spec) << "spans = false\n";
+  const std::string early = out_path("cli_spans_before_spec.json");
+  std::remove(early.c_str());
+  EXPECT_EQ(run_cli("--packets 300 --faults none --spans-out " + early + " --spec " + spec), 0);
+  const std::string early_text = slurp(early);
+  ASSERT_FALSE(early_text.empty()) << "no span export at " << early;
+  EXPECT_EQ(early_text.front(), '{');
 }
 
 TEST(SuiteCliExitCodes, MalformedNumbersExitTwo) {
@@ -100,6 +136,10 @@ TEST(SuiteCliExitCodes, MalformedNumbersExitTwo) {
   EXPECT_EQ(run_binary(SDMBOX_SUITE_CLI_PATH, "--jobs 4294967296" + out), 2);
   EXPECT_EQ(run_binary(SDMBOX_SUITE_CLI_PATH, "--seeds 0" + out), 2);
   EXPECT_EQ(run_binary(SDMBOX_SUITE_CLI_PATH, "--jobs"), 2);  // missing value
+  // A spec that parses but cannot be built exits 2 too, instead of aborting.
+  const std::string spec = out_path("suite_nope.spec");
+  std::ofstream(spec) << "packets = 300\nfaults = none\nfail_one = NOPE\n";
+  EXPECT_EQ(run_binary(SDMBOX_SUITE_CLI_PATH, "--jobs 1 --seeds 1 --spec " + spec + out), 2);
 }
 
 TEST(SuiteCliExitCodes, WellFormedNumbersRun) {

@@ -33,6 +33,7 @@ ScenarioSpec customized_spec() {
   s.policies_per_class = 2;
   s.strategy = core::StrategyKind::kHotPotato;
   s.fail_one = "IDS";
+  s.lp_warm_start = false;
   s.flow_cache = true;
   s.label_switching = false;
   s.wp_cache_hit_rate = 0.25;
@@ -123,21 +124,32 @@ TEST(ScenarioSpec, ParseRejectsOutOfDomainValues) {
   EXPECT_FALSE(parse_text("reopt_cooldown = 4294967297\n").ok());  // 2^32 + 1
   EXPECT_FALSE(parse_text("reopt_cooldown = +3\n").ok());
   EXPECT_TRUE(parse_text("seed = 18446744073709551615\n").ok());   // 2^64 - 1
+  // Sizes the selected topology's generators cannot build are rejected up
+  // front; the boundary sizes they can build parse.
+  EXPECT_FALSE(parse_text("campus_core_count = 1\n").ok());  // 2 uplinks per edge router
+  EXPECT_TRUE(parse_text("campus_core_count = 2\n").ok());
+  EXPECT_FALSE(parse_text("campus_edge_count = 1\npolicies_per_class = 1\n").ok());
+  EXPECT_TRUE(parse_text("campus_edge_count = 2\npolicies_per_class = 2\n").ok());
+  EXPECT_FALSE(parse_text("policies_per_class = 11\n").ok());  // the campus has 10 subnets
+  EXPECT_TRUE(parse_text("policies_per_class = 10\n").ok());
+  EXPECT_FALSE(parse_text("campus_edge_count = 4096\n").ok());  // /20 slices run out
+  EXPECT_TRUE(parse_text("campus_edge_count = 4095\n").ok());
+  const std::string waxman = "topology = waxman\n";
+  for (const char* cores : {"2", "3", "4"}) {  // core_degree 4 must stay below it
+    EXPECT_FALSE(parse_text(waxman + "waxman_core_count = " + cores + "\n").ok()) << cores;
+  }
+  EXPECT_TRUE(parse_text(waxman + "waxman_core_count = 5\n").ok());
+  EXPECT_FALSE(parse_text(waxman + "waxman_edge_count = 1\npolicies_per_class = 1\n").ok());
+  EXPECT_TRUE(parse_text(waxman + "waxman_edge_count = 2\npolicies_per_class = 2\n").ok());
+  EXPECT_FALSE(parse_text(waxman + "waxman_edge_count = 4095\n").ok());
+  EXPECT_TRUE(parse_text(waxman + "waxman_edge_count = 4094\n").ok());
   // Deleted settings fail loudly as unknown keys instead of being ignored.
-  for (const char* key :
-       {"reopt_adaptive", "reopt_noise_mult", "reopt_predictive", "reopt_request_reports"}) {
+  for (const char* key : {"reopt_adaptive", "reopt_noise_mult", "reopt_predictive",
+                          "reopt_request_reports", "lp_engine"}) {
     const auto removed = parse_text(std::string(key) + " = 1\n");
     ASSERT_FALSE(removed.ok()) << key;
     EXPECT_NE(removed.errors.front().find("unknown key"), std::string::npos) << key;
   }
-}
-
-TEST(ScenarioSpec, LpEngineKeyParsesAndRejects) {
-  const auto dense = parse_text("lp_engine = dense\nlp_warm_start = true\n");
-  ASSERT_TRUE(dense.ok());
-  EXPECT_EQ(dense.spec.lp_engine, lp::SimplexEngine::kDense);
-  EXPECT_TRUE(dense.spec.lp_warm_start);
-  EXPECT_FALSE(parse_text("lp_engine = tableau\n").ok());
 }
 
 // ---------------------------------------------------------------------------

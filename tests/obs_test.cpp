@@ -212,8 +212,7 @@ TEST(Trace, RingSinkShedsOldestAndCountsOverwrites) {
     tracer.record(obs::Hop::kInjected, make_flow(1), static_cast<double>(i), net::NodeId{1});
   }
   EXPECT_EQ(tracer.sink().recorded(), 10u);
-  EXPECT_EQ(tracer.sink().overwritten(), 6u);
-  EXPECT_EQ(tracer.sink().dropped(), 6u);  // overwritten() alias; > 0 = wrapped
+  EXPECT_EQ(tracer.sink().dropped(), 6u);  // > 0 = wrapped
   const auto records = tracer.sink().records();
   ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records.front().at, 6.0);  // oldest survivor first
@@ -284,7 +283,7 @@ TEST(Trace, CollectorKeepsEveryRecordInOrderWhileRingWraps) {
     tracer.record(hop, make_flow(i % 4), 0.5 * i, net::NodeId{i}, /*detail=*/100 + i,
                   /*seq=*/i + 1);
   }
-  EXPECT_EQ(tracer.sink().overwritten(), kRecords - 3);
+  EXPECT_EQ(tracer.sink().dropped(), kRecords - 3);
 
   // Every record survives in the collector, in emission order, field for
   // field — while the ring kept only the newest three.

@@ -115,7 +115,7 @@ TEST_F(WorkloadTest, ReachesTargetPacketVolume) {
   fp.target_total_packets = 100000;
   const auto flows = generate_flows(network, policies, fp, rng);
   EXPECT_GE(flows.total_packets, 100000u);
-  EXPECT_LT(flows.total_packets, 100000u + fp.max_flow_packets);
+  EXPECT_LT(flows.total_packets, 100000u + kMaxFlowPackets);
 }
 
 TEST_F(WorkloadTest, EveryFlowFirstMatchesItsIntendedPolicy) {
@@ -134,8 +134,8 @@ TEST_F(WorkloadTest, FlowSizesWithinBounds) {
   fp.target_total_packets = 50000;
   const auto flows = generate_flows(network, policies, fp, rng);
   for (const FlowRecord& f : flows.flows) {
-    EXPECT_GE(f.packets, fp.min_flow_packets);
-    EXPECT_LE(f.packets, fp.max_flow_packets);
+    EXPECT_GE(f.packets, kMinFlowPackets);
+    EXPECT_LE(f.packets, kMaxFlowPackets);
   }
 }
 
