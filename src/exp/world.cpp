@@ -30,6 +30,30 @@ net::NodeId pick_victim(const net::GeneratedNetwork& network, const policy::Poli
 
 }  // namespace
 
+void inject_wave(sim::SimNetwork& net, const net::GeneratedNetwork& network,
+                 const workload::GeneratedFlows& flows, double at, std::uint64_t wave) {
+  // Each flow's packets are spread 30 ms apart so the burst overlaps the
+  // peer-health probe timeouts. flow_seq is unique and nonzero per (flow,
+  // packet) across waves: the invariant oracle keys packets on (flow, seq),
+  // and 0 is the "no sequence" sentinel. Every flow's j-th packet of a wave
+  // shares one time, and waves are injected in time order, so stagger slot
+  // j is a monotone injection lane.
+  for (const auto& f : flows.flows) {
+    const std::uint64_t n = std::min<std::uint64_t>(f.packets, 6);
+    for (std::uint64_t j = 0; j < n; ++j) {
+      sim::Injection inj;
+      inj.flow.src = f.id.src;
+      inj.flow.dst = f.id.dst;
+      inj.flow.src_port = f.id.src_port;
+      inj.flow.dst_port = f.id.dst_port;
+      inj.payload_bytes = 200;
+      inj.flow_seq = wave * 6 + j + 1;
+      net.inject(network.proxies[static_cast<std::size_t>(f.src_subnet)], inj,
+                 at + static_cast<double>(j) * 0.03, static_cast<std::uint32_t>(j));
+    }
+  }
+}
+
 std::unique_ptr<World> build_world(const ScenarioSpec& spec) {
   const std::string invalid = spec.validate();
   if (!invalid.empty()) throw BuildError("invalid scenario spec: " + invalid);
@@ -192,27 +216,6 @@ void World::arm_faults() {
   injector->arm(schedule);
 }
 
-void World::inject_wave(double at, std::uint64_t wave) {
-  // A burst of policy traffic, each flow's packets spread 30 ms apart so the
-  // burst overlaps the peer-health probe timeouts. flow_seq is unique and
-  // nonzero per (flow, packet) across waves: the invariant oracle keys
-  // packets on (flow, seq), and 0 is the "no sequence" sentinel.
-  for (const auto& f : flows.flows) {
-    const std::uint64_t n = std::min<std::uint64_t>(f.packets, 6);
-    for (std::uint64_t j = 0; j < n; ++j) {
-      packet::Packet p;
-      p.inner.src = f.id.src;
-      p.inner.dst = f.id.dst;
-      p.src_port = f.id.src_port;
-      p.dst_port = f.id.dst_port;
-      p.payload_bytes = 200;
-      p.flow_seq = wave * 6 + j + 1;
-      simnet->inject(network.proxies[static_cast<std::size_t>(f.src_subnet)], p,
-                     at + static_cast<double>(j) * 0.03);
-    }
-  }
-}
-
 void World::run() {
   SDM_CHECK_MSG(sim_prepared_, "run() requires prepare_sim()");
   SDM_CHECK_MSG(!ran_, "run() is one-shot per world");
@@ -230,10 +233,10 @@ void World::run() {
   monitor->start(*simnet);
   if (reopt) reopt->start(*simnet);
 
-  inject_wave(1.0, 0);
-  inject_wave(2.2, 1);
-  inject_wave(4.3, 2);
-  inject_wave(12.0, 3);
+  inject_wave(*simnet, network, flows, 1.0, 0);
+  inject_wave(*simnet, network, flows, 2.2, 1);
+  inject_wave(*simnet, network, flows, 4.3, 2);
+  inject_wave(*simnet, network, flows, 12.0, 3);
 
   simnet->simulator().schedule_at(14.0, [&] {
     monitor->stop();

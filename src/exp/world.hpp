@@ -112,10 +112,15 @@ public:
 
 private:
   void arm_faults();
-  void inject_wave(double at, std::uint64_t wave);
   bool sim_prepared_ = false;
   bool ran_ = false;
 };
+
+/// Inject wave number `wave` of World::run's policy traffic at time `at`:
+/// min(packets, 6) packets of every flow from its source proxy, 30 ms
+/// apart, as compact injections on one lane per stagger slot.
+void inject_wave(sim::SimNetwork& net, const net::GeneratedNetwork& network,
+                 const workload::GeneratedFlows& flows, double at, std::uint64_t wave);
 
 /// Build the static half of a world from `spec` (validated; throws
 /// BuildError on an unbuildable spec). RNG use order matches scenario_cli

@@ -108,6 +108,22 @@ public:
   /// order all exporters and the epoch recorder rely on.
   std::vector<MetricSample> collect() const;
 
+  /// Calls fn(key, name, labels, kind) for every metric in collect() order;
+  /// `key` is the registry's sort key (name, '\0', rendered labels). This is
+  /// how a consumer that keeps per-metric state binds to the registry once.
+  /// Metrics are never removed, so it need rebind only when size() grew.
+  template <class Fn>
+  void for_each_metric(Fn&& fn) const {
+    for (const auto& [key, e] : entries_) fn(key, e.name, e.labels, e.kind);
+  }
+
+  /// Calls fn(value) with every metric's collect() value (a histogram's
+  /// count) in collect() order, copying no sample.
+  template <class Fn>
+  void for_each_value(Fn&& fn) const {
+    for (const auto& [key, e] : entries_) fn(e.scalar());
+  }
+
   /// Scalar value of one metric (histograms report their count); nullopt
   /// when no such (name, labels) is registered.
   std::optional<double> value(std::string_view name, const Labels& labels = {}) const;

@@ -12,23 +12,29 @@ EpochRecorder::EpochRecorder(const MetricsRegistry& registry, double period)
 void EpochRecorder::sample(double now) {
   SDM_CHECK_MSG(epochs_.empty() || now >= epochs_.back(),
                 "epoch snapshots must move forward in time");
+  if (bound_.size() != registry_.size()) bind();
   epochs_.push_back(now);
-  for (MetricSample& s : registry_.collect()) {
-    std::string key = s.name;
-    key += '\0';
-    key += s.labels.render();
-    auto [it, inserted] = series_.try_emplace(std::move(key));
+  auto series = bound_.begin();
+  registry_.for_each_value([&](double v) { (*series++)->values.push_back(v); });
+}
+
+void EpochRecorder::bind() {
+  bound_.clear();
+  bound_.reserve(registry_.size());
+  registry_.for_each_metric([&](const std::string& key, const std::string& name,
+                                const Labels& labels, MetricKind kind) {
+    auto [it, inserted] = series_.try_emplace(key);
     Series& series = it->second;
     if (inserted) {
-      series.name = std::move(s.name);
-      series.labels = std::move(s.labels);
-      series.kind = s.kind;
+      series.name = name;
+      series.labels = labels;
+      series.kind = kind;
+      // Metrics registered after earlier epochs: left-pad with zeros so the
+      // series stays aligned with epochs().
+      series.values.assign(epochs_.size(), 0.0);
     }
-    // Metrics registered after earlier epochs: left-pad with zeros so the
-    // series stays aligned with epochs().
-    series.values.resize(epochs_.size() - 1, 0.0);
-    series.values.push_back(s.value);
-  }
+    bound_.push_back(&series);
+  });
 }
 
 void EpochRecorder::start(ScheduleIn schedule, Clock clock) {
@@ -37,13 +43,13 @@ void EpochRecorder::start(ScheduleIn schedule, Clock clock) {
   running_ = true;
   schedule_ = std::move(schedule);
   clock_ = std::move(clock);
-  tick();
+  tick(++chain_);
 }
 
-void EpochRecorder::tick() {
-  if (!running_) return;
+void EpochRecorder::tick(std::uint64_t chain) {
+  if (!running_ || chain != chain_) return;
   sample(clock_());
-  schedule_(period_, [this] { tick(); });
+  schedule_(period_, [this, chain] { tick(chain); });
 }
 
 const EpochRecorder::Series* EpochRecorder::find(std::string_view name,

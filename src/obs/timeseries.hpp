@@ -12,8 +12,14 @@
 // which drives one snapshot per epoch on the simulator's own calendar (the
 // first at the current time). Metrics registered after the first epoch are
 // zero-padded on the left so every series stays aligned with epochs().
+//
+// Each registry metric is bound to its series once, and rebound only when
+// the registry has grown (metrics are never removed), so a snapshot copies
+// the values in registry order straight into the bound series: no sample
+// copies, label rendering or keyed lookups per epoch.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
@@ -38,7 +44,8 @@ public:
   using Clock = std::function<double()>;
 
   /// Sample immediately, then keep rescheduling every period() until stop().
-  /// Idempotent while running.
+  /// Idempotent while running. A restart begins a new chain of ticks; the
+  /// stopped chain's pending tick does nothing.
   void start(ScheduleIn schedule, Clock clock);
   void stop() noexcept { running_ = false; }
   bool running() const noexcept { return running_; }
@@ -74,7 +81,8 @@ public:
   std::optional<double> latest(std::string_view name, const Labels& labels) const;
 
 private:
-  void tick();
+  void bind();
+  void tick(std::uint64_t chain);
 
   const MetricsRegistry& registry_;
   double period_;
@@ -82,7 +90,9 @@ private:
   // Keyed like the registry (name + '\0' + labels) so iteration stays in the
   // same deterministic order.
   std::map<std::string, Series> series_;
+  std::vector<Series*> bound_;  // the series of each registry metric, in its order
   bool running_ = false;
+  std::uint64_t chain_ = 0;  // generation of the live tick chain
   ScheduleIn schedule_;
   Clock clock_;
 };

@@ -117,6 +117,15 @@ public:
   /// as if it had just arrived there).
   void inject(net::NodeId node, packet::Packet pkt, SimTime at);
 
+  /// inject(node, inj.packet(), at) for a data packet given in compact form:
+  /// counted, traced and sequenced now, identically, but it waits in the
+  /// calendar as the small record and becomes a Packet when it comes due.
+  /// `lane` names an injection lane: injections given on one lane in
+  /// nondecreasing time order append in O(1), anything else is correct on
+  /// any lane — a source that staggers its packets gives each stagger slot
+  /// a lane.
+  void inject(net::NodeId node, const Injection& inj, SimTime at, std::uint32_t lane);
+
   /// Route one hop toward the packet's routing destination from `at_node`:
   /// resolve the destination, look up the next hop, and transmit. Drops (and
   /// counts) packets with no route or expired TTL.

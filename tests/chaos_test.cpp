@@ -19,6 +19,7 @@
 #include "control/endpoints.hpp"
 #include "control/health.hpp"
 #include "core/validate.hpp"
+#include "exp/world.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -46,28 +47,6 @@ net::NodeId pick_victim(const Scenario& s, const core::EnforcementPlan& plan) {
     if (m.valid()) return m;
   }
   return {};
-}
-
-// Inject a burst of policy traffic starting at `at`, each flow's packets
-// spread 30 ms apart so the burst overlaps the peer-health probe timeouts
-// (an instantaneous burst would finish before any blacklist could fire).
-// flow_seq is unique across waves so the oracle can tie every trace record
-// to exactly one packet.
-void inject_wave(sim::SimNetwork& net, const Scenario& s, double at, std::uint64_t wave) {
-  for (const auto& f : s.flows.flows) {
-    const std::uint64_t n = std::min<std::uint64_t>(f.packets, 6);
-    for (std::uint64_t j = 0; j < n; ++j) {
-      packet::Packet p;
-      p.inner.src = f.id.src;
-      p.inner.dst = f.id.dst;
-      p.src_port = f.id.src_port;
-      p.dst_port = f.id.dst_port;
-      p.payload_bytes = 200;
-      p.flow_seq = wave * 6 + j + 1;
-      net.inject(s.network.proxies[static_cast<std::size_t>(f.src_subnet)], p,
-                 at + static_cast<double>(j) * 0.03);
-    }
-  }
 }
 
 struct ChaosOutcome {
@@ -201,10 +180,10 @@ ChaosOutcome run_chaos(bool with_spans = true) {
                                     .plan = &initial});
   monitor.start(simnet);
 
-  inject_wave(simnet, s, 1.0, 0);
-  inject_wave(simnet, s, 2.2, 1);
-  inject_wave(simnet, s, 4.3, 2);
-  inject_wave(simnet, s, 12.0, 3);
+  exp::inject_wave(simnet, s.network, s.flows, 1.0, 0);
+  exp::inject_wave(simnet, s.network, s.flows, 2.2, 1);
+  exp::inject_wave(simnet, s.network, s.flows, 4.3, 2);
+  exp::inject_wave(simnet, s.network, s.flows, 12.0, 3);
 
   std::uint64_t drops_at_11_9 = 0;
   simnet.simulator().schedule_at(
@@ -522,10 +501,10 @@ TEST(Chaos, GeneratedSchedulesKeepInvariants) {
     cp.controller->replan(simnet, control::ReplanRequest{
                                       .trigger = control::ReplanTrigger::kInitial,
                                       .plan = &initial});
-    inject_wave(simnet, s, 1.0, 0);
-    inject_wave(simnet, s, 2.2, 1);
-    inject_wave(simnet, s, 4.3, 2);
-    inject_wave(simnet, s, 12.0, 3);
+    exp::inject_wave(simnet, s.network, s.flows, 1.0, 0);
+    exp::inject_wave(simnet, s.network, s.flows, 2.2, 1);
+    exp::inject_wave(simnet, s.network, s.flows, 4.3, 2);
+    exp::inject_wave(simnet, s.network, s.flows, 12.0, 3);
     simnet.run();
 
     const verify::VerifyReport& vr = oracle.finish();

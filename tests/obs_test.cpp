@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
+#include "stats/histogram.hpp"
 #include "util/check.hpp"
 
 namespace sdmbox {
@@ -204,6 +207,141 @@ TEST(Epochs, LateRegisteredSeriesAreLeftPadded) {
   EXPECT_EQ(series[0].name, "early");
   EXPECT_EQ(series[1].name, "late");
   EXPECT_EQ(series[1].values, (std::vector<double>{0, 0, 9}));
+}
+
+TEST(Epochs, RestartAfterStopKeepsOneChain) {
+  sim::Simulator sim;
+  MetricsRegistry reg;
+  reg.counter("pkts");
+  EpochRecorder rec(reg, 0.5);
+  const EpochRecorder::ScheduleIn schedule = [&](double d, std::function<void()> fn) {
+    sim.schedule_in(d, std::move(fn));
+  };
+  const EpochRecorder::Clock clock = [&] { return sim.now(); };
+  rec.start(schedule, clock);
+  // A restart within one period: the stopped chain's tick, still pending
+  // for t = 1.0, must not sample or reschedule — only the new chain does.
+  sim.schedule_at(0.7, [&] {
+    rec.stop();
+    rec.start(schedule, clock);
+  });
+  sim.schedule_at(2.05, [&] { rec.stop(); });
+  sim.run();
+
+  const std::vector<double> expect = {0.0, 0.5, 0.7, 1.2, 1.7};
+  ASSERT_EQ(rec.epochs().size(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_DOUBLE_EQ(rec.epochs()[i], expect[i]) << "epoch " << i;
+  }
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+/// The recorder's reference algorithm: collect every sample, render its
+/// labels, and look its series up by that key, left-padding new series.
+struct ReferenceRecorder {
+  explicit ReferenceRecorder(const MetricsRegistry& r) : registry(r) {}
+
+  void sample(double now) {
+    epochs.push_back(now);
+    for (obs::MetricSample& s : registry.collect()) {
+      std::string key = s.name;
+      key += '\0';
+      key += s.labels.render();
+      auto [it, inserted] = series.try_emplace(std::move(key));
+      EpochRecorder::Series& out = it->second;
+      if (inserted) {
+        out.name = std::move(s.name);
+        out.labels = std::move(s.labels);
+        out.kind = s.kind;
+      }
+      out.values.resize(epochs.size() - 1, 0.0);
+      out.values.push_back(s.value);
+    }
+  }
+
+  const MetricsRegistry& registry;
+  std::vector<double> epochs;
+  std::map<std::string, EpochRecorder::Series> series;
+};
+
+void expect_matches_reference(const EpochRecorder& rec, const ReferenceRecorder& ref) {
+  ASSERT_EQ(rec.epochs(), ref.epochs);
+  const auto all = rec.series();
+  ASSERT_EQ(all.size(), ref.series.size());
+  std::size_t i = 0;
+  for (const auto& [key, want] : ref.series) {
+    const EpochRecorder::Series& got = all[i++];
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.labels, want.labels);
+    EXPECT_EQ(got.kind, want.kind);
+    std::vector<double> padded = want.values;
+    padded.resize(ref.epochs.size(), 0.0);
+    EXPECT_EQ(got.values, padded) << want.name << want.labels.render();
+
+    const EpochRecorder::Series* found = rec.find(want.name, want.labels);
+    ASSERT_NE(found, nullptr) << want.name << want.labels.render();
+    EXPECT_EQ(found->values, want.values);
+    EXPECT_EQ(rec.latest(want.name, want.labels),
+              want.values.empty() ? std::nullopt : std::optional<double>(want.values.back()));
+    const auto named = rec.find_all(want.name);
+    EXPECT_NE(std::find(named.begin(), named.end(), found), named.end());
+  }
+  EXPECT_EQ(rec.find("absent", {}), nullptr);
+}
+
+TEST(Epochs, InPlaceSamplingMatchesCollectRenderLookup) {
+  // Owned and exposed counters, closure gauges and histograms. The registry
+  // grows before the first sample and between later ones, with metrics that
+  // sort before, among and after the ones already bound.
+  MetricsRegistry reg;
+  auto& p1 = reg.counter("m_pkts", Labels{{"device", "p1"}});
+  double load = 0.25;
+  reg.expose_gauge("m_load", Labels{{"subsystem", "net"}}, [&] { return load; });
+  auto& lat = reg.histogram("lat");
+  EpochRecorder rec(reg, 1.0);
+  ReferenceRecorder ref(reg);
+
+  std::uint64_t viewed = 4;
+  reg.counter("a_first").inc(3);
+  reg.expose_counter("z_view", Labels{{"device", "p9"}}, &viewed);
+  rec.sample(0.0);
+  ref.sample(0.0);
+  expect_matches_reference(rec, ref);
+
+  p1.inc(5);
+  load = 0.75;
+  lat.add(2.0);
+  viewed = 11;
+  rec.sample(1.0);
+  ref.sample(1.0);
+  expect_matches_reference(rec, ref);
+
+  auto& p0 = reg.counter("m_pkts", Labels{{"device", "p0"}});
+  p0.inc(7);
+  reg.expose_gauge("b_gauge", {}, [&] { return 2.0 * load; });
+  stats::Histogram health;
+  health.add(1.0);
+  health.add(3.0);
+  reg.expose_histogram("lat", Labels{{"subsystem", "health"}}, &health);
+  lat.add(4.0);
+  rec.sample(2.0);
+  ref.sample(2.0);
+  expect_matches_reference(rec, ref);
+
+  // An equal-time sample, then growth at both ends.
+  p1.inc();
+  rec.sample(2.0);
+  ref.sample(2.0);
+  expect_matches_reference(rec, ref);
+
+  reg.counter("0_zero").inc(1);
+  reg.counter("zz_last", Labels{{"device", "p0"}}).inc(2);
+  load = 0.5;
+  health.add(5.0);
+  rec.sample(3.5);
+  ref.sample(3.5);
+  expect_matches_reference(rec, ref);
+  EXPECT_EQ(rec.series().size(), reg.size());
 }
 
 TEST(Trace, RingSinkShedsOldestAndCountsOverwrites) {

@@ -5,8 +5,11 @@
 #include <limits>
 #include <numeric>
 
+#include "core/agents.hpp"
+#include "exp/world.hpp"
 #include "net/topologies.hpp"
 #include "obs/trace.hpp"
+#include "scenario.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -253,6 +256,111 @@ TEST(Simulator, ManyLanesPopInExactTimeSeqOrder) {
   EXPECT_EQ(s.pending(), 0u);
 }
 
+TEST(Simulator, InjectionsInterleaveInExactTimeSeqOrder) {
+  // Compact injections on six stagger-slot lanes (the shape of a policy
+  // wave: slot j at wave time + j steps), stored packet events and
+  // callbacks, all on a grid of a few exact times so most events share
+  // their time with events of the other kinds. Some injections undercut
+  // their lane and go to the overflow heap. Handlers keep scheduling every
+  // kind, at the current time and at later grid times. Dispatch must
+  // follow (time, schedule order) exactly, and an injection must arrive as
+  // the packet event it stands for.
+  constexpr std::uint32_t kSlots = 6;
+  constexpr std::size_t kEvents = 12000;
+  constexpr double kStep = 0.25;  // exact in binary, so equal times stay equal
+  Simulator s;
+  util::Rng rng(22);
+  std::vector<double> at;  // at[id]: the time event `id` was scheduled for
+  std::vector<double> slot_tail(kSlots, 0.0);
+  std::vector<std::uint32_t> fired;
+  std::size_t bad_injections = 0;
+  std::function<void()> follow_up;
+
+  struct Sink final : PacketSink {
+    void on_packet_event(PacketEvent ev) override { fire(ev); }
+    std::function<void(const PacketEvent&)> fire;
+  } sink;
+  s.set_packet_sink(&sink);
+
+  enum Kind { kCallback, kPacket, kInjection };
+  const auto schedule = [&](Kind kind, double t, std::uint32_t slot) {
+    if (at.size() >= kEvents) return;
+    const auto id = static_cast<std::uint32_t>(at.size());
+    at.push_back(t);
+    if (kind == kCallback) {
+      s.schedule_at(t, [&, id] {
+        fired.push_back(id);
+        follow_up();
+      });
+    } else if (kind == kPacket) {
+      s.schedule_packet_at(t, packet::Packet{}, NodeId{id}, NodeId{id}, NodeId{}, 0, false,
+                           /*lane=*/kSlots + 1 + slot);
+    } else {
+      Injection inj;
+      inj.flow.src_port = static_cast<std::uint16_t>(slot);
+      inj.payload_bytes = 200;
+      inj.flow_seq = id;
+      s.schedule_injection_at(t, inj, NodeId{id}, /*lane=*/1 + slot);
+      slot_tail[slot] = std::max(slot_tail[slot], t);
+    }
+  };
+  // A grid time at or after now: now itself, or up to three steps later.
+  const auto grid_time = [&] {
+    return s.now() + kStep * static_cast<double>(rng.next_below(4));
+  };
+  follow_up = [&] {
+    const double r = rng.next_double();
+    const auto slot = static_cast<std::uint32_t>(rng.next_below(kSlots));
+    if (r < 0.35) {
+      // Usually a monotone append to the slot's lane, sometimes one that
+      // undercuts it.
+      const double t = rng.next_bool(0.8) ? std::max(grid_time(), slot_tail[slot]) : s.now();
+      schedule(kInjection, t, slot);
+    } else if (r < 0.7) {
+      schedule(kPacket, grid_time(), slot);
+    } else if (r < 0.95) {
+      schedule(kCallback, grid_time(), slot);
+    }
+  };
+  sink.fire = [&](const PacketEvent& ev) {
+    fired.push_back(ev.node.v);
+    if (ev.from.valid()) {  // a stored packet event
+      follow_up();
+      return;
+    }
+    const bool as_packet = ev.origin && !ev.dest_hint.valid() && ev.injected_at == s.now() &&
+                           ev.pkt.flow_seq == ev.node.v && ev.pkt.payload_bytes == 200 &&
+                           ev.pkt.src_port < kSlots && !ev.pkt.outer.has_value();
+    if (!as_packet) ++bad_injections;
+    follow_up();
+    if (rng.next_bool(0.1)) follow_up();
+  };
+
+  // Four waves, each injecting every slot of 300 flows, with callbacks and
+  // stored packet events scheduled at the same times in between.
+  for (int wave = 0; wave < 4; ++wave) {
+    const double base = 8.0 * kStep * static_cast<double>(wave);
+    for (int flow = 0; flow < 300; ++flow) {
+      for (std::uint32_t slot = 0; slot < kSlots; ++slot) {
+        const double t = base + kStep * static_cast<double>(slot);
+        schedule(kInjection, t, slot);
+        if (rng.next_bool(0.1)) schedule(rng.next_bool(0.5) ? kPacket : kCallback, t, slot);
+      }
+    }
+  }
+  s.run();
+
+  ASSERT_EQ(at.size(), kEvents);
+  std::vector<std::uint32_t> expected(kEvents);
+  std::iota(expected.begin(), expected.end(), 0u);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return at[a] < at[b]; });
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(bad_injections, 0u);
+  EXPECT_EQ(s.events_processed(), kEvents);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
 TEST(Simulator, ResetDropsPendingPacketEvents) {
   Simulator s;
   RecordingSink sink(s);
@@ -457,6 +565,93 @@ TEST_F(SimNetworkTest, DeterministicAcrossRuns) {
   const auto b = run_once();
   EXPECT_EQ(a.first, b.first);
   EXPECT_DOUBLE_EQ(a.second, b.second);
+}
+
+// ---------------------------------------------------------------------------
+// Compact injections through a network with agents
+// ---------------------------------------------------------------------------
+
+// TraceRecord has no operator==: every field must agree.
+bool same_record(const obs::TraceRecord& a, const obs::TraceRecord& b) {
+  return a.at == b.at && a.flow == b.flow && a.node == b.node && a.hop == b.hop &&
+         a.detail == b.detail && a.seq == b.seq;
+}
+
+TEST(CompactInjection, WaveMatchesPacketInjection) {
+  // Two networks with the same label-switching agents over one campus plan,
+  // traced in full: one gets two policy waves through inject(Packet), built
+  // by the reference loop below, the other through exp::inject_wave's
+  // compact injections. Counters, event counts and the whole record stream
+  // must agree.
+  testing::ScenarioParams sp;
+  sp.seed = 2019;
+  sp.target_packets = 20000;
+  const testing::Scenario s = testing::make_scenario(sp);
+  const core::EnforcementPlan plan =
+      s.controller->compile(core::StrategyKind::kLoadBalanced, &s.traffic);
+  const auto routing = net::RoutingTables::compute(s.network.topo);
+  const auto resolver = net::AddressResolver::build(s.network.topo);
+
+  struct Outcome {
+    NetworkCounters counters;
+    std::uint64_t events = 0;
+    std::vector<obs::TraceRecord> records;
+  };
+  const auto run = [&](bool compact) {
+    SimNetwork simnet(s.network.topo, routing, resolver);
+    core::AgentOptions options;
+    options.enable_label_switching = true;
+    core::install_agents(simnet, s.network, s.deployment, s.gen.policies, plan, options);
+    obs::PathTracer tracer(1.0);
+    obs::TraceCollector collector;
+    tracer.set_observer(&collector);
+    simnet.set_tracer(&tracer);
+    const std::pair<double, std::uint64_t> waves[] = {{1.0, 0}, {2.2, 1}};
+    for (const auto& [at, wave] : waves) {
+      if (compact) {
+        exp::inject_wave(simnet, s.network, s.flows, at, wave);
+        continue;
+      }
+      for (const auto& f : s.flows.flows) {
+        const std::uint64_t n = std::min<std::uint64_t>(f.packets, 6);
+        for (std::uint64_t j = 0; j < n; ++j) {
+          packet::Packet p;
+          p.inner.src = f.id.src;
+          p.inner.dst = f.id.dst;
+          p.src_port = f.id.src_port;
+          p.dst_port = f.id.dst_port;
+          p.payload_bytes = 200;
+          p.flow_seq = wave * 6 + j + 1;
+          simnet.inject(s.network.proxies[static_cast<std::size_t>(f.src_subnet)], p,
+                        at + static_cast<double>(j) * 0.03);
+        }
+      }
+    }
+    simnet.run();
+    return Outcome{simnet.counters(), simnet.simulator().events_processed(),
+                   collector.records()};
+  };
+  const Outcome ref = run(false);
+  const Outcome got = run(true);
+
+  EXPECT_GT(ref.counters.injected, 1000u);
+  EXPECT_GT(ref.counters.delivered, 0u);
+  EXPECT_EQ(got.counters.injected, ref.counters.injected);
+  EXPECT_EQ(got.counters.delivered, ref.counters.delivered);
+  EXPECT_EQ(got.counters.dropped_ttl, ref.counters.dropped_ttl);
+  EXPECT_EQ(got.counters.dropped_no_route, ref.counters.dropped_no_route);
+  EXPECT_EQ(got.counters.dropped_node_down, ref.counters.dropped_node_down);
+  EXPECT_EQ(got.counters.dropped_queue, ref.counters.dropped_queue);
+  EXPECT_EQ(got.counters.dropped_link_down, ref.counters.dropped_link_down);
+  EXPECT_EQ(got.counters.dropped_link_loss, ref.counters.dropped_link_loss);
+  EXPECT_EQ(got.counters.total_latency, ref.counters.total_latency);
+  EXPECT_EQ(got.events, ref.events);
+  ASSERT_EQ(got.records.size(), ref.records.size());
+  std::size_t first_mismatch = got.records.size();
+  for (std::size_t i = 0; i < got.records.size() && first_mismatch == got.records.size(); ++i) {
+    if (!same_record(got.records[i], ref.records[i])) first_mismatch = i;
+  }
+  EXPECT_EQ(first_mismatch, got.records.size()) << "record streams diverge";
 }
 
 }  // namespace
