@@ -3,18 +3,21 @@
 #
 # Usage: ci/scenario_arms.sh BUILD_DIR PACKETS [OUT_DIR]
 #
-# Runs five scenario_cli arms under the live enforcement-invariant oracle
+# Runs six scenario_cli arms under the live enforcement-invariant oracle
 # (--verify exits 3 on any violation):
-#   fault    the scripted chaos timeline (crash, link flap, lossy control link)
-#   offpath  the same timeline with off-path proxies behind edge-router loopbacks
-#   reopt    the same timeline with drift-triggered re-optimisation
-#   chaos    a seeded generated fault schedule
-#   waxman   the scripted timeline on the Waxman world at 200,000 packets
-#            (ignores PACKETS), so the oracle's tables grow and recycle at scale
+#   fault         the scripted chaos timeline (crash, link flap, lossy control link)
+#   offpath       the same timeline with off-path proxies behind edge-router loopbacks
+#   reopt         the same timeline with drift-triggered re-optimisation
+#   chaos         a seeded generated fault schedule
+#   waxman        the scripted timeline on the Waxman world at 200,000 packets
+#                 (ignores PACKETS), so the oracle's tables grow and recycle at scale
+#   waxman_chaos  a seeded generated fault schedule on the Waxman world, whose
+#                 link flaps make routing reconverge at Waxman scale
 # Each arm runs twice with the same seed, in OUT_DIR/1 and OUT_DIR/2 (default
 # OUT_DIR: arms). Its metrics, trace and span exports must be valid JSON, and
 # they and its stdout must be byte-identical between the two runs. The reopt
-# arm must also re-solve at least once.
+# arm must also re-solve at least once, and the waxman_chaos arm must
+# reconverge at least twice without dropping a packet for want of a route.
 set -eu
 
 if [ "$#" -lt 2 ]; then
@@ -48,6 +51,7 @@ run_arm offpath --off-path
 run_arm reopt --reopt-period 0.5 --reopt-threshold 0.05
 run_arm chaos --faults generated --chaos-seed 7
 run_arm waxman --topology waxman --packets 200000
+run_arm waxman_chaos --topology waxman --faults generated --chaos-seed 7
 
 # The oracle's series and span attributions, and the drift loop's series,
 # made it into the exports.
@@ -58,9 +62,20 @@ grep -q reopt_epochs "$out/1/reopt_metrics.json"
 
 # The drift loop actually re-solved. If proxies were never asked for
 # reports, every epoch would be suppressed and the greps above would pass.
+# The Waxman flaps actually rerouted: both link downs reconverged, and no
+# flap cut a subnet off.
 python3 -c '
 import json, sys
-metrics = json.load(open(sys.argv[1]))["metrics"]
-solves = sum(m["value"] for m in metrics if m["name"] == "reopt_solves")
-sys.exit(0 if solves >= 1 else "reopt arm: reopt_solves = %g, expected >= 1" % solves)
-' "$out/1/reopt_metrics.json"
+def total(path, name):
+    metrics = json.load(open(path))["metrics"]
+    return sum(m["value"] for m in metrics if m["name"] == name)
+solves = total(sys.argv[1], "reopt_solves")
+if solves < 1:
+    sys.exit("reopt arm: reopt_solves = %g, expected >= 1" % solves)
+reconv = total(sys.argv[2], "fault_reconvergences")
+if reconv < 2:
+    sys.exit("waxman_chaos arm: fault_reconvergences = %g, expected >= 2" % reconv)
+no_route = total(sys.argv[2], "net_dropped_no_route")
+if no_route != 0:
+    sys.exit("waxman_chaos arm: net_dropped_no_route = %g, expected 0" % no_route)
+' "$out/1/reopt_metrics.json" "$out/1/waxman_chaos_metrics.json"

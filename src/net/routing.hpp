@@ -4,8 +4,10 @@
 // classical link-state protocol (OSPF in the paper), forwarding every packet
 // toward its destination address along shortest paths, oblivious to
 // middlebox policies. We model the converged state of that protocol: each
-// node gets a next-hop table over all destination nodes, computed from
-// per-node Dijkstra trees with deterministic equal-cost tie-breaking.
+// node gets a next-hop table over all destination nodes, the one per-node
+// Dijkstra trees with deterministic equal-cost tie-breaking would give.
+// Only the 2-core needs Dijkstra: pendant trees (proxies, middleboxes,
+// single-homed routers) are filled in from the node they hang off.
 //
 // AddressResolver maps packet destination addresses to topology nodes:
 // exact match on device (interface) addresses first, then longest-prefix
@@ -32,8 +34,8 @@ struct NextHop {
 class RoutingTables {
 public:
   /// Build forwarding tables for every node from link-state shortest paths.
-  /// `down_links` (indexed by LinkId.v) models the converged state after the
-  /// routing protocol detected those link failures.
+  /// `down_links` (indexed by LinkId.v, one entry per link) models the
+  /// converged state after the routing protocol detected those link failures.
   static RoutingTables compute(const Topology& topo,
                                const std::vector<bool>* down_links = nullptr);
 
@@ -49,25 +51,27 @@ public:
   /// Next hop at `at` towards destination node `dest`; invalid if unreachable
   /// or at == dest.
   NextHop next_hop(NodeId at, NodeId dest) const {
-    SDM_CHECK(at.v < next_.size() && dest.v < next_[at.v].size());
-    return next_[at.v][dest.v];
+    SDM_CHECK(at.v < n_ && dest.v < n_);
+    return next_[at.v * n_ + dest.v];
   }
 
   /// Shortest-path cost between two nodes (infinity if unreachable).
   double distance(NodeId from, NodeId to) const {
-    SDM_CHECK(from.v < dist_.size() && to.v < dist_[from.v].size());
-    return dist_[from.v][to.v];
+    SDM_CHECK(from.v < n_ && to.v < n_);
+    return dist_[from.v * n_ + to.v];
   }
 
   /// Full node path from -> to (inclusive); empty if unreachable.
   std::vector<NodeId> path(NodeId from, NodeId to) const;
 
-  std::size_t node_count() const noexcept { return next_.size(); }
+  std::size_t node_count() const noexcept { return n_; }
 
 private:
-  // next_[u][d] = next hop at u towards d; dist_[u][d] = shortest cost.
-  std::vector<std::vector<NextHop>> next_;
-  std::vector<std::vector<double>> dist_;
+  // Row-major n_ x n_: next_[u * n_ + d] = next hop at u towards d;
+  // dist_[u * n_ + d] = shortest cost.
+  std::size_t n_ = 0;
+  std::vector<NextHop> next_;
+  std::vector<double> dist_;
 };
 
 /// Maps IP addresses to the topology node that terminates them.

@@ -20,6 +20,7 @@ ShortestPathTree dijkstra(const Topology& topo, NodeId source,
                           const std::vector<bool>* down_links) {
   const std::size_t n = topo.node_count();
   SDM_CHECK(source.v < n);
+  SDM_CHECK(down_links == nullptr || down_links->size() == topo.link_count());
   ShortestPathTree tree;
   tree.source = source;
   tree.distance.assign(n, ShortestPathTree::kInfinity);

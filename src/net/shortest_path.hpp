@@ -1,9 +1,10 @@
 // Dijkstra shortest paths over the topology.
 //
-// Used twice: (1) by the routing substrate to build per-router forwarding
-// tables — our stand-in for OSPF's link-state SPF computation — and (2) by
-// the middlebox controller to find each node's closest middleboxes m_x^e and
-// candidate sets M_x^e (§III.B/C of the paper).
+// Used by the middlebox controller to find each node's closest middleboxes
+// m_x^e and candidate sets M_x^e (§III.B/C of the paper). Its rule is also the
+// routing substrate's: RoutingTables (our stand-in for OSPF's link-state SPF
+// computation) gives the tables per-node runs of this function would, and
+// the tests hold it to that.
 //
 // Tie-breaking is deterministic: among equal-cost alternatives we prefer the
 // path whose predecessor has the smaller NodeId. This pins down OSPF's
@@ -37,8 +38,9 @@ struct ShortestPathTree {
 /// Dijkstra from `source`. Only router nodes forward transit traffic; non-router
 /// nodes (hosts, proxies, middleboxes) are leaves — paths may start or end at
 /// them but never pass through them, mirroring real stub devices.
-/// `down_links` (optional, indexed by LinkId.v) excludes failed links — the
-/// converged state after the routing protocol routes around a link failure.
+/// `down_links` (optional, indexed by LinkId.v, one entry per link) excludes
+/// failed links — the converged state after the routing protocol routes
+/// around a link failure.
 ShortestPathTree dijkstra(const Topology& topo, NodeId source,
                           const std::vector<bool>* down_links = nullptr);
 

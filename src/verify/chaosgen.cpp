@@ -11,26 +11,74 @@ namespace {
 constexpr double kStart = 1.5;     // first fault no earlier than this
 constexpr double kHorizon = 12.0;  // every element restored by this time
 constexpr int kCrashPairs = 2;     // middlebox crash/restart pairs
-constexpr int kLinkFlaps = 2;      // link down/up pairs on core-adjacent links
+constexpr int kLinkFlaps = 2;      // link down/up pairs on redundant router links
 constexpr int kLossEpisodes = 1;   // transient probabilistic-loss windows
 constexpr double kMinOutage = 0.3;
 constexpr double kMaxLoss = 0.3;   // peak loss rate of a loss episode
 
+/// Bridges: links whose loss splits their component. One iterative DFS
+/// tracks each node's low link (the earliest discovery time its subtree
+/// reaches over a non-tree link); a tree link is a bridge when its child's
+/// subtree reaches nothing above the child. Only the tree link itself is
+/// skipped on the way back, so a parallel twin keeps both links off the list.
+std::vector<bool> bridges(const net::Topology& topo) {
+  constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
+  const std::size_t n = topo.node_count();
+  std::vector<bool> bridge(topo.link_count(), false);
+  std::vector<std::uint32_t> found(n, kUnseen);
+  std::vector<std::uint32_t> low(n, kUnseen);
+  struct Frame {
+    std::uint32_t node;
+    net::LinkId via;   // tree link from the parent; invalid at a root
+    std::size_t next;  // next adjacency to visit
+  };
+  std::vector<Frame> stack;
+  std::uint32_t clock = 0;
+  for (std::uint32_t root = 0; root < n; ++root) {
+    if (found[root] != kUnseen) continue;
+    found[root] = low[root] = clock++;
+    stack.push_back(Frame{root, net::LinkId{}, 0});
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      const auto adj = topo.neighbors(net::NodeId{f.node});
+      if (f.next < adj.size()) {
+        const net::Adjacency a = adj[f.next++];
+        if (a.link == f.via) continue;
+        const std::uint32_t w = a.neighbor.v;
+        if (found[w] == kUnseen) {
+          found[w] = low[w] = clock++;
+          stack.push_back(Frame{w, a.link, 0});
+        } else {
+          low[f.node] = std::min(low[f.node], found[w]);
+        }
+        continue;
+      }
+      const Frame child = f;
+      stack.pop_back();
+      if (stack.empty()) continue;
+      const std::uint32_t parent = stack.back().node;
+      low[parent] = std::min(low[parent], low[child.node]);
+      if (low[child.node] > found[parent]) bridge[child.via.v] = true;
+    }
+  }
+  return bridge;
+}
+
 /// Links safe to flap: both endpoints are pure forwarders (gateway / core /
-/// edge routers). Stub links to hosts, proxies or middleboxes would isolate
-/// an element outright instead of forcing a reroute.
+/// edge routers) and the link is no bridge, so the network reroutes around
+/// it. Stub links to hosts, proxies or middleboxes, and a single-homed edge
+/// router's uplink, would isolate an element outright instead of forcing a
+/// reroute.
 std::vector<net::LinkId> flappable_links(const net::Topology& topo) {
+  const std::vector<bool> bridge = bridges(topo);
   std::vector<net::LinkId> out;
   for (std::uint32_t i = 0; i < topo.link_count(); ++i) {
     const net::LinkId id{i};
     const net::Link& l = topo.link(id);
-    const net::NodeKind ka = topo.node(l.a).kind;
-    const net::NodeKind kb = topo.node(l.b).kind;
-    const auto routerish = [](net::NodeKind k) {
-      return k == net::NodeKind::kGatewayRouter || k == net::NodeKind::kCoreRouter ||
-             k == net::NodeKind::kEdgeRouter;
-    };
-    if (routerish(ka) && routerish(kb)) out.push_back(id);
+    if (net::is_router(topo.node(l.a).kind) && net::is_router(topo.node(l.b).kind) &&
+        !bridge[i]) {
+      out.push_back(id);
+    }
   }
   return out;
 }

@@ -10,9 +10,10 @@
 // Construction rules keep every schedule recoverable: crash/restart pairs
 // and link outages are confined to disjoint time slices of [start, horizon]
 // (no compounding outages of the same element), victims are deployed
-// middleboxes (local failover's job), and flapped links attach to core
-// routers (redundant paths exist; a downed stub link would just silence a
-// subnet, testing nothing).
+// middleboxes (local failover's job), and flapped links join two routers
+// and are no bridge (a redundant path exists; a downed stub link or a
+// single-homed edge router's uplink would just silence a subnet, testing
+// nothing).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,7 @@
 namespace sdmbox::verify {
 
 /// Derive a deterministic fault schedule from `seed`: two middlebox
-/// crash/restart pairs, two core-adjacent link flaps and one loss episode,
+/// crash/restart pairs, two redundant router-link flaps and one loss episode,
 /// all inside [1.5 s, 12 s]. Same inputs, same schedule — the generator is a
 /// pure function, so generated-fault runs keep the simulator's
 /// byte-identical replay property.

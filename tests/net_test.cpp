@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "exp/world.hpp"
 #include "net/ip.hpp"
 #include "net/routing.hpp"
 #include "net/shortest_path.hpp"
 #include "net/topologies.hpp"
 #include "net/topology.hpp"
+#include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace sdmbox::net {
 namespace {
@@ -315,6 +321,157 @@ TEST(Routing, SelfNextHopInvalid) {
   const auto net = make_campus_topology();
   const auto rt = RoutingTables::compute(net.topo);
   EXPECT_FALSE(rt.next_hop(net.gateways[0], net.gateways[0]).valid());
+}
+
+/// Equal next hops and bit-equal distances.
+bool same_entry(NextHop a, double a_dist, NextHop b, double b_dist) {
+  return a.node == b.node && a.link == b.link &&
+         std::bit_cast<std::uint64_t>(a_dist) == std::bit_cast<std::uint64_t>(b_dist);
+}
+
+/// The tables the plain way: one net::dijkstra per source, the predecessor
+/// walk from each destination back to the source, and find_link's first
+/// adjacency towards the hop found. Checks `rt` against them for every pair
+/// (equal next hop, bit-equal distance) and returns how many pairs are
+/// reachable, so callers can see the check was not vacuous.
+std::size_t expect_matches_per_source_dijkstra(const RoutingTables& rt, const Topology& topo,
+                                               const std::vector<bool>* down,
+                                               const std::string& what) {
+  const std::uint32_t n = static_cast<std::uint32_t>(topo.node_count());
+  EXPECT_EQ(rt.node_count(), n) << what;
+  std::size_t reachable = 0;
+  std::size_t mismatches = 0;
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const ShortestPathTree tree = dijkstra(topo, NodeId{s}, down);
+    for (std::uint32_t d = 0; d < n; ++d) {
+      NextHop want;
+      if (d != s && tree.reachable(NodeId{d})) {
+        NodeId hop{d};
+        while (tree.predecessor[hop.v] != NodeId{s}) hop = tree.predecessor[hop.v];
+        want = NextHop{hop, topo.find_link(NodeId{s}, hop)};
+        ++reachable;
+      }
+      const NextHop got = rt.next_hop(NodeId{s}, NodeId{d});
+      const double got_dist = rt.distance(NodeId{s}, NodeId{d});
+      if (same_entry(got, got_dist, want, tree.distance[d])) continue;
+      if (++mismatches <= 3) {
+        ADD_FAILURE() << what << ": " << s << " -> " << d << " got hop " << got.node.v << " link "
+                      << got.link.v << " dist " << got_dist << ", want hop " << want.node.v
+                      << " link " << want.link.v << " dist " << tree.distance[d];
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+  return reachable;
+}
+
+/// A seeded random topology of 1-40 nodes: every NodeKind, integer,
+/// fractional and (rarely) infinite costs, a random forest whose pendant
+/// chains run several hops deep, and, unless it stays a pure forest, cross
+/// links that close cycles and parallel twins of existing links.
+Topology random_topology(util::Rng& rng) {
+  Topology t;
+  const std::uint32_t n = 1 + static_cast<std::uint32_t>(rng.next_below(40));
+  // Mostly forwarding nodes, so long routes exist.
+  static constexpr NodeKind kKinds[] = {
+      NodeKind::kGatewayRouter, NodeKind::kCoreRouter, NodeKind::kEdgeRouter,
+      NodeKind::kCoreRouter,    NodeKind::kEdgeRouter, NodeKind::kPolicyProxy,
+      NodeKind::kPolicyProxy,   NodeKind::kHost,       NodeKind::kMiddlebox};
+  for (std::uint32_t i = 0; i < n; ++i) {
+    t.add_node(kKinds[rng.pick_index(std::size(kKinds))], std::to_string(i), IpAddress(i + 1));
+  }
+  const auto link = [&](std::uint32_t a, std::uint32_t b) {
+    double cost = rng.next_bool(0.5) ? static_cast<double>(1 + rng.next_below(4))
+                                     : 0.1 * static_cast<double>(1 + rng.next_below(30));
+    if (rng.next_bool(0.01)) cost = ShortestPathTree::kInfinity;
+    t.add_link(NodeId{a}, NodeId{b}, LinkParams{.cost = cost});
+  };
+  // Each node hangs off an earlier one, or starts a part of its own.
+  for (std::uint32_t i = 1; i < n; ++i) {
+    if (!rng.next_bool(0.1)) link(i, static_cast<std::uint32_t>(rng.next_below(i)));
+  }
+  const std::uint64_t extra_per_node = rng.next_below(3);  // 0: a pure forest
+  if (extra_per_node == 0 || t.link_count() == 0) return t;
+  for (std::uint64_t e = 0; e < extra_per_node * n / 2; ++e) {
+    const auto a = static_cast<std::uint32_t>(rng.next_below(n));
+    const auto b = static_cast<std::uint32_t>(rng.next_below(n));
+    if (a != b) link(a, b);
+  }
+  for (std::uint64_t e = rng.next_below(4); e > 0; --e) {
+    const Link twin = t.link(LinkId{static_cast<std::uint32_t>(rng.pick_index(t.link_count()))});
+    link(twin.a.v, twin.b.v);
+  }
+  return t;
+}
+
+/// Two identical tables: equal next hops and bit-equal distances everywhere.
+void expect_same_tables(const RoutingTables& a, const RoutingTables& b, const std::string& what) {
+  ASSERT_EQ(a.node_count(), b.node_count()) << what;
+  std::size_t differ = 0;
+  for (std::uint32_t s = 0; s < a.node_count(); ++s) {
+    for (std::uint32_t d = 0; d < a.node_count(); ++d) {
+      differ += !same_entry(a.next_hop(NodeId{s}, NodeId{d}), a.distance(NodeId{s}, NodeId{d}),
+                            b.next_hop(NodeId{s}, NodeId{d}), b.distance(NodeId{s}, NodeId{d}));
+    }
+  }
+  EXPECT_EQ(differ, 0u) << what;
+}
+
+TEST(Routing, MatchesPerSourceDijkstra) {
+  util::Rng rng(0x2c0e5eedULL);
+  std::size_t reachable = 0;
+  for (int i = 0; i < 1500; ++i) {
+    const Topology topo = random_topology(rng);
+    std::vector<bool> down(topo.link_count(), false);
+    const bool masked = rng.next_bool(0.6);
+    if (masked) {
+      const double p = 0.1 + 0.2 * static_cast<double>(rng.next_below(3));
+      for (std::size_t l = 0; l < down.size(); ++l) down[l] = rng.next_bool(p);
+    }
+    const std::vector<bool>* mask = masked ? &down : nullptr;
+    reachable += expect_matches_per_source_dijkstra(RoutingTables::compute(topo, mask), topo,
+                                                    mask, "random topology " + std::to_string(i));
+  }
+  EXPECT_GT(reachable, 100000u);
+
+  // The generated worlds, controller host included, as World routes them.
+  for (const exp::TopologyKind kind : {exp::TopologyKind::kWaxman, exp::TopologyKind::kCampus}) {
+    exp::ScenarioSpec spec;
+    spec.topology = kind;
+    spec.seed = 2019;
+    const auto w = exp::build_world(spec);
+    w->prepare_sim();
+    const Topology& topo = w->network.topo;
+    const std::size_t n = topo.node_count();
+    EXPECT_EQ(expect_matches_per_source_dijkstra(w->routing, topo, nullptr, "world"), n * (n - 1));
+  }
+}
+
+TEST(Routing, RecomputeRoundTripMatchesFreshCompute) {
+  const auto net = make_campus_topology();
+  const LinkId core_link = net.topo.find_link(net.core_routers[0], net.gateways[0]);
+  ASSERT_TRUE(core_link.valid());
+  std::vector<bool> down(net.topo.link_count(), false);
+  RoutingTables rt = RoutingTables::compute(net.topo, &down);
+  const double before = rt.distance(net.core_routers[0], net.gateways[0]);
+
+  down[core_link.v] = true;
+  rt.recompute(net.topo, &down);
+  EXPECT_GT(rt.distance(net.core_routers[0], net.gateways[0]), before);
+  expect_same_tables(rt, RoutingTables::compute(net.topo, &down), "link down");
+
+  down[core_link.v] = false;
+  rt.recompute(net.topo, &down);
+  expect_same_tables(rt, RoutingTables::compute(net.topo), "link back up");
+}
+
+TEST(Routing, DownLinkMaskMustCoverEveryLink) {
+  const auto net = make_campus_topology();
+  const std::vector<bool> short_mask(net.topo.link_count() - 1, false);
+  EXPECT_THROW(RoutingTables::compute(net.topo, &short_mask), ContractViolation);
+  EXPECT_THROW(dijkstra(net.topo, net.gateways[0], &short_mask), ContractViolation);
+  const std::vector<bool> full_mask(net.topo.link_count(), false);
+  EXPECT_NO_THROW(RoutingTables::compute(net.topo, &full_mask));
 }
 
 TEST(Resolver, ExactDeviceAddress) {

@@ -510,6 +510,38 @@ TEST(ChaosGen, DistinctSeedsDistinctSchedules) {
       << "seeds collided into identical schedules";
 }
 
+TEST(ChaosGen, FlapsNeverDisconnectTheTopology) {
+  // On Waxman every edge router hangs off one uplink: flapping it would cut
+  // its subnet off and turn the run into no-route drops.
+  exp::ScenarioSpec spec;
+  spec.topology = exp::TopologyKind::kWaxman;
+  spec.faults = exp::FaultScript::kGenerated;
+  const auto w = exp::build_world(spec);
+  w->prepare_sim();
+  const net::Topology& topo = w->network.topo;
+  const std::uint32_t n = static_cast<std::uint32_t>(topo.node_count());
+  std::size_t flaps = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const sim::FaultSchedule schedule = verify::generate_chaos(w->network, w->deployment, seed);
+    for (const auto& e : schedule.events()) {
+      if (e.kind != sim::FaultEvent::Kind::kLinkDown) continue;
+      ++flaps;
+      std::vector<bool> down(topo.link_count(), false);
+      down[e.link.v] = true;
+      const auto routing = net::RoutingTables::compute(topo, &down);
+      std::size_t unreachable = 0;
+      for (std::uint32_t a = 0; a < n; ++a) {
+        for (std::uint32_t b = 0; b < n; ++b) {
+          unreachable += routing.distance(net::NodeId{a}, net::NodeId{b}) ==
+                         net::ShortestPathTree::kInfinity;
+        }
+      }
+      EXPECT_EQ(unreachable, 0u) << "chaos seed " << seed << " flaps link " << e.link.v;
+    }
+  }
+  EXPECT_EQ(flaps, 16u);
+}
+
 // ---------------------------------------------------------------------------
 // End to end: full simulated runs with the oracle attached live must be
 // violation-free on every arm the paper evaluates.
