@@ -29,16 +29,17 @@ namespace {
 constexpr double kDriftThreshold = 0.05;
 constexpr int kCooldownEpochs = 1;
 
-/// Register one arm's loop totals as reopt_* counters so the numbers quoted
+/// Expose one arm's loop totals as reopt_* counters so the numbers quoted
 /// below come out of the registry, exactly like the online loop's export.
+/// `study` must outlive every collect().
 void register_arm(obs::MetricsRegistry& registry, const std::string& arm,
                   const analytic::PolicyStudy& study) {
   const obs::Labels labels{{"arm", arm}, {"subsystem", "reoptimize"}};
-  registry.counter("reopt_solves", labels).inc(study.solves);
-  registry.counter("reopt_pushes", labels).inc(study.pushes);
-  registry.counter("reopt_push_bytes", labels).inc(study.push_bytes);
-  registry.counter("reopt_solve_pivots", labels).inc(study.lp_pivots);
-  registry.counter("reopt_solve_warm_starts", labels).inc(study.lp_warm_starts);
+  registry.expose_counter("reopt_solves", labels, &study.solves);
+  registry.expose_counter("reopt_pushes", labels, &study.pushes);
+  registry.expose_counter("reopt_push_bytes", labels, &study.push_bytes);
+  registry.expose_counter("reopt_solve_pivots", labels, &study.lp_pivots);
+  registry.expose_counter("reopt_solve_warm_starts", labels, &study.lp_warm_starts);
 }
 
 double mean_max_load(const analytic::PolicyStudy& study) {

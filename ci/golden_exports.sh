@@ -1,0 +1,49 @@
+#!/bin/sh
+# Golden exports: the deterministic outputs a refactor must leave
+# byte-identical.
+#
+# Usage: ci/golden_exports.sh BUILD_DIR OUT_DIR
+#
+# Runs BUILD_DIR's binaries, each inside OUT_DIR so every path they print is
+# relative, and writes:
+#   waxman_*       scenario_cli on the Waxman world, fault-free and untraced:
+#                  metrics and stdout
+#   chaos_csN_*    scenario_cli verified under generated chaos seeds 1-4:
+#                  metrics, trace, spans and stdout
+#   suite.json     suite_cli --jobs 2 --seeds 3 --verify, plus its stdout
+#   waxman_scale.json
+#                  the 400- and 1000-edge Waxman sweep with the dense
+#                  cross-check at 400; JSON only, because its stdout carries
+#                  wall-clock and RSS columns
+#   reopt_*        bench ablation_reoptimization: registry JSON and stdout
+# Exits non-zero if any binary fails. To check a refactor, run it on a build
+# of each commit and compare:
+#   ci/golden_exports.sh BUILD_A OUT_A && ci/golden_exports.sh BUILD_B OUT_B
+#   diff -r OUT_A OUT_B
+set -eu
+
+if [ "$#" -ne 2 ]; then
+  echo "usage: $0 BUILD_DIR OUT_DIR" >&2
+  exit 2
+fi
+build="$(cd "$1" && pwd)"
+mkdir -p "$2"
+cd "$2"
+
+"$build/examples/scenario_cli" --topology waxman --seed 2019 --sim --faults none \
+  --trace-sample 0 --metrics-out waxman_metrics.json > waxman_stdout.txt
+
+for cs in 1 2 3 4; do
+  "$build/examples/scenario_cli" --packets 2000 --seed 42 --verify --faults generated \
+    --chaos-seed "$cs" --metrics-out "chaos_cs${cs}_metrics.json" \
+    --trace-out "chaos_cs${cs}_trace.json" --spans-out "chaos_cs${cs}_spans.json" \
+    > "chaos_cs${cs}_stdout.txt"
+done
+
+"$build/examples/suite_cli" --jobs 2 --seeds 3 --verify --out suite.json > suite_stdout.txt
+
+"$build/examples/waxman_scale" --max-edges 1000 --dense-max-edges 400 --packets 500000 \
+  --json waxman_scale.json > /dev/null
+
+SDMBOX_METRICS_OUT=reopt_metrics.json "$build/bench/ablation_reoptimization" \
+  > reopt_stdout.txt

@@ -57,11 +57,11 @@ struct PolicyEpoch {
 
 struct PolicyStudy {
   std::vector<PolicyEpoch> epochs;
-  std::size_t solves = 0;  // LP solves across the run (>= 1: the bootstrap)
-  std::size_t pushes = 0;
+  std::uint64_t solves = 0;  // LP solves across the run (>= 1: the bootstrap)
+  std::uint64_t pushes = 0;
   std::uint64_t push_bytes = 0;
   std::uint64_t lp_pivots = 0;
-  std::size_t lp_warm_starts = 0;  // solves that re-used the previous basis
+  std::uint64_t lp_warm_starts = 0;  // solves that re-used the previous basis
 };
 
 /// Decides, AFTER epoch `epoch` realized `loads` under the current plan and

@@ -1,5 +1,7 @@
 #include "control/codec.hpp"
 
+#include <cmath>
+
 #include "control/wire.hpp"
 
 namespace sdmbox::control {
@@ -7,6 +9,20 @@ namespace sdmbox::control {
 namespace {
 constexpr std::uint16_t kConfigMagic = 0x5dc0;  // SDm-Config
 constexpr std::uint16_t kReportMagic = 0x5d20;  // SDm-Report
+
+/// One ratio entry's share list; false on an invalid target or a weight
+/// that is negative or not finite (NaN passes `weight < 0`).
+bool read_shares(ByteReader& r, std::vector<core::SplitRatioTable::Share>& shares) {
+  const std::uint16_t n_shares = r.u16();
+  shares.reserve(n_shares);
+  for (std::uint16_t s = 0; s < n_shares && r.ok(); ++s) {
+    const net::NodeId to{r.u32()};
+    const double weight = r.f64();
+    if (!to.valid() || !std::isfinite(weight) || weight < 0) return false;
+    shares.push_back(core::SplitRatioTable::Share{to, weight});
+  }
+  return true;
+}
 }  // namespace
 
 std::vector<std::uint8_t> encode_device_config(const core::DeviceConfig& config) {
@@ -78,6 +94,7 @@ std::optional<core::DeviceConfig> decode_device_config(const std::vector<std::ui
   cfg.strategy = static_cast<core::StrategyKind>(strategy);
   cfg.version = r.u64();
   cfg.node.node = net::NodeId{r.u32()};
+  if (!cfg.node.node.valid()) return std::nullopt;
   cfg.node.is_proxy = r.u8() != 0;
   const std::uint64_t own = r.u64();
   for (std::uint8_t ev = 0; ev < policy::kMaxFunctions; ++ev) {
@@ -87,7 +104,9 @@ std::optional<core::DeviceConfig> decode_device_config(const std::vector<std::ui
   if (!r.ok() || n_policies > 1'000'000) return std::nullopt;
   cfg.node.relevant_policies.reserve(n_policies);
   for (std::uint32_t i = 0; i < n_policies && r.ok(); ++i) {
-    cfg.node.relevant_policies.push_back(policy::PolicyId{r.u32()});
+    const policy::PolicyId p{r.u32()};
+    if (!p.valid()) return std::nullopt;
+    cfg.node.relevant_policies.push_back(p);
   }
   const std::uint8_t non_empty = r.u8();
   for (std::uint8_t i = 0; i < non_empty && r.ok(); ++i) {
@@ -96,21 +115,20 @@ std::optional<core::DeviceConfig> decode_device_config(const std::vector<std::ui
     const std::uint16_t count = r.u16();
     auto& cands = cfg.node.candidates[ev];
     cands.reserve(count);
-    for (std::uint16_t c = 0; c < count && r.ok(); ++c) cands.push_back(net::NodeId{r.u32()});
+    for (std::uint16_t c = 0; c < count && r.ok(); ++c) {
+      const net::NodeId cand{r.u32()};
+      if (!cand.valid()) return std::nullopt;
+      cands.push_back(cand);
+    }
   }
   const std::uint32_t n_ratios = r.u32();
   if (!r.ok() || n_ratios > 10'000'000) return std::nullopt;
   for (std::uint32_t i = 0; i < n_ratios && r.ok(); ++i) {
     const policy::FunctionId e{r.u8()};
     const policy::PolicyId p{r.u32()};
-    const std::uint16_t n_shares = r.u16();
     std::vector<core::SplitRatioTable::Share> shares;
-    shares.reserve(n_shares);
-    for (std::uint16_t s = 0; s < n_shares && r.ok(); ++s) {
-      const net::NodeId to{r.u32()};
-      const double weight = r.f64();
-      if (weight < 0) return std::nullopt;
-      shares.push_back(core::SplitRatioTable::Share{to, weight});
+    if (e.v >= policy::kMaxFunctions || !p.valid() || !read_shares(r, shares)) {
+      return std::nullopt;
     }
     if (r.ok()) cfg.ratios.set(cfg.node.node, e, p, std::move(shares));
   }
@@ -121,14 +139,9 @@ std::optional<core::DeviceConfig> decode_device_config(const std::vector<std::ui
     const policy::PolicyId p{r.u32()};
     const int s = static_cast<std::int32_t>(r.u32());
     const int d = static_cast<std::int32_t>(r.u32());
-    const std::uint16_t n_shares = r.u16();
     std::vector<core::SplitRatioTable::Share> shares;
-    shares.reserve(n_shares);
-    for (std::uint16_t k = 0; k < n_shares && r.ok(); ++k) {
-      const net::NodeId to{r.u32()};
-      const double weight = r.f64();
-      if (weight < 0) return std::nullopt;
-      shares.push_back(core::SplitRatioTable::Share{to, weight});
+    if (e.v >= policy::kMaxFunctions || !p.valid() || !read_shares(r, shares)) {
+      return std::nullopt;
     }
     if (r.ok()) cfg.ratios.set_detailed(cfg.node.node, e, p, s, d, std::move(shares));
   }

@@ -2,8 +2,9 @@
 //
 // DeviceConfig rides in kConfigPush packets (controller -> device);
 // MeasurementReport rides in kMeasurementReport packets (proxy ->
-// controller). Decoding is all-or-nothing: malformed bytes yield nullopt,
-// never a partially-applied configuration.
+// controller). Decoding is all-or-nothing and never throws: malformed bytes,
+// including ids or weights the split-ratio tables would refuse, yield
+// nullopt, never a partially-applied configuration.
 #pragma once
 
 #include <optional>

@@ -18,8 +18,7 @@
 //    recovery, §III.C measurement re-solve, drift-triggered re-solve): it
 //    obtains a plan — compiled, precompiled, or locally PATCHED from the
 //    last plan when the request scopes a kFailure replan to a single failed
-//    node or link — serializes per-device slices and injects the changed
-//    ones.
+//    node — serializes per-device slices and injects the changed ones.
 //  * install_control_plane — attaches a controller host node plus managed
 //    devices over a whole GeneratedNetwork; send_reports has every proxy
 //    report its measurements in-band.

@@ -26,11 +26,6 @@ void ByteWriter::f64(double v) {
   u64(bits);
 }
 
-void ByteWriter::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
-}
-
 std::uint8_t ByteReader::u8() {
   if (!take(1)) return 0;
   return bytes_[pos_++];
@@ -59,14 +54,6 @@ double ByteReader::f64() {
   double v = 0;
   std::memcpy(&v, &bits, sizeof(v));
   return ok_ ? v : 0.0;
-}
-
-std::string ByteReader::str() {
-  const std::uint32_t len = u32();
-  if (!take(len)) return {};
-  std::string out(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-  pos_ += len;
-  return out;
 }
 
 }  // namespace sdmbox::control

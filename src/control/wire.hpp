@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace sdmbox::control {
@@ -19,7 +18,6 @@ public:
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void f64(double v);
-  void str(const std::string& s);  // u32 length + bytes
 
   const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
   std::vector<std::uint8_t> take() noexcept { return std::move(bytes_); }
@@ -38,7 +36,6 @@ public:
   std::uint32_t u32();
   std::uint64_t u64();
   double f64();
-  std::string str();
 
   /// True iff no read overran the buffer so far.
   bool ok() const noexcept { return ok_; }

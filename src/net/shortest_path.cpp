@@ -25,7 +25,6 @@ ShortestPathTree dijkstra(const Topology& topo, NodeId source,
   tree.source = source;
   tree.distance.assign(n, ShortestPathTree::kInfinity);
   tree.predecessor.assign(n, NodeId{});
-  tree.via_link.assign(n, LinkId{});
   tree.distance[source.v] = 0.0;
 
   // (distance, node) min-heap; stale entries skipped on pop. Tie-break on
@@ -53,26 +52,11 @@ ShortestPathTree dijkstra(const Topology& topo, NodeId source,
       if (alt < cur || (alt == cur && u < tree.predecessor[adj.neighbor.v])) {
         cur = alt;
         tree.predecessor[adj.neighbor.v] = u;
-        tree.via_link[adj.neighbor.v] = adj.link;
         heap.emplace(alt, adj.neighbor.v);
       }
     }
   }
   return tree;
-}
-
-std::vector<NodeId> k_closest(const ShortestPathTree& tree, const std::vector<NodeId>& candidates,
-                              std::size_t k) {
-  std::vector<NodeId> sorted;
-  for (NodeId c : candidates) {
-    if (tree.reachable(c)) sorted.push_back(c);
-  }
-  std::sort(sorted.begin(), sorted.end(), [&](NodeId a, NodeId b) {
-    if (tree.distance[a.v] != tree.distance[b.v]) return tree.distance[a.v] < tree.distance[b.v];
-    return a < b;
-  });
-  if (sorted.size() > k) sorted.resize(k);
-  return sorted;
 }
 
 }  // namespace sdmbox::net

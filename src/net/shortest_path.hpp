@@ -23,7 +23,6 @@ struct ShortestPathTree {
   NodeId source;
   std::vector<double> distance;    // indexed by NodeId.v; infinity if unreachable
   std::vector<NodeId> predecessor; // invalid for source / unreachable
-  std::vector<LinkId> via_link;    // link towards predecessor
 
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
@@ -43,11 +42,5 @@ struct ShortestPathTree {
 /// around a link failure.
 ShortestPathTree dijkstra(const Topology& topo, NodeId source,
                           const std::vector<bool>* down_links = nullptr);
-
-/// The k nodes from `candidates` closest to `from` (ties by NodeId), in
-/// increasing distance order. Unreachable candidates are skipped; fewer than k
-/// results are returned if not enough candidates are reachable.
-std::vector<NodeId> k_closest(const ShortestPathTree& tree, const std::vector<NodeId>& candidates,
-                              std::size_t k);
 
 }  // namespace sdmbox::net

@@ -55,12 +55,9 @@ const char* to_string(MetricKind kind) noexcept {
 
 double MetricsRegistry::Entry::scalar() const {
   switch (kind) {
-    case MetricKind::kCounter:
-      return static_cast<double>(counter ? counter->value : *counter_view);
-    case MetricKind::kGauge:
-      return gauge ? gauge->value : gauge_view();
-    case MetricKind::kHistogram:
-      return static_cast<double>((hist ? hist.get() : hist_view)->count());
+    case MetricKind::kCounter: return static_cast<double>(*counter_view);
+    case MetricKind::kGauge: return gauge_view();
+    case MetricKind::kHistogram: return static_cast<double>(hist_view->count());
   }
   return 0;
 }
@@ -77,47 +74,17 @@ MetricsRegistry::Entry& MetricsRegistry::emplace(std::string name, Labels labels
   SDM_CHECK_MSG(!name.empty(), "metric names must be non-empty");
   auto [it, inserted] = entries_.try_emplace(key_of(name, labels));
   Entry& e = it->second;
-  if (inserted) {
-    e.name = std::move(name);
-    e.labels = std::move(labels);
-    e.kind = kind;
-  } else {
-    SDM_CHECK_MSG(e.kind == kind,
-                  "metric re-registered with a different kind: " + e.name + e.labels.render());
-  }
+  SDM_CHECK_MSG(inserted, "duplicate metric registration: " + name + labels.render());
+  e.name = std::move(name);
+  e.labels = std::move(labels);
+  e.kind = kind;
   return e;
-}
-
-Counter& MetricsRegistry::counter(std::string name, Labels labels) {
-  Entry& e = emplace(std::move(name), std::move(labels), MetricKind::kCounter);
-  SDM_CHECK_MSG(e.counter_view == nullptr,
-                "owned counter collides with an exposed view: " + e.name + e.labels.render());
-  if (!e.counter) e.counter = std::make_unique<Counter>();
-  return *e.counter;
-}
-
-Gauge& MetricsRegistry::gauge(std::string name, Labels labels) {
-  Entry& e = emplace(std::move(name), std::move(labels), MetricKind::kGauge);
-  SDM_CHECK_MSG(!e.gauge_view,
-                "owned gauge collides with an exposed view: " + e.name + e.labels.render());
-  if (!e.gauge) e.gauge = std::make_unique<Gauge>();
-  return *e.gauge;
-}
-
-stats::Histogram& MetricsRegistry::histogram(std::string name, Labels labels) {
-  Entry& e = emplace(std::move(name), std::move(labels), MetricKind::kHistogram);
-  SDM_CHECK_MSG(e.hist_view == nullptr,
-                "owned histogram collides with an exposed view: " + e.name + e.labels.render());
-  if (!e.hist) e.hist = std::make_unique<stats::Histogram>();
-  return *e.hist;
 }
 
 void MetricsRegistry::expose_counter(std::string name, Labels labels,
                                      const std::uint64_t* value) {
   SDM_CHECK(value != nullptr);
   Entry& e = emplace(std::move(name), std::move(labels), MetricKind::kCounter);
-  SDM_CHECK_MSG(!e.counter && e.counter_view == nullptr,
-                "duplicate metric registration: " + e.name + e.labels.render());
   e.counter_view = value;
 }
 
@@ -125,8 +92,6 @@ void MetricsRegistry::expose_gauge(std::string name, Labels labels,
                                    std::function<double()> fn) {
   SDM_CHECK(fn != nullptr);
   Entry& e = emplace(std::move(name), std::move(labels), MetricKind::kGauge);
-  SDM_CHECK_MSG(!e.gauge && !e.gauge_view,
-                "duplicate metric registration: " + e.name + e.labels.render());
   e.gauge_view = std::move(fn);
 }
 
@@ -134,8 +99,6 @@ void MetricsRegistry::expose_histogram(std::string name, Labels labels,
                                        const stats::Histogram* hist) {
   SDM_CHECK(hist != nullptr);
   Entry& e = emplace(std::move(name), std::move(labels), MetricKind::kHistogram);
-  SDM_CHECK_MSG(!e.hist && e.hist_view == nullptr,
-                "duplicate metric registration: " + e.name + e.labels.render());
   e.hist_view = hist;
 }
 
@@ -149,7 +112,7 @@ std::vector<MetricSample> MetricsRegistry::collect() const {
     s.kind = e.kind;
     s.value = e.scalar();
     if (e.kind == MetricKind::kHistogram) {
-      s.histogram = (e.hist ? e.hist.get() : e.hist_view)->snapshot();
+      s.histogram = e.hist_view->snapshot();
     }
     out.push_back(std::move(s));
   }

@@ -2,17 +2,13 @@
 //
 // Three instrument kinds (counter / gauge / histogram), each carrying a
 // metric name plus a small label set (`device`, `subsystem`, `function` by
-// convention). Two registration styles:
-//
-//  * owned instruments — counter()/gauge()/histogram() allocate storage in
-//    the registry and hand back a stable reference; hot paths increment a
-//    plain uint64 through it, no lookup, no branch;
-//  * exposed views — expose_counter()/expose_gauge()/expose_histogram()
-//    reference values that live INSIDE existing component counter structs
-//    (FlowTableStats, ProxyCounters, HealthCounters, ...). The structs stay
-//    the hot-path storage and keep their typed accessors; the registry reads
-//    through the pointer/closure only at collection time. Components must
-//    outlive every collect() call (registries are scoped to a run).
+// convention). The registry owns no storage: expose_counter()/
+// expose_gauge()/expose_histogram() register views over values that live
+// INSIDE the components' own counter structs (FlowTableStats,
+// ProxyCounters, HealthCounters, ...). The structs stay the hot-path storage
+// and keep their typed accessors; the registry reads through the
+// pointer/closure only at collection time. Components must outlive every
+// collect() call (registries are scoped to a run).
 //
 // Iteration order is deterministic: collect() returns samples sorted by
 // (name, labels), so dumps from identical runs are byte-identical — the
@@ -23,7 +19,6 @@
 #include <functional>
 #include <initializer_list>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -61,20 +56,6 @@ private:
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 const char* to_string(MetricKind kind) noexcept;
 
-/// Monotone event count. Plain storage so `++c.value` (or inc()) costs the
-/// same as the ad-hoc struct fields it replaces.
-struct Counter {
-  std::uint64_t value = 0;
-  void inc(std::uint64_t n = 1) noexcept { value += n; }
-};
-
-/// Point-in-time level.
-struct Gauge {
-  double value = 0;
-  void set(double v) noexcept { value = v; }
-  void add(double v) noexcept { value += v; }
-};
-
 /// One metric's value at collection time.
 struct MetricSample {
   std::string name;
@@ -89,13 +70,6 @@ public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Owned instruments. Re-requesting the same (name, labels) returns the
-  /// existing instrument (kind must match), so independent components can
-  /// share a series.
-  Counter& counter(std::string name, Labels labels = {});
-  Gauge& gauge(std::string name, Labels labels = {});
-  stats::Histogram& histogram(std::string name, Labels labels = {});
 
   /// Views over externally-owned values. The pointee / closure must stay
   /// valid for every subsequent collect(). Duplicate (name, labels)
@@ -139,11 +113,6 @@ private:
     std::string name;
     Labels labels;
     MetricKind kind = MetricKind::kCounter;
-    // Owned storage (unique_ptr keeps addresses stable across map growth).
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<stats::Histogram> hist;
-    // Views.
     const std::uint64_t* counter_view = nullptr;
     std::function<double()> gauge_view;
     const stats::Histogram* hist_view = nullptr;

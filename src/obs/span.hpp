@@ -98,8 +98,6 @@ public:
   std::uint64_t dropped() const noexcept;
   std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Ids of currently open (un-ended, un-evicted) spans, in begin order.
-  const std::vector<SpanId>& open_spans() const noexcept { return open_; }
   /// Most recently begun open span whose name starts with `prefix`; 0 when
   /// none. How the oracle finds "the replan in flight right now".
   SpanId latest_open(std::string_view prefix) const noexcept;

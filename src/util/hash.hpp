@@ -7,9 +7,7 @@
 // defined.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace sdmbox::util {
 
@@ -19,23 +17,6 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// FNV-1a over raw bytes, 64-bit.
-constexpr std::uint64_t fnv1a64(const void* data, std::size_t len,
-                                std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-constexpr std::uint64_t fnv1a64(std::string_view s,
-                                std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept {
-  return fnv1a64(s.data(), s.size(), seed);
 }
 
 /// Combine two hashes (boost-style but 64-bit, order sensitive).

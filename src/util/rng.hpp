@@ -48,15 +48,6 @@ public:
   /// Pick an index in [0, n) — convenience for container selection.
   std::size_t pick_index(std::size_t n) noexcept { return static_cast<std::size_t>(next_below(n)); }
 
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) noexcept {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      using std::swap;
-      swap(v[i - 1], v[next_below(i)]);
-    }
-  }
-
   /// Sample k distinct indices from [0, n) (k <= n), in random order.
   std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k) noexcept;
 

@@ -682,16 +682,6 @@ void InvariantOracle::on_record(const obs::TraceRecord& r) {
   if (terminal) finalize(ps);
 }
 
-void InvariantOracle::replay(const obs::TraceSink& sink) {
-  for (const obs::TraceRecord& r : sink.records()) on_record(r);
-  if (sink.dropped() > 0) {
-    report_.coverage_complete = false;
-    report_.coverage_note = "trace ring shed " + std::to_string(sink.dropped()) +
-                            " record(s); post-hoc verification cannot vouch for the missing "
-                            "history (attach the oracle live, or grow the ring)";
-  }
-}
-
 const VerifyReport& InvariantOracle::finish() {
   if (finished_) return report_;
   finished_ = true;

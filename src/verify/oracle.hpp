@@ -104,8 +104,7 @@ struct VerifyReport {
   /// paper's transient windows, tolerated but never uncounted.
   std::uint64_t packets_in_unenforced_window = 0;
 
-  /// False when the oracle may have missed records (post-hoc replay over a
-  /// wrapped ring). A live-attached oracle always has complete coverage.
+  /// False when no record reached the oracle: nothing was verified.
   bool coverage_complete = true;
   std::string coverage_note;
 
@@ -115,8 +114,8 @@ struct VerifyReport {
 };
 
 /// Live enforcement-invariant checker. Construct over the run's compiled
-/// state, attach to the tracer (tracer.set_observer(&oracle)) or replay a
-/// sink post-hoc, then finish() to close accounting and read the report.
+/// state, attach to the tracer (tracer.set_observer(&oracle)), then finish()
+/// to close accounting and read the report.
 class InvariantOracle : public obs::TraceObserver {
 public:
   InvariantOracle(const net::GeneratedNetwork& network, const core::Deployment& deployment,
@@ -132,10 +131,6 @@ public:
 
   /// Live entry point (TraceObserver).
   void on_record(const obs::TraceRecord& r) override;
-
-  /// Post-hoc mode: feed a ring's surviving records. Sets coverage-incomplete
-  /// when the ring wrapped (records were shed), instead of false-passing.
-  void replay(const obs::TraceSink& sink);
 
   /// Close accounting (open packets become in-flight counts; no violations
   /// are emitted for them — their fate is unknown, not wrong). Idempotent.

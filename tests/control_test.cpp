@@ -5,6 +5,11 @@
 // plane switches behavior.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <limits>
+#include <optional>
+
 #include "analytic/load_evaluator.hpp"
 #include "control/codec.hpp"
 #include "control/endpoints.hpp"
@@ -30,7 +35,6 @@ TEST(Wire, RoundTripsAllTypes) {
   w.u32(0xdeadbeef);
   w.u64(0x0123456789abcdefULL);
   w.f64(3.14159);
-  w.str("hello");
   const auto bytes = w.take();
   ByteReader r(bytes);
   EXPECT_EQ(r.u8(), 0xab);
@@ -38,7 +42,6 @@ TEST(Wire, RoundTripsAllTypes) {
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
   EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
   EXPECT_DOUBLE_EQ(r.f64(), 3.14159);
-  EXPECT_EQ(r.str(), "hello");
   EXPECT_TRUE(r.done());
 }
 
@@ -53,15 +56,6 @@ TEST(Wire, OverrunFlipsToErrorState) {
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.done());
   EXPECT_EQ(r.u64(), 0u);  // stays safe
-}
-
-TEST(Wire, StringLengthBeyondBufferIsRejected) {
-  ByteWriter w;
-  w.u32(1000);  // claims a 1000-byte string with no bytes behind it
-  const auto bytes = w.take();
-  ByteReader r(bytes);
-  EXPECT_EQ(r.str(), "");
-  EXPECT_FALSE(r.ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -144,6 +138,89 @@ TEST(Codec, FuzzedBytesNeverCrash) {
     if (rng.next_bool(0.3) && !bytes.empty()) bytes.resize(rng.pick_index(bytes.size()));
     const auto decoded = decode_device_config(bytes);  // must not crash / throw
     (void)decoded;
+  }
+}
+
+TEST(Codec, InvalidIdsAreRejectedNotThrown) {
+  // One relevant policy, one candidate set and one entry in each ratio
+  // table, so every id and weight the decoder reads sits at a fixed offset.
+  // Each case overwrites one field of an otherwise valid push with a value
+  // SplitRatioTable or the device would refuse.
+  core::DeviceConfig cfg;
+  cfg.node.node = net::NodeId{3};
+  cfg.node.relevant_policies = {policy::PolicyId{0}};
+  cfg.node.candidates[1] = {net::NodeId{5}};
+  cfg.ratios.set(net::NodeId{3}, policy::FunctionId{1}, policy::PolicyId{0},
+                 {{net::NodeId{5}, 1.0}});
+  cfg.ratios.set_detailed(net::NodeId{3}, policy::FunctionId{1}, policy::PolicyId{0}, 0, 1,
+                          {{net::NodeId{5}, 1.0}});
+  const auto valid = encode_device_config(cfg);
+  ASSERT_EQ(valid.size(), 94u);
+  ASSERT_TRUE(decode_device_config(valid).has_value());
+
+  const auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  struct Case {
+    const char* field;
+    std::size_t offset;
+    std::size_t width;
+    std::uint64_t was;  // the valid encoding's value there
+    std::uint64_t value;
+  };
+  const std::uint64_t one = bits(1.0);
+  const std::uint64_t nan = bits(std::numeric_limits<double>::quiet_NaN());
+  const Case cases[] = {
+      {"device id", 11, 4, 3, 0xffffffff},
+      {"relevant policy id", 28, 4, 0, 0xffffffff},
+      {"candidate id", 36, 4, 5, 0xffffffff},
+      {"ratio function id 0xff", 44, 1, 1, 0xff},
+      {"ratio function id kMaxFunctions", 44, 1, 1, policy::kMaxFunctions},
+      {"ratio policy id", 45, 4, 0, 0xffffffff},
+      {"ratio share target", 51, 4, 5, 0xffffffff},
+      {"ratio weight NaN", 55, 8, one, nan},
+      {"ratio weight +inf", 55, 8, one, bits(std::numeric_limits<double>::infinity())},
+      {"detailed function id", 67, 1, 1, 0xff},
+      {"detailed policy id", 68, 4, 0, 0xffffffff},
+      {"detailed share target", 82, 4, 5, 0xffffffff},
+      {"detailed weight NaN", 86, 8, one, nan},
+  };
+  for (const Case& c : cases) {
+    auto bytes = valid;
+    std::uint64_t was = 0;
+    for (std::size_t i = 0; i < c.width; ++i) {
+      was |= std::uint64_t{bytes[c.offset + i]} << (8 * i);
+      bytes[c.offset + i] = static_cast<std::uint8_t>(c.value >> (8 * i));
+    }
+    ASSERT_EQ(was, c.was) << c.field << ": the encoding's layout moved";
+    std::optional<core::DeviceConfig> decoded;
+    EXPECT_NO_THROW(decoded = decode_device_config(bytes)) << c.field;
+    EXPECT_FALSE(decoded.has_value()) << c.field;
+  }
+}
+
+TEST(Codec, FuzzedReportsNeverThrow) {
+  MeasurementReport report;
+  report.src_subnet = 5;
+  report.lines = {{0, 2, 1000}, {3, -1, 77}, {7, 4, 0}};
+  const auto valid = encode_measurement_report(report);
+  util::Rng rng(78);
+  for (int i = 0; i < 2000; ++i) {
+    auto bytes = valid;
+    const std::size_t flips = 1 + rng.next_below(5);
+    for (std::size_t f = 0; f < flips; ++f) {
+      bytes[rng.pick_index(bytes.size())] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+    }
+    if (rng.next_bool(0.3)) bytes.resize(rng.pick_index(bytes.size()));
+    EXPECT_NO_THROW((void)decode_measurement_report(bytes));
+  }
+  // Every truncation of a valid report is rejected.
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    const std::vector<std::uint8_t> cut(valid.begin(),
+                                        valid.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_FALSE(decode_measurement_report(cut).has_value()) << len;
   }
 }
 

@@ -15,6 +15,7 @@
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
 #include "exp/world.hpp"
+#include "mutate.hpp"
 #include "util/hash.hpp"
 
 namespace sdmbox::exp {
@@ -105,6 +106,18 @@ TEST(ScenarioSpec, ParseReportsLineErrors) {
   EXPECT_NE(parsed.errors[0].find("line 1"), std::string::npos);
   EXPECT_NE(parsed.errors[1].find("line 2"), std::string::npos);
   EXPECT_NE(parsed.errors[2].find("line 3"), std::string::npos);
+}
+
+TEST(ScenarioSpec, MutatedSpecTextNeverThrows) {
+  // Every mutant of the default spec's text is parsed or rejected line by
+  // line, never thrown on.
+  const std::string original = ScenarioSpec{}.to_text();
+  util::Rng rng(29);
+  for (int i = 0; i < 2000; ++i) {
+    const std::string text =
+        sdmbox::testing::mutate_text(original, "0123456789abcxyz-+=.e_ \n", rng);
+    EXPECT_NO_THROW((void)parse_text(text)) << text;
+  }
 }
 
 TEST(ScenarioSpec, ParseRejectsOutOfDomainValues) {

@@ -262,34 +262,6 @@ TEST(Dijkstra, EqualCostTieBreakIsDeterministic) {
   }
 }
 
-TEST(KClosest, OrdersByDistanceThenId) {
-  Topology t;
-  const NodeId s = t.add_node(NodeKind::kCoreRouter, "s", IpAddress(1));
-  const NodeId n1 = t.add_node(NodeKind::kCoreRouter, "n1", IpAddress(2));
-  const NodeId n2 = t.add_node(NodeKind::kCoreRouter, "n2", IpAddress(3));
-  const NodeId n3 = t.add_node(NodeKind::kCoreRouter, "n3", IpAddress(4));
-  t.add_link(s, n1);
-  t.add_link(n1, n2);
-  t.add_link(n2, n3);
-  const auto tree = dijkstra(t, s);
-  const auto closest = k_closest(tree, {n3, n2, n1}, 2);
-  ASSERT_EQ(closest.size(), 2u);
-  EXPECT_EQ(closest[0], n1);
-  EXPECT_EQ(closest[1], n2);
-}
-
-TEST(KClosest, SkipsUnreachableAndClamps) {
-  Topology t;
-  const NodeId s = t.add_node(NodeKind::kCoreRouter, "s", IpAddress(1));
-  const NodeId n1 = t.add_node(NodeKind::kCoreRouter, "n1", IpAddress(2));
-  const NodeId iso = t.add_node(NodeKind::kCoreRouter, "iso", IpAddress(3));
-  t.add_link(s, n1);
-  const auto tree = dijkstra(t, s);
-  const auto closest = k_closest(tree, {n1, iso}, 5);
-  ASSERT_EQ(closest.size(), 1u);
-  EXPECT_EQ(closest[0], n1);
-}
-
 // ---------------------------------------------------------------------------
 // RoutingTables / AddressResolver
 // ---------------------------------------------------------------------------

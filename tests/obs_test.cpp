@@ -1,8 +1,8 @@
-// Telemetry layer: registry semantics (owned instruments vs exposed views,
-// label lookup, kind checking), the deterministic collect()/export ordering
-// every dump depends on, the flow sampler's seed-stability (same seed =>
-// byte-identical trace JSON), and epoch alignment between the recorder and
-// the simulator clock.
+// Telemetry layer: registry semantics (views over component-owned values,
+// label lookup, duplicate and kind checking), the deterministic
+// collect()/export ordering every dump depends on, the flow sampler's
+// seed-stability (same seed => byte-identical trace JSON), and epoch
+// alignment between the recorder and the simulator clock.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,13 +56,13 @@ TEST(Labels, SortedRenderAndLookup) {
 }
 
 TEST(Registry, OwnedInstrumentsAndLabelLookup) {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
   MetricsRegistry reg;
-  auto& a = reg.counter("packets", Labels{{"device", "p0"}});
-  auto& b = reg.counter("packets", Labels{{"device", "p1"}});
-  a.inc(3);
-  b.inc(4);
-  // Re-requesting the same (name, labels) returns the same instrument.
-  reg.counter("packets", Labels{{"device", "p0"}}).inc();
+  reg.expose_counter("packets", Labels{{"device", "p0"}}, &a);
+  reg.expose_counter("packets", Labels{{"device", "p1"}}, &b);
+  a = 4;
+  b = 4;
   EXPECT_EQ(reg.value("packets", Labels{{"device", "p0"}}), 4.0);
   EXPECT_EQ(reg.value("packets", Labels{{"device", "p1"}}), 4.0);
   EXPECT_EQ(reg.value("packets", Labels{{"device", "p9"}}), std::nullopt);
@@ -84,21 +84,22 @@ TEST(Registry, ExposedViewsReadLiveValues) {
 }
 
 TEST(Registry, KindMismatchAndDuplicateViewsAreContractViolations) {
-  MetricsRegistry reg;
-  reg.counter("x");
-  EXPECT_THROW(reg.gauge("x"), ContractViolation);
   std::uint64_t v = 0;
+  MetricsRegistry reg;
+  reg.expose_counter("x", {}, &v);
+  EXPECT_THROW(reg.expose_gauge("x", {}, [] { return 0.0; }), ContractViolation);
   reg.expose_counter("y", {}, &v);
   EXPECT_THROW(reg.expose_counter("y", {}, &v), ContractViolation);
 }
 
 TEST(Registry, CollectIsSortedByNameThenLabels) {
+  std::uint64_t v = 0;
   MetricsRegistry reg;
   // Registered in scrambled order on purpose.
-  reg.counter("zeta", Labels{{"device", "b"}});
-  reg.gauge("alpha");
-  reg.counter("zeta", Labels{{"device", "a"}});
-  reg.counter("mid", Labels{{"subsystem", "net"}});
+  reg.expose_counter("zeta", Labels{{"device", "b"}}, &v);
+  reg.expose_gauge("alpha", {}, [] { return 0.0; });
+  reg.expose_counter("zeta", Labels{{"device", "a"}}, &v);
+  reg.expose_counter("mid", Labels{{"subsystem", "net"}}, &v);
   const auto samples = reg.collect();
   std::vector<std::string> keys;
   for (const auto& s : samples) keys.push_back(s.name + s.labels.render());
@@ -130,12 +131,16 @@ TEST(Sampler, DeterministicPerSeedAndMonotoneInRate) {
 // twice against fresh objects.
 TEST(Export, SameOperationsYieldByteIdenticalJson) {
   const auto run = [] {
+    const std::uint64_t p1 = 11;
+    const std::uint64_t p0 = 5;
+    stats::Histogram lat;
     MetricsRegistry reg;
-    reg.counter("pkts", Labels{{"device", "p1"}}).inc(11);
-    reg.counter("pkts", Labels{{"device", "p0"}}).inc(5);
-    reg.gauge("load", Labels{{"subsystem", "net"}}).set(0.375);
-    reg.histogram("lat").add(1.0);
-    reg.histogram("lat").add(3.0);
+    reg.expose_counter("pkts", Labels{{"device", "p1"}}, &p1);
+    reg.expose_counter("pkts", Labels{{"device", "p0"}}, &p0);
+    reg.expose_gauge("load", Labels{{"subsystem", "net"}}, [] { return 0.375; });
+    reg.expose_histogram("lat", {}, &lat);
+    lat.add(1.0);
+    lat.add(3.0);
     PathTracer tracer(0.5);
     for (std::uint32_t i = 0; i < 64; ++i) {
       tracer.record(obs::Hop::kInjected, make_flow(i), 0.1 * i, net::NodeId{i});
@@ -151,9 +156,12 @@ TEST(Export, SameOperationsYieldByteIdenticalJson) {
 }
 
 TEST(Export, PrometheusAndCsvShapes) {
+  const std::uint64_t pkts = 2;
+  stats::Histogram lat;
+  lat.add(4.0);
   MetricsRegistry reg;
-  reg.counter("pkts", Labels{{"device", "p0"}}).inc(2);
-  reg.histogram("lat").add(4.0);
+  reg.expose_counter("pkts", Labels{{"device", "p0"}}, &pkts);
+  reg.expose_histogram("lat", {}, &lat);
   const std::string prom = obs::to_prometheus(reg);
   EXPECT_NE(prom.find("# TYPE pkts counter"), std::string::npos);
   EXPECT_NE(prom.find("pkts{device=\"p0\"} 2"), std::string::npos);
@@ -168,8 +176,9 @@ TEST(Export, PrometheusAndCsvShapes) {
 
 TEST(Epochs, RecorderAlignsWithSimulatorClock) {
   sim::Simulator sim;
+  std::uint64_t pkts = 0;
   MetricsRegistry reg;
-  auto& pkts = reg.counter("pkts");
+  reg.expose_counter("pkts", {}, &pkts);
   EpochRecorder rec(reg, 0.5);
   std::vector<double> sampled_at;
   rec.start(
@@ -180,8 +189,8 @@ TEST(Epochs, RecorderAlignsWithSimulatorClock) {
         });
       },
       [&] { return sim.now(); });
-  sim.schedule_at(0.7, [&] { pkts.inc(10); });
-  sim.schedule_at(1.2, [&] { pkts.inc(5); });
+  sim.schedule_at(0.7, [&] { pkts += 10; });
+  sim.schedule_at(1.2, [&] { pkts += 5; });
   sim.schedule_at(2.2, [&] { rec.stop(); });
   sim.run();
 
@@ -195,12 +204,14 @@ TEST(Epochs, RecorderAlignsWithSimulatorClock) {
 }
 
 TEST(Epochs, LateRegisteredSeriesAreLeftPadded) {
+  const std::uint64_t early = 1;
+  const std::uint64_t late = 9;
   MetricsRegistry reg;
-  reg.counter("early").inc();
+  reg.expose_counter("early", {}, &early);
   EpochRecorder rec(reg, 1.0);
   rec.sample(0.0);
   rec.sample(1.0);
-  reg.counter("late").inc(9);
+  reg.expose_counter("late", {}, &late);
   rec.sample(2.0);
   const auto series = rec.series();
   ASSERT_EQ(series.size(), 2u);
@@ -211,8 +222,9 @@ TEST(Epochs, LateRegisteredSeriesAreLeftPadded) {
 
 TEST(Epochs, RestartAfterStopKeepsOneChain) {
   sim::Simulator sim;
+  const std::uint64_t pkts = 0;
   MetricsRegistry reg;
-  reg.counter("pkts");
+  reg.expose_counter("pkts", {}, &pkts);
   EpochRecorder rec(reg, 0.5);
   const EpochRecorder::ScheduleIn schedule = [&](double d, std::function<void()> fn) {
     sim.schedule_in(d, std::move(fn));
@@ -290,25 +302,32 @@ void expect_matches_reference(const EpochRecorder& rec, const ReferenceRecorder&
 }
 
 TEST(Epochs, InPlaceSamplingMatchesCollectRenderLookup) {
-  // Owned and exposed counters, closure gauges and histograms. The registry
-  // grows before the first sample and between later ones, with metrics that
-  // sort before, among and after the ones already bound.
-  MetricsRegistry reg;
-  auto& p1 = reg.counter("m_pkts", Labels{{"device", "p1"}});
+  // Counters, closure gauges and histograms. The registry grows before the
+  // first sample and between later ones, with metrics that sort before,
+  // among and after the ones already bound.
+  std::uint64_t p1 = 0;
+  std::uint64_t p0 = 0;
   double load = 0.25;
+  stats::Histogram lat;
+  const std::uint64_t a_first = 3;
+  std::uint64_t viewed = 4;
+  stats::Histogram health;
+  const std::uint64_t zero = 1;
+  const std::uint64_t last = 2;
+  MetricsRegistry reg;
+  reg.expose_counter("m_pkts", Labels{{"device", "p1"}}, &p1);
   reg.expose_gauge("m_load", Labels{{"subsystem", "net"}}, [&] { return load; });
-  auto& lat = reg.histogram("lat");
+  reg.expose_histogram("lat", {}, &lat);
   EpochRecorder rec(reg, 1.0);
   ReferenceRecorder ref(reg);
 
-  std::uint64_t viewed = 4;
-  reg.counter("a_first").inc(3);
+  reg.expose_counter("a_first", {}, &a_first);
   reg.expose_counter("z_view", Labels{{"device", "p9"}}, &viewed);
   rec.sample(0.0);
   ref.sample(0.0);
   expect_matches_reference(rec, ref);
 
-  p1.inc(5);
+  p1 += 5;
   load = 0.75;
   lat.add(2.0);
   viewed = 11;
@@ -316,10 +335,9 @@ TEST(Epochs, InPlaceSamplingMatchesCollectRenderLookup) {
   ref.sample(1.0);
   expect_matches_reference(rec, ref);
 
-  auto& p0 = reg.counter("m_pkts", Labels{{"device", "p0"}});
-  p0.inc(7);
+  reg.expose_counter("m_pkts", Labels{{"device", "p0"}}, &p0);
+  p0 = 7;
   reg.expose_gauge("b_gauge", {}, [&] { return 2.0 * load; });
-  stats::Histogram health;
   health.add(1.0);
   health.add(3.0);
   reg.expose_histogram("lat", Labels{{"subsystem", "health"}}, &health);
@@ -329,13 +347,13 @@ TEST(Epochs, InPlaceSamplingMatchesCollectRenderLookup) {
   expect_matches_reference(rec, ref);
 
   // An equal-time sample, then growth at both ends.
-  p1.inc();
+  ++p1;
   rec.sample(2.0);
   ref.sample(2.0);
   expect_matches_reference(rec, ref);
 
-  reg.counter("0_zero").inc(1);
-  reg.counter("zz_last", Labels{{"device", "p0"}}).inc(2);
+  reg.expose_counter("0_zero", {}, &zero);
+  reg.expose_counter("zz_last", Labels{{"device", "p0"}}, &last);
   load = 0.5;
   health.add(5.0);
   rec.sample(3.5);
@@ -599,10 +617,12 @@ TEST(Spans, JsonAndCsvExportGolden) {
 // Prometheus histogram export golden: _count, _sum and quantile summary
 // lines, deterministically ordered — byte-exact.
 TEST(Export, PrometheusHistogramSummaryGolden) {
-  MetricsRegistry reg;
-  auto& lat = reg.histogram("lat", Labels{{"subsystem", "health"}});
+  stats::Histogram lat;
   for (const double v : {1.0, 2.0, 3.0, 4.0}) lat.add(v);
-  reg.counter("pkts", Labels{{"device", "p0"}}).inc(2);
+  const std::uint64_t pkts = 2;
+  MetricsRegistry reg;
+  reg.expose_histogram("lat", Labels{{"subsystem", "health"}}, &lat);
+  reg.expose_counter("pkts", Labels{{"device", "p0"}}, &pkts);
   EXPECT_EQ(obs::to_prometheus(reg),
             "# TYPE lat summary\n"
             "lat_count{subsystem=\"health\"} 4\n"
@@ -615,8 +635,9 @@ TEST(Export, PrometheusHistogramSummaryGolden) {
 }
 
 TEST(Epochs, AccessorsOnEmptyRecorder) {
+  const std::uint64_t pkts = 0;
   MetricsRegistry reg;
-  reg.counter("pkts");
+  reg.expose_counter("pkts", {}, &pkts);
   EpochRecorder rec(reg, 0.5);
   // Nothing sampled yet: every accessor answers "unknown", never throws.
   EXPECT_EQ(rec.epoch_count(), 0u);
@@ -627,14 +648,16 @@ TEST(Epochs, AccessorsOnEmptyRecorder) {
 }
 
 TEST(Epochs, AccessorsForSeriesCreatedMidRun) {
+  std::uint64_t early = 0;
+  const std::uint64_t nine = 9;
   MetricsRegistry reg;
-  auto& early = reg.counter("early");
+  reg.expose_counter("early", {}, &early);
   EpochRecorder rec(reg, 1.0);
-  early.inc(2);
+  early = 2;
   rec.sample(0.0);
   // A series registered between samples is visible to find()/latest() as
   // soon as the next sample records it — left-padded to stay aligned.
-  reg.counter("late", Labels{{"device", "p0"}}).inc(9);
+  reg.expose_counter("late", Labels{{"device", "p0"}}, &nine);
   EXPECT_EQ(rec.find("late", Labels{{"device", "p0"}}), nullptr);
   rec.sample(1.0);
   const auto* late = rec.find("late", Labels{{"device", "p0"}});
@@ -648,13 +671,14 @@ TEST(Epochs, AccessorsForSeriesCreatedMidRun) {
 
 TEST(Epochs, RecorderUseAcrossSimulatorReset) {
   sim::Simulator sim;
+  std::uint64_t pkts = 0;
   MetricsRegistry reg;
-  auto& pkts = reg.counter("pkts");
+  reg.expose_counter("pkts", {}, &pkts);
   EpochRecorder rec(reg, 0.5);
   rec.start(
       [&](double d, std::function<void()> fn) { sim.schedule_in(d, std::move(fn)); },
       [&] { return sim.now(); });
-  sim.schedule_at(0.6, [&] { pkts.inc(3); });
+  sim.schedule_at(0.6, [&] { pkts += 3; });
   sim.schedule_at(1.1, [&] { rec.stop(); });
   sim.run();
   EXPECT_GE(rec.epoch_count(), 2u);
@@ -674,7 +698,7 @@ TEST(Epochs, RecorderUseAcrossSimulatorReset) {
   rec2.start(
       [&](double d, std::function<void()> fn) { sim.schedule_in(d, std::move(fn)); },
       [&] { return sim.now(); });
-  sim.schedule_at(0.2, [&] { pkts.inc(4); });
+  sim.schedule_at(0.2, [&] { pkts += 4; });
   sim.schedule_at(0.6, [&] { rec2.stop(); });
   sim.run();
   EXPECT_GE(rec2.epoch_count(), 2u);

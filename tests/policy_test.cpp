@@ -227,11 +227,10 @@ TEST_F(PolicyListTest, FirstMatchInViewHonorsSubset) {
 }
 
 // ---------------------------------------------------------------------------
-// Classifiers: linear vs hierarchical trie
+// The trie classifier against the linear scan PolicyList::first_match
 // ---------------------------------------------------------------------------
 
 TEST_F(PolicyListTest, TrieAgreesOnTableOneTraffic) {
-  const auto linear = make_linear_classifier(list);
   const auto trie = make_trie_classifier(list);
   const FlowId flows[] = {
       flow(IpAddress(128, 40, 1, 1), IpAddress(128, 40, 2, 2), 5555, 80),
@@ -240,7 +239,7 @@ TEST_F(PolicyListTest, TrieAgreesOnTableOneTraffic) {
       flow(IpAddress(9, 9, 9, 9), IpAddress(8, 8, 8, 8), 5555, 22),
   };
   for (const FlowId& f : flows) {
-    EXPECT_EQ(linear->first_match(f), trie->first_match(f)) << f.to_string();
+    EXPECT_EQ(list.first_match(f), trie->first_match(f)) << f.to_string();
   }
 }
 
@@ -278,20 +277,8 @@ TEST(TrieClassifier, HostPrefixWinsWhenFirst) {
   EXPECT_EQ(p->id, host_id);
 }
 
-TEST(TrieClassifier, ReportsMemoryAndName) {
-  PolicyList list;
-  TrafficDescriptor td;
-  td.src = Prefix(IpAddress(10, 0, 0, 0), 8);
-  list.add(td, {kFirewall});
-  const auto trie = make_trie_classifier(list);
-  EXPECT_GT(trie->memory_bytes(), 0u);
-  EXPECT_STREQ(trie->name(), "hierarchical-trie");
-  const auto linear = make_linear_classifier(list);
-  EXPECT_STREQ(linear->name(), "linear");
-}
-
 /// Property sweep: random rule sets, random flows — the trie must agree with
-/// the linear reference exactly.
+/// the linear scan (PolicyList::first_match) exactly.
 class ClassifierEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ClassifierEquivalence, TrieMatchesLinearOnRandomRuleSets) {
@@ -318,7 +305,6 @@ TEST_P(ClassifierEquivalence, TrieMatchesLinearOnRandomRuleSets) {
     if (rng.next_bool(0.3)) td.protocol = rng.next_bool(0.5) ? packet::kProtoTcp : packet::kProtoUdp;
     list.add(td, rng.next_bool(0.2) ? ActionList{} : ActionList{kFirewall});
   }
-  const auto linear = make_linear_classifier(list);
   const auto trie = make_trie_classifier(list);
   for (int i = 0; i < 2000; ++i) {
     FlowId f;
@@ -338,7 +324,7 @@ TEST_P(ClassifierEquivalence, TrieMatchesLinearOnRandomRuleSets) {
       f.dst_port = static_cast<std::uint16_t>(rng.next_below(65536));
     }
     f.protocol = rng.next_bool(0.5) ? packet::kProtoTcp : packet::kProtoUdp;
-    ASSERT_EQ(linear->first_match(f), trie->first_match(f))
+    ASSERT_EQ(list.first_match(f), trie->first_match(f))
         << "seed=" << GetParam() << " flow=" << f.to_string();
   }
 }
