@@ -10,10 +10,16 @@ namespace {
 constexpr std::uint16_t kConfigMagic = 0x5dc0;  // SDm-Config
 constexpr std::uint16_t kReportMagic = 0x5d20;  // SDm-Report
 
+// Wire size of one element of each length-prefixed list.
+constexpr std::size_t kIdBytes = 4;      // a policy id or a candidate node id
+constexpr std::size_t kShareBytes = 12;  // target node id + weight
+constexpr std::size_t kLineBytes = 16;   // policy + destination subnet + packets
+
 /// One ratio entry's share list; false on an invalid target or a weight
 /// that is negative or not finite (NaN passes `weight < 0`).
 bool read_shares(ByteReader& r, std::vector<core::SplitRatioTable::Share>& shares) {
   const std::uint16_t n_shares = r.u16();
+  if (!r.fits(n_shares, kShareBytes)) return false;
   shares.reserve(n_shares);
   for (std::uint16_t s = 0; s < n_shares && r.ok(); ++s) {
     const net::NodeId to{r.u32()};
@@ -101,7 +107,7 @@ std::optional<core::DeviceConfig> decode_device_config(const std::vector<std::ui
     if ((own >> ev) & 1) cfg.node.own_functions.insert(policy::FunctionId{ev});
   }
   const std::uint32_t n_policies = r.u32();
-  if (!r.ok() || n_policies > 1'000'000) return std::nullopt;
+  if (!r.ok() || !r.fits(n_policies, kIdBytes)) return std::nullopt;
   cfg.node.relevant_policies.reserve(n_policies);
   for (std::uint32_t i = 0; i < n_policies && r.ok(); ++i) {
     const policy::PolicyId p{r.u32()};
@@ -113,6 +119,7 @@ std::optional<core::DeviceConfig> decode_device_config(const std::vector<std::ui
     const std::uint8_t ev = r.u8();
     if (ev >= policy::kMaxFunctions) return std::nullopt;
     const std::uint16_t count = r.u16();
+    if (!r.fits(count, kIdBytes)) return std::nullopt;
     auto& cands = cfg.node.candidates[ev];
     cands.reserve(count);
     for (std::uint16_t c = 0; c < count && r.ok(); ++c) {
@@ -169,7 +176,7 @@ std::optional<MeasurementReport> decode_measurement_report(
   MeasurementReport report;
   report.src_subnet = static_cast<std::int32_t>(r.u32());
   const std::uint32_t n = r.u32();
-  if (!r.ok() || n > 10'000'000) return std::nullopt;
+  if (!r.ok() || !r.fits(n, kLineBytes)) return std::nullopt;
   report.lines.reserve(n);
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     MeasurementReport::Line line;

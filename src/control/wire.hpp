@@ -42,6 +42,12 @@ public:
   /// True iff everything was consumed and no error occurred.
   bool done() const noexcept { return ok_ && pos_ == bytes_.size(); }
   std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
+  /// True iff what is left can hold `count` elements of `wire_bytes` each.
+  /// Decoders check a claimed element count with this before reserving
+  /// for it, so a short message cannot make them allocate for a long one.
+  bool fits(std::uint64_t count, std::size_t wire_bytes) const noexcept {
+    return count <= remaining() / wire_bytes;
+  }
 
 private:
   bool take(std::size_t n) noexcept {

@@ -35,22 +35,25 @@ void inject_wave(sim::SimNetwork& net, const net::GeneratedNetwork& network,
   // Each flow's packets are spread 30 ms apart so the burst overlaps the
   // peer-health probe timeouts. flow_seq is unique and nonzero per (flow,
   // packet) across waves: the invariant oracle keys packets on (flow, seq),
-  // and 0 is the "no sequence" sentinel. Every flow's j-th packet of a wave
-  // shares one time, and waves are injected in time order, so stagger slot
-  // j is a monotone injection lane.
-  for (const auto& f : flows.flows) {
-    const std::uint64_t n = std::min<std::uint64_t>(f.packets, 6);
-    for (std::uint64_t j = 0; j < n; ++j) {
-      sim::Injection inj;
-      inj.flow.src = f.id.src;
-      inj.flow.dst = f.id.dst;
-      inj.flow.src_port = f.id.src_port;
-      inj.flow.dst_port = f.id.dst_port;
-      inj.payload_bytes = 200;
-      inj.flow_seq = wave * 6 + j + 1;
-      net.inject(network.proxies[static_cast<std::size_t>(f.src_subnet)], inj,
-                 at + static_cast<double>(j) * 0.03, static_cast<std::uint32_t>(j));
-    }
+  // and 0 is the "no sequence" sentinel. Stagger slot j is one event that
+  // builds every flow's j-th packet when it comes due and injects them in
+  // flow order.
+  constexpr std::uint64_t kSlots = 6;
+  for (std::uint64_t j = 0; j < kSlots; ++j) {
+    const auto slot = [&net, &network, &flows, wave, j] {
+      for (const auto& f : flows.flows) {
+        if (j >= f.packets) continue;
+        packet::Packet p;
+        p.inner.src = f.id.src;
+        p.inner.dst = f.id.dst;
+        p.src_port = f.id.src_port;
+        p.dst_port = f.id.dst_port;
+        p.payload_bytes = 200;
+        p.flow_seq = wave * kSlots + j + 1;
+        net.inject_now(network.proxies[static_cast<std::size_t>(f.src_subnet)], std::move(p));
+      }
+    };
+    net.simulator().schedule_at(at + static_cast<double>(j) * 0.03, slot);
   }
 }
 

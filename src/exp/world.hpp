@@ -118,7 +118,10 @@ private:
 
 /// Inject wave number `wave` of World::run's policy traffic at time `at`:
 /// min(packets, 6) packets of every flow from its source proxy, 30 ms
-/// apart, as compact injections on one lane per stagger slot.
+/// apart. Each of the six stagger slots is one calendar event that builds
+/// its packets when it fires and hands them to SimNetwork::inject_now in
+/// flow order, so they are counted and traced when they enter the network.
+/// `network` and `flows` must outlive the run.
 void inject_wave(sim::SimNetwork& net, const net::GeneratedNetwork& network,
                  const workload::GeneratedFlows& flows, double at, std::uint64_t wave);
 

@@ -45,12 +45,12 @@ void SimNetwork::inject(net::NodeId node, packet::Packet pkt, SimTime at) {
                           /*injected_at=*/at, /*origin=*/true);
 }
 
-void SimNetwork::inject(net::NodeId node, const Injection& inj, SimTime at, std::uint32_t lane) {
+void SimNetwork::inject_now(net::NodeId node, packet::Packet pkt) {
   ++counters_.injected;
-  if (tracer_ != nullptr) tracer_->record(obs::Hop::kInjected, inj.flow, at, node, 0, inj.flow_seq);
-  // Injection lanes follow the per-link lanes (see transmit_on).
-  sim_.schedule_injection_at(at, inj, node,
-                             static_cast<std::uint32_t>(topo_.link_count()) + 1 + lane);
+  const SimTime now = sim_.now();
+  trace(tracer_, obs::Hop::kInjected, pkt, now, node);
+  handle_at_node(node, std::move(pkt), /*injected_at=*/now, /*origin=*/true, net::NodeId{},
+                 net::NodeId{});
 }
 
 void SimNetwork::set_node_up(net::NodeId node, bool up) {

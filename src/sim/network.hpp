@@ -114,17 +114,16 @@ public:
   void on_delivered(DeliveryObserver observer) { delivery_observer_ = std::move(observer); }
 
   /// Inject a packet into the network at `node` at time `at` (it is handled
-  /// as if it had just arrived there).
+  /// as if it had just arrived there). It is counted, and traced as injected
+  /// at `at`, by this call.
   void inject(net::NodeId node, packet::Packet pkt, SimTime at);
 
-  /// inject(node, inj.packet(), at) for a data packet given in compact form:
-  /// counted, traced and sequenced now, identically, but it waits in the
-  /// calendar as the small record and becomes a Packet when it comes due.
-  /// `lane` names an injection lane: injections given on one lane in
-  /// nondecreasing time order append in O(1), anything else is correct on
-  /// any lane — a source that staggers its packets gives each stagger slot
-  /// a lane.
-  void inject(net::NodeId node, const Injection& inj, SimTime at, std::uint32_t lane);
+  /// Inject a packet at `node` now and handle it there before returning:
+  /// counted and traced as injected at now(), then handled as
+  /// inject(node, pkt, now()) handles it when its event pops. For sources
+  /// that build each packet when it comes due (exp::inject_wave): the packet
+  /// never waits in the calendar, and its record lands in time order.
+  void inject_now(net::NodeId node, packet::Packet pkt);
 
   /// Route one hop toward the packet's routing destination from `at_node`:
   /// resolve the destination, look up the next hop, and transmit. Drops (and

@@ -17,21 +17,9 @@ namespace {
 constexpr std::size_t kArity = 4;
 }  // namespace
 
-packet::Packet Injection::packet() const {
-  packet::Packet p;
-  p.inner.src = flow.src;
-  p.inner.dst = flow.dst;
-  p.inner.protocol = flow.protocol;
-  p.src_port = flow.src_port;
-  p.dst_port = flow.dst_port;
-  p.payload_bytes = payload_bytes;
-  p.flow_seq = flow_seq;
-  return p;
-}
-
-std::uint64_t Simulator::next_key(std::uint32_t kind, std::uint32_t index) {
+std::uint64_t Simulator::next_key(std::uint32_t slot) {
   SDM_CHECK_MSG(seq_ <= kMaxSeq, "event sequence space exhausted");
-  return (seq_++ << kSlotBits) | (kind << kKindShift) | index;
+  return (seq_++ << kSlotBits) | slot;
 }
 
 template <class Slot>
@@ -179,7 +167,7 @@ void Simulator::schedule_at(SimTime at, Handler fn) {
   SDM_CHECK(fn != nullptr);
   const std::uint32_t idx = acquire_slot(cb_pool_, cb_free_, "callback");
   cb_pool_[idx].fn = std::move(fn);
-  calendar_push(HeapItem{at, next_key(kCallbackKind, idx)}, /*lane=*/0);
+  calendar_push(HeapItem{at, next_key(idx)}, /*lane=*/0);
 }
 
 std::shared_ptr<Simulator::Periodic> Simulator::schedule_every(SimTime period, Handler fn) {
@@ -221,17 +209,7 @@ void Simulator::schedule_packet_at(SimTime at, packet::Packet&& pkt, net::NodeId
   ev.dest_hint = dest_hint;
   ev.injected_at = injected_at;
   ev.origin = origin;
-  calendar_push(HeapItem{at, next_key(kPacketKind, idx)}, lane);
-}
-
-void Simulator::schedule_injection_at(SimTime at, const Injection& inj, net::NodeId node,
-                                      std::uint32_t lane) {
-  SDM_CHECK_MSG(at >= now_, "cannot schedule an event in the past");
-  SDM_CHECK_MSG(sink_ != nullptr, "injection event scheduled without a sink");
-  const std::uint32_t idx = acquire_slot(inj_pool_, inj_free_, "injection");
-  inj_pool_[idx].inj = inj;
-  inj_pool_[idx].node = node;
-  calendar_push(HeapItem{at, next_key(kInjectionKind, idx)}, lane);
+  calendar_push(HeapItem{at, next_key(idx | kPacketFlag)}, lane);
 }
 
 void Simulator::run(SimTime until) {
@@ -255,29 +233,16 @@ void Simulator::run(SimTime until) {
     // events, growing the pool and invalidating slot references. For packet
     // events the by-value parameter IS that move — it completes before the
     // sink body runs — so the slot is recycled right after the call, by
-    // index (a reference would dangle once the pool grows). An injection
-    // becomes its packet event here, the first time its Packet exists.
-    switch (slot >> kKindShift) {
-      case kPacketKind:
-        sink_->on_packet_event(std::move(pkt_pool_[idx].ev));
-        pkt_pool_[idx].next_free = pkt_free_;
-        pkt_free_ = idx;
-        break;
-      case kInjectionKind: {
-        InjectionSlot& s = inj_pool_[idx];
-        PacketEvent ev{s.inj.packet(), s.node, net::NodeId{}, net::NodeId{},
-                       /*injected_at=*/top.at, /*origin=*/true};
-        s.next_free = inj_free_;
-        inj_free_ = idx;
-        sink_->on_packet_event(std::move(ev));
-        break;
-      }
-      default: {
-        Handler fn = std::move(cb_pool_[idx].fn);
-        cb_pool_[idx].next_free = cb_free_;
-        cb_free_ = idx;
-        fn();
-      }
+    // index (a reference would dangle once the pool grows).
+    if (slot & kPacketFlag) {
+      sink_->on_packet_event(std::move(pkt_pool_[idx].ev));
+      pkt_pool_[idx].next_free = pkt_free_;
+      pkt_free_ = idx;
+    } else {
+      Handler fn = std::move(cb_pool_[idx].fn);
+      cb_pool_[idx].next_free = cb_free_;
+      cb_free_ = idx;
+      fn();
     }
   }
 }
@@ -296,10 +261,8 @@ void Simulator::reset() {
   lane_pending_ = 0;
   cb_pool_.clear();
   pkt_pool_.clear();
-  inj_pool_.clear();
   cb_free_ = kNil;
   pkt_free_ = kNil;
-  inj_free_ = kNil;
   now_ = 0;
   seq_ = 0;
   processed_ = 0;

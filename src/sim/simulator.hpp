@@ -1,32 +1,27 @@
 // Discrete-event simulation engine.
 //
-// A single-threaded event calendar with three typed event kinds:
+// A single-threaded event calendar with two typed event kinds:
 //
 //  * callback events — arbitrary closures (timers, control-plane work,
-//    fault/repair schedules). These still allocate when the closure outgrows
-//    std::function's inline buffer, which is fine off the hot path.
+//    fault/repair schedules, a policy wave's stagger slots). These still
+//    allocate when the closure outgrows std::function's inline buffer,
+//    which is fine off the hot path.
 //  * packet events — the per-hop datapath. A PacketEvent carries the Packet
 //    by value through a pooled event slot and is dispatched to the network's
 //    PacketSink, so a forwarded packet costs zero heap allocations per hop.
-//  * injection events — a locally generated data packet scheduled ahead of
-//    time in compact form (Injection: 5-tuple, payload size, flow sequence).
-//    The Packet is built only when the event pops and is dispatched to the
-//    PacketSink like any packet event, so a traffic wave scheduled up front
-//    holds a small record per packet instead of a packet slot.
 //
-// All kinds share one calendar ordered by (time, sequence number) over
+// Both kinds share one calendar ordered by (time, sequence number) over
 // 16-byte entries — the key is packed so comparing keys compares sequence
 // numbers and sifts never touch the payload pools — with the payloads in
 // free-listed per-kind slot pools (callback slots are small; packet slots
-// carry the Packet by value; injection slots carry the compact record).
-// Entries live in monotone lanes (sorted runs for naturally FIFO streams
-// such as per-link arrivals) merged through a heap that keys each live lane
-// by a copy of its front entry, with a 4-ary overflow heap for anything
-// scheduled out of order. Events at equal times fire in scheduling order:
-// the monotone sequence number breaks ties, which keeps runs bit-for-bit
-// deterministic, a requirement for reproducing the paper's figures from
-// fixed seeds. The pop order is exactly what the previous
-// std::priority_queue<Event> produced; only the storage changed.
+// carry the Packet by value). Entries live in monotone lanes (sorted runs
+// for naturally FIFO streams such as per-link arrivals) merged through a
+// heap that keys each live lane by a copy of its front entry, with a 4-ary
+// overflow heap for anything scheduled out of order. Events at equal times
+// fire in scheduling order: the monotone sequence number breaks ties, which
+// keeps runs bit-for-bit deterministic, a requirement for reproducing the
+// paper's figures from fixed seeds. The pop order is exactly what the
+// previous std::priority_queue<Event> produced; only the storage changed.
 #pragma once
 
 #include <cstdint>
@@ -52,17 +47,6 @@ struct PacketEvent {
   net::NodeId dest_hint;           // pre-resolved routing destination, if known
   SimTime injected_at = 0;         // original injection time (latency)
   bool origin = false;             // locally generated (injected) packet
-};
-
-/// A locally generated data packet in compact form: the inner 5-tuple, the
-/// payload size and the flow sequence number, every other field at its
-/// default. packet() is the Packet it stands for.
-struct Injection {
-  packet::FlowId flow;
-  std::uint32_t payload_bytes = 0;
-  std::uint64_t flow_seq = 0;
-
-  packet::Packet packet() const;
 };
 
 /// Dispatch target for packet events. SimNetwork implements this; the
@@ -122,13 +106,6 @@ public:
                           net::NodeId dest_hint, SimTime injected_at, bool origin,
                           std::uint32_t lane = 0);
 
-  /// Schedule the injection of `inj` at `node` at absolute time `at`
-  /// (>= now): the same event, in the same order, as
-  /// schedule_packet_at(at, inj.packet(), node, {}, {}, at, true, lane), but
-  /// it waits in a compact slot and the Packet is built when it pops.
-  void schedule_injection_at(SimTime at, const Injection& inj, net::NodeId node,
-                             std::uint32_t lane);
-
   /// Register the packet-event dispatch target (required before the first
   /// schedule_packet_at). The sink must outlive all pending packet events.
   void set_packet_sink(PacketSink* sink) noexcept { sink_ = sink; }
@@ -152,18 +129,14 @@ public:
 
 private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
-  // HeapItem::key packs (seq << 25) | slot. The slot field's top two bits
-  // select the payload pool (callback, packet or injection); the low 23
-  // bits index into it. seq gets the remaining 39 bits — checked at
-  // schedule time; at ten million events per second that is over fifteen
-  // hours of continuous simulation.
-  static constexpr std::uint32_t kSlotBits = 25;
+  // HeapItem::key packs (seq << 24) | slot. The slot field's top bit selects
+  // the payload pool (packet vs callback); the low 23 bits index into it.
+  // seq gets the remaining 40 bits — checked at schedule time; at ten
+  // million events per second that is over a day of continuous simulation.
+  static constexpr std::uint32_t kSlotBits = 24;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
-  static constexpr std::uint32_t kKindShift = 23;
-  static constexpr std::uint32_t kIndexMask = (1u << kKindShift) - 1;
-  static constexpr std::uint32_t kCallbackKind = 0;
-  static constexpr std::uint32_t kPacketKind = 1;
-  static constexpr std::uint32_t kInjectionKind = 2;
+  static constexpr std::uint32_t kPacketFlag = 1u << 23;
+  static constexpr std::uint32_t kIndexMask = kPacketFlag - 1;
   static constexpr std::uint64_t kMaxSeq = (std::uint64_t{1} << (64 - kSlotBits)) - 1;
 
   /// Heap entry: the timestamp plus seq and payload-slot id packed into one
@@ -183,11 +156,6 @@ private:
   };
   struct PacketSlot {
     PacketEvent ev;
-    std::uint32_t next_free = kNil;
-  };
-  struct InjectionSlot {
-    Injection inj;
-    net::NodeId node;
     std::uint32_t next_free = kNil;
   };
 
@@ -222,7 +190,7 @@ private:
     return static_cast<std::uint32_t>(node.key) & kSlotMask;
   }
 
-  std::uint64_t next_key(std::uint32_t kind, std::uint32_t index);
+  std::uint64_t next_key(std::uint32_t slot);
   /// Pop a free slot of `pool` (LIFO through `free`), or grow the pool;
   /// `what` names the pool in the exhaustion check.
   template <class Slot>
@@ -239,10 +207,8 @@ private:
   std::uint64_t processed_ = 0;
   std::vector<CallbackSlot> cb_pool_;
   std::vector<PacketSlot> pkt_pool_;
-  std::vector<InjectionSlot> inj_pool_;
   std::uint32_t cb_free_ = kNil;
   std::uint32_t pkt_free_ = kNil;
-  std::uint32_t inj_free_ = kNil;
   std::vector<HeapItem> heap_;       // overflow 4-ary min-heap keyed by (at, seq)
   std::vector<Lane> lanes_;          // grown on demand by lane id
   std::vector<HeapItem> lane_heap_;  // one lane_node per non-empty lane, min-heap

@@ -7,6 +7,8 @@
 // oracle, once a tunneled and a label-switched wave have grown the oracle's
 // packet slab, index and history pool. Flow-table hits, misses and
 // evictions at capacity, and label-table hits, allocate nothing either.
+// And a control message that claims more elements than its bytes can hold
+// is rejected before its decoder reserves room for them.
 //
 // This binary replaces the global allocation functions with counting
 // wrappers around malloc/free, so it must stay its own test executable.
@@ -23,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "control/codec.hpp"
 #include "core/agents.hpp"
 #include "obs/trace.hpp"
 #include "scenario.hpp"
@@ -247,6 +250,73 @@ TEST(AllocationFree, LabelTableHits) {
   for (const auto& k : keys) hits += table.lookup(k, 1.0) != nullptr;
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(hits, kLive);
+}
+
+/// `bytes` with the little-endian `width`-byte field that ends
+/// `from_end` bytes before the end of the message set to `value`.
+std::vector<std::uint8_t> with_count(std::vector<std::uint8_t> bytes, std::size_t from_end,
+                                     std::size_t width, std::uint32_t value) {
+  const std::size_t at = bytes.size() - from_end - width;
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  return bytes;
+}
+
+TEST(DecodeAllocations, OversizedCountClaimsRejectedBeforeReserve) {
+  // Each message is well formed except for one element count, raised past
+  // what the bytes after it can hold. Decoding it must fail without
+  // allocating more than decoding the empty message of its type does.
+  core::DeviceConfig empty_config;
+  empty_config.node.node = net::NodeId{17};
+  const std::vector<std::uint8_t> config = control::encode_device_config(empty_config);
+  const std::vector<std::uint8_t> report = control::encode_measurement_report({});
+
+  core::DeviceConfig with_candidate = empty_config;
+  with_candidate.node.candidates[policy::kFirewall.v] = {net::NodeId{60}};
+  core::DeviceConfig with_share = empty_config;
+  with_share.ratios.set(net::NodeId{17}, policy::kFirewall, policy::PolicyId{3},
+                        {{net::NodeId{60}, 1.0}});
+  core::DeviceConfig with_detailed_share = empty_config;
+  with_detailed_share.ratios.set_detailed(net::NodeId{17}, policy::kFirewall,
+                                          policy::PolicyId{3}, 0, 1, {{net::NodeId{60}, 1.0}});
+  struct Claim {
+    const char* what;
+    std::vector<std::uint8_t> bytes;
+  };
+  // What follows each count: the empty config's policy count is followed
+  // by non_empty (1 byte) and the two ratio counts (4 + 4); a candidate
+  // count by its one id and the ratio counts; a share count by its one
+  // share (12) and, in an aggregate entry, the detailed count.
+  const Claim config_claims[] = {
+      {"relevant policies", with_count(config, 9, 4, 1'000'000)},
+      {"candidates", with_count(control::encode_device_config(with_candidate), 12, 2, 65'535)},
+      {"shares", with_count(control::encode_device_config(with_share), 16, 2, 65'535)},
+      {"detailed shares",
+       with_count(control::encode_device_config(with_detailed_share), 12, 2, 65'535)},
+  };
+
+  std::uint64_t before = allocations();
+  ASSERT_TRUE(control::decode_device_config(config).has_value());
+  const std::uint64_t empty_config_cost = allocations() - before;
+  for (const Claim& c : config_claims) {
+    before = allocations();
+    const bool decoded = control::decode_device_config(c.bytes).has_value();
+    const std::uint64_t cost = allocations() - before;
+    EXPECT_FALSE(decoded) << c.what;
+    EXPECT_LE(cost, empty_config_cost) << c.what;
+  }
+
+  before = allocations();
+  ASSERT_TRUE(control::decode_measurement_report(report).has_value());
+  const std::uint64_t empty_report_cost = allocations() - before;
+  const std::vector<std::uint8_t> lines = with_count(report, 0, 4, 10'000'000);
+  ASSERT_EQ(lines.size(), 10u);
+  before = allocations();
+  const bool decoded = control::decode_measurement_report(lines).has_value();
+  const std::uint64_t cost = allocations() - before;
+  EXPECT_FALSE(decoded);
+  EXPECT_LE(cost, empty_report_cost);
 }
 
 }  // namespace

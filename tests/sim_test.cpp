@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <tuple>
 
 #include "core/agents.hpp"
 #include "exp/world.hpp"
@@ -257,14 +258,14 @@ TEST(Simulator, ManyLanesPopInExactTimeSeqOrder) {
 }
 
 TEST(Simulator, InjectionsInterleaveInExactTimeSeqOrder) {
-  // Compact injections on six stagger-slot lanes (the shape of a policy
-  // wave: slot j at wave time + j steps), stored packet events and
-  // callbacks, all on a grid of a few exact times so most events share
-  // their time with events of the other kinds. Some injections undercut
-  // their lane and go to the overflow heap. Handlers keep scheduling every
-  // kind, at the current time and at later grid times. Dispatch must
-  // follow (time, schedule order) exactly, and an injection must arrive as
-  // the packet event it stands for.
+  // Injected packets on six stagger-slot lanes (the shape of a policy wave
+  // scheduled up front: slot j at wave time + j steps), stored hop packets
+  // on six more lanes and callbacks, all on a grid of a few exact times so
+  // most events share their time with events of the other kinds. Some
+  // injections undercut their lane and go to the overflow heap. Handlers
+  // keep scheduling every kind, at the current time and at later grid
+  // times. Dispatch must follow (time, schedule order) exactly, and an
+  // injection must arrive as the packet event it was scheduled as.
   constexpr std::uint32_t kSlots = 6;
   constexpr std::size_t kEvents = 12000;
   constexpr double kStep = 0.25;  // exact in binary, so equal times stay equal
@@ -296,11 +297,12 @@ TEST(Simulator, InjectionsInterleaveInExactTimeSeqOrder) {
       s.schedule_packet_at(t, packet::Packet{}, NodeId{id}, NodeId{id}, NodeId{}, 0, false,
                            /*lane=*/kSlots + 1 + slot);
     } else {
-      Injection inj;
-      inj.flow.src_port = static_cast<std::uint16_t>(slot);
-      inj.payload_bytes = 200;
-      inj.flow_seq = id;
-      s.schedule_injection_at(t, inj, NodeId{id}, /*lane=*/1 + slot);
+      packet::Packet p;
+      p.src_port = static_cast<std::uint16_t>(slot);
+      p.payload_bytes = 200;
+      p.flow_seq = id;
+      s.schedule_packet_at(t, std::move(p), NodeId{id}, NodeId{}, NodeId{}, /*injected_at=*/t,
+                           /*origin=*/true, /*lane=*/1 + slot);
       slot_tail[slot] = std::max(slot_tail[slot], t);
     }
   };
@@ -568,7 +570,7 @@ TEST_F(SimNetworkTest, DeterministicAcrossRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Compact injections through a network with agents
+// Policy waves injected per stagger slot, through a network with agents
 // ---------------------------------------------------------------------------
 
 // TraceRecord has no operator==: every field must agree.
@@ -577,12 +579,20 @@ bool same_record(const obs::TraceRecord& a, const obs::TraceRecord& b) {
          a.detail == b.detail && a.seq == b.seq;
 }
 
-TEST(CompactInjection, WaveMatchesPacketInjection) {
+bool record_less(const obs::TraceRecord& a, const obs::TraceRecord& b) {
+  return std::tie(a.at, a.flow, a.seq, a.node.v, a.detail) <
+         std::tie(b.at, b.flow, b.seq, b.node.v, b.detail);
+}
+
+TEST(LazyWave, MatchesUpFrontPacketInjection) {
   // Two networks with the same label-switching agents over one campus plan,
-  // traced in full: one gets two policy waves through inject(Packet), built
-  // by the reference loop below, the other through exp::inject_wave's
-  // compact injections. Counters, event counts and the whole record stream
-  // must agree.
+  // traced in full: one gets two policy waves scheduled up front through
+  // inject(Packet), built by the reference loop below, the other through
+  // exp::inject_wave, whose slot events build and inject each packet when
+  // it comes due. Every packet is handled at the same time and in the same
+  // order either way. Only the kInjected records move: up front they are
+  // all made before the run, lazily each one is made at its packet's
+  // injection time.
   testing::ScenarioParams sp;
   sp.seed = 2019;
   sp.target_packets = 20000;
@@ -591,13 +601,17 @@ TEST(CompactInjection, WaveMatchesPacketInjection) {
       s.controller->compile(core::StrategyKind::kLoadBalanced, &s.traffic);
   const auto routing = net::RoutingTables::compute(s.network.topo);
   const auto resolver = net::AddressResolver::build(s.network.topo);
+  const std::pair<double, std::uint64_t> waves[] = {{1.0, 0}, {2.2, 1}};
+  constexpr std::uint64_t kSlotEvents = 2 * 6;
 
   struct Outcome {
     NetworkCounters counters;
     std::uint64_t events = 0;
-    std::vector<obs::TraceRecord> records;
+    std::vector<obs::TraceRecord> injected;  // the kInjected records
+    std::vector<obs::TraceRecord> others;    // every other record, in order
+    bool time_ordered = true;
   };
-  const auto run = [&](bool compact) {
+  const auto run = [&](bool lazy) {
     SimNetwork simnet(s.network.topo, routing, resolver);
     core::AgentOptions options;
     options.enable_label_switching = true;
@@ -606,9 +620,8 @@ TEST(CompactInjection, WaveMatchesPacketInjection) {
     obs::TraceCollector collector;
     tracer.set_observer(&collector);
     simnet.set_tracer(&tracer);
-    const std::pair<double, std::uint64_t> waves[] = {{1.0, 0}, {2.2, 1}};
     for (const auto& [at, wave] : waves) {
-      if (compact) {
+      if (lazy) {
         exp::inject_wave(simnet, s.network, s.flows, at, wave);
         continue;
       }
@@ -628,11 +641,16 @@ TEST(CompactInjection, WaveMatchesPacketInjection) {
       }
     }
     simnet.run();
-    return Outcome{simnet.counters(), simnet.simulator().events_processed(),
-                   collector.records()};
+    Outcome out{simnet.counters(), simnet.simulator().events_processed(), {}, {}, true};
+    const std::vector<obs::TraceRecord>& records = collector.records();
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      (records[i].hop == obs::Hop::kInjected ? out.injected : out.others).push_back(records[i]);
+      if (i > 0 && records[i].at < records[i - 1].at) out.time_ordered = false;
+    }
+    return out;
   };
-  const Outcome ref = run(false);
-  const Outcome got = run(true);
+  Outcome ref = run(false);
+  Outcome got = run(true);
 
   EXPECT_GT(ref.counters.injected, 1000u);
   EXPECT_GT(ref.counters.delivered, 0u);
@@ -645,13 +663,28 @@ TEST(CompactInjection, WaveMatchesPacketInjection) {
   EXPECT_EQ(got.counters.dropped_link_down, ref.counters.dropped_link_down);
   EXPECT_EQ(got.counters.dropped_link_loss, ref.counters.dropped_link_loss);
   EXPECT_EQ(got.counters.total_latency, ref.counters.total_latency);
-  EXPECT_EQ(got.events, ref.events);
-  ASSERT_EQ(got.records.size(), ref.records.size());
-  std::size_t first_mismatch = got.records.size();
-  for (std::size_t i = 0; i < got.records.size() && first_mismatch == got.records.size(); ++i) {
-    if (!same_record(got.records[i], ref.records[i])) first_mismatch = i;
+
+  // Every wave injection was an event of its own up front; lazily, six
+  // slot events per wave stand in for them.
+  EXPECT_EQ(got.events + ref.counters.injected, ref.events + kSlotEvents);
+
+  ASSERT_EQ(got.others.size(), ref.others.size());
+  std::size_t first_mismatch = got.others.size();
+  for (std::size_t i = 0; i < got.others.size() && first_mismatch == got.others.size(); ++i) {
+    if (!same_record(got.others[i], ref.others[i])) first_mismatch = i;
   }
-  EXPECT_EQ(first_mismatch, got.records.size()) << "record streams diverge";
+  EXPECT_EQ(first_mismatch, got.others.size()) << "non-injection record streams diverge";
+
+  ASSERT_EQ(got.injected.size(), ref.counters.injected);
+  ASSERT_EQ(ref.injected.size(), ref.counters.injected);
+  std::sort(got.injected.begin(), got.injected.end(), record_less);
+  std::sort(ref.injected.begin(), ref.injected.end(), record_less);
+  EXPECT_TRUE(
+      std::equal(got.injected.begin(), got.injected.end(), ref.injected.begin(), same_record))
+      << "the kInjected records differ as multisets";
+
+  EXPECT_TRUE(got.time_ordered) << "a lazy wave's record stream goes back in time";
+  EXPECT_FALSE(ref.time_ordered);  // up front, the later slots' records come first
 }
 
 }  // namespace
