@@ -73,8 +73,7 @@ void BM_PerPacket_FlowCache(benchmark::State& state) {
     if (entry == nullptr) {
       const policy::Policy* p = wb.classifier->first_match(f);
       // Negative caching included: misses insert a null entry (§III.D).
-      entry = &table.insert(f, p ? p->id : policy::PolicyId{},
-                            p ? p->actions : policy::ActionList{}, now);
+      entry = &table.insert(f, p ? p->id : policy::PolicyId{}, now);
     }
     benchmark::DoNotOptimize(entry);
   }
@@ -97,7 +96,7 @@ void BM_PerPacket_CacheWithoutNegativeEntries(benchmark::State& state) {
     tables::FlowEntry* entry = table.lookup(f, now);
     if (entry == nullptr) {
       const policy::Policy* p = wb.classifier->first_match(f);
-      if (p != nullptr) table.insert(f, p->id, p->actions, now);
+      if (p != nullptr) table.insert(f, p->id, now);
       benchmark::DoNotOptimize(p);
     }
     benchmark::DoNotOptimize(entry);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -95,23 +96,6 @@ void PeerHealth::register_metrics(obs::MetricsRegistry& registry,
   registry.expose_counter("peer_revivals", base, &counters_.revivals);
 }
 
-namespace {
-
-/// Pack (src_subnet, dst_subnet) into a FlowEntry::user_tag: 16 bits each,
-/// enough for every address plan (at most 16383 subnets); 0xffff encodes -1.
-std::int32_t pack_subnets(int s, int d) noexcept {
-  return static_cast<std::int32_t>(((static_cast<std::uint32_t>(s) & 0xffff) << 16) |
-                                   (static_cast<std::uint32_t>(d) & 0xffff));
-}
-std::pair<int, int> unpack_subnets(std::int32_t tag) noexcept {
-  const auto u = static_cast<std::uint32_t>(tag);
-  const int s = static_cast<int>(u >> 16);
-  const int d = static_cast<int>(u & 0xffff);
-  return {s == 0xffff ? -1 : s, d == 0xffff ? -1 : d};
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // DeviceAgent
 // ---------------------------------------------------------------------------
@@ -164,7 +148,8 @@ DeviceAgent::Classified DeviceAgent::classify(sim::SimNetwork& net, const packet
       trace(net, obs::Hop::kCacheHit, flow, now, self_, 0, seq);
       out.pol = entry->is_negative() ? nullptr : &policies_.at(entry->policy);
       out.entry = entry;
-      std::tie(out.src_subnet, out.dst_subnet) = unpack_subnets(entry->user_tag);
+      out.src_subnet = entry->src_subnet;
+      out.dst_subnet = entry->dst_subnet;
       return out;
     }
     trace(net, obs::Hop::kCacheMiss, flow, now, self_, 0, seq);
@@ -175,9 +160,10 @@ DeviceAgent::Classified DeviceAgent::classify(sim::SimNetwork& net, const packet
   out.src_subnet = src_subnet ? *src_subnet : subnet_of(flow.src);
   out.dst_subnet = subnet_of(flow.dst);
   if (options_.enable_flow_cache) {
-    out.entry = &flow_table_.insert(flow, flow_hash, out.pol ? out.pol->id : PolicyId{},
-                                    out.pol ? out.pol->actions : policy::ActionList{}, now);
-    out.entry->user_tag = pack_subnets(out.src_subnet, out.dst_subnet);
+    out.entry = &flow_table_.insert(flow, flow_hash, out.pol ? out.pol->id : PolicyId{}, now);
+    // install_devices checks that every subnet index fits.
+    out.entry->src_subnet = static_cast<std::int16_t>(out.src_subnet);
+    out.entry->dst_subnet = static_cast<std::int16_t>(out.dst_subnet);
   }
   return out;
 }
@@ -294,7 +280,8 @@ void ProxyAgent::on_packet(sim::SimNetwork& net, Packet pkt, net::NodeId /*from*
   if (pkt.kind == packet::PacketKind::kLabelConfirm && pkt.routing_header().dst == address_) {
     ++counters_.confirmations;
     SDM_CHECK(pkt.control_flow.has_value());
-    flow_table_.confirm_label(*pkt.control_flow, now);
+    flow_table_.confirm_label(*pkt.control_flow, static_cast<std::uint16_t>(pkt.control_seq),
+                              now);
     net.deliver(self_, pkt);
     return;
   }
@@ -478,17 +465,15 @@ void MiddleboxAgent::on_packet(sim::SimNetwork& net, Packet pkt, net::NodeId /*f
 }
 
 tables::LabelEntry* MiddleboxAgent::bind_label(const tables::LabelKey& key,
-                                               const policy::Policy& pol,
-                                               std::size_t first_position, std::size_t position,
-                                               net::IpAddress proxy, sim::SimTime now) {
+                                               std::size_t functions, net::IpAddress proxy,
+                                               sim::SimTime now) {
+  SDM_CHECK(functions <= policy::kMaxFunctions);
   const std::uint64_t key_hash = tables::LabelTable::hash_of(key);
   if (label_table_.lookup(key, key_hash, now) != nullptr) return nullptr;
   tables::LabelEntry e;
-  e.actions = pol.actions;
-  e.first_position = first_position;
-  e.position = position;
   e.proxy_addr = proxy;
-  return &label_table_.insert(key, key_hash, std::move(e), now);
+  e.functions_applied = static_cast<std::uint8_t>(functions);
+  return &label_table_.insert(key, key_hash, e, now);
 }
 
 void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
@@ -499,7 +484,6 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
   trace(net, obs::Hop::kTunnelDecap, flow, now, self_, 0, pkt.flow_seq);
   const Classified c = classify(net, flow, now, pkt.flow_seq, std::nullopt);
   const policy::Policy* pol = c.pol;
-  const std::size_t first_position = pkt.chain_pos;
   std::size_t position = pkt.chain_pos;
   if (pol == nullptr || position >= pol->actions.size() ||
       !functions_.contains(pol->actions[position])) {
@@ -542,6 +526,7 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
   const std::uint16_t label =
       options_.enable_label_switching ? packet::get_label(pkt.inner) : 0;
   const tables::LabelKey key{pkt.inner.src, label};
+  const std::size_t functions = position - pkt.chain_pos + 1;
   const policy::FunctionId next_fn = pol->next_after(position);
 
   if (next_fn.valid()) {
@@ -552,7 +537,7 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
     const net::IpAddress y_addr = net.topology().node(y).address;
     peer_health_.on_use(net, self_, address_, y, y_addr);
     if (label != 0) {
-      if (tables::LabelEntry* e = bind_label(key, *pol, first_position, position, outer.src, now)) {
+      if (tables::LabelEntry* e = bind_label(key, functions, outer.src, now)) {
         e->next_hop = y_addr;
       }
     }
@@ -572,7 +557,7 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
   ++counters_.chain_tails;
   trace(net, obs::Hop::kChainTail, flow, now, self_, 0, pkt.flow_seq);
   if (label != 0) {
-    if (tables::LabelEntry* e = bind_label(key, *pol, first_position, position, outer.src, now)) {
+    if (tables::LabelEntry* e = bind_label(key, functions, outer.src, now)) {
       e->final_dst = pkt.inner.dst;
       Packet confirm;
       confirm.kind = packet::PacketKind::kLabelConfirm;
@@ -580,6 +565,7 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
       confirm.inner.dst = outer.src;  // the proxy
       confirm.inner.protocol = packet::kProtoUdp;
       confirm.payload_bytes = 16;
+      confirm.control_seq = label;
       confirm.control_flow = flow;
       ++counters_.confirmations_sent;
       net.forward(self_, std::move(confirm));
@@ -603,7 +589,7 @@ void MiddleboxAgent::handle_switched(sim::SimNetwork& net, Packet pkt) {
   packet::FlowId tflow = pkt.flow_id();
   if (entry != nullptr && entry->is_chain_tail()) tflow.dst = *entry->final_dst;
   trace(net, obs::Hop::kLabelSwitchRx, tflow, now, self_, label, pkt.flow_seq);
-  counters_.processed_packets += entry != nullptr ? entry->functions_applied() : 1;
+  counters_.processed_packets += entry != nullptr ? entry->functions_applied : 1;
   if (entry == nullptr) {
     // Soft state expired under us; without the original destination the
     // packet cannot be repaired here. Count and drop — the transport layer
@@ -666,6 +652,9 @@ InstalledAgents install_devices(sim::SimNetwork& net, const net::GeneratedNetwor
       net.attach(node, std::move(agent));
     }
   };
+  constexpr std::size_t kMaxSubnets = std::size_t{std::numeric_limits<std::int16_t>::max()} + 1;
+  SDM_CHECK_MSG(network.subnets.size() <= kMaxSubnets,
+                "subnet indices must fit a flow entry's 16-bit fields");
   for (std::size_t s = 1; s < network.subnets.size(); ++s) {
     SDM_CHECK_MSG(network.subnets[s - 1].last() < network.subnets[s].first(),
                   "stub subnets must ascend and be disjoint");

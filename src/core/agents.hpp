@@ -299,12 +299,11 @@ public:
 private:
   void handle_tunneled(sim::SimNetwork& net, packet::Packet pkt);
   void handle_switched(sim::SimNetwork& net, packet::Packet pkt);
-  /// §III.E: bind ⟨src|label⟩ to the chain segment [first_position,
-  /// position] of `pol` this box served for the proxy at `proxy`, unless the
-  /// label is bound already. Returns the new entry for the caller to finish
-  /// (next hop mid-chain, final destination at the tail); null when bound.
-  tables::LabelEntry* bind_label(const tables::LabelKey& key, const policy::Policy& pol,
-                                 std::size_t first_position, std::size_t position,
+  /// §III.E: bind ⟨src|label⟩ to the `functions` consecutive chain
+  /// functions this box served for the proxy at `proxy`, unless the label is
+  /// bound already. Returns the new entry for the caller to finish (next hop
+  /// mid-chain, final destination at the tail); null when bound.
+  tables::LabelEntry* bind_label(const tables::LabelKey& key, std::size_t functions,
                                  net::IpAddress proxy, sim::SimTime now);
 
   policy::FunctionSet functions_;

@@ -202,7 +202,6 @@ AddressResolver AddressResolver::build(const Topology& topo) {
   struct SubnetEntry {
     Prefix prefix;
     NodeId terminal;
-    NodeId edge_router;
   };
   std::vector<SubnetEntry> subnets;
   // Cut points in 64-bit arithmetic: 255.255.255.255 + 1 must not wrap.
@@ -212,7 +211,7 @@ AddressResolver AddressResolver::build(const Topology& topo) {
     cuts.push_back(node.address.value());
     cuts.push_back(std::uint64_t{node.address.value()} + 1);
     if (node.kind != NodeKind::kEdgeRouter || !node.has_subnet) continue;
-    subnets.push_back(SubnetEntry{node.subnet, node.subnet_terminal, NodeId{i}});
+    subnets.push_back(SubnetEntry{node.subnet, node.subnet_terminal});
     cuts.push_back(node.subnet.first().value());
     cuts.push_back(std::uint64_t{node.subnet.last().value()} + 1);
   }
@@ -223,7 +222,7 @@ AddressResolver AddressResolver::build(const Topology& topo) {
   std::vector<Interval> cells;
   cells.reserve(cuts.size());
   for (const std::uint64_t c : cuts) {
-    cells.push_back(Interval{static_cast<std::uint32_t>(c), NodeId{}, NodeId{}});
+    cells.push_back(Interval{static_cast<std::uint32_t>(c), NodeId{}});
   }
   const auto cell_at = [&](std::uint32_t a) {
     return static_cast<std::size_t>(
@@ -241,7 +240,6 @@ AddressResolver AddressResolver::build(const Topology& topo) {
     const std::size_t end = cell_at(it->prefix.last().value());
     for (std::size_t c = cell_at(it->prefix.first().value()); c <= end; ++c) {
       cells[c].terminal = it->terminal;
-      cells[c].edge_router = it->edge_router;
     }
   }
   // An exact device match beats every prefix; the lowest NodeId wins a
@@ -253,7 +251,7 @@ AddressResolver AddressResolver::build(const Topology& topo) {
   // Merge equal neighbours: each run keeps its first cell, the lowest start.
   cells.erase(std::unique(cells.begin(), cells.end(),
                           [](const Interval& a, const Interval& b) {
-                            return a.terminal == b.terminal && a.edge_router == b.edge_router;
+                            return a.terminal == b.terminal;
                           }),
               cells.end());
   AddressResolver r;
@@ -261,23 +259,13 @@ AddressResolver AddressResolver::build(const Topology& topo) {
   return r;
 }
 
-const AddressResolver::Interval& AddressResolver::interval_of(IpAddress a) const {
-  static constexpr Interval kNoMatch{0, NodeId{}, NodeId{}};
-  if (intervals_.empty()) return kNoMatch;
+std::optional<NodeId> AddressResolver::resolve(IpAddress a) const {
+  if (intervals_.empty()) return std::nullopt;
   // intervals_ starts at address 0, so some interval holds `a`.
   const auto it = std::upper_bound(
       intervals_.begin(), intervals_.end(), a.value(),
       [](std::uint32_t v, const Interval& iv) { return v < iv.first; });
-  return *(it - 1);
-}
-
-std::optional<NodeId> AddressResolver::resolve(IpAddress a) const {
-  const NodeId n = interval_of(a).terminal;
-  return n.valid() ? std::optional<NodeId>(n) : std::nullopt;
-}
-
-std::optional<NodeId> AddressResolver::owning_edge_router(IpAddress a) const {
-  const NodeId n = interval_of(a).edge_router;
+  const NodeId n = (it - 1)->terminal;
   return n.valid() ? std::optional<NodeId>(n) : std::nullopt;
 }
 

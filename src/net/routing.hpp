@@ -9,10 +9,13 @@
 // Only the 2-core needs Dijkstra: pendant trees (proxies, middleboxes,
 // single-homed routers) are filled in from the node they hang off.
 //
-// AddressResolver maps packet destination addresses to topology nodes:
-// exact match on device (interface) addresses first, then longest-prefix
-// match over the stub subnets originated by edge routers, mirroring how OSPF
-// advertises stub prefixes.
+// AddressResolver maps packet destination addresses to the topology node
+// that terminates them: exact match on device (interface) addresses first,
+// then longest-prefix match over the stub subnets originated by edge
+// routers, mirroring how OSPF advertises stub prefixes. A stub subnet
+// resolves to its terminal (the in-path proxy, else the edge router); which
+// subnet holds a flow's address is the agents' question, answered from
+// GeneratedNetwork::subnets.
 #pragma once
 
 #include <optional>
@@ -86,23 +89,18 @@ public:
   /// over stub subnets. nullopt if nothing matches.
   std::optional<NodeId> resolve(IpAddress a) const;
 
-  /// The edge router owning the longest-prefix stub subnet containing `a`,
-  /// if any (used to locate the source/destination subnet of a flow).
-  std::optional<NodeId> owning_edge_router(IpAddress a) const;
-
 private:
-  // Both answers are fixed between consecutive cut points (every device
+  // The answer is fixed between consecutive cut points (every device
   // address a and a+1, every subnet's first and last+1), so build() computes
-  // them once per interval and a lookup is one binary search.
+  // it once per interval and a lookup is one binary search.
   struct Interval {
     std::uint32_t first;  // lowest address of the interval
     NodeId terminal;      // resolve(); invalid when nothing matches
-    NodeId edge_router;   // owning_edge_router(); invalid outside every subnet
   };
-  const Interval& interval_of(IpAddress a) const;
 
-  // Sorted by `first`, equal neighbours merged, the first starting at
-  // 0.0.0.0; empty in a default-constructed resolver, which matches nothing.
+  // Sorted by `first`, neighbours with equal terminals merged, the first
+  // starting at 0.0.0.0; empty in a default-constructed resolver, which
+  // matches nothing.
   std::vector<Interval> intervals_;
 };
 

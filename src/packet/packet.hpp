@@ -83,7 +83,8 @@ struct Packet {
   std::uint64_t flow_seq = 0;        // packet index within its flow (diagnostics)
   PacketKind kind = PacketKind::kData;
   /// Control-plane sequence number (kConfigPush/kConfigAck pair it for the
-  /// reliable config channel; kHeartbeat/kHeartbeatAck pair probe and reply).
+  /// reliable config channel; kHeartbeat/kHeartbeatAck pair probe and reply),
+  /// or the label a kLabelConfirm confirms or a kLabelTeardown tears down.
   /// 0 means unsequenced. Modeled as part of the control payload on the wire.
   std::uint64_t control_seq = 0;
   std::optional<FlowId> control_flow;  // flow confirmed/torn down by a control packet

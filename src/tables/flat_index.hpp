@@ -67,13 +67,6 @@ public:
     --size_;
   }
 
-  void clear() noexcept {
-    for (Bucket& b : buckets_) b.slot = kNil;
-    size_ = 0;
-  }
-
-  std::size_t size() const noexcept { return size_; }
-
 private:
   static constexpr std::size_t kMinBuckets = 16;  // power of two
 

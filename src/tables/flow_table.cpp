@@ -53,7 +53,6 @@ void FlowTable::erase_slot(std::uint32_t idx) {
   }
   lru_unlink(idx);
   index_.erase(s.hash, idx);
-  s.entry = FlowEntry{};  // release the action list now, not at slot reuse
   s.live = false;
   s.lru_next = free_head_;
   free_head_ = idx;
@@ -80,7 +79,7 @@ FlowEntry* FlowTable::lookup(const packet::FlowId& f, std::uint64_t hash, SimTim
 }
 
 FlowEntry& FlowTable::insert(const packet::FlowId& f, std::uint64_t hash, policy::PolicyId policy,
-                             policy::ActionList actions, SimTime now) {
+                             SimTime now) {
   SDM_DCHECK(hash == hash_of(f));
   std::uint32_t idx = find_slot(f, hash);
   if (idx != kNil) {
@@ -89,7 +88,7 @@ FlowEntry& FlowTable::insert(const packet::FlowId& f, std::uint64_t hash, policy
       --live_labels_;
       label_in_use_[label] = false;
     }
-    s.entry = FlowEntry{f, policy, std::move(actions), 0, false, -1, now};
+    s.entry = FlowEntry{.flow = f, .policy = policy, .last_used = now};
     touch(idx, now);
     return s.entry;
   }
@@ -101,7 +100,7 @@ FlowEntry& FlowTable::insert(const packet::FlowId& f, std::uint64_t hash, policy
     idx = slots_.push();
   }
   Slot& s = slots_[idx];
-  s.entry = FlowEntry{f, policy, std::move(actions), 0, false, -1, now};
+  s.entry = FlowEntry{.flow = f, .policy = policy, .last_used = now};
   s.hash = hash;
   s.live = true;
   lru_push_front(idx);
@@ -135,7 +134,7 @@ std::uint16_t FlowTable::allocate_label(FlowEntry& entry) {
   }
 }
 
-bool FlowTable::confirm_label(const packet::FlowId& f, SimTime now) {
+bool FlowTable::confirm_label(const packet::FlowId& f, std::uint16_t label, SimTime now) {
   const std::uint32_t idx = find_slot(f, hash_of(f));
   if (idx == kNil) return false;
   if (now - slots_[idx].entry.last_used > idle_timeout_) {
@@ -143,26 +142,10 @@ bool FlowTable::confirm_label(const packet::FlowId& f, SimTime now) {
     ++stats_.expirations;
     return false;
   }
+  if (slots_[idx].entry.label != label) return false;
   touch(idx, now);
   slots_[idx].entry.label_switched = true;
   return true;
-}
-
-bool FlowTable::erase(const packet::FlowId& f) {
-  const std::uint32_t idx = find_slot(f, hash_of(f));
-  if (idx == kNil) return false;
-  erase_slot(idx);
-  ++stats_.invalidations;
-  return true;
-}
-
-void FlowTable::expire_idle(SimTime now) {
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].live && now - slots_[i].entry.last_used > idle_timeout_) {
-      erase_slot(i);
-      ++stats_.expirations;
-    }
-  }
 }
 
 void FlowTable::register_metrics(obs::MetricsRegistry& registry,

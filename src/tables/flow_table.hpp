@@ -1,13 +1,16 @@
 // Per-node flow cache (§III.D) with label-switching state (§III.E).
 //
 // Stores ⟨f, a⟩ pairs keyed by 5-tuple so that only the first packet of a
-// flow pays for multi-field classification. Three refinements from the
-// paper, all implemented here:
+// flow pays for multi-field classification. The entry keeps the matched
+// policy's id, which names a in the device's P_x, so entries own no heap
+// memory. Three refinements from the paper, all implemented here:
 //  * negative caching — a flow that matches no policy is cached with a null
 //    action so later packets skip the policy table entirely;
-//  * soft state — entries expire after `idle_timeout` without a hit;
+//  * soft state — an entry idle past `idle_timeout` expires the next time a
+//    lookup or confirmation finds it;
 //  * label switching — proxy-side entries carry a locally unique label and a
-//    "switched" flag set when the last middlebox's confirmation arrives.
+//    "switched" flag set when the last middlebox's confirmation of that
+//    label arrives.
 //
 // Bounded capacity with least-recently-used eviction protects the middlebox
 // from state exhaustion under flow churn (the paper leaves sizing open; a
@@ -19,12 +22,13 @@
 // prev/next fields inside the slab — so a hit is one probe run and two index
 // rewires with no node allocation anywhere: at steady state (slab warmed,
 // index below its load limit) the table performs zero heap operations per
-// packet. Callers that already hold the flow's hash (agents compute it once
-// per packet) use the hash-taking overloads to skip rehashing.
+// packet, misses and evictions included. Callers that already hold the
+// flow's hash (agents compute it once per packet) use the hash-taking
+// overloads to skip rehashing.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "packet/packet.hpp"
@@ -46,24 +50,24 @@ struct FlowEntry {
   packet::FlowId flow;
   /// Matched policy, or invalid for a negative (null-action) entry.
   policy::PolicyId policy;
-  /// Copy of the matched action list (empty for permit and negative entries).
-  policy::ActionList actions;
-  /// Locally unique label allocated by the proxy; 0 when unused.
-  std::uint16_t label = 0;
-  /// Set when the label-switching confirmation control packet arrived.
-  bool label_switched = false;
-  /// Free annotation slot for the owning agent (the agents cache the flow's
-  /// packed source and destination subnet indices here). -1 = unset.
-  std::int32_t user_tag = -1;
-  SimTime last_used = 0;
   /// Topology node the flow's packets are currently tunneled to (the first
   /// middlebox of its chain), recorded by the proxy on each send so the
   /// entry can be invalidated when that box is locally blacklisted.
   /// net::NodeId::kInvalid when not tracked.
   std::uint32_t next_hop_node = 0xffffffffu;
+  SimTime last_used = 0;
+  /// The flow's source and destination stub-subnet indices, cached by the
+  /// owning agent next to the policy; -1 outside every subnet.
+  std::int16_t src_subnet = -1;
+  std::int16_t dst_subnet = -1;
+  /// Locally unique label allocated by the proxy; 0 when unused.
+  std::uint16_t label = 0;
+  /// Set when the chain tail's confirmation of `label` arrived.
+  bool label_switched = false;
 
   bool is_negative() const noexcept { return !policy.valid(); }
 };
+static_assert(std::is_trivially_copyable_v<FlowEntry>);
 
 struct FlowTableStats {
   std::uint64_t hits = 0;
@@ -71,7 +75,7 @@ struct FlowTableStats {
   std::uint64_t misses = 0;
   std::uint64_t expirations = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t invalidations = 0;  // entries dropped by erase()/invalidate_where()
+  std::uint64_t invalidations = 0;  // entries dropped by invalidate_where()
 
   double hit_rate() const noexcept {
     const double total = static_cast<double>(hits + misses);
@@ -96,32 +100,27 @@ public:
   FlowEntry* lookup(const packet::FlowId& f, SimTime now) { return lookup(f, hash_of(f), now); }
   FlowEntry* lookup(const packet::FlowId& f, std::uint64_t hash, SimTime now);
 
-  /// Insert (or overwrite) an entry; returns it. `policy` invalid + empty
-  /// actions makes a negative entry. Allocates no label — see
-  /// allocate_label(). `hash` must equal hash_of(f). Slots never move, so
-  /// the reference stays valid until the entry is erased or evicted.
-  FlowEntry& insert(const packet::FlowId& f, policy::PolicyId policy, policy::ActionList actions,
-                    SimTime now) {
-    return insert(f, hash_of(f), policy, std::move(actions), now);
+  /// Insert (or overwrite) an entry; returns it. An invalid `policy` makes
+  /// a negative entry. Allocates no label — see allocate_label(). `hash`
+  /// must equal hash_of(f). Slots never move, so the reference stays valid
+  /// until the entry is invalidated, expires or is evicted.
+  FlowEntry& insert(const packet::FlowId& f, policy::PolicyId policy, SimTime now) {
+    return insert(f, hash_of(f), policy, now);
   }
   FlowEntry& insert(const packet::FlowId& f, std::uint64_t hash, policy::PolicyId policy,
-                    policy::ActionList actions, SimTime now);
+                    SimTime now);
 
   /// Assign a locally unique non-zero label to an existing entry (proxy-side,
   /// first packet of a flow under label switching). Returns the label.
   std::uint16_t allocate_label(FlowEntry& entry);
 
-  /// Mark the entry for `f` as label-switched (confirmation received).
-  /// Returns false if the entry is gone (expired — the confirmation is then
-  /// simply dropped, as the paper's soft-state design implies).
-  bool confirm_label(const packet::FlowId& f, SimTime now);
-
-  /// Proactively drop all entries idle past the timeout.
-  void expire_idle(SimTime now);
-
-  /// Drop the entry for `f` if present (failure invalidation / label
-  /// teardown). Returns true when something was erased.
-  bool erase(const packet::FlowId& f);
+  /// Mark the entry for `f` as label-switched: the chain tail confirmed
+  /// `label`. Returns false, changing nothing, unless the entry holds that
+  /// label — a confirmation that outlived its entry must not switch the
+  /// entry re-created in its place, whose own label no box may have bound
+  /// yet. Also false if the entry is gone or idle past the timeout (it then
+  /// expires here; the paper's soft-state design drops the confirmation).
+  bool confirm_label(const packet::FlowId& f, std::uint16_t label, SimTime now);
 
   /// Drop every entry matching `pred` (e.g. all flows pinned to a failed
   /// middlebox). Returns the number of entries erased. Erasing never moves
@@ -140,8 +139,6 @@ public:
   }
 
   std::size_t size() const noexcept { return size_; }
-  std::size_t capacity() const noexcept { return capacity_; }
-  SimTime idle_timeout() const noexcept { return idle_timeout_; }
   const FlowTableStats& stats() const noexcept { return stats_; }
 
   /// Expose this table's counters as flow_cache_* registry views under

@@ -16,7 +16,6 @@ std::uint32_t LabelTable::find_slot(const LabelKey& key, std::uint64_t hash) con
 void LabelTable::erase_slot(std::uint32_t idx) {
   Slot& s = slots_[idx];
   index_.erase(s.hash, idx);
-  s.entry = LabelEntry{};  // release the action list now, not at slot reuse
   s.live = false;
   s.free_next = free_head_;
   free_head_ = idx;
@@ -29,7 +28,7 @@ LabelEntry& LabelTable::insert(const LabelKey& key, std::uint64_t hash, LabelEnt
   entry.last_used = now;
   std::uint32_t idx = find_slot(key, hash);
   if (idx != kNil) {
-    slots_[idx].entry = std::move(entry);
+    slots_[idx].entry = entry;
     return slots_[idx].entry;
   }
   if (free_head_ != kNil) {
@@ -40,7 +39,7 @@ LabelEntry& LabelTable::insert(const LabelKey& key, std::uint64_t hash, LabelEnt
   }
   Slot& s = slots_[idx];
   s.key = key;
-  s.entry = std::move(entry);
+  s.entry = entry;
   s.hash = hash;
   s.live = true;
   index_.insert(hash, idx);
@@ -65,35 +64,18 @@ LabelEntry* LabelTable::lookup(const LabelKey& key, std::uint64_t hash, SimTime 
   return &slots_[idx].entry;
 }
 
-bool LabelTable::erase(const LabelKey& key) {
-  const std::uint32_t idx = find_slot(key, hash_of(key));
-  if (idx == kNil) return false;
-  erase_slot(idx);
-  ++stats_.invalidations;
-  return true;
-}
-
 std::vector<std::pair<LabelKey, LabelEntry>> LabelTable::invalidate_next_hop(
     net::IpAddress next_hop) {
   std::vector<std::pair<LabelKey, LabelEntry>> removed;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     Slot& s = slots_[i];
     if (s.live && s.entry.next_hop && *s.entry.next_hop == next_hop) {
-      removed.emplace_back(s.key, std::move(s.entry));
+      removed.emplace_back(s.key, s.entry);
       erase_slot(i);
       ++stats_.invalidations;
     }
   }
   return removed;
-}
-
-void LabelTable::expire_idle(SimTime now) {
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].live && now - slots_[i].entry.last_used > idle_timeout_) {
-      erase_slot(i);
-      ++stats_.expirations;
-    }
-  }
 }
 
 void LabelTable::register_metrics(obs::MetricsRegistry& registry,

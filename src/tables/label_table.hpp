@@ -3,23 +3,26 @@
 // Keyed by ⟨src | l⟩ — the original source address concatenated with the
 // proxy-allocated label, which together are network-unique because labels
 // are locally unique per proxy and the proxy's address rides the outer IP
-// header's source field during chain setup. Each entry stores the action
-// list a (and, at the last middlebox of the chain, the original destination
-// address dst) so subsequent packets can be label-switched by rewriting the
-// destination address instead of being tunneled IP-over-IP.
+// header's source field during chain setup. The paper's entry is
+// ⟨src|l, a, dst⟩. Of a, a box reads only how many chain functions it
+// applies, so each entry stores that count, the pinned next hop mid-chain,
+// and the original destination address dst at the last middlebox of the
+// chain. Subsequent packets are label-switched by rewriting the destination
+// address instead of being tunneled IP-over-IP.
 //
 // Storage mirrors FlowTable: a chunked slot slab plus a FlatIndex over the
 // cached key hash, so steady-state lookups touch one probe run and allocate
-// nothing.
+// nothing, and entries own no heap memory. Idle entries expire the next
+// time a lookup finds them.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "net/ip.hpp"
-#include "policy/policy.hpp"
 #include "tables/flat_index.hpp"
 #include "tables/flow_table.hpp"
 #include "tables/slab.hpp"
@@ -35,16 +38,7 @@ struct LabelKey {
 };
 
 struct LabelEntry {
-  policy::ActionList actions;
-  /// Indices in `actions` of the chain segment THIS middlebox performs for
-  /// the flow: [first_position, position]. More than one entry when a
-  /// consolidated middlebox implements consecutive chain functions. The
-  /// next hop serves actions[position + 1].
-  std::size_t first_position = 0;
-  std::size_t position = 0;
-
-  /// Number of functions this box applies per packet of the flow.
-  std::size_t functions_applied() const noexcept { return position - first_position + 1; }
+  SimTime last_used = 0;
   /// Address of the next middlebox in the chain, chosen when the flow's
   /// first packet passed through tunneled. Label-switched packets have their
   /// destination rewritten hop by hop, so the choice cannot be recomputed
@@ -52,20 +46,24 @@ struct LabelEntry {
   std::optional<net::IpAddress> next_hop;
   /// Original destination; present only at the last middlebox of the chain.
   std::optional<net::IpAddress> final_dst;
-  SimTime last_used = 0;
   /// Address of the proxy that set the chain up (outer source during setup).
   /// Lets a middlebox send kLabelTeardown back when the pinned next hop
   /// stops answering, so the proxy re-establishes the flow elsewhere.
   net::IpAddress proxy_addr;
+  /// Chain functions this box applies per packet of the flow: more than one
+  /// when a consolidated middlebox serves consecutive chain positions. At
+  /// most policy::kMaxFunctions.
+  std::uint8_t functions_applied = 1;
 
   bool is_chain_tail() const noexcept { return final_dst.has_value(); }
 };
+static_assert(std::is_trivially_copyable_v<LabelEntry>);
 
 struct LabelTableStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t expirations = 0;
-  std::uint64_t invalidations = 0;  // entries dropped by invalidate_next_hop()/erase()
+  std::uint64_t invalidations = 0;  // entries dropped by invalidate_next_hop()
 };
 
 class LabelTable {
@@ -78,20 +76,12 @@ public:
   }
 
   /// Insert or overwrite the entry for `key`. `hash` must equal hash_of(key).
-  LabelEntry& insert(const LabelKey& key, LabelEntry entry, SimTime now) {
-    return insert(key, hash_of(key), std::move(entry), now);
-  }
   LabelEntry& insert(const LabelKey& key, std::uint64_t hash, LabelEntry entry, SimTime now);
 
   /// Lookup with soft-state expiry; nullptr on miss. The returned pointer is
   /// invalidated by the next non-const call.
   LabelEntry* lookup(const LabelKey& key, SimTime now) { return lookup(key, hash_of(key), now); }
   LabelEntry* lookup(const LabelKey& key, std::uint64_t hash, SimTime now);
-
-  void expire_idle(SimTime now);
-
-  /// Drop the entry for `key` if present. Returns true when erased.
-  bool erase(const LabelKey& key);
 
   /// Drop every entry whose pinned next hop is `next_hop` (that middlebox
   /// stopped answering). Returns the removed entries so the caller can send

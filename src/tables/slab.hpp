@@ -26,17 +26,12 @@ class StableSlab {
 
   /// Append a default-constructed slot; returns its index.
   std::uint32_t push() {
-    // size_ only grows (clear() aside), so a fresh chunk is needed exactly
-    // when the next index points one past the last allocated chunk.
+    // size_ only grows, so a fresh chunk is needed exactly when the next
+    // index points one past the last allocated chunk.
     if ((size_ >> kChunkBits) == chunks_.size()) {
       chunks_.push_back(std::make_unique<T[]>(kChunkSize));
     }
     return size_++;
-  }
-
-  void clear() noexcept {
-    chunks_.clear();
-    size_ = 0;
   }
 
  private:

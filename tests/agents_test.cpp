@@ -283,6 +283,47 @@ TEST_F(LabelSwitchingTest, BackToBackPacketsAllTunnelUntilConfirmation) {
             4u);
 }
 
+TEST_F(LabelSwitchingTest, StaleConfirmationLeavesTheRecreatedEntryTunneled) {
+  // A confirmation of label L1 can still be in flight when the proxy drops
+  // the flow's entry. The entry re-created in its place holds L2, which no
+  // box may have bound yet, so L1's confirmation must not switch it. The
+  // proxy is handed each packet directly and the simulator never runs, so
+  // the chain's own confirmations never arrive.
+  const auto plan = s.controller->compile(StrategyKind::kHotPotato);
+  Harness h(s, plan, ls_options());
+  const workload::FlowRecord& f = mto_flow();
+  ProxyAgent& proxy = *h.agents.proxies[static_cast<std::size_t>(f.src_subnet)];
+  const auto control = [&](packet::PacketKind kind, std::uint16_t label) {
+    packet::Packet p;
+    p.kind = kind;
+    p.inner.src = s.network.topo.node(s.deployment.middleboxes().front().node).address;
+    p.inner.dst = proxy.address();
+    p.inner.protocol = packet::kProtoUdp;
+    p.payload_bytes = 16;
+    p.control_seq = label;
+    p.control_flow = f.id;
+    return p;
+  };
+  const auto deliver = [&](packet::Packet p) { proxy.on_packet(h.simnet, std::move(p), {}); };
+
+  // A fresh table hands out labels 1, 2, ... in order.
+  deliver(make_packet(f.id, 0));  // tunneled under label 1
+  deliver(control(packet::PacketKind::kLabelTeardown, 1));
+  ASSERT_EQ(proxy.flow_table().size(), 0u);
+  deliver(make_packet(f.id, 1));  // the re-created entry tunnels under label 2
+  deliver(control(packet::PacketKind::kLabelConfirm, 1));
+  deliver(make_packet(f.id, 2));
+  EXPECT_EQ(proxy.counters().tunneled_packets, 3u);
+  EXPECT_EQ(proxy.counters().label_switched_packets, 0u);
+
+  // The live label's confirmation switches the flow.
+  deliver(control(packet::PacketKind::kLabelConfirm, 2));
+  deliver(make_packet(f.id, 3));
+  EXPECT_EQ(proxy.counters().tunneled_packets, 3u);
+  EXPECT_EQ(proxy.counters().label_switched_packets, 1u);
+  EXPECT_EQ(proxy.counters().confirmations, 2u);
+}
+
 TEST_F(LabelSwitchingTest, LabelEntriesPopulateAlongTheChain) {
   const auto plan = s.controller->compile(StrategyKind::kHotPotato);
   Harness h(s, plan, ls_options());
@@ -337,6 +378,20 @@ TEST_F(LabelSwitchingTest, AvoidsFragmentationForSubsequentPackets) {
 // ---------------------------------------------------------------------------
 // Agent option validation
 // ---------------------------------------------------------------------------
+
+TEST_F(AgentsTest, SubnetIndicesMustFitAFlowEntry) {
+  // A flow entry caches subnet indices as int16_t, so indices 0..32,767
+  // fit and a network of 32,769 subnets is refused.
+  const auto plan = s.controller->compile(StrategyKind::kHotPotato);
+  Harness h(s, plan, AgentOptions{});
+  net::GeneratedNetwork crowded = s.network;
+  crowded.subnets.clear();
+  for (std::uint32_t i = 0; i <= 32768; ++i) {
+    crowded.subnets.emplace_back(net::IpAddress(i << 2), 30);
+  }
+  EXPECT_THROW(install_agents(h.simnet, crowded, s.deployment, s.gen.policies, plan, {}),
+               ContractViolation);
+}
 
 TEST_F(AgentsTest, LabelSwitchingRequiresFlowCache) {
   const auto plan = s.controller->compile(StrategyKind::kHotPotato);

@@ -5,8 +5,10 @@
 // behind the §III.D flow cache, and with §III.E label switching on top.
 // So does a label-switched wave traced in full into the live enforcement
 // oracle, once a tunneled and a label-switched wave have grown the oracle's
-// packet slab, index and history pool. Flow-table hits, misses and
-// evictions at capacity, and label-table hits, allocate nothing either.
+// packet slab, index and history pool. So does a wave of fresh flows that
+// misses every full flow cache on its path, where each miss classifies,
+// evicts and inserts. Flow-table hits, misses and evictions at capacity,
+// and label-table hits, allocate nothing either.
 // And a control message that claims more elements than its bytes can hold
 // is rejected before its decoder reserves room for them.
 //
@@ -44,6 +46,11 @@ void* counted_malloc(std::size_t size) noexcept {
   return std::malloc(size != 0 ? size : 1);
 }
 
+// Out of line: once a delete inlines into a new-expression's cleanup path,
+// GCC's -Wmismatched-new-delete pairs the free() it sees with the replaced
+// operator new and reports a mismatch that is not there.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -57,19 +64,29 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return counted_malloc(size);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { release(p); }
 
 namespace sdmbox {
 namespace {
 
 std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
 
-enum class Datapath { kBare, kFlowCache, kLabelSwitching, kVerifiedLabelSwitching };
+enum class Datapath {
+  kBare,
+  kFlowCache,
+  kFlowCacheMisses,  // a fresh 5-tuple per flow in the measured wave
+  kLabelSwitching,
+  kVerifiedLabelSwitching,
+};
+
+/// Per-agent flow-table capacity of the miss wave: every table that holds a
+/// flow after the warm-up is full, so each miss evicts.
+constexpr std::size_t kMissWaveTableCapacity = 3;
 
 /// The oracle's verdict over every wave of a verified run.
 struct Verdict {
@@ -84,20 +101,26 @@ struct WaveResult {
   std::uint64_t events = 0;
   std::uint64_t delivered = 0;
   std::uint64_t label_switched = 0;
+  std::uint64_t proxy_misses = 0;  // flow-cache misses at the proxies
   std::size_t packets = 0;
+  std::size_t flows = 0;
+  std::size_t tables_not_full = 0;  // miss wave: non-empty flow tables not full after the warm-up
   std::optional<Verdict> verify;  // verified datapath only
 };
 
 /// Sends every packet of the campus workload from its proxy in identical
 /// waves over an LB plan, and reports what the last wave cost. One warm-up
 /// wave precedes it; the verified datapath gets a second, label-switched one.
+/// The miss wave runs a hot-potato plan, whose picks ignore the flow hash,
+/// so its fresh 5-tuples take the warm-up's paths at the warm-up's times.
 WaveResult measured_wave(Datapath datapath) {
   testing::ScenarioParams sp;
   sp.seed = 2019;
   sp.target_packets = 5000;
   testing::Scenario s = testing::make_scenario(sp);
-  const core::EnforcementPlan plan =
-      s.controller->compile(core::StrategyKind::kLoadBalanced, &s.traffic);
+  const bool misses = datapath == Datapath::kFlowCacheMisses;
+  const core::EnforcementPlan plan = s.controller->compile(
+      misses ? core::StrategyKind::kHotPotato : core::StrategyKind::kLoadBalanced, &s.traffic);
   const auto routing = net::RoutingTables::compute(s.network.topo);
   const auto resolver = net::AddressResolver::build(s.network.topo);
   sim::SimNetwork simnet(s.network.topo, routing, resolver);
@@ -106,6 +129,7 @@ WaveResult measured_wave(Datapath datapath) {
     core::AgentOptions options;
     options.enable_label_switching = datapath == Datapath::kLabelSwitching ||
                                      datapath == Datapath::kVerifiedLabelSwitching;
+    if (misses) options.flow_table_capacity = kMissWaveTableCapacity;
     agents = core::install_agents(simnet, s.network, s.deployment, s.gen.policies, plan, options);
   }
   // Every packet traced, into a ring small enough to fill during the
@@ -122,11 +146,25 @@ WaveResult measured_wave(Datapath datapath) {
     for (const core::ProxyAgent* p : agents.proxies) n += p->counters().label_switched_packets;
     return n;
   };
+  const auto proxy_misses = [&] {
+    std::uint64_t n = 0;
+    for (const core::ProxyAgent* p : agents.proxies) n += p->flow_table().stats().misses;
+    return n;
+  };
 
-  // Packets are built once, outside the counted window.
+  // Packets are built once, outside the counted window. A fresh flow moves
+  // its ephemeral port out of the range [49152, 65536) that generated flows
+  // draw from: it keeps the original's policy and subnet pair, and no
+  // generated flow shares its 5-tuple.
   std::vector<std::pair<net::NodeId, packet::Packet>> wave;
+  std::vector<std::pair<net::NodeId, packet::Packet>> fresh_wave;
   for (const auto& f : s.flows.flows) {
     const net::NodeId proxy = s.network.proxies[static_cast<std::size_t>(f.src_subnet)];
+    packet::FlowId fresh = f.id;
+    std::uint16_t& port = fresh.src_port >= 49152 ? fresh.src_port : fresh.dst_port;
+    port ^= 0x8000;
+    EXPECT_EQ(s.gen.policies.first_match(fresh), s.gen.policies.first_match(f.id))
+        << f.id.to_string();
     for (std::uint64_t j = 0; j < f.packets; ++j) {
       packet::Packet p;
       p.inner.src = f.id.src;
@@ -137,31 +175,47 @@ WaveResult measured_wave(Datapath datapath) {
       p.payload_bytes = 500;
       p.flow_seq = j;
       wave.emplace_back(proxy, p);
+      p.src_port = fresh.src_port;
+      p.dst_port = fresh.dst_port;
+      fresh_wave.emplace_back(proxy, p);
     }
   }
-  const auto send = [&] {
+  const auto send = [&](const std::vector<std::pair<net::NodeId, packet::Packet>>& packets) {
     const double base = simnet.simulator().now();
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      simnet.inject(wave[i].first, wave[i].second, base + 1e-7 * static_cast<double>(i));
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      simnet.inject(packets[i].first, packets[i].second, base + 1e-7 * static_cast<double>(i));
     }
     simnet.run();
   };
 
-  send();  // warm-up: grows every pool and table to its high-water mark
+  send(wave);  // warm-up: grows every pool and table to its high-water mark
   // The first wave is almost all tunneled; a label-switched one grows the
   // oracle's state for switched packets.
-  if (oracle.has_value()) send();
+  if (oracle.has_value()) send(wave);
+  WaveResult r;
+  const auto count_tables_not_full = [&](const auto& devices) {
+    for (const core::DeviceAgent* d : devices) {
+      const std::size_t size = d->flow_table().size();
+      r.tables_not_full += size != 0 && size != kMissWaveTableCapacity;
+    }
+  };
+  if (misses) {
+    count_tables_not_full(agents.proxies);
+    count_tables_not_full(agents.middleboxes);
+  }
   const std::uint64_t events_before = simnet.simulator().events_processed();
   const std::uint64_t delivered_before = simnet.counters().delivered;
   const std::uint64_t label_switched_before = label_switched();
+  const std::uint64_t proxy_misses_before = proxy_misses();
   const std::uint64_t allocations_before = allocations();
-  send();
-  WaveResult r;
+  send(misses ? fresh_wave : wave);
   r.allocations = allocations() - allocations_before;
   r.events = simnet.simulator().events_processed() - events_before;
   r.delivered = simnet.counters().delivered - delivered_before;
   r.label_switched = label_switched() - label_switched_before;
+  r.proxy_misses = proxy_misses() - proxy_misses_before;
   r.packets = wave.size();
+  r.flows = s.flows.flows.size();
   if (oracle.has_value()) {
     const verify::VerifyReport& report = oracle->finish();
     r.verify = Verdict{report.ok(), report.packets_tracked, report.packets_delivered_ok,
@@ -181,6 +235,15 @@ TEST(AllocationFree, BareForwardingWave) { expect_allocation_free(measured_wave(
 
 TEST(AllocationFree, FlowCacheAgentsWave) {
   expect_allocation_free(measured_wave(Datapath::kFlowCache));
+}
+
+TEST(AllocationFree, FlowCacheMissWaveAtCapacity) {
+  // Every flow of the measured wave is new to every table on its path, so
+  // each agent classifies its first packet and evicts to insert it.
+  const WaveResult r = measured_wave(Datapath::kFlowCacheMisses);
+  expect_allocation_free(r);
+  EXPECT_EQ(r.tables_not_full, 0u);
+  EXPECT_EQ(r.proxy_misses, r.flows);
 }
 
 TEST(AllocationFree, LabelSwitchingAgentsWave) {
@@ -217,7 +280,7 @@ TEST(AllocationFree, FlowTableHitsMissesAndEvictionsAtCapacity) {
   const std::vector<packet::FlowId> flows = make_flows(1);
   const std::vector<packet::FlowId> strangers = make_flows(2);
   tables::FlowTable table(1e18, kLive);
-  for (const auto& f : flows) table.insert(f, policy::PolicyId{1}, {}, 0.0);
+  for (const auto& f : flows) table.insert(f, policy::PolicyId{1}, 0.0);
 
   const std::uint64_t before = allocations();
   std::size_t hits = 0;
@@ -225,7 +288,7 @@ TEST(AllocationFree, FlowTableHitsMissesAndEvictionsAtCapacity) {
   for (const auto& f : flows) hits += table.lookup(f, 1.0) != nullptr;
   for (const auto& f : strangers) misses += table.lookup(f, 1.0) == nullptr;
   // The table is full, so every stranger evicts the least recently used entry.
-  for (const auto& f : strangers) table.insert(f, policy::PolicyId{1}, {}, 2.0);
+  for (const auto& f : strangers) table.insert(f, policy::PolicyId{1}, 2.0);
   EXPECT_EQ(allocations() - before, 0u);
 
   EXPECT_EQ(hits, kLive);
@@ -242,7 +305,7 @@ TEST(AllocationFree, LabelTableHits) {
     keys.push_back(tables::LabelKey{flows[i].src, static_cast<std::uint16_t>(i)});
     tables::LabelEntry e;
     e.final_dst = flows[i].dst;
-    table.insert(keys.back(), std::move(e), 0.0);
+    table.insert(keys.back(), tables::LabelTable::hash_of(keys.back()), e, 0.0);
   }
 
   const std::uint64_t before = allocations();

@@ -464,9 +464,6 @@ TEST(Resolver, SubnetAddressesResolveToProxy) {
   const auto found = res.resolve(addr);
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, net.proxies[3]);
-  const auto owner = res.owning_edge_router(addr);
-  ASSERT_TRUE(owner.has_value());
-  EXPECT_EQ(*owner, net.edge_routers[3]);
 }
 
 TEST(Resolver, UnknownAddressIsNullopt) {
@@ -485,7 +482,7 @@ public:
       const Node& node = topo.node(NodeId{i});
       exact_.emplace(node.address.value(), NodeId{i});
       if (node.kind == NodeKind::kEdgeRouter && node.has_subnet) {
-        subnets_.push_back(Entry{node.subnet, node.subnet_terminal, NodeId{i}});
+        subnets_.push_back(Entry{node.subnet, node.subnet_terminal});
       }
     }
     std::sort(subnets_.begin(), subnets_.end(), [](const Entry& a, const Entry& b) {
@@ -502,24 +499,16 @@ public:
     return std::nullopt;
   }
 
-  std::optional<NodeId> owning_edge_router(IpAddress a) const {
-    for (const Entry& e : subnets_) {
-      if (e.prefix.contains(a)) return e.edge_router;
-    }
-    return std::nullopt;
-  }
-
 private:
   struct Entry {
     Prefix prefix;
     NodeId terminal;
-    NodeId edge_router;
   };
   std::map<std::uint32_t, NodeId> exact_;
   std::vector<Entry> subnets_;
 };
 
-/// Probe both lookups at every address where an answer can change: a-1, a
+/// Probe the lookup at every address where its answer can change: a-1, a
 /// and a+1 around each device address, first-1, first, last and last+1 of
 /// each stub subnet, and both ends of the address space. Returns the number
 /// of probes that resolved, so callers can see the probes were not vacuous.
@@ -540,7 +529,6 @@ std::size_t expect_matches_reference(const Topology& topo) {
   for (const std::uint32_t v : probes) {
     const IpAddress a(v);
     EXPECT_EQ(res.resolve(a), ref.resolve(a)) << a.to_string();
-    EXPECT_EQ(res.owning_edge_router(a), ref.owning_edge_router(a)) << a.to_string();
     if (ref.resolve(a)) ++resolved;
   }
   return resolved;
@@ -575,17 +563,13 @@ TEST(Resolver, MatchesLinearReferenceAtEveryBoundary) {
 
   const AddressResolver res = AddressResolver::build(topo);
   EXPECT_EQ(res.resolve(IpAddress(10, 1, 2, 77)), proxy);
-  EXPECT_EQ(res.owning_edge_router(IpAddress(10, 1, 2, 77)), narrow);
   EXPECT_EQ(res.resolve(IpAddress(10, 1, 3, 0)), wide);
-  EXPECT_EQ(res.owning_edge_router(IpAddress(10, 1, 2, 1)), narrow);
+  EXPECT_EQ(res.resolve(IpAddress(10, 1, 2, 1)), proxy);
   EXPECT_EQ(res.resolve(IpAddress(10, 1, 9, 9)), dup_a);
   EXPECT_NE(res.resolve(IpAddress(10, 1, 9, 9)), dup_b);
-  EXPECT_EQ(res.owning_edge_router(IpAddress(10, 1, 9, 9)), wide);
-  EXPECT_FALSE(res.owning_edge_router(IpAddress(255, 255, 255, 255)).has_value());
   EXPECT_FALSE(res.resolve(IpAddress(10, 2, 0, 0)).has_value());
   // A resolver that was never built matches nothing.
   EXPECT_FALSE(AddressResolver{}.resolve(IpAddress(10, 1, 2, 77)).has_value());
-  EXPECT_FALSE(AddressResolver{}.owning_edge_router(IpAddress(10, 1, 2, 77)).has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -74,19 +74,24 @@ TEST_P(FlowTableFuzz, AgreesWithReferenceModel) {
       }
       case 1: {  // insert
         const policy::PolicyId pol{static_cast<std::uint32_t>(rng.next_below(10))};
-        table.insert(f, pol, {}, now);
+        table.insert(f, pol, now);
         ref.insert(key, pol, now);
         break;
       }
-      case 2: {  // bulk expiry
-        table.expire_idle(now);
+      case 2: {  // invalidate one policy's flows, idle or not
+        const policy::PolicyId pol{static_cast<std::uint32_t>(rng.next_below(10))};
+        const std::size_t erased =
+            table.invalidate_where([&](const tables::FlowEntry& e) { return e.policy == pol; });
+        std::size_t ref_erased = 0;
         for (auto it = ref.entries.begin(); it != ref.entries.end();) {
-          if (now - it->second.last_used > timeout) {
+          if (it->second.pol == pol) {
             it = ref.entries.erase(it);
+            ++ref_erased;
           } else {
             ++it;
           }
         }
+        ASSERT_EQ(erased, ref_erased) << "op " << op << " policy " << pol.v;
         ASSERT_EQ(table.size(), ref.entries.size());
         break;
       }
