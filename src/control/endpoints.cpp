@@ -35,8 +35,8 @@ void send_config_ack(sim::SimNetwork& net, net::NodeId node, net::IpAddress devi
   ack.inner.dst = controller;
   ack.inner.protocol = packet::kProtoUdp;
   ack.payload_bytes = 12;
-  ack.control_seq = seq;
-  net.inject(node, std::move(ack), net.simulator().now());
+  net.new_control(ack).seq = seq;
+  net.inject(node, ack, net.simulator().now());
 }
 
 }  // namespace
@@ -50,7 +50,7 @@ ManagedDevice::ManagedDevice(std::unique_ptr<core::DeviceAgent> agent)
 
 void ManagedDevice::on_packet(sim::SimNetwork& net, packet::Packet pkt, net::NodeId from) {
   if (pkt.kind == packet::PacketKind::kConfigPush && pkt.routing_header().dst == address_) {
-    const std::uint64_t seq = pkt.control_seq;
+    const std::uint64_t seq = net.control(pkt).seq;
     if (seq != 0 && seq == last_seq_) {
       // Retransmission of the push we already applied (our ack was lost or
       // late). Re-ack, don't re-apply.
@@ -69,8 +69,8 @@ void ManagedDevice::on_packet(sim::SimNetwork& net, packet::Packet pkt, net::Nod
       return;
     }
     bool applied = false;
-    if (pkt.control_payload != nullptr) {
-      if (auto config = decode_device_config(*pkt.control_payload)) {
+    if (const auto& payload = net.control(pkt).payload) {
+      if (auto config = decode_device_config(*payload)) {
         applied = agent_->apply_config(std::move(*config));
       }
     }
@@ -84,17 +84,17 @@ void ManagedDevice::on_packet(sim::SimNetwork& net, packet::Packet pkt, net::Nod
     return;
   }
   if (pkt.kind == packet::PacketKind::kConfigAck && pkt.routing_header().dst != address_) {
-    net.forward(node_, std::move(pkt));
+    net.forward(node_, pkt);
     return;
   }
   // Control traffic originated here (reports) or transiting: plain routing,
   // not policy enforcement.
   if (pkt.kind == packet::PacketKind::kConfigPush ||
       pkt.kind == packet::PacketKind::kMeasurementReport) {
-    net.forward(node_, std::move(pkt));
+    net.forward(node_, pkt);
     return;
   }
-  agent_->on_packet(net, std::move(pkt), from);
+  agent_->on_packet(net, pkt, from);
 }
 
 std::size_t ManagedDevice::send_report(sim::SimNetwork& net, net::IpAddress controller,
@@ -104,12 +104,13 @@ std::size_t ManagedDevice::send_report(sim::SimNetwork& net, net::IpAddress cont
   pkt.inner.src = address_;
   pkt.inner.dst = controller;
   pkt.inner.protocol = packet::kProtoUdp;
-  pkt.control_payload =
+  auto payload =
       std::make_shared<const std::vector<std::uint8_t>>(encode_measurement_report(report));
-  const std::size_t bytes = pkt.control_payload->size();
+  const std::size_t bytes = payload->size();
   pkt.payload_bytes = static_cast<std::uint32_t>(bytes);
+  net.new_control(pkt).payload = std::move(payload);
   ++counters_.reports_sent;
-  net.inject(node_, std::move(pkt), net.simulator().now());
+  net.inject(node_, pkt, net.simulator().now());
   return bytes;
 }
 
@@ -140,19 +141,20 @@ ControllerAgent::ControllerAgent(net::NodeId node, net::IpAddress address,
 void ControllerAgent::on_packet(sim::SimNetwork& net, packet::Packet pkt, net::NodeId /*from*/) {
   if (pkt.routing_header().dst != address_) {
     // Our own outbound control traffic (config pushes) leaving this host.
-    net.forward(node_, std::move(pkt));
+    net.forward(node_, pkt);
     return;
   }
   if (pkt.kind == packet::PacketKind::kConfigAck) {
     ++acks_;
+    const std::uint64_t seq = net.control(pkt).seq;
     const auto node_it = addr_to_node_.find(pkt.inner.src.value());
     if (node_it != addr_to_node_.end()) {
       const auto p = pending_.find(node_it->second);
-      if (p != pending_.end() && p->second.seq == pkt.control_seq) {
+      if (p != pending_.end() && p->second.seq == seq) {
         // Rollout confirmed; retransmission timers go idle.
         resolve_push_span(p->second, net.simulator().now(), "ack");
         pending_.erase(p);
-      } else if (pkt.control_seq != 0) {
+      } else if (seq != 0) {
         // Ack for a push no longer outstanding (duplicate after a
         // retransmission, or overtaken by a newer push).
         ++stale_acks_;
@@ -162,12 +164,12 @@ void ControllerAgent::on_packet(sim::SimNetwork& net, packet::Packet pkt, net::N
     return;
   }
   if (pkt.kind == packet::PacketKind::kHeartbeatAck) {
-    if (health_ != nullptr) health_->on_probe_reply(net, pkt.inner.src, pkt.control_seq);
+    if (health_ != nullptr) health_->on_probe_reply(net, pkt.inner.src, net.control(pkt).seq);
     net.deliver(node_, pkt);
     return;
   }
-  if (pkt.kind == packet::PacketKind::kMeasurementReport && pkt.control_payload != nullptr) {
-    if (const auto report = decode_measurement_report(*pkt.control_payload)) {
+  if (pkt.kind == packet::PacketKind::kMeasurementReport && net.control(pkt).payload != nullptr) {
+    if (const auto report = decode_measurement_report(*net.control(pkt).payload)) {
       for (const auto& line : report->lines) {
         collected_.add_sample(policy::PolicyId{line.policy}, report->src_subnet,
                               line.dst_subnet, static_cast<double>(line.packets));
@@ -188,11 +190,12 @@ void ControllerAgent::send_push(sim::SimNetwork& net, const PendingPush& push) {
   pkt.inner.src = address_;
   pkt.inner.dst = push.device_addr;
   pkt.inner.protocol = packet::kProtoUdp;
-  pkt.control_seq = push.seq;
-  pkt.control_payload = push.payload;
   pkt.payload_bytes = static_cast<std::uint32_t>(push.payload->size());
+  packet::ControlBody& body = net.new_control(pkt);
+  body.seq = push.seq;
+  body.payload = push.payload;
   push_bytes_ += pkt.payload_bytes;
-  net.inject(node_, std::move(pkt), net.simulator().now());
+  net.inject(node_, pkt, net.simulator().now());
 }
 
 void ControllerAgent::schedule_retransmit(sim::SimNetwork& net, std::uint32_t device_v,

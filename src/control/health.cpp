@@ -101,9 +101,9 @@ void HealthMonitor::round(sim::SimNetwork& net) {
     probe.inner.dst = d.address;
     probe.inner.protocol = packet::kProtoUdp;
     probe.payload_bytes = 8;
-    probe.control_seq = ++d.seq_sent;
+    net.new_control(probe).seq = ++d.seq_sent;
     ++counters_.probes_sent;
-    net.inject(agent_.node(), std::move(probe), now);
+    net.inject(agent_.node(), probe, now);
   }
   if (!newly_failed.empty()) {
     // One dead middlebox -> patch the plan around it; anything more complex

@@ -45,8 +45,8 @@ void PeerHealth::on_use(sim::SimNetwork& net, net::NodeId self, net::IpAddress s
   probe.inner.dst = peer_addr;
   probe.inner.protocol = packet::kProtoUdp;
   probe.payload_bytes = 8;
-  probe.control_seq = seq;
-  net.forward(self, std::move(probe));
+  net.new_control(probe).seq = seq;
+  net.forward(self, probe);
 
   net.simulator().schedule_in(params_.probe_timeout, [this, &net, peer, peer_addr, seq] {
     Peer& q = peer_state(peer);
@@ -195,8 +195,9 @@ bool DeviceAgent::handle_liveness(sim::SimNetwork& net, const Packet& pkt) {
     ack.inner.dst = pkt.inner.src;
     ack.inner.protocol = packet::kProtoUdp;
     ack.payload_bytes = 8;
-    ack.control_seq = pkt.control_seq;
-    net.forward(self_, std::move(ack));
+    const std::uint64_t seq = net.control(pkt).seq;
+    net.new_control(ack).seq = seq;
+    net.forward(self_, ack);
     net.deliver(self_, pkt);
     return true;
   }
@@ -279,9 +280,8 @@ void ProxyAgent::on_packet(sim::SimNetwork& net, Packet pkt, net::NodeId /*from*
   // Label-switching confirmation from a chain tail (§III.E).
   if (pkt.kind == packet::PacketKind::kLabelConfirm && pkt.routing_header().dst == address_) {
     ++counters_.confirmations;
-    SDM_CHECK(pkt.control_flow.has_value());
-    flow_table_.confirm_label(*pkt.control_flow, static_cast<std::uint16_t>(pkt.control_seq),
-                              now);
+    const packet::ControlBody& body = net.control(pkt);
+    flow_table_.confirm_label(body.flow, static_cast<std::uint16_t>(body.seq), now);
     net.deliver(self_, pkt);
     return;
   }
@@ -292,7 +292,7 @@ void ProxyAgent::on_packet(sim::SimNetwork& net, Packet pkt, net::NodeId /*from*
       // A middlebox downstream lost the chain for this label: forget the
       // flow so its next packet re-establishes through a live candidate.
       ++counters_.teardowns_received;
-      const auto label = static_cast<std::uint16_t>(pkt.control_seq);
+      const auto label = static_cast<std::uint16_t>(net.control(pkt).seq);
       flow_table_.invalidate_where([&](const tables::FlowEntry& e) {
         if (e.label == 0 || e.label != label) return false;
         trace(net, obs::Hop::kLabelTeardown, e.flow, now, self_, e.label);
@@ -304,18 +304,18 @@ void ProxyAgent::on_packet(sim::SimNetwork& net, Packet pkt, net::NodeId /*from*
   }
 
   const bool outbound =
-      !pkt.outer && subnet_.contains(pkt.inner.src) && !subnet_.contains(pkt.inner.dst);
+      !pkt.tunneled && subnet_.contains(pkt.inner.src) && !subnet_.contains(pkt.inner.dst);
   if (!outbound) {
     ++counters_.inbound_packets;
     if (pkt.routing_header().dst == address_) {
       net.deliver(self_, pkt);
     } else {
-      net.forward(self_, std::move(pkt));
+      net.forward(self_, pkt);
     }
     return;
   }
   ++counters_.outbound_packets;
-  handle_outbound(net, std::move(pkt));
+  handle_outbound(net, pkt);
 }
 
 void ProxyAgent::handle_outbound(sim::SimNetwork& net, Packet pkt) {
@@ -332,7 +332,9 @@ void ProxyAgent::handle_outbound(sim::SimNetwork& net, Packet pkt) {
 
   if (c.pol == nullptr || c.pol->actions.empty()) {
     if (c.pol != nullptr && c.pol->deny) {
-      // Deny rule: the proxy drops the packet inline.
+      // Deny rule: the proxy drops the packet inline. Only data packets are
+      // classified, and a data packet has no control body to release.
+      SDM_CHECK(pkt.control == 0);
       ++counters_.denied_packets;
       trace(net, obs::Hop::kDenied, flow, now, self_, c.pol->id.v, pkt.flow_seq);
       return;
@@ -340,7 +342,7 @@ void ProxyAgent::handle_outbound(sim::SimNetwork& net, Packet pkt) {
     // No policy, or an explicit permit: plain routing.
     ++counters_.permit_packets;
     trace(net, obs::Hop::kPermitted, flow, now, self_, 0, pkt.flow_seq);
-    net.forward(self_, std::move(pkt));
+    net.forward(self_, pkt);
     return;
   }
 
@@ -375,7 +377,7 @@ void ProxyAgent::handle_outbound(sim::SimNetwork& net, Packet pkt) {
       pkt.inner.dst = first_addr;
       ++counters_.label_switched_packets;
       trace(net, obs::Hop::kLabelSwitchTx, flow, now, self_, entry->label, pkt.flow_seq);
-      net.forward(self_, std::move(pkt));
+      net.forward(self_, pkt);
       return;
     }
     // Chain not confirmed yet: tunnel, but carry the label so middleboxes
@@ -387,7 +389,7 @@ void ProxyAgent::handle_outbound(sim::SimNetwork& net, Packet pkt) {
   pkt.encapsulate(address_, first_addr);
   ++counters_.tunneled_packets;
   trace(net, obs::Hop::kTunnelEncap, flow, now, self_, first.v, pkt.flow_seq);
-  net.forward(self_, std::move(pkt));
+  net.forward(self_, pkt);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,9 +423,9 @@ MiddleboxAgent::MiddleboxAgent(const net::GeneratedNetwork& network, const Middl
       teardown.inner.dst = entry.proxy_addr;
       teardown.inner.protocol = packet::kProtoUdp;
       teardown.payload_bytes = 8;
-      teardown.control_seq = key.label;  // labels are locally unique per proxy
+      net.new_control(teardown).seq = key.label;  // labels are locally unique per proxy
       ++counters_.teardowns_sent;
-      net.forward(self_, std::move(teardown));
+      net.forward(self_, teardown);
     }
   });
 }
@@ -448,15 +450,15 @@ void MiddleboxAgent::register_metrics(obs::MetricsRegistry& registry) const {
 }
 
 void MiddleboxAgent::on_packet(sim::SimNetwork& net, Packet pkt, net::NodeId /*from*/) {
-  if (pkt.outer && pkt.outer->dst == address_) {
-    handle_tunneled(net, std::move(pkt));
+  if (pkt.tunneled && pkt.outer_dst == address_) {
+    handle_tunneled(net, pkt);
     return;
   }
-  if (!pkt.outer && pkt.inner.dst == address_ && packet::has_label(pkt.inner)) {
-    handle_switched(net, std::move(pkt));
+  if (!pkt.tunneled && pkt.inner.dst == address_ && packet::has_label(pkt.inner)) {
+    handle_switched(net, pkt);
     return;
   }
-  if (!pkt.outer && pkt.inner.dst == address_ && handle_liveness(net, pkt)) return;
+  if (!pkt.tunneled && pkt.inner.dst == address_ && handle_liveness(net, pkt)) return;
   // Anything else is misdirected: a middlebox is a leaf and should only see
   // traffic addressed to it. Count and sink.
   ++counters_.anomalies;
@@ -493,7 +495,7 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
     ++counters_.processed_packets;
     ++counters_.anomalies;
     trace(net, obs::Hop::kAnomaly, flow, now, self_, 0, pkt.flow_seq);
-    net.forward(self_, std::move(pkt));
+    net.forward(self_, pkt);
     return;
   }
 
@@ -513,7 +515,7 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
       std::swap(pkt.inner.src, pkt.inner.dst);
       std::swap(pkt.src_port, pkt.dst_port);
       packet::clear_label(pkt.inner);
-      net.forward(self_, std::move(pkt));
+      net.forward(self_, pkt);
       return;
     }
     if (position + 1 >= pol->actions.size() ||
@@ -548,7 +550,7 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
     pkt.encapsulate(outer.src, y_addr);
     ++counters_.tunneled_out;
     trace(net, obs::Hop::kTunnelEncap, flow, now, self_, y.v, pkt.flow_seq);
-    net.forward(self_, std::move(pkt));
+    net.forward(self_, pkt);
     return;
   }
 
@@ -565,14 +567,15 @@ void MiddleboxAgent::handle_tunneled(sim::SimNetwork& net, Packet pkt) {
       confirm.inner.dst = outer.src;  // the proxy
       confirm.inner.protocol = packet::kProtoUdp;
       confirm.payload_bytes = 16;
-      confirm.control_seq = label;
-      confirm.control_flow = flow;
+      packet::ControlBody& body = net.new_control(confirm);
+      body.seq = label;
+      body.flow = flow;
       ++counters_.confirmations_sent;
-      net.forward(self_, std::move(confirm));
+      net.forward(self_, confirm);
     }
     packet::clear_label(pkt.inner);
   }
-  net.forward(self_, std::move(pkt));
+  net.forward(self_, pkt);
 }
 
 void MiddleboxAgent::handle_switched(sim::SimNetwork& net, Packet pkt) {
@@ -594,6 +597,8 @@ void MiddleboxAgent::handle_switched(sim::SimNetwork& net, Packet pkt) {
     // Soft state expired under us; without the original destination the
     // packet cannot be repaired here. Count and drop — the transport layer
     // retransmits and the proxy's next first-packet re-establishes state.
+    // A labeled packet is a data packet: there is no control body to release.
+    SDM_CHECK(pkt.control == 0);
     ++counters_.anomalies;
     trace(net, obs::Hop::kAnomaly, tflow, now, self_, label, pkt.flow_seq);
     return;
@@ -614,7 +619,7 @@ void MiddleboxAgent::handle_switched(sim::SimNetwork& net, Packet pkt) {
     }
     pkt.inner.dst = nh;
   }
-  net.forward(self_, std::move(pkt));
+  net.forward(self_, pkt);
 }
 
 // ---------------------------------------------------------------------------
@@ -626,7 +631,7 @@ void EdgeLoopbackAgent::on_packet(sim::SimNetwork& net, Packet pkt, net::NodeId 
     // Loopback: every packet received on a non-proxy interface is handed to
     // the off-path proxy first (§III.A).
     ++looped_;
-    net.transmit(self_, proxy_, std::move(pkt));
+    net.transmit(self_, proxy_, pkt);
     return;
   }
   // Returned from the proxy: regular routing-table lookup and forwarding.
@@ -635,7 +640,7 @@ void EdgeLoopbackAgent::on_packet(sim::SimNetwork& net, Packet pkt, net::NodeId 
     net.deliver(self_, pkt);
     return;
   }
-  net.forward(self_, std::move(pkt));
+  net.forward(self_, pkt);
 }
 
 // ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ void inject_wave(sim::SimNetwork& net, const net::GeneratedNetwork& network,
         p.src_port = f.id.src_port;
         p.dst_port = f.id.dst_port;
         p.payload_bytes = 200;
-        p.flow_seq = wave * kSlots + j + 1;
-        net.inject_now(network.proxies[static_cast<std::size_t>(f.src_subnet)], std::move(p));
+        p.flow_seq = static_cast<std::uint32_t>(wave * kSlots + j + 1);
+        net.inject_now(network.proxies[static_cast<std::size_t>(f.src_subnet)], p);
       }
     };
     net.simulator().schedule_at(at + static_cast<double>(j) * 0.03, slot);

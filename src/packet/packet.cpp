@@ -35,19 +35,17 @@ void clear_label(Ipv4Header& h) noexcept {
 bool has_label(const Ipv4Header& h) noexcept { return get_label(h) != 0; }
 
 void Packet::encapsulate(net::IpAddress tunnel_src, net::IpAddress tunnel_dst) {
-  SDM_CHECK_MSG(!outer, "IP-over-IP tunnels do not nest in this design");
-  Ipv4Header o;
-  o.src = tunnel_src;
-  o.dst = tunnel_dst;
-  o.protocol = kProtoIpInIp;
-  o.ttl = 64;
-  outer = o;
+  SDM_CHECK_MSG(!tunneled, "IP-over-IP tunnels do not nest in this design");
+  tunneled = true;
+  outer_src = tunnel_src;
+  outer_dst = tunnel_dst;
+  outer_ttl = 64;
 }
 
 Ipv4Header Packet::decapsulate() {
-  SDM_CHECK_MSG(outer.has_value(), "decapsulate on a packet without an outer header");
-  const Ipv4Header o = *outer;
-  outer.reset();
+  SDM_CHECK_MSG(tunneled, "decapsulate on a packet without an outer header");
+  const Ipv4Header o = routing_header();
+  tunneled = false;
   return o;
 }
 

@@ -3,18 +3,25 @@
 // We model exactly the header state the paper's mechanisms manipulate:
 //  * an inner IPv4 header (the original packet),
 //  * an optional outer IPv4 header added by IP-over-IP tunneling (§III.B) —
-//    +20 bytes on the wire, which is what threatens fragmentation,
+//    +20 bytes on the wire, which is what threatens fragmentation. Only its
+//    addresses and TTL vary (its protocol is always IP-in-IP, its ToS and
+//    fragment offset 0), so a Packet stores just those next to a flag,
 //  * a 16-bit label carried in reclaimed header fields (ToS byte + the low
 //    8 bits of the fragment offset) used by label switching (§III.E),
 //  * the 5-tuple FlowId that keys flow tables and the per-flow hash used for
 //    probabilistic next-middlebox selection (§III.C).
+//
+// A data packet is headers only, so Packet is a trivially copyable 44 bytes.
+// What a control packet carries beyond its headers (sequence number, flow,
+// serialized payload) is a ControlBody, which the packet names by a 32-bit
+// id and the network that carries it owns (sim::SimNetwork).
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "net/ip.hpp"
@@ -70,34 +77,47 @@ enum class PacketKind : std::uint8_t {
   kConfigAck,          // device -> controller: applied version confirmation
   kMeasurementReport,  // proxy -> controller: serialized traffic volumes (§III.C)
   kHeartbeat,          // liveness probe (controller -> device, or peer -> peer)
-  kHeartbeatAck,       // probe reply, echoing the probe's control_seq
+  kHeartbeatAck,       // probe reply, echoing the probe's sequence number
   kLabelTeardown,      // middlebox -> proxy: a label-switched chain broke; re-establish
+};
+
+/// The body of a control packet: what it carries beyond its headers. A
+/// Packet names its body by id (Packet::control); sim::SimNetwork owns the
+/// bodies of the packets it carries and releases one when its packet is
+/// delivered or dropped.
+struct ControlBody {
+  /// Control-plane sequence number (kConfigPush/kConfigAck pair it for the
+  /// reliable config channel; kHeartbeat/kHeartbeatAck pair probe and reply),
+  /// or the label a kLabelConfirm confirms or a kLabelTeardown tears down.
+  /// 0 means unsequenced.
+  std::uint64_t seq = 0;
+  FlowId flow;  // the flow a kLabelConfirm confirms
+  /// Serialized control-plane payload (kConfigPush / kMeasurementReport).
+  /// Shared so retransmissions reuse it; its size counts as payload on the
+  /// wire (set payload_bytes = payload->size()).
+  std::shared_ptr<const std::vector<std::uint8_t>> payload;
 };
 
 struct Packet {
   Ipv4Header inner;                  // the original packet header
-  std::optional<Ipv4Header> outer;   // IP-over-IP tunnel header, if encapsulated
+  net::IpAddress outer_src;          // IP-over-IP tunnel header, if `tunneled`
+  net::IpAddress outer_dst;
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
   std::uint32_t payload_bytes = 0;   // transport payload
-  std::uint64_t flow_seq = 0;        // packet index within its flow (diagnostics)
+  std::uint32_t flow_seq = 0;        // packet index within its flow (diagnostics)
+  /// Id of this packet's ControlBody in the carrying network, 0 for a data
+  /// packet. Modeled as part of the payload on the wire.
+  std::uint32_t control = 0;
   PacketKind kind = PacketKind::kData;
-  /// Control-plane sequence number (kConfigPush/kConfigAck pair it for the
-  /// reliable config channel; kHeartbeat/kHeartbeatAck pair probe and reply),
-  /// or the label a kLabelConfirm confirms or a kLabelTeardown tears down.
-  /// 0 means unsequenced. Modeled as part of the control payload on the wire.
-  std::uint64_t control_seq = 0;
-  std::optional<FlowId> control_flow;  // flow confirmed/torn down by a control packet
-  /// Serialized control-plane payload (kConfigPush / kMeasurementReport).
-  /// Shared so forwarding copies stay cheap; its size counts as payload on
-  /// the wire (set payload_bytes = control_payload->size()).
-  std::shared_ptr<const std::vector<std::uint8_t>> control_payload;
   /// Index into the matched policy's action list of the function the NEXT
   /// middlebox should perform; set by the tunneling sender. The analogue of
   /// a service index in NSH-style service chaining — needed once a
   /// middlebox can implement several functions, since the receiver could
   /// otherwise not tell which of its chain appearances is intended.
   std::uint8_t chain_pos = 0;
+  std::uint8_t outer_ttl = 0;
+  bool tunneled = false;             // an outer header is present
 
   /// 5-tuple of the original (inner) packet.
   FlowId flow_id() const noexcept {
@@ -105,11 +125,13 @@ struct Packet {
   }
 
   /// The header the network routes on: outer when tunneled, else inner.
-  const Ipv4Header& routing_header() const noexcept { return outer ? *outer : inner; }
+  Ipv4Header routing_header() const noexcept {
+    return tunneled ? Ipv4Header{outer_src, outer_dst, kProtoIpInIp, 0, 0, outer_ttl} : inner;
+  }
 
   /// Bytes on the wire: all IP headers + transport header + payload.
   std::uint32_t wire_bytes() const noexcept {
-    return kIpv4HeaderBytes * (outer ? 2 : 1) + kL4HeaderBytes + payload_bytes;
+    return kIpv4HeaderBytes * (tunneled ? 2 : 1) + kL4HeaderBytes + payload_bytes;
   }
 
   /// Add an IP-over-IP outer header (tunnel_src -> tunnel_dst). The packet
@@ -119,6 +141,7 @@ struct Packet {
   /// Strip the outer header; returns the stripped header.
   Ipv4Header decapsulate();
 };
+static_assert(std::is_trivially_copyable_v<Packet>);
 
 /// Number of link-layer fragments a packet of `wire_bytes` needs at `mtu`
 /// (each fragment repeats the 20-byte IP header; payload split across

@@ -16,8 +16,8 @@ inline void trace(obs::PathTracer* t, obs::Hop hop, const packet::Packet& pkt, d
 }
 }  // namespace
 
-void SimNetwork::on_packet_event(PacketEvent ev) {
-  handle_at_node(ev.node, std::move(ev.pkt), ev.injected_at, ev.origin, ev.from, ev.dest_hint);
+void SimNetwork::on_packet_event(const PacketEvent& ev) {
+  handle_at_node(ev.node, ev.pkt, ev.injected_at, ev.from, ev.dest_hint);
 }
 
 SimNetwork::SimNetwork(const net::Topology& topo, const net::RoutingTables& routing,
@@ -41,16 +41,14 @@ void SimNetwork::attach(net::NodeId node, std::unique_ptr<NodeAgent> agent) {
 void SimNetwork::inject(net::NodeId node, packet::Packet pkt, SimTime at) {
   ++counters_.injected;
   trace(tracer_, obs::Hop::kInjected, pkt, at, node);
-  sim_.schedule_packet_at(at, std::move(pkt), node, net::NodeId{}, net::NodeId{},
-                          /*injected_at=*/at, /*origin=*/true);
+  sim_.schedule_packet_at(at, pkt, node, net::NodeId{}, net::NodeId{}, /*injected_at=*/at);
 }
 
 void SimNetwork::inject_now(net::NodeId node, packet::Packet pkt) {
   ++counters_.injected;
   const SimTime now = sim_.now();
   trace(tracer_, obs::Hop::kInjected, pkt, now, node);
-  handle_at_node(node, std::move(pkt), /*injected_at=*/now, /*origin=*/true, net::NodeId{},
-                 net::NodeId{});
+  handle_at_node(node, pkt, /*injected_at=*/now, net::NodeId{}, net::NodeId{});
 }
 
 void SimNetwork::set_node_up(net::NodeId node, bool up) {
@@ -84,19 +82,17 @@ double SimNetwork::link_loss(net::LinkId link) const {
   return link_loss_[link.v];
 }
 
-void SimNetwork::handle_at_node(net::NodeId node, packet::Packet&& pkt, SimTime injected_at,
-                                bool origin, net::NodeId from, net::NodeId dest_hint) {
+void SimNetwork::handle_at_node(net::NodeId node, packet::Packet pkt, SimTime injected_at,
+                                net::NodeId from, net::NodeId dest_hint) {
   if (!node_up_[node.v]) {
     // Crash-stop: the node is dark; whatever reaches it is lost.
-    ++node_counters_[node.v].packets_dropped;
-    ++counters_.dropped_node_down;
-    trace(tracer_, obs::Hop::kDropNodeDown, pkt, sim_.now(), node);
+    drop(node, pkt, counters_.dropped_node_down, obs::Hop::kDropNodeDown);
     return;
   }
   ++node_counters_[node.v].packets_seen;
   current_injected_at_ = injected_at;
   if (agents_[node.v]) {
-    agents_[node.v]->on_packet(*this, std::move(pkt), from);
+    agents_[node.v]->on_packet(*this, pkt, from);
     return;
   }
   // No agent: routers forward; the packet's addressed terminal consumes it;
@@ -109,16 +105,14 @@ void SimNetwork::handle_at_node(net::NodeId node, packet::Packet&& pkt, SimTime 
     deliver(node, pkt);
     return;
   }
-  if (origin || net::is_forwarding(topo_.node(node).kind)) {
+  if (!from.valid() || net::is_forwarding(topo_.node(node).kind)) {
     // The destination is already resolved above — reuse it instead of paying
     // a second resolver probe per hop (forward() is the agent entry point).
     if (!dest) {
-      ++node_counters_[node.v].packets_dropped;
-      ++counters_.dropped_no_route;
-      trace(tracer_, obs::Hop::kDropNoRoute, pkt, sim_.now(), node);
+      drop(node, pkt, counters_.dropped_no_route, obs::Hop::kDropNoRoute);
       return;
     }
-    forward_resolved(node, std::move(pkt), *dest);
+    forward_resolved(node, pkt, *dest);
     return;
   }
   deliver(node, pkt);
@@ -127,49 +121,43 @@ void SimNetwork::handle_at_node(net::NodeId node, packet::Packet&& pkt, SimTime 
 void SimNetwork::forward(net::NodeId at_node, packet::Packet pkt) {
   const auto dest = resolver_.resolve(pkt.routing_header().dst);
   if (!dest) {
-    ++node_counters_[at_node.v].packets_dropped;
-    ++counters_.dropped_no_route;
-    trace(tracer_, obs::Hop::kDropNoRoute, pkt, sim_.now(), at_node);
+    drop(at_node, pkt, counters_.dropped_no_route, obs::Hop::kDropNoRoute);
     return;
   }
-  forward_resolved(at_node, std::move(pkt), *dest);
+  forward_resolved(at_node, pkt, *dest);
 }
 
-void SimNetwork::forward_resolved(net::NodeId at_node, packet::Packet&& pkt, net::NodeId dest) {
+void SimNetwork::forward_resolved(net::NodeId at_node, packet::Packet& pkt, net::NodeId dest) {
   if (dest == at_node) {
     deliver(at_node, pkt);
     return;
   }
   // TTL check on the header the network routes on.
-  packet::Ipv4Header& h = pkt.outer ? *pkt.outer : pkt.inner;
-  if (h.ttl == 0) {
-    ++node_counters_[at_node.v].packets_dropped;
-    ++counters_.dropped_ttl;
-    trace(tracer_, obs::Hop::kDropTtl, pkt, sim_.now(), at_node);
+  std::uint8_t& ttl = pkt.tunneled ? pkt.outer_ttl : pkt.inner.ttl;
+  if (ttl == 0) {
+    drop(at_node, pkt, counters_.dropped_ttl, obs::Hop::kDropTtl);
     return;
   }
-  --h.ttl;
+  --ttl;
   const net::NextHop hop = routing_.next_hop(at_node, dest);
   if (!hop.valid()) {
-    ++node_counters_[at_node.v].packets_dropped;
-    ++counters_.dropped_no_route;
-    trace(tracer_, obs::Hop::kDropNoRoute, pkt, sim_.now(), at_node);
+    drop(at_node, pkt, counters_.dropped_no_route, obs::Hop::kDropNoRoute);
     return;
   }
   // The routing tables store the egress link next to the next-hop node, so
   // the forwarding path skips transmit()'s adjacency scan, and the resolved
   // destination rides along to spare the next hop its resolver probe.
-  transmit_on(hop.link, at_node, hop.node, std::move(pkt), dest);
+  transmit_on(hop.link, at_node, hop.node, pkt, dest);
 }
 
 void SimNetwork::transmit(net::NodeId from, net::NodeId to, packet::Packet pkt) {
   const net::LinkId link = topo_.find_link(from, to);
   SDM_CHECK_MSG(link.valid(), "transmit between non-adjacent nodes");
-  transmit_on(link, from, to, std::move(pkt), net::NodeId{});
+  transmit_on(link, from, to, pkt, net::NodeId{});
 }
 
 void SimNetwork::transmit_on(net::LinkId link, net::NodeId from, net::NodeId to,
-                             packet::Packet&& pkt, net::NodeId dest_hint) {
+                             const packet::Packet& pkt, net::NodeId dest_hint) {
   const net::LinkParams& lp = topo_.link(link).params;
   LinkCounters& lc = link_counters_[link.v];
 
@@ -178,9 +166,7 @@ void SimNetwork::transmit_on(net::LinkId link, net::NodeId from, net::NodeId to,
     // steers around the failure once RoutingTables::recompute ran — until
     // then this is the crash window the dependability loop must cover.
     ++lc.fault_drops;
-    ++node_counters_[from.v].packets_dropped;
-    ++counters_.dropped_link_down;
-    trace(tracer_, obs::Hop::kDropLinkDown, pkt, sim_.now(), from, to.v);
+    drop(from, pkt, counters_.dropped_link_down, obs::Hop::kDropLinkDown, to.v);
     return;
   }
 
@@ -189,9 +175,7 @@ void SimNetwork::transmit_on(net::LinkId link, net::NodeId from, net::NodeId to,
   const std::uint32_t wire = pkt.wire_bytes();
   const std::uint32_t frags = packet::fragments_needed(wire, lp.mtu);
   if (frags == 0) {  // unfragmentable (pathological MTU): drop
-    ++node_counters_[from.v].packets_dropped;
-    ++counters_.dropped_no_route;
-    trace(tracer_, obs::Hop::kDropNoRoute, pkt, sim_.now(), from, to.v);
+    drop(from, pkt, counters_.dropped_no_route, obs::Hop::kDropNoRoute, to.v);
     return;
   }
 
@@ -208,9 +192,7 @@ void SimNetwork::transmit_on(net::LinkId link, net::NodeId from, net::NodeId to,
     if (backlog_bytes + static_cast<double>(tx_bytes) >
         static_cast<double>(lp.queue_limit_bytes)) {
       ++lc.queue_drops;
-      ++node_counters_[from.v].packets_dropped;
-      ++counters_.dropped_queue;
-      trace(tracer_, obs::Hop::kDropQueue, pkt, sim_.now(), from, to.v);
+      drop(from, pkt, counters_.dropped_queue, obs::Hop::kDropQueue, to.v);
       return;
     }
   }
@@ -227,9 +209,7 @@ void SimNetwork::transmit_on(net::LinkId link, net::NodeId from, net::NodeId to,
   // runs consume no randomness and stay bit-identical to the seed behavior.
   if (link_loss_[link.v] > 0 && loss_rng_.next_bool(link_loss_[link.v])) {
     ++lc.fault_drops;
-    ++node_counters_[from.v].packets_dropped;
-    ++counters_.dropped_link_loss;
-    trace(tracer_, obs::Hop::kDropLinkLoss, pkt, sim_.now(), from, to.v);
+    drop(from, pkt, counters_.dropped_link_loss, obs::Hop::kDropLinkLoss, to.v);
     return;
   }
   const SimTime arrival = start + tx_time + lp.delay_us * 1e-6;
@@ -238,8 +218,7 @@ void SimNetwork::transmit_on(net::LinkId link, net::NodeId from, net::NodeId to,
   // horizon includes every earlier transmission, so link traffic appends in
   // O(1) instead of churning the overflow heap.
   const std::uint32_t lane = static_cast<std::uint32_t>(link.v) + 1;
-  sim_.schedule_packet_at(arrival, std::move(pkt), to, from, dest_hint, current_injected_at_,
-                          /*origin=*/false, lane);
+  sim_.schedule_packet_at(arrival, pkt, to, from, dest_hint, current_injected_at_, lane);
 }
 
 void SimNetwork::deliver(net::NodeId at_node, const packet::Packet& pkt) {
@@ -249,6 +228,49 @@ void SimNetwork::deliver(net::NodeId at_node, const packet::Packet& pkt) {
   counters_.total_latency += latency;
   trace(tracer_, obs::Hop::kDelivered, pkt, sim_.now(), at_node);
   if (delivery_observer_) delivery_observer_(pkt, latency);
+  release_control(pkt);
+}
+
+void SimNetwork::drop(net::NodeId at, const packet::Packet& pkt, std::uint64_t& counter,
+                      obs::Hop hop, std::uint64_t detail) {
+  ++node_counters_[at.v].packets_dropped;
+  ++counter;
+  trace(tracer_, hop, pkt, sim_.now(), at, detail);
+  release_control(pkt);
+}
+
+packet::ControlBody& SimNetwork::new_control(packet::Packet& pkt) {
+  SDM_CHECK_MSG(pkt.control == 0, "packet already has a control body");
+  std::uint32_t idx = control_free_;
+  if (idx != kNoSlot) {
+    control_free_ = control_pool_[idx].next_free;
+  } else {
+    SDM_CHECK_MSG(control_pool_.size() < kNoSlot - 1, "control body pool exhausted");
+    idx = static_cast<std::uint32_t>(control_pool_.size());
+    control_pool_.emplace_back();
+  }
+  control_pool_[idx].live = true;
+  pkt.control = idx + 1;
+  return control_pool_[idx].body;
+}
+
+const packet::ControlBody& SimNetwork::control(const packet::Packet& pkt) const {
+  SDM_CHECK_MSG(pkt.control != 0 && pkt.control <= control_pool_.size() &&
+                    control_pool_[pkt.control - 1].live,
+                "packet carries no live control body");
+  return control_pool_[pkt.control - 1].body;
+}
+
+void SimNetwork::release_control(const packet::Packet& pkt) {
+  if (pkt.control == 0) return;
+  const std::uint32_t idx = pkt.control - 1;
+  SDM_CHECK_MSG(idx < control_pool_.size() && control_pool_[idx].live,
+                "control body released twice");
+  ControlSlot& slot = control_pool_[idx];
+  slot.body = packet::ControlBody{};
+  slot.live = false;
+  slot.next_free = control_free_;
+  control_free_ = idx;
 }
 
 void SimNetwork::register_metrics(obs::MetricsRegistry& registry) const {

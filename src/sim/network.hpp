@@ -12,6 +12,11 @@
 // fragment header bytes to the link, but deliver the packet whole — the
 // paper's §III.E concern is the overhead, which this captures exactly,
 // without needing reassembly buffers.
+//
+// Control packets carry a body (packet::ControlBody: sequence number, flow,
+// serialized payload) that the network holds in a free-listed pool while
+// the packet is in flight; the packet names it by id, so a hop moves only
+// the 44-byte header. deliver() and every drop path here release the body.
 #pragma once
 
 #include <functional>
@@ -27,6 +32,7 @@
 namespace sdmbox::obs {
 class MetricsRegistry;
 class PathTracer;
+enum class Hop : std::uint8_t;
 }  // namespace sdmbox::obs
 
 namespace sdmbox::sim {
@@ -135,8 +141,20 @@ public:
   void transmit(net::NodeId from, net::NodeId to, packet::Packet pkt);
 
   /// Deliver a packet to its final destination node counters (agents call
-  /// this when they terminate a packet).
+  /// this when they terminate a packet) and release its control body.
   void deliver(net::NodeId at_node, const packet::Packet& pkt);
+
+  /// Give a control packet a new, empty body and return it to fill in. The
+  /// network holds the body while the packet is in flight and releases it
+  /// when the packet is delivered or dropped, so an agent that consumes a
+  /// control packet must deliver() it.
+  packet::ControlBody& new_control(packet::Packet& pkt);
+
+  /// The body of a control packet in flight.
+  const packet::ControlBody& control(const packet::Packet& pkt) const;
+
+  // The references the two calls return stay valid until the next
+  // new_control(), which may grow the pool.
 
   /// The one event calendar: agents use it for now() and timers.
   Simulator& simulator() noexcept { return sim_; }
@@ -163,29 +181,38 @@ public:
   void run(SimTime until = Simulator::kForever) { sim_.run(until); }
 
 private:
-  void on_packet_event(PacketEvent ev) override;
+  void on_packet_event(const PacketEvent& ev) override;
 
-  /// `origin` marks locally-generated packets: a leaf node may emit its own
-  /// traffic even though it never forwards transit traffic. `from` is the
-  /// ingress neighbor (invalid for injected packets). `dest_hint`, when
-  /// valid, is the already-resolved node for the packet's routing
-  /// destination — exact, because nothing rewrites headers in flight — so
-  /// intermediate hops skip the resolver probe entirely.
-  /// The internal chain passes the packet by rvalue reference: it stays in
-  /// the dispatched event's storage until the single move into the next
-  /// calendar slot (or into the consuming agent), instead of being moved at
-  /// every call boundary.
-  void handle_at_node(net::NodeId node, packet::Packet&& pkt, SimTime injected_at, bool origin,
+  /// A packet without an ingress neighbor (`from` invalid) was generated
+  /// here: a leaf node may emit its own traffic even though it never
+  /// forwards transit traffic. `dest_hint`, when valid, is the
+  /// already-resolved node for the packet's routing destination — exact,
+  /// because nothing rewrites headers in flight — so intermediate hops skip
+  /// the resolver probe entirely.
+  void handle_at_node(net::NodeId node, packet::Packet pkt, SimTime injected_at,
                       net::NodeId from, net::NodeId dest_hint);
   /// forward() with the destination already resolved — handle_at_node has it
   /// in hand, so the pure-forwarding path resolves once per hop, not twice.
-  void forward_resolved(net::NodeId at_node, packet::Packet&& pkt, net::NodeId dest);
+  void forward_resolved(net::NodeId at_node, packet::Packet& pkt, net::NodeId dest);
   /// transmit() with the link already known (the routing tables carry the
   /// egress LinkId next to the next-hop node, so the forwarding path skips
   /// the adjacency scan) and the resolved destination to carry to the far
   /// end of the wire.
-  void transmit_on(net::LinkId link, net::NodeId from, net::NodeId to, packet::Packet&& pkt,
+  void transmit_on(net::LinkId link, net::NodeId from, net::NodeId to, const packet::Packet& pkt,
                    net::NodeId dest_hint);
+  /// A packet lost at node `at`: count it there and in `counter`, trace it
+  /// (`detail` is the far end for losses on a link), release its body.
+  void drop(net::NodeId at, const packet::Packet& pkt, std::uint64_t& counter, obs::Hop hop,
+            std::uint64_t detail = 0);
+  void release_control(const packet::Packet& pkt);
+
+  /// A control body, or (not `live`) a link of the pool's LIFO free list.
+  struct ControlSlot {
+    packet::ControlBody body;
+    std::uint32_t next_free = 0;
+    bool live = false;
+  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   const net::Topology& topo_;
   const net::RoutingTables& routing_;
@@ -202,6 +229,8 @@ private:
   std::vector<NodeCounters> node_counters_;
   std::vector<LinkCounters> link_counters_;
   std::vector<SimTime> link_free_at_;  // serialization horizon per link
+  std::vector<ControlSlot> control_pool_;  // slot i holds body id i + 1
+  std::uint32_t control_free_ = kNoSlot;
   DeliveryObserver delivery_observer_;
 };
 

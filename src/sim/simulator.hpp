@@ -6,27 +6,38 @@
 //    fault/repair schedules, a policy wave's stagger slots). These still
 //    allocate when the closure outgrows std::function's inline buffer,
 //    which is fine off the hot path.
-//  * packet events — the per-hop datapath. A PacketEvent carries the Packet
-//    by value through a pooled event slot and is dispatched to the network's
-//    PacketSink, so a forwarded packet costs zero heap allocations per hop.
+//  * packet events — the per-hop datapath. A PacketEvent is the Packet plus
+//    its arrival context: trivially copyable, 64 bytes, one cache line. It
+//    is copied into a pooled slot when scheduled and out of it when it pops,
+//    and dispatched to the network's PacketSink, so a forwarded packet costs
+//    zero heap allocations per hop.
 //
 // Both kinds share one calendar ordered by (time, sequence number) over
 // 16-byte entries — the key is packed so comparing keys compares sequence
 // numbers and sifts never touch the payload pools — with the payloads in
 // free-listed per-kind slot pools (callback slots are small; packet slots
-// carry the Packet by value). Entries live in monotone lanes (sorted runs
-// for naturally FIFO streams such as per-link arrivals) merged through a
-// heap that keys each live lane by a copy of its front entry, with a 4-ary
+// are one aligned cache line each). Entries live in monotone lanes (sorted
+// runs for naturally FIFO streams such as per-link arrivals) merged through
+// a heap that keys each live lane by a copy of its front entry, with a 4-ary
 // overflow heap for anything scheduled out of order. Events at equal times
 // fire in scheduling order: the monotone sequence number breaks ties, which
 // keeps runs bit-for-bit deterministic, a requirement for reproducing the
 // paper's figures from fixed seeds. The pop order is exactly what the
 // previous std::priority_queue<Event> produced; only the storage changed.
+//
+// Two things keep a pop cheap. Every compare is one unsigned 128-bit compare
+// (the time's bit pattern above the key), and a full set of four children is
+// reduced with conditional selects, so sifts take no data-dependent branch.
+// And before run() dispatches an event it prefetches the packet slot of the
+// event that will pop next, so that slot's first touch (usually a miss: the
+// live slots of a large run outgrow L2) overlaps the handler's work.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -39,22 +50,26 @@ namespace sdmbox::sim {
 using SimTime = double;
 
 /// Typed payload of a per-hop packet event: the packet plus the arrival
-/// context SimNetwork needs to resume handling without a closure.
+/// context SimNetwork needs to resume handling without a closure. A locally
+/// generated (injected) packet is the one without an ingress neighbor.
 struct PacketEvent {
   packet::Packet pkt;
-  net::NodeId node;                // node the packet arrives at
-  net::NodeId from;                // ingress neighbor (invalid for injections)
-  net::NodeId dest_hint;           // pre-resolved routing destination, if known
-  SimTime injected_at = 0;         // original injection time (latency)
-  bool origin = false;             // locally generated (injected) packet
+  net::NodeId node;         // node the packet arrives at
+  net::NodeId from;         // ingress neighbor (invalid for injections)
+  net::NodeId dest_hint;    // pre-resolved routing destination, if known
+  SimTime injected_at = 0;  // original injection time (latency)
 };
+// One cache line, copied with plain moves: the calendar's packet slot.
+static_assert(std::is_trivially_copyable_v<PacketEvent>);
+static_assert(sizeof(PacketEvent) == 64);
 
 /// Dispatch target for packet events. SimNetwork implements this; the
 /// indirection keeps the Simulator free of network knowledge while the
-/// calendar stores packets by value.
+/// calendar stores packets by value. `ev` is the run loop's copy of the
+/// event: its slot is already free when the sink runs.
 class PacketSink {
 public:
-  virtual void on_packet_event(PacketEvent ev) = 0;
+  virtual void on_packet_event(const PacketEvent& ev) = 0;
 
 protected:
   ~PacketSink() = default;
@@ -89,21 +104,17 @@ public:
   std::shared_ptr<Periodic> schedule_every(SimTime period, Handler fn);
 
   /// Schedule a packet event at absolute time `at` (>= now), dispatched to
-  /// the sink registered via set_packet_sink(). The event body is written
+  /// the sink registered via set_packet_sink(). The event is written
   /// directly into a pooled slot — no allocation once the pool has warmed
-  /// up, and the packet moves exactly once on the way in.
+  /// up.
   ///
   /// `lane` is an ordering hint: events scheduled on one lane in
   /// nondecreasing time order bypass the heap entirely (see the lane comment
   /// below). Callers with naturally FIFO event streams — SimNetwork uses one
   /// lane per link, since a link's serialization horizon makes arrivals
   /// monotone — pick distinct lane ids; anything else is correct on lane 0.
-  void schedule_packet_at(SimTime at, PacketEvent ev) {
-    schedule_packet_at(at, std::move(ev.pkt), ev.node, ev.from, ev.dest_hint, ev.injected_at,
-                       ev.origin);
-  }
-  void schedule_packet_at(SimTime at, packet::Packet&& pkt, net::NodeId node, net::NodeId from,
-                          net::NodeId dest_hint, SimTime injected_at, bool origin,
+  void schedule_packet_at(SimTime at, const packet::Packet& pkt, net::NodeId node,
+                          net::NodeId from, net::NodeId dest_hint, SimTime injected_at,
                           std::uint32_t lane = 0);
 
   /// Register the packet-event dispatch target (required before the first
@@ -149,19 +160,28 @@ private:
 
   /// Payload slots, one pool per event kind so the calendar-heavy callback
   /// workloads are not dragged through packet-sized slots. `next_free`
-  /// chains the pool's LIFO free list.
+  /// chains the pool's LIFO free list; a packet slot holds either its event
+  /// or that link, so it stays one cache line.
   struct CallbackSlot {
     Handler fn;
     std::uint32_t next_free = kNil;
   };
-  struct PacketSlot {
+  union alignas(64) PacketSlot {
+    PacketSlot() noexcept : next_free(kNil) {}
     PacketEvent ev;
-    std::uint32_t next_free = kNil;
+    std::uint32_t next_free;
   };
 
+  /// The (at, seq) order as one unsigned 128-bit value: the time's bit
+  /// pattern above the key. A non-negative double's bit pattern orders like
+  /// its value; calendar_push turns −0.0 into +0.0, and NaN and negative
+  /// times are refused at schedule time.
+  __extension__ typedef unsigned __int128 Order;
+  static Order order(const HeapItem& x) noexcept {
+    return (Order{std::bit_cast<std::uint64_t>(x.at)} << 64) | x.key;
+  }
   static bool before(const HeapItem& a, const HeapItem& b) noexcept {
-    if (a.at != b.at) return a.at < b.at;
-    return a.key < b.key;
+    return order(a) < order(b);
   }
 
   /// Monotone lane: a sorted run of events consumed front to back. Events
@@ -195,6 +215,8 @@ private:
   /// `what` names the pool in the exhaustion check.
   template <class Slot>
   static std::uint32_t acquire_slot(std::vector<Slot>& pool, std::uint32_t& free, const char* what);
+  /// Index of the least of the children that start at `first` (< size).
+  static std::size_t least_child(const std::vector<HeapItem>& heap, std::size_t first) noexcept;
   void calendar_push(HeapItem item, std::uint32_t lane);
   void heap_push(HeapItem item);
   HeapItem heap_pop_min() noexcept;

@@ -300,8 +300,9 @@ TEST_F(LabelSwitchingTest, StaleConfirmationLeavesTheRecreatedEntryTunneled) {
     p.inner.dst = proxy.address();
     p.inner.protocol = packet::kProtoUdp;
     p.payload_bytes = 16;
-    p.control_seq = label;
-    p.control_flow = f.id;
+    packet::ControlBody& body = h.simnet.new_control(p);
+    body.seq = label;
+    body.flow = f.id;
     return p;
   };
   const auto deliver = [&](packet::Packet p) { proxy.on_packet(h.simnet, std::move(p), {}); };

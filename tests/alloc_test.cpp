@@ -46,6 +46,13 @@ void* counted_malloc(std::size_t size) noexcept {
   return std::malloc(size != 0 ? size : 1);
 }
 
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  // aligned_alloc wants a size that is a nonzero multiple of the alignment.
+  const auto a = static_cast<std::size_t>(align);
+  return std::aligned_alloc(a, size == 0 ? a : (size + a - 1) / a * a);
+}
+
 // Out of line: once a delete inlines into a new-expression's cleanup path,
 // GCC's -Wmismatched-new-delete pairs the free() it sees with the replaced
 // operator new and reports a mismatch that is not there.
@@ -70,6 +77,25 @@ void operator delete(void* p, std::size_t) noexcept { release(p); }
 void operator delete[](void* p, std::size_t) noexcept { release(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept { release(p); }
+// Over-aligned types (the calendar's cache-line packet slots) allocate
+// through these.
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) { return operator new(size, align); }
+void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
+}
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept { release(p); }
 
 namespace sdmbox {
 namespace {

@@ -135,11 +135,11 @@ TEST(ReliableChannel, StaleDuplicateAndTruncatedPushesAreRejected) {
     pkt.inner.src = ctrl_addr;
     pkt.inner.dst = dev_addr;
     pkt.inner.protocol = packet::kProtoUdp;
-    pkt.control_seq = seq;
-    pkt.control_payload =
-        std::make_shared<const std::vector<std::uint8_t>>(std::move(payload));
-    pkt.payload_bytes = static_cast<std::uint32_t>(pkt.control_payload->size());
-    loop.simnet.inject(node, std::move(pkt), at);
+    pkt.payload_bytes = static_cast<std::uint32_t>(payload.size());
+    packet::ControlBody& body = loop.simnet.new_control(pkt);
+    body.seq = seq;
+    body.payload = std::make_shared<const std::vector<std::uint8_t>>(std::move(payload));
+    loop.simnet.inject(node, pkt, at);
   };
 
   const auto v1 = control::encode_device_config(core::slice_for_device(initial, node, 1));

@@ -139,7 +139,9 @@ TEST(Packet, DecapsulateRestoresInnerAndReturnsOuter) {
   const Ipv4Header outer = p.decapsulate();
   EXPECT_EQ(outer.src, IpAddress(1, 1, 1, 1));
   EXPECT_EQ(outer.dst, IpAddress(2, 2, 2, 2));
-  EXPECT_FALSE(p.outer.has_value());
+  EXPECT_EQ(outer.protocol, kProtoIpInIp);
+  EXPECT_EQ(outer.ttl, 64);
+  EXPECT_FALSE(p.tunneled);
   EXPECT_EQ(p.routing_header().dst, IpAddress(9, 9, 9, 9));
 }
 

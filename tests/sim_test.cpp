@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <tuple>
 
@@ -110,9 +113,9 @@ TEST(Simulator, ResetClearsState) {
 // Records each dispatched packet event as (sim time, arrival node).
 struct RecordingSink final : PacketSink {
   explicit RecordingSink(Simulator& s) : sim(&s) { s.set_packet_sink(this); }
-  void on_packet_event(PacketEvent ev) override {
+  void on_packet_event(const PacketEvent& ev) override {
     seen.emplace_back(sim->now(), ev.node.v);
-    last = std::move(ev);
+    last = ev;
   }
   Simulator* sim;
   std::vector<std::pair<double, std::uint32_t>> seen;
@@ -124,7 +127,7 @@ TEST(Simulator, PacketEventsCarryTheirContext) {
   RecordingSink sink(s);
   packet::Packet p;
   p.payload_bytes = 777;
-  s.schedule_packet_at(2.0, std::move(p), NodeId{4}, NodeId{9}, NodeId{6}, 0.25, true);
+  s.schedule_packet_at(2.0, p, NodeId{4}, NodeId{9}, NodeId{6}, 0.25);
   EXPECT_EQ(s.pending(), 1u);
   s.run();
   ASSERT_EQ(sink.seen.size(), 1u);
@@ -134,12 +137,11 @@ TEST(Simulator, PacketEventsCarryTheirContext) {
   EXPECT_EQ(sink.last.from, NodeId{9});
   EXPECT_EQ(sink.last.dest_hint, NodeId{6});
   EXPECT_DOUBLE_EQ(sink.last.injected_at, 0.25);
-  EXPECT_TRUE(sink.last.origin);
 }
 
 TEST(Simulator, PacketEventWithoutSinkRejected) {
   Simulator s;
-  EXPECT_THROW(s.schedule_packet_at(1.0, packet::Packet{}, NodeId{1}, NodeId{}, NodeId{}, 0, true),
+  EXPECT_THROW(s.schedule_packet_at(1.0, packet::Packet{}, NodeId{1}, NodeId{}, NodeId{}, 0),
                ContractViolation);
 }
 
@@ -151,9 +153,9 @@ TEST(Simulator, MixedKindsAtEqualTimeFireInScheduleOrder) {
   // Interleave callbacks and packet events at one timestamp; the sequence
   // tie-break must hold across kinds, not just within one.
   s.schedule_at(1.0, [&] { order.push_back(0); });
-  s.schedule_packet_at(1.0, packet::Packet{}, NodeId{1}, NodeId{}, NodeId{}, 0, true);
+  s.schedule_packet_at(1.0, packet::Packet{}, NodeId{1}, NodeId{}, NodeId{}, 0);
   s.schedule_at(1.0, [&] { order.push_back(2); });
-  s.schedule_packet_at(1.0, packet::Packet{}, NodeId{3}, NodeId{}, NodeId{}, 0, true);
+  s.schedule_packet_at(1.0, packet::Packet{}, NodeId{3}, NodeId{}, NodeId{}, 0);
   s.run();
   ASSERT_EQ(sink.seen.size(), 2u);
   EXPECT_EQ(order, (std::vector<int>{0, 2}));
@@ -194,7 +196,7 @@ TEST(Simulator, ManyLanesPopInExactTimeSeqOrder) {
   std::function<void(std::uint32_t)> on_fire;
 
   struct LaneSink final : PacketSink {
-    void on_packet_event(PacketEvent ev) override { fire(ev.node.v, ev.from.v); }
+    void on_packet_event(const PacketEvent& ev) override { fire(ev.node.v, ev.from.v); }
     std::function<void(std::uint32_t, std::uint32_t)> fire;
   } sink;
   s.set_packet_sink(&sink);
@@ -217,8 +219,7 @@ TEST(Simulator, ManyLanesPopInExactTimeSeqOrder) {
     if (callback) {
       s.schedule_at(t, [&on_fire, id] { on_fire(id); });
     } else {
-      s.schedule_packet_at(t, packet::Packet{}, NodeId{id}, NodeId{lane}, NodeId{}, 0, false,
-                           lane);
+      s.schedule_packet_at(t, packet::Packet{}, NodeId{id}, NodeId{lane}, NodeId{}, 0, lane);
     }
   };
   const auto follow_up = [&](std::uint32_t lane) {
@@ -278,7 +279,7 @@ TEST(Simulator, InjectionsInterleaveInExactTimeSeqOrder) {
   std::function<void()> follow_up;
 
   struct Sink final : PacketSink {
-    void on_packet_event(PacketEvent ev) override { fire(ev); }
+    void on_packet_event(const PacketEvent& ev) override { fire(ev); }
     std::function<void(const PacketEvent&)> fire;
   } sink;
   s.set_packet_sink(&sink);
@@ -294,15 +295,15 @@ TEST(Simulator, InjectionsInterleaveInExactTimeSeqOrder) {
         follow_up();
       });
     } else if (kind == kPacket) {
-      s.schedule_packet_at(t, packet::Packet{}, NodeId{id}, NodeId{id}, NodeId{}, 0, false,
+      s.schedule_packet_at(t, packet::Packet{}, NodeId{id}, NodeId{id}, NodeId{}, 0,
                            /*lane=*/kSlots + 1 + slot);
     } else {
       packet::Packet p;
       p.src_port = static_cast<std::uint16_t>(slot);
       p.payload_bytes = 200;
       p.flow_seq = id;
-      s.schedule_packet_at(t, std::move(p), NodeId{id}, NodeId{}, NodeId{}, /*injected_at=*/t,
-                           /*origin=*/true, /*lane=*/1 + slot);
+      s.schedule_packet_at(t, p, NodeId{id}, NodeId{}, NodeId{}, /*injected_at=*/t,
+                           /*lane=*/1 + slot);
       slot_tail[slot] = std::max(slot_tail[slot], t);
     }
   };
@@ -330,9 +331,9 @@ TEST(Simulator, InjectionsInterleaveInExactTimeSeqOrder) {
       follow_up();
       return;
     }
-    const bool as_packet = ev.origin && !ev.dest_hint.valid() && ev.injected_at == s.now() &&
+    const bool as_packet = !ev.dest_hint.valid() && ev.injected_at == s.now() &&
                            ev.pkt.flow_seq == ev.node.v && ev.pkt.payload_bytes == 200 &&
-                           ev.pkt.src_port < kSlots && !ev.pkt.outer.has_value();
+                           ev.pkt.src_port < kSlots && !ev.pkt.tunneled;
     if (!as_packet) ++bad_injections;
     follow_up();
     if (rng.next_bool(0.1)) follow_up();
@@ -366,16 +367,54 @@ TEST(Simulator, InjectionsInterleaveInExactTimeSeqOrder) {
 TEST(Simulator, ResetDropsPendingPacketEvents) {
   Simulator s;
   RecordingSink sink(s);
-  s.schedule_packet_at(1.0, packet::Packet{}, NodeId{1}, NodeId{}, NodeId{}, 0, true);
+  s.schedule_packet_at(1.0, packet::Packet{}, NodeId{1}, NodeId{}, NodeId{}, 0);
   s.schedule_at(2.0, [] {});
   s.reset();
   EXPECT_EQ(s.pending(), 0u);
   EXPECT_EQ(s.events_processed(), 0u);
   // The clock is clean: scheduling before the old horizon works again.
-  s.schedule_packet_at(0.5, packet::Packet{}, NodeId{2}, NodeId{}, NodeId{}, 0, true);
+  s.schedule_packet_at(0.5, packet::Packet{}, NodeId{2}, NodeId{}, NodeId{}, 0);
   s.run();
   ASSERT_EQ(sink.seen.size(), 1u);
   EXPECT_EQ(sink.seen[0].second, 2u);
+}
+
+TEST(Simulator, NegativeZeroTimeOrdersAsZero) {
+  // The calendar compares a time by its bit pattern, which puts -0.0 after
+  // every positive time; a -0.0 event must still fire as a time-0 event. A
+  // later event sits on lane 1 first, so lane 1's time-0 events undercut it
+  // and go to the overflow heap; lane 2 takes its own in order; callbacks
+  // ride lane 0.
+  Simulator s;
+  std::vector<std::uint32_t> fired;
+  bool clock_negative = false;
+  struct Sink final : PacketSink {
+    void on_packet_event(const PacketEvent& ev) override { fire(ev.node.v); }
+    std::function<void(std::uint32_t)> fire;
+  } sink;
+  const auto fire = [&](std::uint32_t id) {
+    fired.push_back(id);
+    clock_negative = clock_negative || std::signbit(s.now());
+  };
+  sink.fire = fire;
+  s.set_packet_sink(&sink);
+  constexpr std::uint32_t kLater = 1000;
+  s.schedule_packet_at(0.5, packet::Packet{}, NodeId{kLater}, NodeId{}, NodeId{}, 0, /*lane=*/1);
+  std::uint32_t id = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const double t : {-0.0, 0.0}) {
+      s.schedule_packet_at(t, packet::Packet{}, NodeId{id++}, NodeId{}, NodeId{}, 0, /*lane=*/1);
+      s.schedule_packet_at(t, packet::Packet{}, NodeId{id++}, NodeId{}, NodeId{}, 0, /*lane=*/2);
+      s.schedule_at(t, [&fire, i = id++] { fire(i); });
+    }
+  }
+  s.run();
+  std::vector<std::uint32_t> expected(id);
+  std::iota(expected.begin(), expected.end(), 0u);
+  expected.push_back(kLater);
+  EXPECT_EQ(fired, expected);
+  EXPECT_FALSE(clock_negative);
+  EXPECT_DOUBLE_EQ(s.now(), 0.5);
 }
 
 // ---------------------------------------------------------------------------
@@ -567,6 +606,120 @@ TEST_F(SimNetworkTest, DeterministicAcrossRuns) {
   const auto b = run_once();
   EXPECT_EQ(a.first, b.first);
   EXPECT_DOUBLE_EQ(a.second, b.second);
+}
+
+// ---------------------------------------------------------------------------
+// Control bodies: held by the network while their packet is in flight
+// ---------------------------------------------------------------------------
+
+TEST_F(SimNetworkTest, ControlBodiesArriveIntact) {
+  const auto payload =
+      std::make_shared<const std::vector<std::uint8_t>>(std::vector<std::uint8_t>{7, 1, 9, 4});
+  const packet::FlowId confirmed = host_to_host(2, 8).flow_id();
+  struct Seen {
+    std::uint64_t seq = 0;
+    packet::FlowId flow;
+    bool same_payload = false;
+  };
+  std::map<packet::PacketKind, Seen> seen;
+  simnet.on_delivered([&](const packet::Packet& pkt, SimTime) {
+    const packet::ControlBody& body = simnet.control(pkt);
+    seen[pkt.kind] = Seen{body.seq, body.flow, body.payload == payload};
+  });
+  // Injects a control packet of `kind` from host `s` to host `d`; returns
+  // its body to fill in.
+  const auto send = [&](packet::PacketKind kind, std::size_t s,
+                        std::size_t d) -> packet::ControlBody& {
+    packet::Packet p = host_to_host(s, d);
+    p.kind = kind;
+    packet::ControlBody& body = simnet.new_control(p);
+    simnet.inject(network.hosts[s][0], p, 0.0);
+    return body;
+  };
+  packet::ControlBody& push_body = send(packet::PacketKind::kConfigPush, 0, 5);
+  push_body.seq = 41;
+  push_body.payload = payload;
+  packet::ControlBody& confirm_body = send(packet::PacketKind::kLabelConfirm, 1, 6);
+  confirm_body.seq = 777;
+  confirm_body.flow = confirmed;
+  send(packet::PacketKind::kHeartbeat, 3, 4).seq = 9;
+  EXPECT_EQ(payload.use_count(), 2);
+  simnet.run();
+
+  EXPECT_EQ(simnet.counters().delivered, 3u);
+  ASSERT_EQ(seen.size(), 3u);
+  const Seen& push = seen[packet::PacketKind::kConfigPush];
+  EXPECT_EQ(push.seq, 41u);
+  EXPECT_TRUE(push.same_payload);
+  const Seen& confirm = seen[packet::PacketKind::kLabelConfirm];
+  EXPECT_EQ(confirm.seq, 777u);
+  EXPECT_EQ(confirm.flow, confirmed);
+  EXPECT_FALSE(confirm.same_payload);
+  EXPECT_EQ(seen[packet::PacketKind::kHeartbeat].seq, 9u);
+  EXPECT_EQ(payload.use_count(), 1);  // delivery released the push's body
+}
+
+TEST_F(SimNetworkTest, ControlBodyIsReleasedOnDeliveryAndEveryDrop) {
+  const auto payload = std::make_shared<const std::vector<std::uint8_t>>(1200, 0x5a);
+  const long before = payload.use_count();
+  // Sends `count` config pushes of `payload` from host 0 to host 5 at t=0
+  // over `n` and runs it.
+  const auto send = [&](SimNetwork& n, const net::GeneratedNetwork& topo_net, int count = 1,
+                        std::uint8_t ttl = 64) {
+    for (int i = 0; i < count; ++i) {
+      packet::Packet p;
+      p.kind = packet::PacketKind::kConfigPush;
+      p.inner.src = topo_net.topo.node(topo_net.hosts[0][0]).address;
+      p.inner.dst = topo_net.topo.node(topo_net.hosts[5][0]).address;
+      p.inner.ttl = ttl;
+      p.payload_bytes = static_cast<std::uint32_t>(payload->size());
+      packet::ControlBody& body = n.new_control(p);
+      body.seq = static_cast<std::uint64_t>(i + 1);
+      body.payload = payload;
+      n.inject(topo_net.hosts[0][0], p, 0.0);
+    }
+    EXPECT_EQ(payload.use_count(), before + count);
+    n.run();
+  };
+  {
+    SimNetwork n(network.topo, routing, resolver);
+    send(n, network);
+    EXPECT_EQ(n.counters().delivered, 1u);
+    EXPECT_EQ(payload.use_count(), before);
+  }
+  {
+    SimNetwork n(network.topo, routing, resolver);
+    n.set_link_up(network.topo.find_link(network.hosts[0][0], network.proxies[0]), false);
+    send(n, network);
+    EXPECT_EQ(n.counters().dropped_link_down, 1u);
+    EXPECT_EQ(payload.use_count(), before);
+  }
+  {
+    SimNetwork n(network.topo, routing, resolver);
+    n.set_node_up(network.hosts[5][0], false);
+    send(n, network);
+    EXPECT_EQ(n.counters().dropped_node_down, 1u);
+    EXPECT_EQ(payload.use_count(), before);
+  }
+  {
+    SimNetwork n(network.topo, routing, resolver);
+    send(n, network, 1, /*ttl=*/2);  // the path needs more hops than that
+    EXPECT_EQ(n.counters().dropped_ttl, 1u);
+    EXPECT_EQ(payload.use_count(), before);
+  }
+  {
+    // The same campus with drop-tail stub links about two pushes deep.
+    net::CampusParams cp;
+    cp.stub_link.queue_limit_bytes = 3000;
+    const net::GeneratedNetwork tight = net::make_campus_topology(cp);
+    const auto tight_routing = net::RoutingTables::compute(tight.topo);
+    const auto tight_resolver = net::AddressResolver::build(tight.topo);
+    SimNetwork n(tight.topo, tight_routing, tight_resolver);
+    send(n, tight, 10);
+    EXPECT_GT(n.counters().dropped_queue, 0u);
+    EXPECT_EQ(n.counters().delivered + n.counters().dropped_queue, 10u);
+    EXPECT_EQ(payload.use_count(), before);
+  }
 }
 
 // ---------------------------------------------------------------------------
