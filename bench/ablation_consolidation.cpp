@@ -3,9 +3,11 @@
 // serves it without a second tunnel hop (Π_x excludes own functions). We
 // compare the paper's all-single-function deployment with mixes that
 // consolidate FW+IDS pairs, measuring inter-middlebox transitions (tunnel
-// hops crossing the core) and the achievable balance.
+// hops crossing the core) and the achievable balance. Every LB plan must
+// pass core::validate_plan; the bench exits 1 on any violation.
 #include "analytic/load_evaluator.hpp"
 #include "common.hpp"
+#include "core/validate.hpp"
 
 using namespace sdmbox;
 using namespace sdmbox::bench;
@@ -36,6 +38,7 @@ int main() {
   table.set_header({"FW+IDS combos", "boxes", "forwarded transitions(M)", "local continuations(M)",
                     "max load(M)", "lambda"});
 
+  std::size_t violations = 0;
   for (const std::size_t combos : {0u, 2u, 4u, 7u}) {
     util::Rng rng(2019);
     net::GeneratedNetwork network = net::make_campus_topology();
@@ -51,6 +54,10 @@ int main() {
     deployment.set_uniform_capacity(std::max(1.0, traffic.grand_total()));
     core::Controller controller(network, deployment, gen.policies);
     const auto plan = controller.compile(core::StrategyKind::kLoadBalanced, &traffic);
+    for (const std::string& v : core::validate_plan(plan, network, deployment, gen.policies)) {
+      std::fprintf(stderr, "%zu combos: %s\n", combos, v.c_str());
+      ++violations;
+    }
     const auto report =
         analytic::evaluate_loads(network, deployment, gen.policies, plan, flows.flows);
     std::uint64_t max_load = 0;
@@ -68,5 +75,9 @@ int main() {
   std::printf("Expected shape: every consolidated pair converts FW->IDS tunnel hops into\n"
               "local continuations (less core traffic, one less IP-over-IP leg); the\n"
               "per-box max load rises because one box now absorbs two functions' work.\n");
+  if (violations > 0) {
+    std::fprintf(stderr, "%zu plan violation(s)\n", violations);
+    return 1;
+  }
   return 0;
 }

@@ -197,7 +197,7 @@ RatioResult Controller::solve_load_balancing(const workload::TrafficMatrix& traf
   if (params_.warm_start_lb && !last_lb_basis_.empty()) {
     opt.simplex.warm_start = &last_lb_basis_;
   }
-  RatioResult out = params_.use_eq1 ? solve_eq1(inputs, opt) : solve_eq2(inputs, opt);
+  RatioResult out = solve_eq2(inputs, opt);
   if (params_.warm_start_lb && out.status == lp::SolveStatus::kOptimal) {
     last_lb_basis_ = out.basis;
   }

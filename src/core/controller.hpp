@@ -11,7 +11,8 @@
 //    policies whose source field overlaps their subnet, middleboxes get
 //    policies whose action list mentions a function they implement;
 //  * under load balancing, ingest proxy traffic reports and solve the
-//    Eq. (2) LP (or Eq. (1) for the ablation), then distribute split ratios.
+//    Eq. (2) LP, then distribute split ratios (Eq. (1) plans, for the
+//    formulation ablation, come from core::solve_eq1).
 #pragma once
 
 #include "core/deployment.hpp"
@@ -30,8 +31,6 @@ struct ControllerParams {
       {policy::kWebProxy, 2},
       {policy::kTrafficMeasure, 2},
   };
-  /// Use the per-(s,d,p) Eq. (1) instead of Eq. (2) (ablation only).
-  bool use_eq1 = false;
   /// Warm-start each load-balancing solve from the previous compile's
   /// optimal basis (sparse engine only). The solver falls back to a cold
   /// start whenever the cached basis no longer fits the new instance, so

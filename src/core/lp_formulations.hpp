@@ -1,12 +1,16 @@
 // Load-balancing LP formulations (§III.C).
 //
-// Eq. (2) — the reduced aggregate formulation, used in production: variables
-// t_{e,p}(x,y) (volume of p-traffic sent x->y for next function e) and
-// t_p(x,d) (final-hop volume), objective min λ with per-middlebox capacity
-// rows load(x) <= λ·C(x).
+// One chain builder emits both. A commodity is policy-p traffic from its
+// sources through p's chain to its destinations: first-hop variables from
+// each source into M_s^e, t_{e,p}(x,y) between consecutive functions'
+// middleboxes, final hops out, with source, destination and conservation
+// rows, and objective min λ with per-middlebox capacity rows
+// load(x) <= λ·C(x). A middlebox that no upstream candidate set can deliver
+// the commodity to gets no variables.
 //
-// Two exact reductions keep instances small on the 400-proxy Waxman graph
-// (both proved in DESIGN.md §6 and asserted by tests):
+// Eq. (2) — the controller's formulation: one commodity per policy, fed by
+// every proxy. Two exact reductions keep instances small on the 400-proxy
+// Waxman graph (both proved in DESIGN.md §6 and asserted by tests):
 //  * source aggregation — proxies with identical candidate sets M_s^e for a
 //    policy's first function are interchangeable; we solve per-group and
 //    de-aggregate proportionally;
@@ -14,12 +18,14 @@
 //    merged into one per policy, since no other constraint distinguishes
 //    destinations and any aggregate split de-aggregates proportionally.
 //
-// Eq. (1) — the per-(s,d,p) formulation, kept for the variable-count
-// ablation (the paper introduces Eq. (2) precisely because Eq. (1) blows
-// up); ratios are extracted by marginalizing over (s,d).
+// Eq. (1) — the same network with one commodity per active (s,d,p), fed by
+// proxy s alone; Eq. (2) is its sum over (s,d). The controller never solves
+// it: the formulation ablation (bench/ablation_lp_formulations) assembles
+// Eq. (1) plans from solve_eq1, whose per-(s,d) ratios are also summed into
+// aggregate fallback entries.
 //
-// Both builders prune unreachable positions: a middlebox that no upstream
-// candidate set can deliver policy-p traffic to gets no variables.
+// A forced local continuation (a box that implements the next function
+// itself) is an LP variable but no ratio: the box never reads one there.
 #pragma once
 
 #include <unordered_map>

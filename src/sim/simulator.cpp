@@ -9,10 +9,11 @@
 
 namespace sdmbox::sim {
 
-// 4-ary heap: shallower than binary (fewer compare levels per sift) and the
-// four children of a node are four adjacent 16-byte entries — exactly one
-// cache line per level, the usual d-ary win for pop-heavy workloads like an
-// event calendar.
+// 4-ary heap: shallower than binary (fewer compare levels per sift), and the
+// four children of a node are four adjacent 16-byte entries. They are not
+// one cache line: with the root at index 0 they start at byte 64i+16 of a
+// std::vector buffer that is only 16-byte aligned, and large buffers were
+// found at addresses ≡ 16 (mod 64), so each level straddles two lines.
 namespace {
 constexpr std::size_t kArity = 4;
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "analytic/load_evaluator.hpp"
 #include "core/strategy.hpp"
@@ -14,6 +15,7 @@ namespace {
 
 using sdmbox::testing::Scenario;
 using sdmbox::testing::ScenarioParams;
+using sdmbox::testing::lp_inputs;
 using sdmbox::testing::make_scenario;
 
 // ---------------------------------------------------------------------------
@@ -374,10 +376,7 @@ TEST_F(LpFormulationTest, Eq1AgreesWithEq2OnLambda) {
   // Eq. (1) has strictly more degrees of freedom, so its optimum can only be
   // <= Eq. (2)'s; on these instances the per-(s,d) granularity buys nothing
   // (same candidate structure), so they should coincide.
-  ControllerParams eq1;
-  eq1.use_eq1 = true;
-  const Controller c1(s.network, s.deployment, s.gen.policies, eq1);
-  const RatioResult r1 = c1.solve_load_balancing(s.traffic);
+  const RatioResult r1 = solve_eq1(lp_inputs(s));
   const RatioResult r2 = s.controller->solve_load_balancing(s.traffic);
   ASSERT_EQ(r1.status, lp::SolveStatus::kOptimal);
   ASSERT_EQ(r2.status, lp::SolveStatus::kOptimal);
@@ -386,11 +385,26 @@ TEST_F(LpFormulationTest, Eq1AgreesWithEq2OnLambda) {
 }
 
 TEST_F(LpFormulationTest, Eq1IsMuchBiggerThanEq2) {
-  const FormulationInputs in{s.network, s.deployment, s.gen.policies,
-                             s.controller->configs(), s.traffic};
+  const FormulationInputs in = lp_inputs(s);
   const LpBuildStats e1 = measure_eq1(in);
   const LpBuildStats e2 = measure_eq2(in);
   EXPECT_GT(e1.variables, 2 * e2.variables);  // the paper's motivation for Eq. (2)
+}
+
+TEST_F(LpFormulationTest, ModelShapesArePinned) {
+  // Exact (variables, constraints, nonzeros) of both formulations on this
+  // fixture: a change to the chain builder that adds, drops or merges a
+  // variable or row shows here.
+  const FormulationInputs in = lp_inputs(s);
+  FormulationOptions per_source;
+  per_source.aggregate_sources = false;
+  using Shape = std::tuple<std::size_t, std::size_t, std::size_t>;
+  const auto shape = [](const LpBuildStats& st) {
+    return Shape{st.variables, st.constraints, st.nonzeros};
+  };
+  EXPECT_EQ(shape(measure_eq2(in)), (Shape{598, 236, 1769}));
+  EXPECT_EQ(shape(measure_eq2(in, per_source)), (Shape{658, 251, 1949}));
+  EXPECT_EQ(shape(measure_eq1(in)), (Shape{1775, 839, 5055}));
 }
 
 TEST_F(LpFormulationTest, RatiosOnlyPointAtValidCandidates) {

@@ -15,19 +15,19 @@ namespace {
 
 using sdmbox::testing::Scenario;
 using sdmbox::testing::ScenarioParams;
+using sdmbox::testing::compile_eq1;
 using sdmbox::testing::make_scenario;
 
 ScenarioParams eq1_params(std::uint64_t seed, std::uint64_t packets) {
   ScenarioParams sp;
   sp.seed = seed;
   sp.target_packets = packets;
-  sp.controller.use_eq1 = true;
   return sp;
 }
 
 TEST(Eq1Ratios, DetailedEntriesAreExtracted) {
   Scenario s = make_scenario(eq1_params(91, 100000));
-  const auto plan = s.controller->compile(StrategyKind::kLoadBalanced, &s.traffic);
+  const auto plan = compile_eq1(s);
   EXPECT_GT(plan.ratios.detailed_size(), 0u);
   EXPECT_GT(plan.ratios.size(), 0u);  // aggregate fallback is populated too
 }
@@ -87,7 +87,7 @@ TEST(Eq1Ratios, CodecRoundTripsDetailedEntries) {
 
 TEST(Eq1Enforcement, ConservesDemandAndApproachesLambda) {
   Scenario s = make_scenario(eq1_params(92, 300000));
-  const auto plan = s.controller->compile(StrategyKind::kLoadBalanced, &s.traffic);
+  const auto plan = compile_eq1(s);
   const auto report =
       analytic::evaluate_loads(s.network, s.deployment, s.gen.policies, plan, s.flows.flows);
   const auto summaries = analytic::summarize_by_function(report, s.deployment, s.catalog);
@@ -108,7 +108,7 @@ TEST(Eq1Enforcement, ConservesDemandAndApproachesLambda) {
 
 TEST(Eq1Enforcement, DesMatchesAnalyticExactly) {
   Scenario s = make_scenario(eq1_params(93, 3000));
-  const auto plan = s.controller->compile(StrategyKind::kLoadBalanced, &s.traffic);
+  const auto plan = compile_eq1(s);
   const auto expected =
       analytic::evaluate_loads(s.network, s.deployment, s.gen.policies, plan, s.flows.flows);
 
@@ -142,16 +142,9 @@ TEST(Eq1Enforcement, MatchesEq2RealizedMaxLoadClosely) {
   // The paper's justification for Eq. (2): same balancing power, far fewer
   // variables. Realized max loads from both data planes should be within a
   // few percent on the same workload.
-  ScenarioParams sp2;
-  sp2.seed = 94;
-  sp2.target_packets = 300000;
-  Scenario eq2 = make_scenario(sp2);
-  ScenarioParams sp1 = sp2;
-  sp1.controller.use_eq1 = true;
-  Scenario eq1 = make_scenario(sp1);
+  Scenario s = make_scenario(eq1_params(94, 300000));
 
-  const auto max_of = [](Scenario& s) {
-    const auto plan = s.controller->compile(StrategyKind::kLoadBalanced, &s.traffic);
+  const auto max_of = [&](const EnforcementPlan& plan) {
     const auto report =
         analytic::evaluate_loads(s.network, s.deployment, s.gen.policies, plan, s.flows.flows);
     std::uint64_t max_load = 0;
@@ -160,8 +153,9 @@ TEST(Eq1Enforcement, MatchesEq2RealizedMaxLoadClosely) {
     }
     return max_load;
   };
-  const double a = static_cast<double>(max_of(eq1));
-  const double b = static_cast<double>(max_of(eq2));
+  const double a = static_cast<double>(max_of(compile_eq1(s)));
+  const double b = static_cast<double>(
+      max_of(s.controller->compile(StrategyKind::kLoadBalanced, &s.traffic)));
   EXPECT_NEAR(a / b, 1.0, 0.15);
 }
 

@@ -182,25 +182,27 @@ TEST(SparseCrossCheck, UnboundedAgrees) {
   EXPECT_EQ(solve_with(m, SimplexEngine::kSparse).status, SolveStatus::kUnbounded);
 }
 
-/// The LB formulations the controller actually emits: Eq.(1)/Eq.(2) with
-/// and without source aggregation, solved by both engines on a real campus
-/// world — λ must match to 1e-6.
+/// The LB formulations: the controller's Eq.(2) and ablation A1's Eq.(1),
+/// with and without source aggregation, solved by both engines on a real
+/// campus world — λ must match to 1e-6.
 TEST(SparseCrossCheck, ControllerFormulations) {
-  for (const bool use_eq1 : {false, true}) {
+  for (const bool eq1 : {false, true}) {
     for (const bool aggregate : {true, false}) {
-      SCOPED_TRACE(::testing::Message() << "eq1=" << use_eq1 << " agg=" << aggregate);
+      SCOPED_TRACE(::testing::Message() << "eq1=" << eq1 << " agg=" << aggregate);
+      const auto solve = [eq1](const sdmbox::testing::Scenario& s) {
+        return eq1 ? sdmbox::core::solve_eq1(sdmbox::testing::lp_inputs(s),
+                                             s.controller->params().lp)
+                   : s.controller->solve_load_balancing(s.traffic);
+      };
       sdmbox::testing::ScenarioParams sp;
       sp.seed = 7;
       sp.target_packets = 50000;
-      sp.controller.use_eq1 = use_eq1;
       sp.controller.lp.aggregate_sources = aggregate;
       sp.controller.lp.simplex.engine = SimplexEngine::kDense;
-      auto dense_s = sdmbox::testing::make_scenario(sp);
-      const auto dense = dense_s.controller->solve_load_balancing(dense_s.traffic);
+      const auto dense = solve(sdmbox::testing::make_scenario(sp));
 
       sp.controller.lp.simplex.engine = SimplexEngine::kSparse;
-      auto sparse_s = sdmbox::testing::make_scenario(sp);
-      const auto sparse = sparse_s.controller->solve_load_balancing(sparse_s.traffic);
+      const auto sparse = solve(sdmbox::testing::make_scenario(sp));
 
       ASSERT_EQ(dense.status, SolveStatus::kOptimal);
       ASSERT_EQ(sparse.status, SolveStatus::kOptimal);

@@ -9,6 +9,7 @@
 
 #include "analytic/load_evaluator.hpp"
 #include "core/agents.hpp"
+#include "core/validate.hpp"
 #include "scenario.hpp"
 #include "sim/network.hpp"
 
@@ -215,6 +216,22 @@ TEST(ComboLp, SolvesOptimallyWithConsolidatedBoxes) {
   EXPECT_EQ(r.status, lp::SolveStatus::kOptimal);
   EXPECT_GT(r.lambda, 0.0);
   EXPECT_LE(r.lambda, 1.0);
+}
+
+TEST(ComboLp, LoadBalancedPlanPassesValidation) {
+  // A box that implements the next function itself continues locally
+  // without reading a ratio, so the LP's forced self-transition must leave
+  // no share there: validate_plan rejects a share outside M_x^e.
+  Scenario s = make_combo_scenario(51, 100000);
+  const auto plan = s.controller->compile(StrategyKind::kLoadBalanced, &s.traffic);
+  plan.ratios.for_each([](net::NodeId from, policy::FunctionId e, policy::PolicyId p,
+                          const std::vector<SplitRatioTable::Share>& shares) {
+    for (const auto& share : shares) {
+      EXPECT_NE(share.to.v, from.v) << "function " << int{e.v} << ", policy " << p.v;
+    }
+  });
+  EXPECT_EQ(validate_plan(plan, s.network, s.deployment, s.gen.policies),
+            std::vector<std::string>{});
 }
 
 }  // namespace

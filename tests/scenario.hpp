@@ -73,4 +73,23 @@ inline Scenario make_scenario(const ScenarioParams& sp = {}) {
   return s;
 }
 
+/// The LP inputs of a scenario: its world, the controller's candidate sets
+/// and the measured traffic.
+inline core::FormulationInputs lp_inputs(const Scenario& s) {
+  return {s.network, s.deployment, s.gen.policies, s.controller->configs(), s.traffic};
+}
+
+/// An Eq. (1) load-balanced plan, assembled as ablation A1 assembles it: the
+/// controller's candidate sets with core::solve_eq1's ratios and λ.
+inline core::EnforcementPlan compile_eq1(const Scenario& s) {
+  core::RatioResult lp = core::solve_eq1(lp_inputs(s));
+  SDM_CHECK_MSG(lp.status == lp::SolveStatus::kOptimal, "Eq. (1) LP not optimal");
+  core::EnforcementPlan plan;
+  plan.strategy = core::StrategyKind::kLoadBalanced;
+  plan.configs = s.controller->configs();
+  plan.ratios = std::move(lp.ratios);
+  plan.lambda = lp.lambda;
+  return plan;
+}
+
 }  // namespace sdmbox::testing
