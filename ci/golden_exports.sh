@@ -7,7 +7,9 @@
 # Runs BUILD_DIR's binaries, each inside OUT_DIR so every path they print is
 # relative, and writes:
 #   waxman_*       scenario_cli on the Waxman world, fault-free and untraced:
-#                  metrics and stdout
+#                  metrics as JSON, CSV and Prometheus text, and stdout
+#   wrapped_*      scenario_cli on the campus world traced at rate 1.0, long
+#                  enough to wrap the trace ring: trace and stdout
 #   chaos_csN_*    scenario_cli verified under generated chaos seeds 1-4:
 #                  metrics, trace, spans and stdout
 #   suite.json     suite_cli --jobs 2 --seeds 3 --verify, plus its stdout
@@ -32,6 +34,14 @@ cd "$2"
 
 "$build/examples/scenario_cli" --topology waxman --seed 2019 --sim --faults none \
   --trace-sample 0 --metrics-out waxman_metrics.json > waxman_stdout.txt
+# The same run again per metrics format; its stdout is the one above.
+for ext in csv prom; do
+  "$build/examples/scenario_cli" --topology waxman --seed 2019 --sim --faults none \
+    --trace-sample 0 --metrics-out "waxman_metrics.$ext" > /dev/null
+done
+
+"$build/examples/scenario_cli" --packets 30000 --seed 42 --trace-out wrapped_trace.json \
+  > wrapped_stdout.txt
 
 for cs in 1 2 3 4; do
   "$build/examples/scenario_cli" --packets 2000 --seed 42 --verify --faults generated \

@@ -52,19 +52,19 @@ namespace {
 
 void append_aggregate(std::string& out, const MetricAggregate& m) {
   out += "        {\"name\":\"";
-  out += obs::json_escape(m.name);
+  obs::json_escape(out, m.name);
   out += "\",\"count\":";
-  out += obs::json_number(static_cast<double>(m.agg.count));
+  obs::json_number(out, static_cast<double>(m.agg.count));
   out += ",\"mean\":";
-  out += obs::json_number(m.agg.mean);
+  obs::json_number(out, m.agg.mean);
   out += ",\"stddev\":";
-  out += obs::json_number(m.agg.stddev);
+  obs::json_number(out, m.agg.stddev);
   out += ",\"min\":";
-  out += obs::json_number(m.agg.min);
+  obs::json_number(out, m.agg.min);
   out += ",\"max\":";
-  out += obs::json_number(m.agg.max);
+  obs::json_number(out, m.agg.max);
   out += ",\"ci95\":";
-  out += obs::json_number(m.agg.ci95);
+  obs::json_number(out, m.agg.ci95);
   out += '}';
 }
 
@@ -73,7 +73,7 @@ void append_aggregate(std::string& out, const MetricAggregate& m) {
 std::string suite_to_json(const std::string& suite_name, std::uint64_t base_seed,
                           std::size_t seeds_per_arm, const std::vector<ArmResult>& arms) {
   std::string out = "{\n  \"suite\": \"";
-  out += obs::json_escape(suite_name);
+  obs::json_escape(out, suite_name);
   out += "\",\n  \"base_seed\": ";
   // Seeds are full-width 64-bit values (splitmix64 output): print them as
   // integers directly, not through the double-based recipe, which would
@@ -85,9 +85,9 @@ std::string suite_to_json(const std::string& suite_name, std::uint64_t base_seed
   for (std::size_t i = 0; i < arms.size(); ++i) {
     const ArmResult& arm = arms[i];
     out += "    {\"arm\":\"";
-    out += obs::json_escape(arm.name);
+    obs::json_escape(out, arm.name);
     out += "\",\n     \"spec\":\"";
-    out += obs::json_escape(arm.spec.to_text());
+    obs::json_escape(out, arm.spec.to_text());
     out += "\",\n     \"seeds\":[";
     for (std::size_t j = 0; j < arm.seeds.size(); ++j) {
       if (j) out += ',';

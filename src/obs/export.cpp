@@ -1,11 +1,15 @@
 #include "obs/export.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include "net/topology.hpp"
+#include "util/check.hpp"
 #include "util/log.hpp"
 
 namespace sdmbox::obs {
@@ -13,22 +17,24 @@ namespace sdmbox::obs {
 // Deterministic number rendering: integral values print as integers (the
 // common case for counters), everything else via %.17g, which round-trips
 // doubles exactly and never depends on locale.
-std::string json_number(double v) {
+void json_number(std::string& out, double v) {
+  char buf[32];
+  int n = 0;
   if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
+    n = std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  } else if (std::isnan(v)) {
+    out += "null";  // JSON has no NaN; exporters agree on null
+    return;
+  } else if (std::isinf(v)) {
+    out += v > 0 ? "1e999" : "-1e999";
+    return;
+  } else {
+    n = std::snprintf(buf, sizeof(buf), "%.17g", v);
   }
-  if (std::isnan(v)) return "null";  // JSON has no NaN; exporters agree on null
-  if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  out.append(buf, static_cast<std::size_t>(n));
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+void json_escape(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -46,10 +52,64 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
+}
+
+std::string json_number(double v) {
+  std::string out;
+  json_number(out, v);
+  return out;
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  json_escape(out, s);
   return out;
 }
 
 namespace {
+
+// Output bounds. A json_number() rendering is at most 24 characters: a
+// sign, 17 significant digits, the point and an exponent such as "e-308".
+constexpr std::size_t kNumberChars = 24;
+
+/// Length of a fixed piece of output text.
+constexpr std::size_t chars(std::string_view fixed) { return fixed.size(); }
+
+/// Exact length of json_escape(s).
+std::size_t escaped_size(std::string_view s) {
+  std::size_t n = 0;
+  for (char c : s) {
+    switch (c) {
+      case '"':
+      case '\\':
+      case '\n':
+      case '\t':
+      case '\r': n += 2; break;
+      default: n += static_cast<unsigned char>(c) < 0x20 ? 6 : 1;
+    }
+  }
+  return n;
+}
+
+/// Length of append_labels_json(labels), counting a comma for every label
+/// (one more than it writes).
+std::size_t labels_json_size(const Labels& labels) {
+  std::size_t n = chars("{}");
+  for (const auto& [k, v] : labels.items()) {
+    n += chars(",\"\":\"\"") + escaped_size(k) + escaped_size(v);
+  }
+  return n;
+}
+
+/// Length of labels.render(), counting a comma for every label (one more
+/// than it writes).
+std::size_t labels_text_size(const Labels& labels) {
+  if (labels.empty()) return 0;
+  std::size_t n = chars("{}");
+  for (const auto& [k, v] : labels.items()) n += chars(",=\"\"") + k.size() + v.size();
+  return n;
+}
 
 void append_labels_json(std::string& out, const Labels& labels) {
   out += '{';
@@ -58,35 +118,80 @@ void append_labels_json(std::string& out, const Labels& labels) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += json_escape(k);
+    json_escape(out, k);
     out += "\":\"";
-    out += json_escape(v);
+    json_escape(out, v);
     out += '"';
   }
   out += '}';
 }
 
+/// labels.render(), appended to `out`. With `quantile`, the rendering of
+/// `labels` after set("quantile", json_number(*quantile)): the label in key
+/// order, replacing a `quantile` label of its own.
+void append_labels_text(std::string& out, const Labels& labels,
+                        const double* quantile = nullptr) {
+  if (labels.empty() && quantile == nullptr) return;
+  constexpr std::string_view kQuantile = "quantile";
+  out += '{';
+  bool first = true;
+  const auto open_label = [&](std::string_view key) {
+    if (!first) out += ',';
+    first = false;
+    out += key;
+    out += "=\"";
+  };
+  const auto put_quantile = [&] {
+    open_label(kQuantile);
+    json_number(out, *quantile);
+    out += '"';
+    quantile = nullptr;
+  };
+  for (const auto& [k, v] : labels.items()) {
+    if (quantile != nullptr && k >= kQuantile) {
+      put_quantile();
+      if (k == kQuantile) continue;  // set() replaced it
+    }
+    open_label(k);
+    out += v;
+    out += '"';
+  }
+  if (quantile != nullptr) put_quantile();
+  out += '}';
+}
+
 void append_histogram_json(std::string& out, const stats::HistogramSnapshot& h) {
   out += "{\"count\":";
-  out += json_number(static_cast<double>(h.count));
+  json_number(out, static_cast<double>(h.count));
   out += ",\"sum\":";
-  out += json_number(h.sum);
+  json_number(out, h.sum);
   out += ",\"min\":";
-  out += json_number(h.min);
+  json_number(out, h.min);
   out += ",\"max\":";
-  out += json_number(h.max);
+  json_number(out, h.max);
   out += ",\"mean\":";
-  out += json_number(h.mean);
+  json_number(out, h.mean);
   out += ",\"quantiles\":{";
   for (std::size_t i = 0; i < h.quantiles.size(); ++i) {
     if (i) out += ',';
     out += '"';
-    out += json_number(h.quantiles[i]);
+    json_number(out, h.quantiles[i]);
     out += "\":";
-    out += json_number(h.values[i]);
+    json_number(out, h.values[i]);
   }
   out += "}}";
 }
+
+constexpr std::size_t kQuantiles = std::tuple_size_v<decltype(stats::HistogramSnapshot::quantiles)>;
+
+/// Bound of one to_json() metric line, without its name and labels.
+constexpr std::size_t kMetricChars =
+    chars("    {\"name\":\"\",\"labels\":,\"kind\":\"histogram\",\"value\":},\n") +
+    kNumberChars;
+/// Bound of append_histogram_json().
+constexpr std::size_t kHistogramChars =
+    chars(",\"histogram\":{\"count\":,\"sum\":,\"min\":,\"max\":,\"mean\":,\"quantiles\":{}}") +
+    5 * kNumberChars + kQuantiles * (chars(",\"\":") + 2 * kNumberChars);
 
 bool ends_with(const std::string& s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
@@ -96,53 +201,70 @@ bool ends_with(const std::string& s, std::string_view suffix) {
 }  // namespace
 
 std::string to_json(const MetricsRegistry& registry, const EpochRecorder* series) {
-  std::string out = "{\n  \"metrics\": [\n";
-  const auto samples = registry.collect();
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const MetricSample& s = samples[i];
+  std::size_t bound = chars("{\n  \"metrics\": [\n  ]\n}\n");
+  registry.for_each_metric([&](const std::string&, const std::string& name, const Labels& labels,
+                               MetricKind kind) {
+    bound += kMetricChars + escaped_size(name) + labels_json_size(labels) +
+             (kind == MetricKind::kHistogram ? kHistogramChars : 0);
+  });
+  const std::size_t epochs = series != nullptr ? series->epoch_count() : 0;
+  if (series != nullptr) {
+    bound += chars(",\n  \"series\": {\n    \"period\": ,\n    \"epochs\": [],\n    "
+                  "\"metrics\": [\n    ]\n  }") +
+             (epochs + 1) * (kNumberChars + 1);
+    series->for_each_series([&](const EpochRecorder::Series& s) {
+      bound += chars("      {\"name\":\"\",\"labels\":,\"values\":[]},\n") +
+               escaped_size(s.name) + labels_json_size(s.labels) + epochs * (kNumberChars + 1);
+    });
+  }
+  std::string out;
+  out.reserve(bound);
+
+  out += "{\n  \"metrics\": [\n";
+  std::size_t left = registry.size();
+  registry.for_each_sample([&](const std::string& name, const Labels& labels, MetricKind kind,
+                               double value, const stats::Histogram* histogram) {
     out += "    {\"name\":\"";
-    out += json_escape(s.name);
+    json_escape(out, name);
     out += "\",\"labels\":";
-    append_labels_json(out, s.labels);
+    append_labels_json(out, labels);
     out += ",\"kind\":\"";
-    out += to_string(s.kind);
+    out += to_string(kind);
     out += "\",\"value\":";
-    out += json_number(s.value);
-    if (s.kind == MetricKind::kHistogram) {
+    json_number(out, value);
+    if (histogram != nullptr) {
       out += ",\"histogram\":";
-      append_histogram_json(out, s.histogram);
+      append_histogram_json(out, histogram->snapshot());
     }
     out += '}';
-    if (i + 1 < samples.size()) out += ',';
+    if (--left > 0) out += ',';
     out += '\n';
-  }
+  });
   out += "  ]";
   if (series != nullptr) {
     out += ",\n  \"series\": {\n    \"period\": ";
-    out += json_number(series->period());
+    json_number(out, series->period());
     out += ",\n    \"epochs\": [";
-    const auto& epochs = series->epochs();
-    for (std::size_t i = 0; i < epochs.size(); ++i) {
+    for (std::size_t i = 0; i < epochs; ++i) {
       if (i) out += ',';
-      out += json_number(epochs[i]);
+      json_number(out, series->epochs()[i]);
     }
     out += "],\n    \"metrics\": [\n";
-    const auto all = series->series();
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      const auto& s = all[i];
+    left = series->series_count();
+    series->for_each_series([&](const EpochRecorder::Series& s) {
       out += "      {\"name\":\"";
-      out += json_escape(s.name);
+      json_escape(out, s.name);
       out += "\",\"labels\":";
       append_labels_json(out, s.labels);
       out += ",\"values\":[";
       for (std::size_t j = 0; j < s.values.size(); ++j) {
         if (j) out += ',';
-        out += json_number(s.values[j]);
+        json_number(out, s.values[j]);
       }
       out += "]}";
-      if (i + 1 < all.size()) out += ',';
+      if (--left > 0) out += ',';
       out += '\n';
-    }
+    });
     out += "    ]\n  }";
   }
   out += "\n}\n";
@@ -150,95 +272,160 @@ std::string to_json(const MetricsRegistry& registry, const EpochRecorder* series
 }
 
 std::string to_prometheus(const MetricsRegistry& registry) {
+  std::size_t bound = 0;
+  registry.for_each_metric([&](const std::string&, const std::string& name, const Labels& labels,
+                               MetricKind kind) {
+    const std::size_t line = name.size() + labels_text_size(labels) + 2 + kNumberChars;
+    bound += chars("# TYPE  summary\n") + name.size();
+    bound += kind != MetricKind::kHistogram
+                 ? line
+                 : 2 * line + chars("_count_sum") +
+                       kQuantiles * (line + chars("{,quantile=\"\"}") + kNumberChars);
+  });
   std::string out;
-  std::string last_name;
-  for (const MetricSample& s : registry.collect()) {
-    if (s.name != last_name) {
+  out.reserve(bound);
+
+  const std::string* last_name = nullptr;
+  registry.for_each_sample([&](const std::string& name, const Labels& labels, MetricKind kind,
+                               double value, const stats::Histogram* histogram) {
+    if (last_name == nullptr || name != *last_name) {
       out += "# TYPE ";
-      out += s.name;
+      out += name;
       out += ' ';
       // Histograms export as Prometheus summaries (count/sum/quantile).
-      out += s.kind == MetricKind::kHistogram ? "summary" : to_string(s.kind);
+      out += kind == MetricKind::kHistogram ? "summary" : to_string(kind);
       out += '\n';
-      last_name = s.name;
+      last_name = &name;
     }
-    if (s.kind == MetricKind::kHistogram) {
-      const auto& h = s.histogram;
-      out += s.name + "_count" + s.labels.render() + ' ' +
-             json_number(static_cast<double>(h.count)) + '\n';
-      out += s.name + "_sum" + s.labels.render() + ' ' + json_number(h.sum) + '\n';
-      for (std::size_t i = 0; i < h.quantiles.size(); ++i) {
-        Labels with_q = s.labels;
-        with_q.set("quantile", json_number(h.quantiles[i]));
-        out += s.name + with_q.render() + ' ' + json_number(h.values[i]) + '\n';
-      }
-    } else {
-      out += s.name + s.labels.render() + ' ' + json_number(s.value) + '\n';
+    const auto line = [&](std::string_view suffix, double v, const double* quantile = nullptr) {
+      out += name;
+      out += suffix;
+      append_labels_text(out, labels, quantile);
+      out += ' ';
+      json_number(out, v);
+      out += '\n';
+    };
+    if (histogram == nullptr) {
+      line("", value);
+      return;
     }
-  }
+    const stats::HistogramSnapshot h = histogram->snapshot();
+    line("_count", static_cast<double>(h.count));
+    line("_sum", h.sum);
+    for (std::size_t i = 0; i < h.quantiles.size(); ++i) line("", h.values[i], &h.quantiles[i]);
+  });
   return out;
 }
 
 std::string to_csv(const EpochRecorder& recorder) {
-  const auto all = recorder.series();
-  std::string out = "epoch";
-  for (const auto& s : all) {
+  const std::size_t epochs = recorder.epoch_count();
+  // Each column name may double every character as a quote.
+  std::size_t bound = chars("epoch\n") + epochs * (kNumberChars + 1);
+  recorder.for_each_series([&](const EpochRecorder::Series& s) {
+    SDM_DCHECK(s.values.size() == epochs);  // the rows below read s.values[row]
+    bound += chars(",\"\"") + 2 * (s.name.size() + labels_text_size(s.labels)) +
+             epochs * (kNumberChars + 1);
+  });
+  std::string out;
+  out.reserve(bound);
+
+  out += "epoch";
+  std::string column;
+  recorder.for_each_series([&](const EpochRecorder::Series& s) {
+    column.assign(s.name);
+    append_labels_text(column, s.labels);
     out += ',';
     // Quote the column name: label renderings contain commas.
     out += '"';
-    for (char c : s.name + s.labels.render()) {
+    for (char c : column) {
       if (c == '"') out += '"';  // CSV-style doubled quote
       out += c;
     }
     out += '"';
-  }
+  });
   out += '\n';
-  const auto& epochs = recorder.epochs();
-  for (std::size_t row = 0; row < epochs.size(); ++row) {
-    out += json_number(epochs[row]);
-    for (const auto& s : all) {
+  for (std::size_t row = 0; row < epochs; ++row) {
+    json_number(out, recorder.epochs()[row]);
+    recorder.for_each_series([&](const EpochRecorder::Series& s) {
       out += ',';
-      out += json_number(s.values[row]);
-    }
+      json_number(out, s.values[row]);
+    });
     out += '\n';
   }
   return out;
 }
 
 std::string trace_to_json(const PathTracer& tracer, const net::Topology* topo) {
-  const std::vector<TraceRecord> records = tracer.sink().records();
-  // Group by flow in first-traced order so the dump reads as per-flow paths.
-  std::map<packet::FlowId, std::size_t> order;
-  std::vector<std::pair<packet::FlowId, std::vector<const TraceRecord*>>> flows;
-  for (const TraceRecord& r : records) {
-    auto [it, inserted] = order.try_emplace(r.flow, flows.size());
-    if (inserted) flows.emplace_back(r.flow, std::vector<const TraceRecord*>{});
-    flows[it->second].second.push_back(&r);
-  }
+  const TraceSink& sink = tracer.sink();
+  const std::size_t n = sink.size();
+  const auto device_of = [&](const TraceRecord& r) -> const std::string* {
+    return topo != nullptr && r.node.v < topo->node_count() ? &topo->node(r.node).name : nullptr;
+  };
 
-  std::string out = "{\n  \"sample_rate\": ";
-  out += json_number(tracer.sampler().rate());
+  // Group by flow in first-traced order so the dump reads as per-flow paths:
+  // a counting sort of the ring's records on their flow's first-seen
+  // ordinal, stable, so each flow keeps its records oldest first. Flow f's
+  // records are order[f == 0 ? 0 : end[f - 1], end[f]).
+  std::vector<std::uint32_t> end;    // per flow: its record count, then its run's end
+  std::vector<std::uint32_t> order;  // ring positions (for nth()), grouped by flow
+  std::size_t bound = chars("{\n  \"sample_rate\": ,\n  \"seed\": ,\n  \"recorded\": ,\n  "
+                           "\"overwritten\": ,\n  \"flows\": [\n  ]\n}\n") +
+                      4 * kNumberChars;
+  {
+    std::map<packet::FlowId, std::uint32_t> ordinal_of;
+    std::vector<std::uint32_t> flow_of(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const TraceRecord& r = sink.nth(i);
+      const auto [it, inserted] =
+          ordinal_of.try_emplace(r.flow, static_cast<std::uint32_t>(end.size()));
+      if (inserted) end.push_back(0);
+      flow_of[i] = it->second;
+      ++end[it->second];
+      bound += chars("      {\"at\":,\"node\":,\"hop\":\"\",\"detail\":,\"seq\":},\n") +
+               4 * kNumberChars + std::string_view(to_string(r.hop)).size();
+      if (const std::string* device = device_of(r)) {
+        bound += chars(",\"device\":\"\"") + escaped_size(*device);
+      }
+    }
+    // The longest FlowId::to_string(), which needs no escaping:
+    // "255.255.255.255:65535->255.255.255.255:65535/255".
+    constexpr std::size_t kFlowIdChars = 48;
+    bound += end.size() * (chars("    {\"flow\":\"\",\"hops\":[\n    ]},\n") + kFlowIdChars);
+    std::uint32_t at = 0;
+    for (std::uint32_t& e : end) {
+      const std::uint32_t count = e;
+      e = at;  // the run's start while it fills
+      at += count;
+    }
+    order.resize(n);
+    for (std::size_t i = 0; i < n; ++i) order[end[flow_of[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  std::string out;
+  out.reserve(bound);
+
+  out += "{\n  \"sample_rate\": ";
+  json_number(out, tracer.sampler().rate());
   out += ",\n  \"seed\": ";
-  out += json_number(static_cast<double>(tracer.sampler().seed()));
+  json_number(out, static_cast<double>(tracer.sampler().seed()));
   out += ",\n  \"recorded\": ";
-  out += json_number(static_cast<double>(tracer.sink().recorded()));
+  json_number(out, static_cast<double>(sink.recorded()));
   out += ",\n  \"overwritten\": ";
-  out += json_number(static_cast<double>(tracer.sink().dropped()));
+  json_number(out, static_cast<double>(sink.dropped()));
   out += ",\n  \"flows\": [\n";
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const auto& [flow, hops] = flows[i];
+  std::size_t first = 0;
+  for (std::size_t f = 0; f < end.size(); ++f) {
     out += "    {\"flow\":\"";
-    out += json_escape(flow.to_string());
+    json_escape(out, sink.nth(order[first]).flow.to_string());
     out += "\",\"hops\":[\n";
-    for (std::size_t j = 0; j < hops.size(); ++j) {
-      const TraceRecord& r = *hops[j];
+    for (std::size_t j = first; j < end[f]; ++j) {
+      const TraceRecord& r = sink.nth(order[j]);
       out += "      {\"at\":";
-      out += json_number(r.at);
+      json_number(out, r.at);
       out += ",\"node\":";
-      out += json_number(static_cast<double>(r.node.v));
-      if (topo != nullptr && r.node.v < topo->node_count()) {
+      json_number(out, static_cast<double>(r.node.v));
+      if (const std::string* device = device_of(r)) {
         out += ",\"device\":\"";
-        out += json_escape(topo->node(r.node).name);
+        json_escape(out, *device);
         out += '"';
       }
       out += ",\"hop\":\"";
@@ -246,19 +433,20 @@ std::string trace_to_json(const PathTracer& tracer, const net::Topology* topo) {
       out += '"';
       if (r.detail != 0) {
         out += ",\"detail\":";
-        out += json_number(static_cast<double>(r.detail));
+        json_number(out, static_cast<double>(r.detail));
       }
       if (r.seq != 0) {
         out += ",\"seq\":";
-        out += json_number(static_cast<double>(r.seq));
+        json_number(out, static_cast<double>(r.seq));
       }
       out += '}';
-      if (j + 1 < hops.size()) out += ',';
+      if (j + 1 < end[f]) out += ',';
       out += '\n';
     }
     out += "    ]}";
-    if (i + 1 < flows.size()) out += ',';
+    if (f + 1 < end.size()) out += ',';
     out += '\n';
+    first = end[f];
   }
   out += "  ]\n}\n";
   return out;
@@ -267,38 +455,46 @@ std::string trace_to_json(const PathTracer& tracer, const net::Topology* topo) {
 std::string spans_to_json(const SpanTracer& tracer) {
   const auto spans = tracer.spans();
   std::string out = "{\n  \"started\": ";
-  out += json_number(static_cast<double>(tracer.started()));
+  json_number(out, static_cast<double>(tracer.started()));
   out += ",\n  \"dropped\": ";
-  out += json_number(static_cast<double>(tracer.dropped()));
+  json_number(out, static_cast<double>(tracer.dropped()));
   out += ",\n  \"spans\": [\n";
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const Span& s = spans[i];
     out += "    {\"id\":";
-    out += json_number(static_cast<double>(s.id));
+    json_number(out, static_cast<double>(s.id));
     out += ",\"parent\":";
-    out += json_number(static_cast<double>(s.parent));
+    json_number(out, static_cast<double>(s.parent));
     out += ",\"trace\":";
-    out += json_number(static_cast<double>(s.trace));
+    json_number(out, static_cast<double>(s.trace));
     out += ",\"name\":\"";
-    out += json_escape(s.name);
+    json_escape(out, s.name);
     out += "\",\"device\":\"";
-    out += json_escape(s.device);
+    json_escape(out, s.device);
     out += "\",\"subsystem\":\"";
-    out += json_escape(s.subsystem);
+    json_escape(out, s.subsystem);
     out += "\",\"start\":";
-    out += json_number(s.start);
-    out += ",\"end\":";
+    json_number(out, s.start);
     // An un-ended span exports end:null, never a sentinel value.
-    out += s.open() ? "null" : json_number(s.end);
+    out += ",\"end\":";
+    if (s.open()) {
+      out += "null";
+    } else {
+      json_number(out, s.end);
+    }
     out += ",\"duration\":";
-    out += s.open() ? "null" : json_number(s.duration());
+    if (s.open()) {
+      out += "null";
+    } else {
+      json_number(out, s.duration());
+    }
     out += ",\"attrs\":{";
     for (std::size_t j = 0; j < s.attrs.size(); ++j) {
       if (j) out += ',';
       out += '"';
-      out += json_escape(s.attrs[j].first);
+      json_escape(out, s.attrs[j].first);
       out += "\":";
-      out += json_number(s.attrs[j].second);
+      json_number(out, s.attrs[j].second);
     }
     out += "}}";
     if (i + 1 < spans.size()) out += ',';
@@ -311,11 +507,11 @@ std::string spans_to_json(const SpanTracer& tracer) {
 std::string spans_to_csv(const SpanTracer& tracer) {
   std::string out = "id,parent,trace,name,device,subsystem,start,end,duration,attrs\n";
   for (const Span& s : tracer.spans()) {
-    out += json_number(static_cast<double>(s.id));
+    json_number(out, static_cast<double>(s.id));
     out += ',';
-    out += json_number(static_cast<double>(s.parent));
+    json_number(out, static_cast<double>(s.parent));
     out += ',';
-    out += json_number(static_cast<double>(s.trace));
+    json_number(out, static_cast<double>(s.trace));
     out += ',';
     out += s.name;  // span names are fixed identifiers, never need quoting
     out += ',';
@@ -323,17 +519,17 @@ std::string spans_to_csv(const SpanTracer& tracer) {
     out += ',';
     out += s.subsystem;
     out += ',';
-    out += json_number(s.start);
+    json_number(out, s.start);
     out += ',';
-    if (!s.open()) out += json_number(s.end);
+    if (!s.open()) json_number(out, s.end);
     out += ',';
-    if (!s.open()) out += json_number(s.duration());
+    if (!s.open()) json_number(out, s.duration());
     out += ",\"";
     for (std::size_t j = 0; j < s.attrs.size(); ++j) {
       if (j) out += ';';
       out += s.attrs[j].first;
       out += '=';
-      out += json_number(s.attrs[j].second);
+      json_number(out, s.attrs[j].second);
     }
     out += "\"\n";
   }

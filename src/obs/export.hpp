@@ -3,9 +3,18 @@
 // order and format numbers with a fixed printf recipe, so two runs with the
 // same seed produce byte-identical dumps — the property the reproducibility
 // tests pin.
+//
+// The metrics, series and trace renderers read the registry's entries, the
+// recorder's series and the trace ring where they live, copying no sample,
+// series or record. Each first reserves an upper bound of its output, from
+// the counts, the exact escaped string lengths and 24 characters per
+// number, so the string is allocated once and never copied as it grows; the
+// pages past the written end are never touched, so the slack costs no
+// resident memory.
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -53,14 +62,20 @@ std::string render_spans_for_path(const SpanTracer& tracer, const std::string& p
 std::string render_for_path(const MetricsRegistry& registry, const EpochRecorder* series,
                             const std::string& path);
 
-/// The exporters' deterministic number recipe, for other modules emitting
-/// JSON that must stay byte-identical across same-seed runs: integral values
-/// print as integers, everything else via %.17g (exact double round-trip);
-/// NaN renders as `null`, infinities as ±1e999.
-std::string json_number(double v);
+/// The exporters' deterministic number recipe, appended to `out`, for other
+/// modules emitting JSON that must stay byte-identical across same-seed
+/// runs: integral values print as integers, everything else via %.17g
+/// (exact double round-trip); NaN renders as `null`, infinities as ±1e999.
+/// At most 24 characters.
+void json_number(std::string& out, double v);
 
 /// JSON string-body escaping matching the exporters (quotes, backslash,
-/// control characters).
+/// control characters), appended to `out`.
+void json_escape(std::string& out, std::string_view s);
+
+/// The same renderings returned as a new string, for callers outside the
+/// exporters that build one small field at a time.
+std::string json_number(double v);
 std::string json_escape(std::string_view s);
 
 /// Write `content` to `path`; false (with a warning log) on I/O failure.

@@ -12,7 +12,8 @@
 //
 // Iteration order is deterministic: collect() returns samples sorted by
 // (name, labels), so dumps from identical runs are byte-identical — the
-// property every exporter and the epoch recorder inherit for free.
+// property every exporter and the epoch recorder inherit for free. The
+// for_each_* hooks walk the same order in place, copying nothing.
 #pragma once
 
 #include <cstdint>
@@ -79,13 +80,24 @@ public:
   void expose_histogram(std::string name, Labels labels, const stats::Histogram* hist);
 
   /// Every metric's current value, sorted by (name, labels) — the stable
-  /// order all exporters and the epoch recorder rely on.
+  /// order all exporters and the epoch recorder rely on. A copy, for
+  /// callers that keep the samples; the exporters read for_each_sample().
   std::vector<MetricSample> collect() const;
+
+  /// Calls fn(name, labels, kind, value, histogram) for every metric in
+  /// collect() order: collect()'s samples read in place. `histogram` is the
+  /// metric's histogram for kHistogram and null otherwise.
+  template <class Fn>
+  void for_each_sample(Fn&& fn) const {
+    for (const auto& [key, e] : entries_) fn(e.name, e.labels, e.kind, e.scalar(), e.hist_view);
+  }
 
   /// Calls fn(key, name, labels, kind) for every metric in collect() order;
   /// `key` is the registry's sort key (name, '\0', rendered labels). This is
   /// how a consumer that keeps per-metric state binds to the registry once.
-  /// Metrics are never removed, so it need rebind only when size() grew.
+  /// Metrics are never removed and entries never move, so the references
+  /// stay valid for the registry's lifetime, and a consumer need rebind
+  /// only when size() grew.
   template <class Fn>
   void for_each_metric(Fn&& fn) const {
     for (const auto& [key, e] : entries_) fn(key, e.name, e.labels, e.kind);

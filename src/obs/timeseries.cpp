@@ -23,16 +23,11 @@ void EpochRecorder::bind() {
   bound_.reserve(registry_.size());
   registry_.for_each_metric([&](const std::string& key, const std::string& name,
                                 const Labels& labels, MetricKind kind) {
-    auto [it, inserted] = series_.try_emplace(key);
+    auto [it, inserted] = series_.try_emplace(key, name, labels, kind);
     Series& series = it->second;
-    if (inserted) {
-      series.name = name;
-      series.labels = labels;
-      series.kind = kind;
-      // Metrics registered after earlier epochs: left-pad with zeros so the
-      // series stays aligned with epochs().
-      series.values.assign(epochs_.size(), 0.0);
-    }
+    // Metrics registered after earlier epochs: left-pad with zeros so the
+    // series stays aligned with epochs().
+    if (inserted) series.values.assign(epochs_.size(), 0.0);
     bound_.push_back(&series);
   });
 }
@@ -65,8 +60,8 @@ std::vector<const EpochRecorder::Series*> EpochRecorder::find_all(std::string_vi
   std::vector<const Series*> out;
   std::string prefix{name};
   prefix += '\0';
-  for (auto it = series_.lower_bound(prefix); it != series_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
+  for (auto it = series_.lower_bound(prefix); it != series_.end() && it->first.starts_with(prefix);
+       ++it) {
     out.push_back(&it->second);
   }
   return out;
@@ -81,10 +76,7 @@ std::optional<double> EpochRecorder::latest(std::string_view name, const Labels&
 std::vector<EpochRecorder::Series> EpochRecorder::series() const {
   std::vector<Series> out;
   out.reserve(series_.size());
-  for (const auto& [key, s] : series_) {
-    out.push_back(s);
-    out.back().values.resize(epochs_.size(), 0.0);
-  }
+  for (const auto& [key, s] : series_) out.push_back(s);
   return out;
 }
 

@@ -17,6 +17,12 @@
 // the registry has grown (metrics are never removed), so a snapshot copies
 // the values in registry order straight into the bound series: no sample
 // copies, label rendering or keyed lookups per epoch.
+//
+// A series owns only its values. Its name and labels are the registry
+// entry's own, and the recorder's map keys on a view of the registry's key:
+// registry entries never move and are never removed, and the registry
+// outlives the recorder. The exporters walk the series in place through
+// for_each_series(); series() copies them, for callers that keep them.
 #pragma once
 
 #include <cstdint>
@@ -54,22 +60,34 @@ public:
   const std::vector<double>& epochs() const noexcept { return epochs_; }
   std::size_t epoch_count() const noexcept { return epochs_.size(); }
 
+  /// One metric's recorded values. `name` and `labels` refer to the
+  /// registry entry's own.
   struct Series {
-    std::string name;
-    Labels labels;
-    MetricKind kind = MetricKind::kCounter;
-    std::vector<double> values;  // parallel to epochs()
+    const std::string& name;
+    const Labels& labels;
+    MetricKind kind;
+    std::vector<double> values;  // parallel to epochs(), left-padded
   };
 
-  /// Every recorded series, sorted by (name, labels), each padded to
-  /// epochs().size() values.
+  /// Every recorded series, sorted by (name, labels), each with
+  /// epochs().size() values. A copy of every value.
   std::vector<Series> series() const;
+
+  /// Calls fn(series) for every recorded series in series() order, copying
+  /// nothing. Each holds one value per epoch: sample() left-pads a series
+  /// bound after earlier epochs, and a metric registered since the last
+  /// sample has no series yet.
+  template <class Fn>
+  void for_each_series(Fn&& fn) const {
+    for (const auto& [key, s] : series_) fn(s);
+  }
+  std::size_t series_count() const noexcept { return series_.size(); }
 
   /// Direct series lookup for consumers that subscribe to recorded samples
   /// (e.g. the drift-triggered re-optimisation loop). The pointer stays
   /// valid across sample() calls but its values vector grows with them; a
-  /// just-registered series may be shorter than epoch_count() until the
-  /// next sample (see the left-padding note above).
+  /// metric registered since the last sample has no series until the next
+  /// one (see the left-padding note above).
   const Series* find(std::string_view name, const Labels& labels) const;
 
   /// All recorded series named `name` (one per label set), in deterministic
@@ -87,9 +105,9 @@ private:
   const MetricsRegistry& registry_;
   double period_;
   std::vector<double> epochs_;
-  // Keyed like the registry (name + '\0' + labels) so iteration stays in the
-  // same deterministic order.
-  std::map<std::string, Series> series_;
+  // Keyed by a view of the registry's key (name + '\0' + labels), so
+  // iteration stays in the same deterministic order.
+  std::map<std::string_view, Series> series_;
   std::vector<Series*> bound_;  // the series of each registry metric, in its order
   bool running_ = false;
   std::uint64_t chain_ = 0;  // generation of the live tick chain

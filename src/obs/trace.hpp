@@ -103,8 +103,22 @@ public:
 
   void record(TraceRecord r);
 
-  /// Surviving records, oldest first.
+  /// Surviving records, oldest first. A copy of the ring; nth() reads it
+  /// in place.
   std::vector<TraceRecord> records() const;
+
+  /// Number of surviving records.
+  std::size_t size() const noexcept { return ring_.size(); }
+
+  /// The i-th surviving record, oldest first (i < size()): records()[i]
+  /// without the copy.
+  const TraceRecord& nth(std::size_t i) const noexcept {
+    // Once the ring has wrapped, the oldest survivor sits where the next
+    // record will go.
+    const std::size_t at =
+        (recorded_ > capacity_ ? static_cast<std::size_t>(recorded_ % capacity_) : 0) + i;
+    return ring_[at < ring_.size() ? at : at - ring_.size()];
+  }
 
   std::size_t capacity() const noexcept { return capacity_; }
   std::uint64_t recorded() const noexcept { return recorded_; }

@@ -1,5 +1,8 @@
 #include "tables/flow_table.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
@@ -121,10 +124,14 @@ std::uint16_t FlowTable::allocate_label(FlowEntry& entry) {
   // Labels are locally unique among live entries; 0 is reserved for
   // "no label". Scan the rolling counter forward until a free value; the
   // bitmap makes each probe O(1) and termination follows from
-  // live_labels_ < 0xffff.
+  // live_labels_ < 0xffff. A candidate past the bitmap has never been
+  // handed out: the bitmap doubles to cover it (at most 2^16 bits).
   for (;;) {
     const std::uint16_t candidate = next_label_;
     next_label_ = static_cast<std::uint16_t>(next_label_ == 0xffff ? 1 : next_label_ + 1);
+    if (candidate >= label_in_use_.size()) {
+      label_in_use_.resize(std::max<std::size_t>(64, std::bit_ceil(candidate + 1u)), false);
+    }
     if (!label_in_use_[candidate]) {
       label_in_use_[candidate] = true;
       entry.label = candidate;

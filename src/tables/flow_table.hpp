@@ -176,7 +176,12 @@ private:
   std::size_t size_ = 0;
   std::uint16_t next_label_ = 1;
   std::uint64_t live_labels_ = 0;
-  std::vector<bool> label_in_use_ = std::vector<bool>(1 << 16, false);
+  // One bit per label value up to the highest ever handed out (at most
+  // 2^16 bits, 8 KB); allocate_label() doubles it on demand, so a table that
+  // never labels holds none. It follows the rolling next_label_, not the
+  // live labels: under flow turnover a wave of fresh labeled flows
+  // allocates whenever the counter first passes a power of two.
+  std::vector<bool> label_in_use_;
   FlowTableStats stats_;
 };
 

@@ -14,6 +14,10 @@ namespace sdmbox::tables {
 /// the node-based tables it replaced. A chunk is allocated only when the
 /// slab outgrows the last one; at steady state (the owner recycles indices
 /// through its free list) a slab performs no heap operations.
+///
+/// A chunk holds 32 slots, so an index is one shift and one mask. Most
+/// slabs are small (Waxman-400 spreads its 24,223 flows over 400 proxy flow
+/// tables, about 60 each), and larger chunks mostly held slots nobody used.
 template <typename T>
 class StableSlab {
  public:
@@ -35,7 +39,7 @@ class StableSlab {
   }
 
  private:
-  static constexpr std::uint32_t kChunkBits = 8;  // 256 slots per chunk
+  static constexpr std::uint32_t kChunkBits = 5;  // 32 slots per chunk
   static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
   static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
 

@@ -10,10 +10,13 @@
 // evicts and inserts. Flow-table hits, misses and evictions at capacity,
 // and label-table hits, allocate nothing either.
 // And a control message that claims more elements than its bytes can hold
-// is rejected before its decoder reserves room for them.
+// is rejected before its decoder reserves room for them. Footprint cases
+// bound what a small flow table, its label bitmap under flow turnover,
+// epoch-series binding and the JSON export allocate at all.
 //
-// This binary replaces the global allocation functions with counting
-// wrappers around malloc/free, so it must stay its own test executable.
+// This binary replaces the global allocation functions with wrappers
+// around malloc/free that count calls and bytes, so it must stay its own
+// test executable.
 // Every form of operator new is replaced together with its matching
 // deletes: leaving one form to the runtime (or to ASan's interceptors)
 // would pair an allocation with the wrong deallocator.
@@ -29,6 +32,9 @@
 
 #include "control/codec.hpp"
 #include "core/agents.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "scenario.hpp"
 #include "sim/network.hpp"
@@ -40,14 +46,20 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
+
+void count(std::size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void* counted_malloc(std::size_t size) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   return std::malloc(size != 0 ? size : 1);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   // aligned_alloc wants a size that is a nonzero multiple of the alignment.
   const auto a = static_cast<std::size_t>(align);
   return std::aligned_alloc(a, size == 0 ? a : (size + a - 1) / a * a);
@@ -101,6 +113,7 @@ namespace sdmbox {
 namespace {
 
 std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+std::uint64_t allocated_bytes() { return g_allocated_bytes.load(std::memory_order_relaxed); }
 
 enum class Datapath {
   kBare,
@@ -339,6 +352,106 @@ TEST(AllocationFree, LabelTableHits) {
   for (const auto& k : keys) hits += table.lookup(k, 1.0) != nullptr;
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(hits, kLive);
+}
+
+// Footprints: what a small table and the epoch series allocate at all.
+
+TEST(Footprint, SmallUnlabeledFlowTableStaysUnderFourKilobytes) {
+  // A small flow table that hands out no label (a middlebox's, or a proxy's
+  // without label switching) holds one slab chunk and the smallest index:
+  // no chunk sized for hundreds of flows, and no label bitmap.
+  const std::vector<packet::FlowId> flows = make_flows(3);
+  const std::uint64_t before = allocated_bytes();
+  {
+    tables::FlowTable table;
+    for (std::size_t i = 0; i < 10; ++i) table.insert(flows[i], policy::PolicyId{1}, 0.0);
+    ASSERT_EQ(table.size(), 10u);
+    EXPECT_LE(allocated_bytes() - before, 4096u);
+  }
+}
+
+TEST(Footprint, LabelBitmapFollowsTheHighestLabelHandedOut) {
+  // Labels come from a rolling counter, so the bitmap covers the highest
+  // label ever handed out, not the live ones: a table whose labeled flows
+  // keep turning over doubles it each time the counter passes a power of
+  // two, up to 2^16 bits (8 KB). Once the counter has wrapped, fresh
+  // labeled flows allocate nothing.
+  constexpr std::size_t kCapacity = 64;
+  tables::FlowTable table(1e18, kCapacity);
+  std::uint32_t next = 0;
+  const auto label_fresh_flows = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i, ++next) {
+      packet::FlowId f;
+      f.src = net::IpAddress(next);
+      f.dst = net::IpAddress(~next);
+      table.allocate_label(table.insert(f, policy::PolicyId{1}, 0.0));
+    }
+  };
+  label_fresh_flows(kCapacity);  // labels 1..64: a 128-bit bitmap
+
+  const std::uint64_t before = allocations();
+  const std::uint64_t before_bytes = allocated_bytes();
+  label_fresh_flows(0x10000);  // each evicts; the counter passes 0xffff and wraps
+  EXPECT_LE(allocations() - before, 9u);  // 256, 512, ..., 65,536 bits
+  EXPECT_LE(allocated_bytes() - before_bytes, 16384u);
+
+  const std::uint64_t wrapped = allocations();
+  label_fresh_flows(0x10000);
+  EXPECT_EQ(allocations() - wrapped, 0u);
+  EXPECT_EQ(table.size(), kCapacity);
+  EXPECT_EQ(table.stats().evictions, 2u * 0x10000);
+}
+
+/// A registry of `n` counters, each with a long name and two labels whose
+/// values outgrow any short-string buffer.
+struct LongNamedMetrics {
+  explicit LongNamedMetrics(std::size_t n) : values(n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      registry.expose_counter("flow_cache_negative_hits_of_metric_" + std::to_string(i),
+                              obs::Labels{{"device", "middlebox_device_" + std::to_string(i)},
+                                          {"subsystem", "flow_table_subsystem"}},
+                              &values[i]);
+    }
+  }
+
+  std::vector<std::uint64_t> values;
+  obs::MetricsRegistry registry;
+};
+
+TEST(Footprint, EpochSeriesShareTheRegistrysKeys) {
+  // Binding copies no key, name or label: each series allocates its map
+  // node and its values, and the recorder one index of bound series.
+  constexpr std::size_t kMetrics = 256;
+  LongNamedMetrics m(kMetrics);
+  obs::EpochRecorder recorder(m.registry, 1.0);
+  const std::uint64_t before = allocations();
+  recorder.sample(0.0);  // binds every metric, then records one epoch
+  const std::uint64_t bind = allocations() - before;
+  EXPECT_LE(bind, 2 * kMetrics + 2);
+  ASSERT_EQ(recorder.series_count(), kMetrics);
+}
+
+TEST(Footprint, JsonExportAllocationsDoNotGrowWithTheRegistry) {
+  // to_json renders the registry and the series where they live, into one
+  // string reserved up front: no per-metric copy and no regrowth.
+  const auto export_allocations = [](std::size_t n) {
+    LongNamedMetrics m(n);
+    obs::EpochRecorder recorder(m.registry, 1.0);
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      for (std::size_t i = 0; i < n; ++i) m.values[i] += i * static_cast<std::size_t>(epoch);
+      recorder.sample(epoch);
+    }
+    const std::uint64_t before = allocations();
+    const std::string json = obs::to_json(m.registry, &recorder);
+    const std::uint64_t made = allocations() - before;
+    EXPECT_NE(json.find("flow_cache_negative_hits_of_metric_" + std::to_string(n - 1)),
+              std::string::npos);
+    return made;
+  };
+  const std::uint64_t small = export_allocations(16);
+  const std::uint64_t large = export_allocations(1024);
+  EXPECT_EQ(large, small);
+  EXPECT_LE(small, 1u);
 }
 
 /// `bytes` with the little-endian `width`-byte field that ends

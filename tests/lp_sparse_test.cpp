@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
@@ -184,30 +185,53 @@ TEST(SparseCrossCheck, UnboundedAgrees) {
 
 /// The LB formulations: the controller's Eq.(2) and ablation A1's Eq.(1),
 /// with and without source aggregation, solved by both engines on a real
-/// campus world — λ must match to 1e-6.
+/// campus world — λ must match to 1e-6. Eq. (1) never reads
+/// `aggregate_sources`, so both settings build one model (its shape is
+/// checked here), and one dense solve is the reference for both sparse ones.
 TEST(SparseCrossCheck, ControllerFormulations) {
-  for (const bool eq1 : {false, true}) {
-    for (const bool aggregate : {true, false}) {
-      SCOPED_TRACE(::testing::Message() << "eq1=" << eq1 << " agg=" << aggregate);
-      const auto solve = [eq1](const sdmbox::testing::Scenario& s) {
-        return eq1 ? sdmbox::core::solve_eq1(sdmbox::testing::lp_inputs(s),
-                                             s.controller->params().lp)
-                   : s.controller->solve_load_balancing(s.traffic);
-      };
-      sdmbox::testing::ScenarioParams sp;
-      sp.seed = 7;
-      sp.target_packets = 50000;
-      sp.controller.lp.aggregate_sources = aggregate;
-      sp.controller.lp.simplex.engine = SimplexEngine::kDense;
-      const auto dense = solve(sdmbox::testing::make_scenario(sp));
+  const auto world = [](bool aggregate, SimplexEngine engine) {
+    sdmbox::testing::ScenarioParams sp;
+    sp.seed = 7;
+    sp.target_packets = 50000;
+    sp.controller.lp.aggregate_sources = aggregate;
+    sp.controller.lp.simplex.engine = engine;
+    return sdmbox::testing::make_scenario(sp);
+  };
+  const auto eq2 = [](const sdmbox::testing::Scenario& s) {
+    return s.controller->solve_load_balancing(s.traffic);
+  };
+  const auto eq1 = [](const sdmbox::testing::Scenario& s) {
+    return sdmbox::core::solve_eq1(sdmbox::testing::lp_inputs(s), s.controller->params().lp);
+  };
+  const auto eq1_shape = [](const sdmbox::testing::Scenario& s) {
+    const sdmbox::core::LpBuildStats st =
+        sdmbox::core::measure_eq1(sdmbox::testing::lp_inputs(s), s.controller->params().lp);
+    return std::tuple{st.variables, st.constraints, st.nonzeros};
+  };
 
-      sp.controller.lp.simplex.engine = SimplexEngine::kSparse;
-      const auto sparse = solve(sdmbox::testing::make_scenario(sp));
+  const auto dense_eq1_world = world(true, SimplexEngine::kDense);
+  const auto dense_eq1 = eq1(dense_eq1_world);
+  ASSERT_EQ(dense_eq1.status, SolveStatus::kOptimal);
+  const auto check = [&](const sdmbox::testing::Scenario& dense_world,
+                         const sdmbox::testing::Scenario& sparse_world) {
+    const auto dense = eq2(dense_world);
+    const auto sparse = eq2(sparse_world);
+    ASSERT_EQ(dense.status, SolveStatus::kOptimal);
+    ASSERT_EQ(sparse.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(dense.lambda, sparse.lambda, 1e-6);
 
-      ASSERT_EQ(dense.status, SolveStatus::kOptimal);
-      ASSERT_EQ(sparse.status, SolveStatus::kOptimal);
-      EXPECT_NEAR(dense.lambda, sparse.lambda, 1e-6);
-    }
+    EXPECT_EQ(eq1_shape(sparse_world), eq1_shape(dense_eq1_world));
+    const auto sparse_eq1 = eq1(sparse_world);
+    ASSERT_EQ(sparse_eq1.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(dense_eq1.lambda, sparse_eq1.lambda, 1e-6);
+  };
+  {
+    SCOPED_TRACE("agg=1");  // the Eq. (1) reference's world is the dense Eq. (2) one
+    check(dense_eq1_world, world(true, SimplexEngine::kSparse));
+  }
+  {
+    SCOPED_TRACE("agg=0");
+    check(world(false, SimplexEngine::kDense), world(false, SimplexEngine::kSparse));
   }
 }
 

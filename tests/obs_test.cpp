@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "net/topology.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -174,6 +175,303 @@ TEST(Export, PrometheusAndCsvShapes) {
   EXPECT_EQ(json.front(), '{');
 }
 
+// The copying renderers the in-place exporters replaced, kept as
+// references: they render collect(), series() and records() copies, and
+// every exporter must match them byte for byte.
+void copying_labels_json(std::string& out, const Labels& labels) {
+  out += '{';
+  bool first = true;
+  for (const auto& [k, v] : labels.items()) {
+    if (!first) out += ',';
+    first = false;
+    out += '"';
+    out += obs::json_escape(k);
+    out += "\":\"";
+    out += obs::json_escape(v);
+    out += '"';
+  }
+  out += '}';
+}
+
+void copying_histogram_json(std::string& out, const stats::HistogramSnapshot& h) {
+  out += "{\"count\":";
+  out += obs::json_number(static_cast<double>(h.count));
+  out += ",\"sum\":";
+  out += obs::json_number(h.sum);
+  out += ",\"min\":";
+  out += obs::json_number(h.min);
+  out += ",\"max\":";
+  out += obs::json_number(h.max);
+  out += ",\"mean\":";
+  out += obs::json_number(h.mean);
+  out += ",\"quantiles\":{";
+  for (std::size_t i = 0; i < h.quantiles.size(); ++i) {
+    if (i) out += ',';
+    out += '"';
+    out += obs::json_number(h.quantiles[i]);
+    out += "\":";
+    out += obs::json_number(h.values[i]);
+  }
+  out += "}}";
+}
+
+std::string copying_to_json(const MetricsRegistry& registry, const EpochRecorder* series) {
+  std::string out = "{\n  \"metrics\": [\n";
+  const auto samples = registry.collect();
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const obs::MetricSample& s = samples[i];
+    out += "    {\"name\":\"";
+    out += obs::json_escape(s.name);
+    out += "\",\"labels\":";
+    copying_labels_json(out, s.labels);
+    out += ",\"kind\":\"";
+    out += obs::to_string(s.kind);
+    out += "\",\"value\":";
+    out += obs::json_number(s.value);
+    if (s.kind == MetricKind::kHistogram) {
+      out += ",\"histogram\":";
+      copying_histogram_json(out, s.histogram);
+    }
+    out += '}';
+    if (i + 1 < samples.size()) out += ',';
+    out += '\n';
+  }
+  out += "  ]";
+  if (series != nullptr) {
+    out += ",\n  \"series\": {\n    \"period\": ";
+    out += obs::json_number(series->period());
+    out += ",\n    \"epochs\": [";
+    const auto& epochs = series->epochs();
+    for (std::size_t i = 0; i < epochs.size(); ++i) {
+      if (i) out += ',';
+      out += obs::json_number(epochs[i]);
+    }
+    out += "],\n    \"metrics\": [\n";
+    const auto all = series->series();
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      const auto& s = all[i];
+      out += "      {\"name\":\"";
+      out += obs::json_escape(s.name);
+      out += "\",\"labels\":";
+      copying_labels_json(out, s.labels);
+      out += ",\"values\":[";
+      for (std::size_t j = 0; j < s.values.size(); ++j) {
+        if (j) out += ',';
+        out += obs::json_number(s.values[j]);
+      }
+      out += "]}";
+      if (i + 1 < all.size()) out += ',';
+      out += '\n';
+    }
+    out += "    ]\n  }";
+  }
+  out += "\n}\n";
+  return out;
+}
+
+std::string copying_to_prometheus(const MetricsRegistry& registry) {
+  std::string out;
+  std::string last_name;
+  for (const obs::MetricSample& s : registry.collect()) {
+    if (s.name != last_name) {
+      out += "# TYPE ";
+      out += s.name;
+      out += ' ';
+      out += s.kind == MetricKind::kHistogram ? "summary" : obs::to_string(s.kind);
+      out += '\n';
+      last_name = s.name;
+    }
+    if (s.kind == MetricKind::kHistogram) {
+      const auto& h = s.histogram;
+      out += s.name + "_count" + s.labels.render() + ' ' +
+             obs::json_number(static_cast<double>(h.count)) + '\n';
+      out += s.name + "_sum" + s.labels.render() + ' ' + obs::json_number(h.sum) + '\n';
+      for (std::size_t i = 0; i < h.quantiles.size(); ++i) {
+        Labels with_q = s.labels;
+        with_q.set("quantile", obs::json_number(h.quantiles[i]));
+        out += s.name + with_q.render() + ' ' + obs::json_number(h.values[i]) + '\n';
+      }
+    } else {
+      out += s.name + s.labels.render() + ' ' + obs::json_number(s.value) + '\n';
+    }
+  }
+  return out;
+}
+
+std::string copying_to_csv(const EpochRecorder& recorder) {
+  const auto all = recorder.series();
+  std::string out = "epoch";
+  for (const auto& s : all) {
+    out += ',';
+    out += '"';
+    for (char c : s.name + s.labels.render()) {
+      if (c == '"') out += '"';
+      out += c;
+    }
+    out += '"';
+  }
+  out += '\n';
+  const auto& epochs = recorder.epochs();
+  for (std::size_t row = 0; row < epochs.size(); ++row) {
+    out += obs::json_number(epochs[row]);
+    for (const auto& s : all) {
+      out += ',';
+      out += obs::json_number(s.values[row]);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+std::string copying_trace_to_json(const PathTracer& tracer, const net::Topology* topo) {
+  const std::vector<obs::TraceRecord> records = tracer.sink().records();
+  std::map<packet::FlowId, std::size_t> order;
+  std::vector<std::pair<packet::FlowId, std::vector<const obs::TraceRecord*>>> flows;
+  for (const obs::TraceRecord& r : records) {
+    auto [it, inserted] = order.try_emplace(r.flow, flows.size());
+    if (inserted) flows.emplace_back(r.flow, std::vector<const obs::TraceRecord*>{});
+    flows[it->second].second.push_back(&r);
+  }
+
+  std::string out = "{\n  \"sample_rate\": ";
+  out += obs::json_number(tracer.sampler().rate());
+  out += ",\n  \"seed\": ";
+  out += obs::json_number(static_cast<double>(tracer.sampler().seed()));
+  out += ",\n  \"recorded\": ";
+  out += obs::json_number(static_cast<double>(tracer.sink().recorded()));
+  out += ",\n  \"overwritten\": ";
+  out += obs::json_number(static_cast<double>(tracer.sink().dropped()));
+  out += ",\n  \"flows\": [\n";
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto& [flow, hops] = flows[i];
+    out += "    {\"flow\":\"";
+    out += obs::json_escape(flow.to_string());
+    out += "\",\"hops\":[\n";
+    for (std::size_t j = 0; j < hops.size(); ++j) {
+      const obs::TraceRecord& r = *hops[j];
+      out += "      {\"at\":";
+      out += obs::json_number(r.at);
+      out += ",\"node\":";
+      out += obs::json_number(static_cast<double>(r.node.v));
+      if (topo != nullptr && r.node.v < topo->node_count()) {
+        out += ",\"device\":\"";
+        out += obs::json_escape(topo->node(r.node).name);
+        out += '"';
+      }
+      out += ",\"hop\":\"";
+      out += obs::to_string(r.hop);
+      out += '"';
+      if (r.detail != 0) {
+        out += ",\"detail\":";
+        out += obs::json_number(static_cast<double>(r.detail));
+      }
+      if (r.seq != 0) {
+        out += ",\"seq\":";
+        out += obs::json_number(static_cast<double>(r.seq));
+      }
+      out += '}';
+      if (j + 1 < hops.size()) out += ',';
+      out += '\n';
+    }
+    out += "    ]}";
+    if (i + 1 < flows.size()) out += ',';
+    out += '\n';
+  }
+  out += "  ]\n}\n";
+  return out;
+}
+
+TEST(Export, MetricsRenderingsMatchCopyingReference) {
+  std::uint64_t p0 = 3;
+  const std::uint64_t p1 = 17;
+  double load = 0.375;
+  stats::Histogram lat;
+  stats::Histogram own_quantile;
+  MetricsRegistry reg;
+  // Labels that need JSON escaping and CSV quote doubling; a histogram
+  // whose labels sort on both sides of `quantile`, and one whose own
+  // `quantile` label the Prometheus summary replaces.
+  reg.expose_counter("pkts", Labels{{"device", "p\"0\\"}}, &p0);
+  reg.expose_counter("pkts", Labels{{"device", "p1"}, {"subsystem", "net\n\t"}}, &p1);
+  reg.expose_gauge("load", {}, [&] { return load; });
+  reg.expose_histogram("lat", Labels{{"device", "p0"}, {"subsystem", "health"}}, &lat);
+  reg.expose_histogram("lat", Labels{{"quantile", "own"}, {"z", "1"}}, &own_quantile);
+  EpochRecorder rec(reg, 0.5);
+  rec.sample(0.0);
+  p0 += 2;
+  load = 1.0 / 3;
+  lat.add(1.0);
+  rec.sample(0.5);
+  // Registered after two epochs: its series is left-padded.
+  const std::uint64_t late = 9;
+  reg.expose_counter("late", Labels{{"device", "p2"}}, &late);
+  lat.add(2.5);
+  own_quantile.add(-4.25);
+  load = 1e300;
+  rec.sample(1.25);
+  // Registered after the last epoch: in the metrics, in no series yet.
+  reg.expose_gauge("after_last", {}, [] { return std::numeric_limits<double>::quiet_NaN(); });
+  reg.expose_gauge("inf", Labels{{"device", "p3"}},
+                   [] { return -std::numeric_limits<double>::infinity(); });
+
+  const std::string json = obs::to_json(reg, &rec);
+  EXPECT_EQ(json, copying_to_json(reg, &rec));
+  EXPECT_EQ(obs::to_json(reg), copying_to_json(reg, nullptr));
+  EXPECT_EQ(obs::to_csv(rec), copying_to_csv(rec));
+  EXPECT_EQ(obs::to_prometheus(reg), copying_to_prometheus(reg));
+  EXPECT_NE(json.find("{\"name\":\"late\",\"labels\":{\"device\":\"p2\"},\"values\":[0,0,9]}"),
+            std::string::npos);
+  EXPECT_EQ(rec.find("after_last", {}), nullptr);
+
+  // A recorder that has not sampled yet, and an empty registry.
+  const EpochRecorder idle(reg, 1.0);
+  EXPECT_EQ(obs::to_json(reg, &idle), copying_to_json(reg, &idle));
+  EXPECT_EQ(obs::to_csv(idle), copying_to_csv(idle));
+  const MetricsRegistry empty;
+  EXPECT_EQ(obs::to_json(empty), copying_to_json(empty, nullptr));
+  EXPECT_EQ(obs::to_prometheus(empty), copying_to_prometheus(empty));
+}
+
+TEST(Export, TraceJsonMatchesCopyingReference) {
+  net::Topology topo;
+  topo.add_node(net::NodeKind::kPolicyProxy, "proxy\"0", net::IpAddress(10, 0, 0, 1));
+  topo.add_node(net::NodeKind::kMiddlebox, "fw\\1", net::IpAddress(10, 0, 0, 2));
+  topo.add_node(net::NodeKind::kMiddlebox, "ids2", net::IpAddress(10, 0, 0, 3));
+  // Five flows, interleaved. The ring keeps the last 8 of 30 records, whose
+  // flows first appear in the order 3, 2, 4, 1, 0, and every flow loses its
+  // oldest records.
+  constexpr std::uint32_t kFlowOf[30] = {0, 1, 2, 3, 4, 0, 2, 4, 1, 3, 4, 4, 0, 1, 2,
+                                         3, 0, 1, 2, 4, 1, 0, 3, 3, 2, 4, 1, 0, 2, 3};
+  const auto fill = [&](PathTracer& tracer) {
+    for (std::uint32_t i = 0; i < 30; ++i) {
+      // Node 3 is outside the topology, so its records carry no device.
+      tracer.record(static_cast<obs::Hop>(i % 23), make_flow(kFlowOf[i]), 0.1 * i,
+                    net::NodeId{i % 4}, /*detail=*/i % 3 == 0 ? 0 : 100 + i,
+                    /*seq=*/i % 4 == 0 ? 0 : i);
+    }
+  };
+  PathTracer wrapped(1.0, /*capacity=*/8);
+  fill(wrapped);
+  ASSERT_EQ(wrapped.sink().dropped(), 22u);
+  const std::string json = obs::trace_to_json(wrapped, &topo);
+  EXPECT_EQ(json, copying_trace_to_json(wrapped, &topo));
+  EXPECT_EQ(obs::trace_to_json(wrapped), copying_trace_to_json(wrapped, nullptr));
+  // Flows appear in the order of their first surviving record.
+  std::vector<std::size_t> at;
+  for (const std::uint32_t f : {3, 2, 4, 1, 0}) {
+    at.push_back(json.find("\"flow\":\"" + make_flow(f).to_string() + "\""));
+    ASSERT_NE(at.back(), std::string::npos) << f;
+  }
+  EXPECT_TRUE(std::is_sorted(at.begin(), at.end()));
+
+  PathTracer whole(1.0, /*capacity=*/64);
+  fill(whole);
+  ASSERT_EQ(whole.sink().dropped(), 0u);
+  EXPECT_EQ(obs::trace_to_json(whole, &topo), copying_trace_to_json(whole, &topo));
+  const PathTracer untraced(0.0);
+  EXPECT_EQ(obs::trace_to_json(untraced, &topo), copying_trace_to_json(untraced, &topo));
+}
+
 TEST(Epochs, RecorderAlignsWithSimulatorClock) {
   sim::Simulator sim;
   std::uint64_t pkts = 0;
@@ -250,7 +548,15 @@ TEST(Epochs, RestartAfterStopKeepsOneChain) {
 
 /// The recorder's reference algorithm: collect every sample, render its
 /// labels, and look its series up by that key, left-padding new series.
+/// Each series owns a copy of its name and labels.
 struct ReferenceRecorder {
+  struct Series {
+    std::string name;
+    Labels labels;
+    MetricKind kind = MetricKind::kCounter;
+    std::vector<double> values;
+  };
+
   explicit ReferenceRecorder(const MetricsRegistry& r) : registry(r) {}
 
   void sample(double now) {
@@ -260,7 +566,7 @@ struct ReferenceRecorder {
       key += '\0';
       key += s.labels.render();
       auto [it, inserted] = series.try_emplace(std::move(key));
-      EpochRecorder::Series& out = it->second;
+      Series& out = it->second;
       if (inserted) {
         out.name = std::move(s.name);
         out.labels = std::move(s.labels);
@@ -273,7 +579,7 @@ struct ReferenceRecorder {
 
   const MetricsRegistry& registry;
   std::vector<double> epochs;
-  std::map<std::string, EpochRecorder::Series> series;
+  std::map<std::string, Series> series;
 };
 
 void expect_matches_reference(const EpochRecorder& rec, const ReferenceRecorder& ref) {
