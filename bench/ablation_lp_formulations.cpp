@@ -57,11 +57,7 @@ void run_topology(const char* label, bool waxman, std::size_t policies_per_class
     // per-(s,d) ratios buy Eq.(1) nothing here — the paper's case for
     // Eq.(2).
     const auto realized_max = [&](const core::RatioResult& r) {
-      core::EnforcementPlan plan;
-      plan.strategy = core::StrategyKind::kLoadBalanced;
-      plan.configs = s.controller->configs();
-      plan.ratios = r.ratios;
-      plan.lambda = r.lambda;
+      const auto plan = core::load_balanced_plan(s.controller->configs(), r);
       const auto report = analytic::evaluate_loads(s.network, s.deployment, s.gen.policies,
                                                    plan, w.flows.flows);
       std::uint64_t max_load = 0;

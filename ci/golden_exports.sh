@@ -18,6 +18,13 @@
 #                  cross-check at 400; JSON only, because its stdout carries
 #                  wall-clock and RSS columns
 #   reopt_*        bench ablation_reoptimization: registry JSON and stdout
+#   fig4_stdout.txt, fig5_stdout.txt, table3_stdout.txt
+#                  the paper's outputs (Fig. 4, Fig. 5, Table III): analytic
+#                  load-balanced selection over 1M-10M packets
+#   a1_realized.txt
+#                  ablation A1's realized max load of the Eq. (2) and Eq. (1)
+#                  data planes; only that line, because its table carries
+#                  wall-clock solve times
 # Exits non-zero if any binary fails. To check a refactor, run it on a build
 # of each commit and compare:
 #   ci/golden_exports.sh BUILD_A OUT_A && ci/golden_exports.sh BUILD_B OUT_B
@@ -57,3 +64,11 @@ done
 
 SDMBOX_METRICS_OUT=reopt_metrics.json "$build/bench/ablation_reoptimization" \
   > reopt_stdout.txt
+
+"$build/bench/fig4_campus_maxload" > fig4_stdout.txt
+"$build/bench/fig5_waxman_maxload" > fig5_stdout.txt
+"$build/bench/table3_load_distribution" > table3_stdout.txt
+# Through a file, not a pipe, so a failing A1 still fails the script.
+"$build/bench/ablation_lp_formulations" > a1_stdout.txt
+grep '^Realized' a1_stdout.txt > a1_realized.txt
+rm a1_stdout.txt

@@ -58,34 +58,29 @@ std::vector<std::uint8_t> encode_device_config(const core::DeviceConfig& config)
     w.u16(static_cast<std::uint16_t>(cands.size()));
     for (const net::NodeId c : cands) w.u32(c.v);
   }
-  // ratio slice: aggregate (Eq. 2) then detailed (Eq. 1) entries
-  w.u32(static_cast<std::uint32_t>(config.ratios.size()));
-  config.ratios.for_each([&](net::NodeId from, policy::FunctionId e, policy::PolicyId p,
-                             const std::vector<core::SplitRatioTable::Share>& shares) {
-    (void)from;  // always this device
-    w.u8(e.v);
-    w.u32(p.v);
-    w.u16(static_cast<std::uint16_t>(shares.size()));
-    for (const auto& s : shares) {
-      w.u32(s.to.v);
-      w.f64(s.weight);
-    }
-  });
-  w.u32(static_cast<std::uint32_t>(config.ratios.detailed_size()));
-  config.ratios.for_each_detailed(
-      [&](net::NodeId from, policy::FunctionId e, policy::PolicyId p, int s, int d,
-          const std::vector<core::SplitRatioTable::Share>& shares) {
-        (void)from;
-        w.u8(e.v);
-        w.u32(p.v);
+  // split ratios: the aggregate (Eq. 2) section, then the detailed (Eq. 1)
+  // one, each a count and its entries in key order
+  const core::SplitRatioTable& ratios = config.node.ratios;
+  for (const bool detailed : {false, true}) {
+    const std::size_t n = detailed ? ratios.detailed_size()
+                                   : ratios.size() - ratios.detailed_size();
+    w.u32(static_cast<std::uint32_t>(n));
+    ratios.for_each([&](policy::FunctionId e, policy::PolicyId p, int s, int d,
+                        const std::vector<core::SplitRatioTable::Share>& shares) {
+      if ((s >= 0) != detailed) return;
+      w.u8(e.v);
+      w.u32(p.v);
+      if (detailed) {
         w.u32(static_cast<std::uint32_t>(s));
         w.u32(static_cast<std::uint32_t>(d));
-        w.u16(static_cast<std::uint16_t>(shares.size()));
-        for (const auto& share : shares) {
-          w.u32(share.to.v);
-          w.f64(share.weight);
-        }
-      });
+      }
+      w.u16(static_cast<std::uint16_t>(shares.size()));
+      for (const auto& share : shares) {
+        w.u32(share.to.v);
+        w.f64(share.weight);
+      }
+    });
+  }
   return w.take();
 }
 
@@ -128,29 +123,23 @@ std::optional<core::DeviceConfig> decode_device_config(const std::vector<std::ui
       cands.push_back(cand);
     }
   }
-  const std::uint32_t n_ratios = r.u32();
-  if (!r.ok() || n_ratios > 10'000'000) return std::nullopt;
-  for (std::uint32_t i = 0; i < n_ratios && r.ok(); ++i) {
-    const policy::FunctionId e{r.u8()};
-    const policy::PolicyId p{r.u32()};
-    std::vector<core::SplitRatioTable::Share> shares;
-    if (e.v >= policy::kMaxFunctions || !p.valid() || !read_shares(r, shares)) {
-      return std::nullopt;
+  for (const bool detailed : {false, true}) {
+    const std::uint32_t n_entries = r.u32();
+    if (!r.ok() || n_entries > 10'000'000) return std::nullopt;
+    for (std::uint32_t i = 0; i < n_entries && r.ok(); ++i) {
+      const policy::FunctionId e{r.u8()};
+      const policy::PolicyId p{r.u32()};
+      // A detailed entry names two subnet indices: (-1, -1) is the
+      // aggregate entry's key, which a detailed entry must not overwrite.
+      const int s = detailed ? static_cast<std::int32_t>(r.u32()) : -1;
+      const int d = detailed ? static_cast<std::int32_t>(r.u32()) : -1;
+      std::vector<core::SplitRatioTable::Share> shares;
+      if (e.v >= policy::kMaxFunctions || !p.valid() || (detailed && (s < 0 || d < 0)) ||
+          !read_shares(r, shares)) {
+        return std::nullopt;
+      }
+      if (r.ok()) cfg.node.ratios.set(e, p, std::move(shares), s, d);
     }
-    if (r.ok()) cfg.ratios.set(cfg.node.node, e, p, std::move(shares));
-  }
-  const std::uint32_t n_detailed = r.u32();
-  if (!r.ok() || n_detailed > 10'000'000) return std::nullopt;
-  for (std::uint32_t i = 0; i < n_detailed && r.ok(); ++i) {
-    const policy::FunctionId e{r.u8()};
-    const policy::PolicyId p{r.u32()};
-    const int s = static_cast<std::int32_t>(r.u32());
-    const int d = static_cast<std::int32_t>(r.u32());
-    std::vector<core::SplitRatioTable::Share> shares;
-    if (e.v >= policy::kMaxFunctions || !p.valid() || !read_shares(r, shares)) {
-      return std::nullopt;
-    }
-    if (r.ok()) cfg.ratios.set_detailed(cfg.node.node, e, p, s, d, std::move(shares));
   }
   if (!r.done()) return std::nullopt;
   return cfg;

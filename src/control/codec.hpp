@@ -3,8 +3,8 @@
 // DeviceConfig rides in kConfigPush packets (controller -> device);
 // MeasurementReport rides in kMeasurementReport packets (proxy ->
 // controller). Decoding is all-or-nothing and never throws: malformed bytes,
-// including ids or weights the split-ratio tables would refuse, yield
-// nullopt, never a partially-applied configuration.
+// including ids, subnet pairs or weights the split-ratio table would refuse,
+// yield nullopt, never a partially-applied configuration.
 #pragma once
 
 #include <optional>

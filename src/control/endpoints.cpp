@@ -263,16 +263,14 @@ void ControllerAgent::complete_replan_span(obs::SpanId replan_span, double now) 
   }
 }
 
-std::size_t ControllerAgent::distribute(sim::SimNetwork& net,
-                                        const core::EnforcementPlan& plan) {
+std::size_t ControllerAgent::distribute(sim::SimNetwork& net) {
   ++version_;
-  last_plan_ = plan;
   std::size_t pushed = 0;
-  for (const auto& [node_v, cfg] : plan.configs) {
+  for (const auto& [node_v, cfg] : last_plan_.configs) {
     const net::NodeId device{node_v};
     // Differential distribution: compare against the last pushed slice with
     // the version zeroed out — unchanged devices are skipped entirely.
-    core::DeviceConfig slice = core::slice_for_device(plan, device, 0);
+    core::DeviceConfig slice = core::slice_for_device(last_plan_, device, 0);
     const std::vector<std::uint8_t> fingerprint = encode_device_config(slice);
     const auto it = last_pushed_.find(node_v);
     if (it != last_pushed_.end() && it->second == fingerprint) {
@@ -351,11 +349,11 @@ ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest&
   }
 
   // A kFailure replan scoped to one failed middlebox patches the last
-  // distributed plan locally instead of recomputing + recompiling: only the
+  // distributed plan in place instead of recomputing + recompiling: only the
   // devices whose candidate lists contain the failed box change, so every
   // other slice stays byte-identical and the differential push skips it.
   // Without a distributed plan to patch, the scope degrades to a full
-  // recompute.
+  // recompute. Every other path replaces last_plan_ with the plan to push.
   const bool has_scope =
       request.trigger == ReplanTrigger::kFailure && request.failed_node.valid();
   const bool scoped_failure =
@@ -367,43 +365,38 @@ ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest&
   bool compiled = false;
   if (scoped_failure) {
     const std::vector<net::NodeId> affected = controller_.patch_failed_node(request.failed_node);
-    out.plan = last_plan_;
     for (const net::NodeId d : affected) {
-      out.plan.configs[d.v] = controller_.configs().at(d.v);
+      core::NodeConfig& cfg = last_plan_.configs.at(d.v);
+      cfg.candidates = controller_.configs().at(d.v).candidates;
+      // Shares whose target is no longer one of the device's candidates (the
+      // dead box) are dropped; the agents fall back to hot-potato there until
+      // the next LP solve re-balances. Unaffected devices keep every share:
+      // the LP assigned none outside their candidate sets, which are unchanged.
+      cfg.ratios.filter_shares([&](policy::FunctionId e, net::NodeId to) {
+        const std::vector<net::NodeId>& cands = cfg.candidates[e.v];
+        return std::find(cands.begin(), cands.end(), to) != cands.end();
+      });
     }
-    // Shares whose target is no longer a candidate of the sender (the dead
-    // box) are dropped; the agents fall back to hot-potato there until the
-    // next LP solve re-balances. Only affected devices can lose shares — the
-    // LP never assigned any outside the candidate sets, which are unchanged
-    // everywhere else.
-    out.plan.ratios.filter_shares(
-        [&](net::NodeId from, policy::FunctionId e, net::NodeId to) {
-          const auto it = out.plan.configs.find(from.v);
-          if (it == out.plan.configs.end()) return true;
-          const std::vector<net::NodeId>& cands = it->second.candidates[e.v];
-          return std::find(cands.begin(), cands.end(), to) != cands.end();
-        });
     out.patched = true;
     out.devices_patched = affected.size();
-    out.lambda = out.plan.lambda;
+    out.lambda = last_plan_.lambda;
     ++replans_patched_;
     compiled = true;
   } else if (request.plan != nullptr) {
-    out.plan = *request.plan;
+    last_plan_ = *request.plan;
   } else if (request.strategy == core::StrategyKind::kLoadBalanced) {
     if (pending_reports_ == 0) {
       if (request.trigger == ReplanTrigger::kFailure) {
         // Recovery must leave a live plan behind. With no reports an Eq. (2)
         // solve would assign no ratios anyway — the agents would fall back to
         // hot-potato wherever ratios are absent — so compile that directly.
-        out.plan = controller_.compile(core::StrategyKind::kHotPotato);
+        last_plan_ = controller_.compile(core::StrategyKind::kHotPotato);
         compiled = true;
       } else {
         // Zero reports since the last solve: the matrix is empty, a solve
         // would push a meaningless plan networkwide. No-op.
         ++replans_suppressed_;
         out.suppressed = true;
-        out.plan = last_plan_;
         if (rspan != 0) {
           spans_->set_attr(rspan, "suppressed", 1);
           spans_->end(rspan, now);
@@ -413,7 +406,7 @@ ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest&
       }
     } else {
       core::Controller::SolveInfo info;
-      out.plan = controller_.compile(core::StrategyKind::kLoadBalanced, &collected_, &info);
+      last_plan_ = controller_.compile(core::StrategyKind::kLoadBalanced, &collected_, &info);
       out.solved = true;
       compiled = true;
       out.lambda = info.lambda;
@@ -424,7 +417,7 @@ ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest&
       pending_reports_ = 0;
     }
   } else {
-    out.plan = controller_.compile(request.strategy);
+    last_plan_ = controller_.compile(request.strategy);
     compiled = true;
   }
 
@@ -444,7 +437,7 @@ ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest&
   }
 
   current_replan_span_ = rspan;
-  out.pushes_sent = distribute(net, out.plan);
+  out.pushes_sent = distribute(net);
   current_replan_span_ = 0;
   out.pushes_skipped = static_cast<std::size_t>(pushes_skipped_ - skipped_before);
   out.push_bytes = push_bytes_ - bytes_before;
@@ -452,7 +445,7 @@ ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest&
   if (rspan != 0) {
     const auto diff = spans_->instant("plan_diff", now, rspan, "", "controller");
     spans_->set_attr(diff, "bytes", static_cast<double>(out.push_bytes));
-    spans_->set_attr(diff, "devices", static_cast<double>(out.plan.configs.size()));
+    spans_->set_attr(diff, "devices", static_cast<double>(last_plan_.configs.size()));
     spans_->set_attr(diff, "pushed", static_cast<double>(out.pushes_sent));
     spans_->set_attr(diff, "skipped", static_cast<double>(out.pushes_skipped));
     spans_->set_attr(diff, "patched_devices", static_cast<double>(out.devices_patched));

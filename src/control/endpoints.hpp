@@ -16,9 +16,10 @@
 //  * ControllerAgent — collects measurement reports into a TrafficMatrix;
 //    replan() is the single re-plan entry point (initial rollout, failure
 //    recovery, §III.C measurement re-solve, drift-triggered re-solve): it
-//    obtains a plan — compiled, precompiled, or locally PATCHED from the
-//    last plan when the request scopes a kFailure replan to a single failed
-//    node — serializes per-device slices and injects the changed ones.
+//    keeps ONE plan, last_plan(), which it replaces (compiled or
+//    precompiled) or PATCHES in place (a kFailure replan scoped to a single
+//    failed node), then serializes per-device slices and injects the
+//    changed ones.
 //  * install_control_plane — attaches a controller host node plus managed
 //    devices over a whole GeneratedNetwork; send_reports has every proxy
 //    report its measurements in-band.
@@ -129,12 +130,12 @@ struct ReplanRequest {
   net::NodeId failed_node{};
 };
 
-/// What one replan() actually did.
+/// What one replan() actually did. The plan it left current is
+/// ControllerAgent::last_plan().
 struct ReplanOutcome {
-  core::EnforcementPlan plan;  // the plan now considered current
   ReplanTrigger trigger = ReplanTrigger::kMeasurement;
   bool solved = false;      // an LP solve ran
-  bool suppressed = false;  // zero-report measurement replan: no-op, plan == last_plan()
+  bool suppressed = false;  // zero-report measurement replan: no-op, last_plan() untouched
   std::size_t pushes_sent = 0;
   std::size_t pushes_skipped = 0;   // devices whose slice was unchanged
   std::uint64_t push_bytes = 0;     // rollout churn of this replan
@@ -164,11 +165,11 @@ public:
   ///
   /// A kLoadBalanced compile with zero reports collected since the last
   /// solve is suppressed: solving Eq. (2) on an empty matrix would push a
-  /// meaningless plan networkwide, so the call is a no-op returning
-  /// last_plan() with outcome.suppressed set — except under kFailure, where
-  /// a live plan is mandatory and the compile falls back to kHotPotato
-  /// (equivalent to what an empty LB solve degenerates to at the agents,
-  /// which fall back to hot-potato wherever ratios are absent).
+  /// meaningless plan networkwide, so the call is a no-op that leaves
+  /// last_plan() untouched and sets outcome.suppressed — except under
+  /// kFailure, where a live plan is mandatory and the compile falls back to
+  /// kHotPotato (equivalent to what an empty LB solve degenerates to at the
+  /// agents, which fall back to hot-potato wherever ratios are absent).
   ReplanOutcome replan(sim::SimNetwork& net, const ReplanRequest& request);
 
   /// The controller this agent fronts (assignments, deployment, LP).
@@ -195,6 +196,7 @@ public:
 
   /// The plan most recently distributed by replan() (empty before the first
   /// push) — what the controller currently believes the network enforces.
+  /// replan() replaces or patches it in place; it is the agent's only copy.
   const core::EnforcementPlan& last_plan() const noexcept { return last_plan_; }
 
   /// Wire the heartbeat monitor in: kHeartbeatAck packets addressed to the
@@ -266,9 +268,9 @@ private:
   void send_push(sim::SimNetwork& net, const PendingPush& push);
   void schedule_retransmit(sim::SimNetwork& net, std::uint32_t device_v, std::uint64_t seq,
                            double rto);
-  /// Differential distribution of `plan` (the push half of replan()).
+  /// Differential distribution of last_plan_ (the push half of replan()).
   /// Returns the number of pushes sent; increments the config version.
-  std::size_t distribute(sim::SimNetwork& net, const core::EnforcementPlan& plan);
+  std::size_t distribute(sim::SimNetwork& net);
 
   /// Close a push's span (ack / supersede / abandon / forget) and, when its
   /// replan has no outstanding pushes left, complete the replan span.

@@ -170,25 +170,19 @@ void Controller::compute_assignments() {
 EnforcementPlan Controller::compile(StrategyKind strategy,
                                     const workload::TrafficMatrix* traffic,
                                     SolveInfo* solve_out) const {
-  EnforcementPlan plan;
-  plan.strategy = strategy;
-  plan.configs = configs_;
   if (solve_out != nullptr) *solve_out = SolveInfo{};
-  if (strategy == StrategyKind::kLoadBalanced) {
-    SDM_CHECK_MSG(traffic != nullptr, "load-balanced compilation needs traffic measurements");
-    RatioResult lp = solve_load_balancing(*traffic);
-    SDM_CHECK_MSG(lp.status == lp::SolveStatus::kOptimal,
-                  std::string("load-balancing LP not optimal: ") + lp::to_string(lp.status));
-    plan.ratios = std::move(lp.ratios);
-    plan.lambda = lp.lambda;
-    if (solve_out != nullptr) {
-      solve_out->lambda = lp.lambda;
-      solve_out->stats = lp.stats;
-      solve_out->pivots = lp.pivots;
-      solve_out->warm_started = lp.warm_started;
-    }
+  if (strategy != StrategyKind::kLoadBalanced) return EnforcementPlan{strategy, configs_};
+  SDM_CHECK_MSG(traffic != nullptr, "load-balanced compilation needs traffic measurements");
+  const RatioResult lp = solve_load_balancing(*traffic);
+  SDM_CHECK_MSG(lp.status == lp::SolveStatus::kOptimal,
+                std::string("load-balancing LP not optimal: ") + lp::to_string(lp.status));
+  if (solve_out != nullptr) {
+    solve_out->lambda = lp.lambda;
+    solve_out->stats = lp.stats;
+    solve_out->pivots = lp.pivots;
+    solve_out->warm_started = lp.warm_started;
   }
-  return plan;
+  return load_balanced_plan(configs_, lp);
 }
 
 RatioResult Controller::solve_load_balancing(const workload::TrafficMatrix& traffic) const {

@@ -11,8 +11,9 @@
 //    policies whose source field overlaps their subnet, middleboxes get
 //    policies whose action list mentions a function they implement;
 //  * under load balancing, ingest proxy traffic reports and solve the
-//    Eq. (2) LP, then distribute split ratios (Eq. (1) plans, for the
-//    formulation ablation, come from core::solve_eq1).
+//    Eq. (2) LP, then distribute split ratios in each device's config
+//    (core::load_balanced_plan; Eq. (1) plans, for the formulation
+//    ablation, come from core::solve_eq1 through the same assembler).
 #pragma once
 
 #include "core/deployment.hpp"

@@ -152,11 +152,7 @@ public:
         shares.push_back(SplitRatioTable::Share{net::NodeId{it->first.second}, it->second});
       }
       const auto [sender, e, p, s, d] = entry;
-      if (s < 0) {
-        out.ratios.set(net::NodeId{sender}, FunctionId{e}, PolicyId{p}, shares);
-      } else {
-        out.ratios.set_detailed(net::NodeId{sender}, FunctionId{e}, PolicyId{p}, s, d, shares);
-      }
+      out.ratios[sender].set(FunctionId{e}, PolicyId{p}, shares, s, d);
     }
     return out;
   }
@@ -335,6 +331,16 @@ RatioResult solve_eq2(const FormulationInputs& in, const FormulationOptions& opt
 
 RatioResult solve_eq1(const FormulationInputs& in, const FormulationOptions& opt) {
   return ChainLp(in, opt, Formulation::kEq1).solve();
+}
+
+EnforcementPlan load_balanced_plan(const std::unordered_map<std::uint32_t, NodeConfig>& configs,
+                                   const RatioResult& lp) {
+  EnforcementPlan plan;
+  plan.strategy = StrategyKind::kLoadBalanced;
+  plan.configs = configs;
+  for (const auto& [sender, ratios] : lp.ratios) plan.configs.at(sender).ratios = ratios;
+  plan.lambda = lp.lambda;
+  return plan;
 }
 
 LpBuildStats measure_eq2(const FormulationInputs& in, const FormulationOptions& opt) {

@@ -21,8 +21,8 @@
 // Eq. (1) — the same network with one commodity per active (s,d,p), fed by
 // proxy s alone; Eq. (2) is its sum over (s,d). The controller never solves
 // it: the formulation ablation (bench/ablation_lp_formulations) assembles
-// Eq. (1) plans from solve_eq1, whose per-(s,d) ratios are also summed into
-// aggregate fallback entries.
+// Eq. (1) plans from solve_eq1 with load_balanced_plan. Its per-(s,d) ratios
+// are also summed into aggregate fallback entries of the same table.
 //
 // A forced local continuation (a box that implements the next function
 // itself) is an LP variable but no ratio: the box never reads one there.
@@ -52,7 +52,8 @@ struct LpBuildStats {
 };
 
 struct RatioResult {
-  SplitRatioTable ratios;
+  /// Split ratios per sending device, keyed by NodeId.v.
+  std::unordered_map<std::uint32_t, SplitRatioTable> ratios;
   double lambda = 0;
   lp::SolveStatus status = lp::SolveStatus::kIterationLimit;
   LpBuildStats stats;
@@ -84,6 +85,13 @@ RatioResult solve_eq2(const FormulationInputs& in, const FormulationOptions& opt
 
 /// Build and solve Eq. (1); ratios are marginalized over (s, d).
 RatioResult solve_eq1(const FormulationInputs& in, const FormulationOptions& opt = {});
+
+/// A load-balanced plan: `configs` (the controller's candidate sets and
+/// policy slices) with each sending device's ratios from `lp` installed in
+/// its config, and lp's λ. The one assembler of LB plans, for Eq. (2) and
+/// Eq. (1) alike.
+EnforcementPlan load_balanced_plan(const std::unordered_map<std::uint32_t, NodeConfig>& configs,
+                                   const RatioResult& lp);
 
 /// Model-size metrics without solving (for the formulation ablation at
 /// scales where Eq. (1) is too large to solve).

@@ -5,21 +5,23 @@
 //  * for every function e in Π_x, the candidate set M_x^e (k closest
 //    middleboxes implementing e, closest first — so candidates.front() is
 //    the hot-potato target m_x^e);
-//  * under load balancing, the split ratios t_{e,p}(x, y).
+//  * under load balancing, the split ratios t_{e,p}(x, y) (and, for the
+//    Eq. (1) ablation, t_{s,d,p}(x, y)).
+// All three live in x's NodeConfig, so one device's slice of the plan is a
+// copy of its config.
 // The same plan drives both the packet-level agents (core/agents) and the
 // flow-level analytic evaluator (analytic/), which is what makes their load
 // accounting provably identical.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <unordered_map>
 #include <vector>
 
 #include "core/deployment.hpp"
 #include "net/topology.hpp"
 #include "policy/policy.hpp"
-#include "util/hash.hpp"
 
 namespace sdmbox::core {
 
@@ -30,6 +32,80 @@ enum class StrategyKind : std::uint8_t {
 };
 
 const char* to_string(StrategyKind s) noexcept;
+
+/// One device's split ratios under LB, kept sorted by (function e, policy
+/// p, source subnet s, destination subnet d). Two granularities, mirroring
+/// the paper's two formulations:
+///  * (s, d) = (-1, -1) — the aggregate t_{e,p}(x, y) of Eq. (2);
+///  * s, d >= 0 — the detailed t_{s,d,p}(x, y) of Eq. (1), for flows from
+///    subnet s to subnet d.
+/// Every stored entry has a positive total weight. Iteration order, and so
+/// the wire order, depends only on the contents.
+class SplitRatioTable {
+public:
+  struct Share {
+    net::NodeId to;
+    double weight = 0;  // traffic volume assigned to this next hop
+  };
+
+  /// Store the shares for (e, p, s, d), replacing any earlier entry. Shares
+  /// whose weights sum to zero are not stored (selection falls back to
+  /// hot-potato). Throws on a negative weight, or on an (s, d) that is
+  /// neither (-1, -1) nor two subnet indices.
+  void set(policy::FunctionId e, policy::PolicyId p, std::vector<Share> shares, int s = -1,
+           int d = -1);
+
+  /// The (s, d) entry for (e, p) if there is one, else the aggregate entry,
+  /// else nullptr (callers fall back to hot-potato).
+  const std::vector<Share>* find(policy::FunctionId e, policy::PolicyId p, int s = -1,
+                                 int d = -1) const noexcept;
+
+  /// Entries, aggregate and detailed.
+  std::size_t size() const noexcept { return entries_.size(); }
+  /// Detailed (Eq. (1)) entries.
+  std::size_t detailed_size() const noexcept;
+  /// Individual (next hop, weight) shares across all entries.
+  std::size_t total_shares() const noexcept;
+
+  /// Visit every entry in key order as (e, p, s, d, shares).
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Entry& entry : entries_) {
+      const Key& k = entry.key;
+      fn(policy::FunctionId{k.e}, policy::PolicyId{k.p}, k.s, k.d, entry.shares);
+    }
+  }
+
+  /// Remove every share for which keep(e, to) is false, aggregate and
+  /// detailed alike; entries left with no positive weight are erased so
+  /// selection falls back there. Used by failure patching to drop shares
+  /// that point at a dead or evicted candidate without re-solving the LP.
+  template <typename Keep>
+  void filter_shares(Keep&& keep) {
+    std::erase_if(entries_, [&](Entry& entry) {
+      const policy::FunctionId e{entry.key.e};
+      std::erase_if(entry.shares, [&](const Share& s) { return !keep(e, s.to); });
+      return std::none_of(entry.shares.begin(), entry.shares.end(),
+                          [](const Share& s) { return s.weight > 0; });
+    });
+  }
+
+private:
+  struct Key {
+    std::uint8_t e;
+    std::uint32_t p;
+    int s;
+    int d;
+    friend auto operator<=>(const Key&, const Key&) = default;
+  };
+  struct Entry {
+    Key key;
+    std::vector<Share> shares;
+  };
+  const std::vector<Share>* lookup(const Key& key) const noexcept;
+
+  std::vector<Entry> entries_;  // sorted by key
+};
 
 /// Configuration installed at one proxy or middlebox.
 struct NodeConfig {
@@ -44,6 +120,8 @@ struct NodeConfig {
   /// M_x^e per function e in Π_x, ordered closest-first.
   std::vector<std::vector<net::NodeId>> candidates =
       std::vector<std::vector<net::NodeId>>(policy::kMaxFunctions);
+  /// t(x, y) under LB: this device's split ratios; empty otherwise.
+  SplitRatioTable ratios;
 
   const std::vector<net::NodeId>& candidates_for(policy::FunctionId e) const {
     SDM_CHECK(e.valid() && e.v < candidates.size());
@@ -56,123 +134,11 @@ struct NodeConfig {
   }
 };
 
-/// Split ratios distributed by the controller under LB.
-///
-/// Two granularities, mirroring the paper's two formulations:
-///  * aggregate t_{e,p}(x, y) — Eq. (2), keyed (from, e, p);
-///  * detailed t_{s,d,p}(x, y) — Eq. (1), additionally keyed by the flow's
-///    source and destination subnet indices. Selection consults the
-///    detailed entry first and falls back to the aggregate one.
-class SplitRatioTable {
-public:
-  struct Share {
-    net::NodeId to;
-    double weight = 0;  // traffic volume assigned to this next hop
-  };
-
-  void set(net::NodeId from, policy::FunctionId e, policy::PolicyId p, std::vector<Share> shares);
-
-  /// Eq. (1) granularity: shares for (from, e, p) restricted to flows from
-  /// subnet `s` to subnet `d`.
-  void set_detailed(net::NodeId from, policy::FunctionId e, policy::PolicyId p, int s, int d,
-                    std::vector<Share> shares);
-
-  /// Shares for (from, e, p); nullptr when the LP assigned no traffic here
-  /// (callers fall back to hot-potato).
-  const std::vector<Share>* find(net::NodeId from, policy::FunctionId e,
-                                 policy::PolicyId p) const noexcept;
-
-  const std::vector<Share>* find_detailed(net::NodeId from, policy::FunctionId e,
-                                          policy::PolicyId p, int s, int d) const noexcept;
-
-  std::size_t detailed_size() const noexcept { return detailed_.size(); }
-
-  /// Visit every detailed entry as (from, e, p, s, d, shares).
-  template <typename Fn>
-  void for_each_detailed(Fn&& fn) const {
-    for (const auto& [key, shares] : detailed_) {
-      fn(net::NodeId{static_cast<std::uint32_t>(key.from)},
-         policy::FunctionId{static_cast<std::uint8_t>(key.e)},
-         policy::PolicyId{static_cast<std::uint32_t>(key.p)}, key.s, key.d, shares);
-    }
-  }
-
-  std::size_t size() const noexcept { return table_.size(); }
-
-  /// Total individual (next hop, weight) shares across all entries,
-  /// aggregate and detailed.
-  std::size_t total_shares() const noexcept {
-    std::size_t n = 0;
-    for (const auto& [key, shares] : table_) n += shares.size();
-    for (const auto& [key, shares] : detailed_) n += shares.size();
-    return n;
-  }
-
-  /// The entries belonging to one sending device (what the controller
-  /// actually pushes to it).
-  SplitRatioTable slice(net::NodeId from) const;
-
-  /// Visit every entry as (from, e, p, shares).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [key, shares] : table_) {
-      fn(net::NodeId{static_cast<std::uint32_t>(key >> 40)},
-         policy::FunctionId{static_cast<std::uint8_t>((key >> 32) & 0xff)},
-         policy::PolicyId{static_cast<std::uint32_t>(key & 0xffffffff)}, shares);
-    }
-  }
-
-  /// Remove every share for which keep(from, e, to) is false, aggregate and
-  /// detailed alike; entries left with no shares are erased so consumers
-  /// fall back to hot-potato there. Used by failure patching to drop shares
-  /// that point at a dead or evicted candidate without re-solving the LP.
-  template <typename Keep>
-  void filter_shares(Keep&& keep) {
-    for (auto it = table_.begin(); it != table_.end();) {
-      const net::NodeId from{static_cast<std::uint32_t>(it->first >> 40)};
-      const policy::FunctionId e{static_cast<std::uint8_t>((it->first >> 32) & 0xff)};
-      std::erase_if(it->second, [&](const Share& s) { return !keep(from, e, s.to); });
-      it = it->second.empty() ? table_.erase(it) : std::next(it);
-    }
-    for (auto it = detailed_.begin(); it != detailed_.end();) {
-      const net::NodeId from{static_cast<std::uint32_t>(it->first.from)};
-      const policy::FunctionId e{static_cast<std::uint8_t>(it->first.e)};
-      std::erase_if(it->second, [&](const Share& s) { return !keep(from, e, s.to); });
-      it = it->second.empty() ? detailed_.erase(it) : std::next(it);
-    }
-  }
-
-private:
-  static std::uint64_t key(net::NodeId from, policy::FunctionId e, policy::PolicyId p) noexcept {
-    return (std::uint64_t{from.v} << 40) | (std::uint64_t{e.v} << 32) | p.v;
-  }
-  struct DetailedKey {
-    std::uint32_t from;
-    std::uint8_t e;
-    std::uint32_t p;
-    int s;
-    int d;
-    friend bool operator==(const DetailedKey&, const DetailedKey&) = default;
-  };
-  struct DetailedHash {
-    std::size_t operator()(const DetailedKey& k) const noexcept {
-      std::uint64_t h = util::mix64(k.from);
-      h = util::hash_combine(h, (std::uint64_t{k.e} << 32) | k.p);
-      h = util::hash_combine(h, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.s)) << 32) |
-                                    static_cast<std::uint32_t>(k.d));
-      return static_cast<std::size_t>(h);
-    }
-  };
-  std::unordered_map<std::uint64_t, std::vector<Share>> table_;
-  std::unordered_map<DetailedKey, std::vector<Share>, DetailedHash> detailed_;
-};
-
 /// The full compiled plan for one strategy.
 struct EnforcementPlan {
   StrategyKind strategy = StrategyKind::kHotPotato;
   /// Configs keyed by NodeId.v, for every proxy and middlebox.
   std::unordered_map<std::uint32_t, NodeConfig> configs;
-  SplitRatioTable ratios;  // populated only for kLoadBalanced
   /// λ reported by the LP (kLoadBalanced only); 0 otherwise.
   double lambda = 0;
 
@@ -184,19 +150,19 @@ struct EnforcementPlan {
   bool has_config(net::NodeId node) const noexcept { return configs.contains(node.v); }
 };
 
-/// Everything one device needs from the controller: its assignment slice,
-/// policy slice, split ratios and the strategy to apply — the unit of
-/// configuration the control plane serializes and pushes (§III.A: the
+/// Everything one device needs from the controller: its config (assignment
+/// slice, policy slice, split ratios) and the strategy to apply — the unit
+/// of configuration the control plane serializes and pushes (§III.A: the
 /// controller "pre-configures the middleboxes"). `version` lets a device
 /// discard stale or replayed pushes.
 struct DeviceConfig {
   StrategyKind strategy = StrategyKind::kHotPotato;
   std::uint64_t version = 0;
   NodeConfig node;
-  SplitRatioTable ratios;  // only this device's entries
 };
 
-/// Extract the slice of a compiled plan destined for one device.
+/// The slice of a compiled plan destined for one device: a copy of its
+/// config under the plan's strategy.
 DeviceConfig slice_for_device(const EnforcementPlan& plan, net::NodeId device,
                               std::uint64_t version = 0);
 

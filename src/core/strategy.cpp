@@ -5,13 +5,13 @@ namespace sdmbox::core {
 namespace {
 
 /// The paper's probabilistic selection: r = hash(flow) in [0, N);
-/// y_i is chosen when cum_{i-1}/W <= r/N < cum_i/W. `r` is the flow's
-/// normalized hash, computed once per selection (the detailed-ratio path
-/// falls back to the aggregate table with the same draw).
-net::NodeId pick_by_weights(const std::vector<SplitRatioTable::Share>& shares, double r) {
+/// y_i is chosen when cum_{i-1}/W <= r/N < cum_i/W. A stored entry's total
+/// weight W is positive (SplitRatioTable::set).
+net::NodeId pick_by_weights(const std::vector<SplitRatioTable::Share>& shares,
+                            const packet::FlowId& flow) {
+  const double r = static_cast<double>(flow.hash(kLbStrategySeed) >> 11) * 0x1.0p-53;  // [0,1)
   double total = 0;
   for (const auto& s : shares) total += s.weight;
-  if (total <= 0) return net::NodeId{};
   double cum = 0;
   for (const auto& s : shares) {
     cum += s.weight / total;
@@ -22,8 +22,7 @@ net::NodeId pick_by_weights(const std::vector<SplitRatioTable::Share>& shares, d
 
 }  // namespace
 
-net::NodeId select_next_hop(StrategyKind strategy, const NodeConfig& cfg,
-                            const SplitRatioTable& ratios, const policy::Policy& p,
+net::NodeId select_next_hop(StrategyKind strategy, const NodeConfig& cfg, const policy::Policy& p,
                             policy::FunctionId e, const packet::FlowId& flow, int src_subnet,
                             int dst_subnet) {
   // A device implementing e itself performs it locally — Π_x excludes own
@@ -39,21 +38,14 @@ net::NodeId select_next_hop(StrategyKind strategy, const NodeConfig& cfg,
     case StrategyKind::kRandom:
       return candidates[flow.hash(kRandStrategySeed) % candidates.size()];
 
-    case StrategyKind::kLoadBalanced: {
-      const double r = static_cast<double>(flow.hash(kLbStrategySeed) >> 11) * 0x1.0p-53;  // [0,1)
-      // Eq. (1) per-(s,d,p) ratios take precedence when distributed.
-      if (const auto* shares = ratios.find_detailed(cfg.node, e, p.id, src_subnet, dst_subnet)) {
-        const net::NodeId pick = pick_by_weights(*shares, r);
-        if (pick.valid()) return pick;
-      }
-      if (const auto* shares = ratios.find(cfg.node, e, p.id)) {
-        const net::NodeId pick = pick_by_weights(*shares, r);
-        if (pick.valid()) return pick;
+    case StrategyKind::kLoadBalanced:
+      // The flow's Eq. (1) per-(s,d,p) entry, else the aggregate one.
+      if (const auto* shares = cfg.ratios.find(e, p.id, src_subnet, dst_subnet)) {
+        return pick_by_weights(*shares, flow);
       }
       // No ratios for this (x, e, p): the measurement period saw no such
       // traffic, so the LP had nothing to balance. Fall back to hot-potato.
       return candidates.front();
-    }
   }
   return net::NodeId{};
 }
@@ -61,8 +53,7 @@ net::NodeId select_next_hop(StrategyKind strategy, const NodeConfig& cfg,
 net::NodeId select_next_hop(const EnforcementPlan& plan, net::NodeId at, const policy::Policy& p,
                             policy::FunctionId e, const packet::FlowId& flow, int src_subnet,
                             int dst_subnet) {
-  return select_next_hop(plan.strategy, plan.config(at), plan.ratios, p, e, flow, src_subnet,
-                         dst_subnet);
+  return select_next_hop(plan.strategy, plan.config(at), p, e, flow, src_subnet, dst_subnet);
 }
 
 }  // namespace sdmbox::core

@@ -1,9 +1,10 @@
 // Next-middlebox selection — the data-plane half of each enforcement strategy.
 //
-// All three strategies are pure functions of (plan, node, policy, next
-// function, flow 5-tuple): hot-potato picks the closest candidate; random
-// picks uniformly by flow hash; load-balanced picks with probability
-// proportional to the controller's split ratios using the paper's
+// All three strategies are pure functions of (the device's NodeConfig,
+// policy, next function, flow 5-tuple and its subnet pair): hot-potato picks
+// the closest candidate; random picks uniformly by flow hash; load-balanced
+// picks with probability proportional to the split ratios the device holds,
+// one table lookup for Eq. (1) and Eq. (2) alike, using the paper's
 // cumulative-hash scheme (§III.C): hash the flow id to r ∈ [0, N) and select
 // the candidate whose cumulative weight bracket contains r/N.
 //
@@ -34,23 +35,21 @@ inline bool wp_cache_hit(const packet::FlowId& flow, double hit_rate) noexcept {
 }
 
 /// Device-local selection: what a proxy/middlebox computes from ITS OWN
-/// pushed configuration (candidate set + ratio slice). Returns an invalid
+/// pushed configuration (candidate sets + split ratios). Returns an invalid
 /// NodeId iff the device has no candidate for `e` (a deployment hole the
 /// controller's plan audit would have flagged).
 ///
 /// `src_subnet` / `dst_subnet` (the flow's subnet indices, -1 if unknown)
-/// enable the Eq. (1) per-(s,d,p) split ratios; the aggregate Eq. (2)
-/// ratios are the fallback, then hot-potato.
-net::NodeId select_next_hop(StrategyKind strategy, const NodeConfig& cfg,
-                            const SplitRatioTable& ratios, const policy::Policy& p,
+/// select an Eq. (1) per-(s,d,p) entry where the device holds one; the
+/// aggregate Eq. (2) entry is the fallback, then hot-potato.
+net::NodeId select_next_hop(StrategyKind strategy, const NodeConfig& cfg, const policy::Policy& p,
                             policy::FunctionId e, const packet::FlowId& flow,
                             int src_subnet = -1, int dst_subnet = -1);
 
 inline net::NodeId select_next_hop(const DeviceConfig& device, const policy::Policy& p,
                                    policy::FunctionId e, const packet::FlowId& flow,
                                    int src_subnet = -1, int dst_subnet = -1) {
-  return select_next_hop(device.strategy, device.node, device.ratios, p, e, flow, src_subnet,
-                         dst_subnet);
+  return select_next_hop(device.strategy, device.node, p, e, flow, src_subnet, dst_subnet);
 }
 
 /// Global-plan convenience used by the controller-side evaluators.

@@ -84,27 +84,18 @@ std::vector<std::string> validate_plan(const EnforcementPlan& plan,
       }
     }
 
-    // 4. LB shares must target the device's own candidates with
-    // non-negative weights.
-    if (plan.strategy == StrategyKind::kLoadBalanced) {
-      for (const policy::PolicyId id : cfg.relevant_policies) {
-        const policy::Policy& p = policies.at(id);
-        for (const policy::FunctionId e : p.actions) {
-          const auto* shares = plan.ratios.find(cfg.node, e, id);
-          if (shares == nullptr) continue;
-          const auto& cands = cfg.candidates_for(e);
-          for (const auto& share : *shares) {
-            if (std::find(cands.begin(), cands.end(), share.to) == cands.end()) {
-              complain(who + ": LB share for policy " + std::to_string(id.v) +
-                       " targets non-candidate node " + std::to_string(share.to.v));
-            }
-            if (share.weight < 0) {
-              complain(who + ": negative LB share weight");
-            }
-          }
+    // 4. Every split share the device holds, Eq. (1) and Eq. (2) alike,
+    // must target one of its candidates for that function.
+    cfg.ratios.for_each([&](policy::FunctionId e, policy::PolicyId p, int, int,
+                            const std::vector<SplitRatioTable::Share>& shares) {
+      const auto& cands = cfg.candidates_for(e);
+      for (const auto& share : shares) {
+        if (std::find(cands.begin(), cands.end(), share.to) == cands.end()) {
+          complain(who + ": LB share for policy " + std::to_string(p.v) +
+                   " targets non-candidate node " + std::to_string(share.to.v));
         }
       }
-    }
+    });
   }
   return violations;
 }

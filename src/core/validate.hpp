@@ -9,7 +9,8 @@
 //    itself nor any candidate for it,
 //  * candidates that do not implement the function, are failed, or are not
 //    middleboxes at all,
-//  * load-balancing shares pointing outside the device's candidate set.
+//  * split-ratio shares, aggregate or per-(s, d), pointing outside the
+//    device's candidate set for their function.
 // Returns human-readable violations; empty means the plan is sound.
 #pragma once
 

@@ -477,11 +477,10 @@ TEST(DecodeAllocations, OversizedCountClaimsRejectedBeforeReserve) {
   core::DeviceConfig with_candidate = empty_config;
   with_candidate.node.candidates[policy::kFirewall.v] = {net::NodeId{60}};
   core::DeviceConfig with_share = empty_config;
-  with_share.ratios.set(net::NodeId{17}, policy::kFirewall, policy::PolicyId{3},
-                        {{net::NodeId{60}, 1.0}});
+  with_share.node.ratios.set(policy::kFirewall, policy::PolicyId{3}, {{net::NodeId{60}, 1.0}});
   core::DeviceConfig with_detailed_share = empty_config;
-  with_detailed_share.ratios.set_detailed(net::NodeId{17}, policy::kFirewall,
-                                          policy::PolicyId{3}, 0, 1, {{net::NodeId{60}, 1.0}});
+  with_detailed_share.node.ratios.set(policy::kFirewall, policy::PolicyId{3},
+                                      {{net::NodeId{60}, 1.0}}, 0, 1);
   struct Claim {
     const char* what;
     std::vector<std::uint8_t> bytes;

@@ -180,10 +180,11 @@ TEST(ScopedReplan, PushesOnlyAffectedSlicesAndMatchesFullRecompute) {
   twin.deployment.set_failed(victim, true);
   twin.controller->recompute();
   const auto full = twin.controller->compile(StrategyKind::kHotPotato);
-  ASSERT_EQ(out.plan.configs.size(), full.configs.size());
+  const EnforcementPlan& patched = cp.controller->last_plan();
+  ASSERT_EQ(patched.configs.size(), full.configs.size());
   for (const auto& [node_v, cfg] : full.configs) {
     const net::NodeId device{node_v};
-    EXPECT_EQ(control::encode_device_config(slice_for_device(out.plan, device, 0)),
+    EXPECT_EQ(control::encode_device_config(slice_for_device(patched, device, 0)),
               control::encode_device_config(slice_for_device(full, device, 0)))
         << "device " << node_v;
   }

@@ -276,7 +276,7 @@ TEST(Replan, ZeroReportMeasurementReplanIsANoOp) {
   const ReplanOutcome failure = loop.cp.controller->replan(
       loop.simnet, ReplanRequest{.trigger = ReplanTrigger::kFailure});
   EXPECT_FALSE(failure.suppressed);
-  EXPECT_EQ(failure.plan.strategy, StrategyKind::kHotPotato);
+  EXPECT_EQ(loop.cp.controller->last_plan().strategy, StrategyKind::kHotPotato);
 }
 
 TEST(Replan, ExplicitPlanAndFullRecoveryRideTheUnifiedEntryPoint) {
@@ -309,7 +309,7 @@ TEST(Replan, ExplicitPlanAndFullRecoveryRideTheUnifiedEntryPoint) {
                                  .strategy = StrategyKind::kHotPotato,
                                  .recompute_assignments = true});
   loop.simnet.run();
-  EXPECT_EQ(recovered.plan.strategy, StrategyKind::kHotPotato);
+  EXPECT_EQ(loop.cp.controller->last_plan().strategy, StrategyKind::kHotPotato);
   EXPECT_FALSE(recovered.patched);
   // Initial rollout + both explicit replans went through the one entry point.
   EXPECT_EQ(loop.cp.controller->replans(), 3u);

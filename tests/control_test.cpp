@@ -5,10 +5,12 @@
 // plane switches behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <tuple>
 
 #include "analytic/load_evaluator.hpp"
 #include "control/codec.hpp"
@@ -72,8 +74,8 @@ core::DeviceConfig sample_config() {
   cfg.node.relevant_policies = {policy::PolicyId{0}, policy::PolicyId{3}};
   cfg.node.candidates[policy::kFirewall.v] = {net::NodeId{60}, net::NodeId{61}};
   cfg.node.candidates[policy::kIntrusionDetection.v] = {net::NodeId{70}};
-  cfg.ratios.set(net::NodeId{17}, policy::kFirewall, policy::PolicyId{3},
-                 {{net::NodeId{60}, 0.25}, {net::NodeId{61}, 0.75}});
+  cfg.node.ratios.set(policy::kFirewall, policy::PolicyId{3},
+                      {{net::NodeId{60}, 0.25}, {net::NodeId{61}, 0.75}});
   return cfg;
 }
 
@@ -90,11 +92,35 @@ TEST(Codec, DeviceConfigRoundTrip) {
   EXPECT_EQ(decoded->node.relevant_policies, original.node.relevant_policies);
   EXPECT_EQ(decoded->node.candidates[policy::kFirewall.v],
             original.node.candidates[policy::kFirewall.v]);
-  const auto* shares = decoded->ratios.find(net::NodeId{17}, policy::kFirewall,
-                                            policy::PolicyId{3});
+  const auto* shares = decoded->node.ratios.find(policy::kFirewall, policy::PolicyId{3});
   ASSERT_NE(shares, nullptr);
   ASSERT_EQ(shares->size(), 2u);
   EXPECT_DOUBLE_EQ((*shares)[1].weight, 0.75);
+}
+
+TEST(Codec, EqualConfigsEncodeToEqualBytes) {
+  // The differential push skips a device whose encoded slice is unchanged,
+  // so equal contents must give equal bytes whatever order they were set in.
+  const auto set_all = [](core::DeviceConfig& cfg, bool reversed) {
+    std::vector<std::tuple<std::uint8_t, std::uint32_t, int, int>> keys;
+    for (std::uint8_t e = 0; e < 4; ++e) {
+      for (std::uint32_t p = 0; p < 6; ++p) {
+        keys.emplace_back(e, p, -1, -1);
+        keys.emplace_back(e, p, static_cast<int>(p), 7 - static_cast<int>(e));
+      }
+    }
+    if (reversed) std::reverse(keys.begin(), keys.end());
+    for (const auto& [e, p, src, dst] : keys) {
+      cfg.node.ratios.set(policy::FunctionId{e}, policy::PolicyId{p},
+                          {{net::NodeId{60u + e}, 1.0 + p}, {net::NodeId{61u + e}, 0.5}}, src,
+                          dst);
+    }
+  };
+  core::DeviceConfig forward = sample_config();
+  core::DeviceConfig backward = sample_config();
+  set_all(forward, false);
+  set_all(backward, true);
+  EXPECT_EQ(encode_device_config(forward), encode_device_config(backward));
 }
 
 TEST(Codec, MeasurementReportRoundTrip) {
@@ -150,10 +176,8 @@ TEST(Codec, InvalidIdsAreRejectedNotThrown) {
   cfg.node.node = net::NodeId{3};
   cfg.node.relevant_policies = {policy::PolicyId{0}};
   cfg.node.candidates[1] = {net::NodeId{5}};
-  cfg.ratios.set(net::NodeId{3}, policy::FunctionId{1}, policy::PolicyId{0},
-                 {{net::NodeId{5}, 1.0}});
-  cfg.ratios.set_detailed(net::NodeId{3}, policy::FunctionId{1}, policy::PolicyId{0}, 0, 1,
-                          {{net::NodeId{5}, 1.0}});
+  cfg.node.ratios.set(policy::FunctionId{1}, policy::PolicyId{0}, {{net::NodeId{5}, 1.0}});
+  cfg.node.ratios.set(policy::FunctionId{1}, policy::PolicyId{0}, {{net::NodeId{5}, 1.0}}, 0, 1);
   const auto valid = encode_device_config(cfg);
   ASSERT_EQ(valid.size(), 94u);
   ASSERT_TRUE(decode_device_config(valid).has_value());
@@ -184,6 +208,9 @@ TEST(Codec, InvalidIdsAreRejectedNotThrown) {
       {"ratio weight +inf", 55, 8, one, bits(std::numeric_limits<double>::infinity())},
       {"detailed function id", 67, 1, 1, 0xff},
       {"detailed policy id", 68, 4, 0, 0xffffffff},
+      // (-1, -1) keys the aggregate entry; a detailed entry names subnets.
+      {"detailed source subnet", 72, 4, 0, 0xffffffff},
+      {"detailed destination subnet", 76, 4, 1, 0xffffffff},
       {"detailed share target", 82, 4, 5, 0xffffffff},
       {"detailed weight NaN", 86, 8, one, nan},
   };
@@ -336,7 +363,7 @@ TEST(ControlLoop, ConfigPushSwitchesStrategyMidRun) {
   EXPECT_FALSE(reopt.suppressed);
   EXPECT_EQ(reopt.trigger, ReplanTrigger::kMeasurement);
   EXPECT_GT(reopt.reports_used, 0u);
-  const core::EnforcementPlan& lb_plan = reopt.plan;
+  const core::EnforcementPlan lb_plan = loop.cp.controller->last_plan();
   loop.simnet.run();  // configs propagate
 
   // Every device applied version 1.

@@ -276,8 +276,8 @@ TEST_F(StrategyTest, LoadBalancedFollowsRatiosProportionally) {
   const auto& cands = plan.config(proxy).candidates_for(pol.actions.front());
   ASSERT_GE(cands.size(), 2u);
   // Hand-crafted 3:1 split between the two nearest candidates.
-  plan.ratios.set(proxy, pol.actions.front(), pol.id,
-                  {{cands[0], 3.0}, {cands[1], 1.0}});
+  plan.configs.at(proxy.v).ratios.set(pol.actions.front(), pol.id,
+                                      {{cands[0], 3.0}, {cands[1], 1.0}});
   int first = 0, second = 0;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
@@ -301,16 +301,28 @@ TEST_F(StrategyTest, LoadBalancedFallsBackToHotPotatoWithoutRatios) {
 
 TEST(SplitRatioTable, IgnoresAllZeroShares) {
   SplitRatioTable t;
-  t.set(net::NodeId{1}, policy::kFirewall, policy::PolicyId{0}, {{net::NodeId{2}, 0.0}});
-  EXPECT_EQ(t.find(net::NodeId{1}, policy::kFirewall, policy::PolicyId{0}), nullptr);
+  t.set(policy::kFirewall, policy::PolicyId{0}, {{net::NodeId{2}, 0.0}});
+  EXPECT_EQ(t.find(policy::kFirewall, policy::PolicyId{0}), nullptr);
   EXPECT_EQ(t.size(), 0u);
 }
 
 TEST(SplitRatioTable, NegativeWeightRejected) {
   SplitRatioTable t;
-  EXPECT_THROW(t.set(net::NodeId{1}, policy::kFirewall, policy::PolicyId{0},
-                     {{net::NodeId{2}, -1.0}}),
+  EXPECT_THROW(t.set(policy::kFirewall, policy::PolicyId{0}, {{net::NodeId{2}, -1.0}}),
                ContractViolation);
+}
+
+TEST(SplitRatioTable, SubnetPairIsAggregateOrTwoIndices) {
+  // (-1, -1) keys the aggregate entry; half a pair would alias it.
+  SplitRatioTable t;
+  const std::vector<SplitRatioTable::Share> shares = {{net::NodeId{2}, 1.0}};
+  EXPECT_THROW(t.set(policy::kFirewall, policy::PolicyId{0}, shares, -1, 5), ContractViolation);
+  EXPECT_THROW(t.set(policy::kFirewall, policy::PolicyId{0}, shares, 3, -1), ContractViolation);
+  EXPECT_THROW(t.set(policy::kFirewall, policy::PolicyId{0}, shares, -2, -2), ContractViolation);
+  t.set(policy::kFirewall, policy::PolicyId{0}, shares, 0, 0);
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.detailed_size(), 1u);
+  EXPECT_EQ(t.find(policy::kFirewall, policy::PolicyId{0}), nullptr);  // no aggregate entry
 }
 
 // ---------------------------------------------------------------------------
@@ -409,25 +421,23 @@ TEST_F(LpFormulationTest, ModelShapesArePinned) {
 
 TEST_F(LpFormulationTest, RatiosOnlyPointAtValidCandidates) {
   const RatioResult r = s.controller->solve_load_balancing(s.traffic);
-  for (const auto& [node, cfg] : s.controller->configs()) {
-    for (const auto& p : s.gen.policies.all()) {
-      for (std::uint8_t ev = 0; ev < 4; ++ev) {
-        const policy::FunctionId e{ev};
-        const auto* shares = r.ratios.find(net::NodeId{node}, e, p.id);
-        if (shares == nullptr) continue;
-        const auto& cands = cfg.candidates_for(e);
-        for (const auto& share : *shares) {
-          EXPECT_TRUE(std::find(cands.begin(), cands.end(), share.to) != cands.end());
-        }
+  ASSERT_FALSE(r.ratios.empty());
+  for (const auto& [node, ratios] : r.ratios) {
+    const NodeConfig& cfg = s.controller->configs().at(node);
+    ratios.for_each([&](policy::FunctionId e, policy::PolicyId, int, int,
+                        const std::vector<SplitRatioTable::Share>& shares) {
+      const auto& cands = cfg.candidates_for(e);
+      for (const auto& share : shares) {
+        EXPECT_TRUE(std::find(cands.begin(), cands.end(), share.to) != cands.end());
       }
-    }
+    });
   }
 }
 
 TEST_F(LpFormulationTest, CompileLoadBalancedPlanCarriesRatios) {
   const auto plan = s.controller->compile(StrategyKind::kLoadBalanced, &s.traffic);
   EXPECT_EQ(plan.strategy, StrategyKind::kLoadBalanced);
-  EXPECT_GT(plan.ratios.size(), 0u);
+  EXPECT_GT(measure_distribution(plan).ratio_entries, 0u);
   EXPECT_GT(plan.lambda, 0.0);
 }
 

@@ -28,21 +28,24 @@ ScenarioParams eq1_params(std::uint64_t seed, std::uint64_t packets) {
 TEST(Eq1Ratios, DetailedEntriesAreExtracted) {
   Scenario s = make_scenario(eq1_params(91, 100000));
   const auto plan = compile_eq1(s);
-  EXPECT_GT(plan.ratios.detailed_size(), 0u);
-  EXPECT_GT(plan.ratios.size(), 0u);  // aggregate fallback is populated too
+  std::size_t detailed = 0, aggregate = 0;
+  for (const auto& [node, cfg] : plan.configs) {
+    detailed += cfg.ratios.detailed_size();
+    aggregate += cfg.ratios.size() - cfg.ratios.detailed_size();
+  }
+  EXPECT_GT(detailed, 0u);
+  EXPECT_GT(aggregate, 0u);  // aggregate fallback is populated too
 }
 
 TEST(Eq1Ratios, DetailedSelectionTakesPrecedence) {
-  SplitRatioTable t;
-  const net::NodeId from{1};
   const policy::PolicyId p{0};
   const net::NodeId a{10}, b{11};
-  t.set(from, policy::kFirewall, p, {{a, 1.0}});                    // aggregate: all to a
-  t.set_detailed(from, policy::kFirewall, p, 3, 7, {{b, 1.0}});     // (3,7): all to b
-
   NodeConfig cfg;
-  cfg.node = from;
+  cfg.node = net::NodeId{1};
   cfg.candidates[policy::kFirewall.v] = {a, b};
+  cfg.ratios.set(policy::kFirewall, p, {{a, 1.0}});        // aggregate: all to a
+  cfg.ratios.set(policy::kFirewall, p, {{b, 1.0}}, 3, 7);  // (3,7): all to b
+
   policy::Policy pol;
   pol.id = p;
   pol.actions = {policy::kFirewall};
@@ -50,16 +53,14 @@ TEST(Eq1Ratios, DetailedSelectionTakesPrecedence) {
   packet::FlowId flow;
   flow.src = net::IpAddress(10, 1, 0, 1);
   flow.dst = net::IpAddress(10, 2, 0, 1);
-  EXPECT_EQ(select_next_hop(StrategyKind::kLoadBalanced, cfg, t, pol, policy::kFirewall, flow,
-                            3, 7),
-            b);
+  EXPECT_EQ(
+      select_next_hop(StrategyKind::kLoadBalanced, cfg, pol, policy::kFirewall, flow, 3, 7), b);
   // Other (s,d) pairs fall back to the aggregate entry.
-  EXPECT_EQ(select_next_hop(StrategyKind::kLoadBalanced, cfg, t, pol, policy::kFirewall, flow,
-                            4, 7),
-            a);
-  EXPECT_EQ(select_next_hop(StrategyKind::kLoadBalanced, cfg, t, pol, policy::kFirewall, flow,
-                            -1, -1),
-            a);
+  EXPECT_EQ(
+      select_next_hop(StrategyKind::kLoadBalanced, cfg, pol, policy::kFirewall, flow, 4, 7), a);
+  EXPECT_EQ(
+      select_next_hop(StrategyKind::kLoadBalanced, cfg, pol, policy::kFirewall, flow, -1, -1),
+      a);
 }
 
 TEST(Eq1Ratios, CodecRoundTripsDetailedEntries) {
@@ -68,21 +69,23 @@ TEST(Eq1Ratios, CodecRoundTripsDetailedEntries) {
   cfg.version = 7;
   cfg.node.node = net::NodeId{5};
   cfg.node.candidates[policy::kFirewall.v] = {net::NodeId{10}, net::NodeId{11}};
-  cfg.ratios.set(net::NodeId{5}, policy::kFirewall, policy::PolicyId{0},
-                 {{net::NodeId{10}, 1.0}});
-  cfg.ratios.set_detailed(net::NodeId{5}, policy::kFirewall, policy::PolicyId{0}, 2, 9,
-                          {{net::NodeId{11}, 0.5}, {net::NodeId{10}, 0.5}});
+  cfg.node.ratios.set(policy::kFirewall, policy::PolicyId{0}, {{net::NodeId{10}, 1.0}});
+  cfg.node.ratios.set(policy::kFirewall, policy::PolicyId{0},
+                      {{net::NodeId{11}, 0.5}, {net::NodeId{10}, 0.5}}, 2, 9);
   const auto bytes = control::encode_device_config(cfg);
   const auto decoded = control::decode_device_config(bytes);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->ratios.detailed_size(), 1u);
-  const auto* shares =
-      decoded->ratios.find_detailed(net::NodeId{5}, policy::kFirewall, policy::PolicyId{0}, 2, 9);
+  const SplitRatioTable& ratios = decoded->node.ratios;
+  EXPECT_EQ(ratios.detailed_size(), 1u);
+  const auto* shares = ratios.find(policy::kFirewall, policy::PolicyId{0}, 2, 9);
   ASSERT_NE(shares, nullptr);
   ASSERT_EQ(shares->size(), 2u);
-  EXPECT_EQ(decoded->ratios.find_detailed(net::NodeId{5}, policy::kFirewall,
-                                          policy::PolicyId{0}, 2, 8),
-            nullptr);
+  // A pair without its own entry resolves to the aggregate entry.
+  const auto* fallback = ratios.find(policy::kFirewall, policy::PolicyId{0}, 2, 8);
+  ASSERT_NE(fallback, nullptr);
+  EXPECT_EQ(fallback, ratios.find(policy::kFirewall, policy::PolicyId{0}));
+  ASSERT_EQ(fallback->size(), 1u);
+  EXPECT_EQ(fallback->front().to, net::NodeId{10});
 }
 
 TEST(Eq1Enforcement, ConservesDemandAndApproachesLambda) {

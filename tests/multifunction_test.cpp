@@ -224,12 +224,14 @@ TEST(ComboLp, LoadBalancedPlanPassesValidation) {
   // no share there: validate_plan rejects a share outside M_x^e.
   Scenario s = make_combo_scenario(51, 100000);
   const auto plan = s.controller->compile(StrategyKind::kLoadBalanced, &s.traffic);
-  plan.ratios.for_each([](net::NodeId from, policy::FunctionId e, policy::PolicyId p,
-                          const std::vector<SplitRatioTable::Share>& shares) {
-    for (const auto& share : shares) {
-      EXPECT_NE(share.to.v, from.v) << "function " << int{e.v} << ", policy " << p.v;
-    }
-  });
+  for (const auto& [from, cfg] : plan.configs) {
+    cfg.ratios.for_each([&](policy::FunctionId e, policy::PolicyId p, int, int,
+                            const std::vector<SplitRatioTable::Share>& shares) {
+      for (const auto& share : shares) {
+        EXPECT_NE(share.to.v, from) << "function " << int{e.v} << ", policy " << p.v;
+      }
+    });
+  }
   EXPECT_EQ(validate_plan(plan, s.network, s.deployment, s.gen.policies),
             std::vector<std::string>{});
 }

@@ -2,6 +2,8 @@
 // observer hooks, and strategy edge cases not covered elsewhere.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "core/strategy.hpp"
 #include "scenario.hpp"
 #include "sim/network.hpp"
@@ -25,42 +27,51 @@ TEST(PlanSlice, CarriesExactlyTheDevicesEntries) {
   EXPECT_EQ(slice.version, 5u);
   EXPECT_EQ(slice.strategy, StrategyKind::kLoadBalanced);
   EXPECT_EQ(slice.node.node, proxy);
-  // Every sliced entry belongs to the device; totals match the plan's view.
-  std::size_t plan_entries_for_device = 0;
-  plan.ratios.for_each([&](net::NodeId from, policy::FunctionId, policy::PolicyId,
-                           const auto&) { plan_entries_for_device += from == proxy; });
-  EXPECT_EQ(slice.ratios.size(), plan_entries_for_device);
-  slice.ratios.for_each([&](net::NodeId from, policy::FunctionId, policy::PolicyId,
-                            const auto&) { EXPECT_EQ(from, proxy); });
+  // The slice carries the device's own split ratios, entry for entry.
+  const core::SplitRatioTable& held = plan.config(proxy).ratios;
+  EXPECT_GT(held.size(), 0u);
+  EXPECT_EQ(slice.node.ratios.size(), held.size());
+  EXPECT_EQ(slice.node.ratios.total_shares(), held.total_shares());
+  held.for_each([&](policy::FunctionId e, policy::PolicyId p, int src, int dst,
+                    const std::vector<core::SplitRatioTable::Share>& shares) {
+    const auto* sliced = slice.node.ratios.find(e, p, src, dst);
+    ASSERT_NE(sliced, nullptr);
+    ASSERT_EQ(sliced->size(), shares.size());
+    for (std::size_t i = 0; i < shares.size(); ++i) {
+      EXPECT_EQ((*sliced)[i].to, shares[i].to);
+      EXPECT_EQ((*sliced)[i].weight, shares[i].weight);
+    }
+  });
 }
 
 TEST(PlanSlice, HotPotatoSliceHasNoRatios) {
   Scenario s = make_scenario();
   const auto plan = s.controller->compile(StrategyKind::kHotPotato);
   const auto slice = core::slice_for_device(plan, s.network.proxies[1]);
-  EXPECT_EQ(slice.ratios.size(), 0u);
-  EXPECT_EQ(slice.ratios.detailed_size(), 0u);
+  EXPECT_EQ(slice.node.ratios.size(), 0u);
+  EXPECT_EQ(slice.node.ratios.detailed_size(), 0u);
 }
 
 TEST(RatioTable, ForEachVisitsEverything) {
+  // Set out of key order; for_each visits (e, p, s, d) ascending, each
+  // aggregate entry before its (s, d) entries.
   core::SplitRatioTable t;
-  t.set(net::NodeId{1}, policy::kFirewall, policy::PolicyId{0}, {{net::NodeId{9}, 1.0}});
-  t.set(net::NodeId{2}, policy::kWebProxy, policy::PolicyId{3}, {{net::NodeId{8}, 2.0}});
-  std::size_t visited = 0;
-  t.for_each([&](net::NodeId from, policy::FunctionId e, policy::PolicyId p,
+  t.set(policy::kWebProxy, policy::PolicyId{3}, {{net::NodeId{8}, 2.0}});
+  t.set(policy::kFirewall, policy::PolicyId{0}, {{net::NodeId{7}, 1.0}}, 2, 5);
+  t.set(policy::kFirewall, policy::PolicyId{0}, {{net::NodeId{9}, 1.0}});
+  std::vector<std::tuple<std::uint8_t, std::uint32_t, int, int, double>> visited;
+  t.for_each([&](policy::FunctionId e, policy::PolicyId p, int src, int dst,
                  const std::vector<core::SplitRatioTable::Share>& shares) {
-    ++visited;
-    if (from == net::NodeId{1}) {
-      EXPECT_EQ(e, policy::kFirewall);
-      EXPECT_EQ(p.v, 0u);
-      EXPECT_DOUBLE_EQ(shares[0].weight, 1.0);
-    } else {
-      EXPECT_EQ(from, net::NodeId{2});
-      EXPECT_EQ(e, policy::kWebProxy);
-    }
+    ASSERT_EQ(shares.size(), 1u);
+    visited.emplace_back(e.v, p.v, src, dst, shares[0].weight);
   });
-  EXPECT_EQ(visited, 2u);
-  EXPECT_EQ(t.total_shares(), 2u);
+  const decltype(visited) expected = {{policy::kFirewall.v, 0, -1, -1, 1.0},
+                                      {policy::kFirewall.v, 0, 2, 5, 1.0},
+                                      {policy::kWebProxy.v, 3, -1, -1, 2.0}};
+  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.detailed_size(), 1u);
+  EXPECT_EQ(t.total_shares(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -71,28 +82,24 @@ TEST(StrategyEdge, SingleCandidateAlwaysWins) {
   core::NodeConfig cfg;
   cfg.node = net::NodeId{1};
   cfg.candidates[policy::kFirewall.v] = {net::NodeId{42}};
-  core::SplitRatioTable empty;
   policy::Policy p;
   p.id = policy::PolicyId{0};
   p.actions = {policy::kFirewall};
   packet::FlowId f;
   for (const auto strategy :
        {StrategyKind::kHotPotato, StrategyKind::kRandom, StrategyKind::kLoadBalanced}) {
-    EXPECT_EQ(core::select_next_hop(strategy, cfg, empty, p, policy::kFirewall, f),
-              net::NodeId{42});
+    EXPECT_EQ(core::select_next_hop(strategy, cfg, p, policy::kFirewall, f), net::NodeId{42});
   }
 }
 
 TEST(StrategyEdge, NoCandidatesYieldsInvalid) {
   core::NodeConfig cfg;
   cfg.node = net::NodeId{1};
-  core::SplitRatioTable empty;
   policy::Policy p;
   p.id = policy::PolicyId{0};
   packet::FlowId f;
   EXPECT_FALSE(
-      core::select_next_hop(StrategyKind::kHotPotato, cfg, empty, p, policy::kFirewall, f)
-          .valid());
+      core::select_next_hop(StrategyKind::kHotPotato, cfg, p, policy::kFirewall, f).valid());
 }
 
 TEST(StrategyEdge, ExtremeWeightSkewStillPicksBoth) {
@@ -102,9 +109,7 @@ TEST(StrategyEdge, ExtremeWeightSkewStillPicksBoth) {
   cfg.node = net::NodeId{1};
   const net::NodeId heavy{10}, light{11};
   cfg.candidates[policy::kFirewall.v] = {heavy, light};
-  core::SplitRatioTable t;
-  t.set(net::NodeId{1}, policy::kFirewall, policy::PolicyId{0},
-        {{heavy, 1e6}, {light, 1.0}});
+  cfg.ratios.set(policy::kFirewall, policy::PolicyId{0}, {{heavy, 1e6}, {light, 1.0}});
   policy::Policy p;
   p.id = policy::PolicyId{0};
   p.actions = {policy::kFirewall};
@@ -114,8 +119,8 @@ TEST(StrategyEdge, ExtremeWeightSkewStillPicksBoth) {
     packet::FlowId f;
     f.src = net::IpAddress(static_cast<std::uint32_t>(rng.next_u64()));
     f.src_port = static_cast<std::uint16_t>(rng.next_below(65536));
-    heavy_count += core::select_next_hop(StrategyKind::kLoadBalanced, cfg, t, p,
-                                         policy::kFirewall, f) == heavy;
+    heavy_count +=
+        core::select_next_hop(StrategyKind::kLoadBalanced, cfg, p, policy::kFirewall, f) == heavy;
   }
   EXPECT_GT(heavy_count, 99800);
   EXPECT_LT(heavy_count, 100000);  // the light candidate got something

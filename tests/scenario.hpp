@@ -82,14 +82,9 @@ inline core::FormulationInputs lp_inputs(const Scenario& s) {
 /// An Eq. (1) load-balanced plan, assembled as ablation A1 assembles it: the
 /// controller's candidate sets with core::solve_eq1's ratios and λ.
 inline core::EnforcementPlan compile_eq1(const Scenario& s) {
-  core::RatioResult lp = core::solve_eq1(lp_inputs(s));
+  const core::RatioResult lp = core::solve_eq1(lp_inputs(s));
   SDM_CHECK_MSG(lp.status == lp::SolveStatus::kOptimal, "Eq. (1) LP not optimal");
-  core::EnforcementPlan plan;
-  plan.strategy = core::StrategyKind::kLoadBalanced;
-  plan.configs = s.controller->configs();
-  plan.ratios = std::move(lp.ratios);
-  plan.lambda = lp.lambda;
-  return plan;
+  return core::load_balanced_plan(s.controller->configs(), lp);
 }
 
 }  // namespace sdmbox::testing

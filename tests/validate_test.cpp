@@ -1,6 +1,9 @@
 // Enforcement-plan audit (core/validate) and the stats::Histogram helper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "core/validate.hpp"
 #include "scenario.hpp"
 #include "stats/histogram.hpp"
@@ -97,10 +100,53 @@ TEST(ValidatePlan, DetectsForeignLbShare) {
     }
   }
   ASSERT_TRUE(outsider.valid());
-  plan.ratios.set(proxy, e, pid, {{outsider, 1.0}});
+  plan.configs.at(proxy.v).ratios.set(e, pid, {{outsider, 1.0}});
   const auto violations = core::validate_plan(plan, s.network, s.deployment, s.gen.policies);
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations.front().find("non-candidate"), std::string::npos);
+}
+
+TEST(ValidatePlan, ChecksEveryEq1Share) {
+  // Selection reads a flow's (s, d) entry before the aggregate one, so the
+  // audit must cover the Eq. (1) entries too.
+  Scenario s = make_scenario();
+  auto plan = sdmbox::testing::compile_eq1(s);
+  EXPECT_EQ(core::validate_plan(plan, s.network, s.deployment, s.gen.policies),
+            std::vector<std::string>{});
+
+  // Redirect one (s, d) entry to a middlebox outside the sender's candidates.
+  struct Target {
+    policy::FunctionId e;
+    policy::PolicyId p;
+    int src;
+    int dst;
+    net::NodeId outsider;
+  };
+  std::optional<Target> target;
+  for (auto& [node_v, cfg] : plan.configs) {
+    cfg.ratios.for_each([&](policy::FunctionId e, policy::PolicyId p, int src, int dst,
+                            const auto&) {
+      if (target.has_value() || src < 0) return;
+      const auto& cands = cfg.candidates_for(e);
+      for (const auto& m : s.deployment.middleboxes()) {
+        if (m.functions.contains(e) &&
+            std::find(cands.begin(), cands.end(), m.node) == cands.end()) {
+          target = Target{e, p, src, dst, m.node};
+          return;
+        }
+      }
+    });
+    if (target.has_value()) {
+      cfg.ratios.set(target->e, target->p, {{target->outsider, 1.0}}, target->src, target->dst);
+      break;
+    }
+  }
+  ASSERT_TRUE(target.has_value());
+  const auto violations = core::validate_plan(plan, s.network, s.deployment, s.gen.policies);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations.front().find("non-candidate node " + std::to_string(target->outsider.v)),
+            std::string::npos)
+      << violations.front();
 }
 
 // ---------------------------------------------------------------------------
