@@ -96,9 +96,7 @@ RecoveryResult run_recovery(Recovery mode) {
     simnet.simulator().schedule_at(kCrashAt, [&] {
       s.deployment.set_failed(victim, true);
       cp.controller->replan(simnet, control::ReplanRequest{
-                                        .trigger = control::ReplanTrigger::kFailure,
-                                        .strategy = core::StrategyKind::kHotPotato,
-                                        .recompute_assignments = true});
+                                        .trigger = control::ReplanTrigger::kFailure});
       oracle_pushed_at = kCrashAt;
     });
   } else if (mode != Recovery::kNone) {

@@ -12,12 +12,21 @@
 #                  enough to wrap the trace ring: trace and stdout
 #   chaos_csN_*    scenario_cli verified under generated chaos seeds 1-4:
 #                  metrics, trace, spans and stdout
+#   chaos_campus_* scenario_cli verified under the scripted campus chaos
+#                  timeline (one patched failover, one revival): metrics,
+#                  trace, spans and stdout
+#   chaos_waxman_* the same on the Waxman world traced at rate 1.0, whose
+#                  failover patches most of the fleet: metrics, spans and
+#                  stdout
 #   suite.json     suite_cli --jobs 2 --seeds 3 --verify, plus its stdout
 #   waxman_scale.json
 #                  the 400- and 1000-edge Waxman sweep with the dense
 #                  cross-check at 400; JSON only, because its stdout carries
 #                  wall-clock and RSS columns
 #   reopt_*        bench ablation_reoptimization: registry JSON and stdout
+#   failover_stdout.txt, detection_latency_stdout.txt
+#                  benches ablation_failover and ablation_detection_latency:
+#                  oracle and heartbeat failure recovery
 #   fig4_stdout.txt, fig5_stdout.txt, table3_stdout.txt
 #                  the paper's outputs (Fig. 4, Fig. 5, Table III): analytic
 #                  load-balanced selection over 1M-10M packets
@@ -57,6 +66,13 @@ for cs in 1 2 3 4; do
     > "chaos_cs${cs}_stdout.txt"
 done
 
+"$build/examples/scenario_cli" --packets 2000 --seed 42 --verify \
+  --metrics-out chaos_campus_metrics.json --trace-out chaos_campus_trace.json \
+  --spans-out chaos_campus_spans.json > chaos_campus_stdout.txt
+"$build/examples/scenario_cli" --topology waxman --seed 2019 --sim --faults chaos \
+  --trace-sample 1 --verify --metrics-out chaos_waxman_metrics.json \
+  --spans-out chaos_waxman_spans.json > chaos_waxman_stdout.txt
+
 "$build/examples/suite_cli" --jobs 2 --seeds 3 --verify --out suite.json > suite_stdout.txt
 
 "$build/examples/waxman_scale" --max-edges 1000 --dense-max-edges 400 --packets 500000 \
@@ -64,6 +80,9 @@ done
 
 SDMBOX_METRICS_OUT=reopt_metrics.json "$build/bench/ablation_reoptimization" \
   > reopt_stdout.txt
+
+"$build/bench/ablation_failover" > failover_stdout.txt
+"$build/bench/ablation_detection_latency" > detection_latency_stdout.txt
 
 "$build/bench/fig4_campus_maxload" > fig4_stdout.txt
 "$build/bench/fig5_waxman_maxload" > fig5_stdout.txt

@@ -9,7 +9,7 @@
 // Flags:
 //   --edges N             single-size mode (default: sweep)
 //   --max-edges N         cap the sweep sizes (default 5000, max 10000)
-//   --dense-max-edges N   dense cross-check at sizes <= N (default 1000)
+//   --dense-max-edges N   dense cross-check at sizes <= N (default 400)
 //   --packets N           workload volume per world (default 2000000)
 //   --seed S              master seed (default 1)
 //   --json FILE           write deterministic per-size metrics (no wall
@@ -54,7 +54,7 @@ double peak_rss_kb() {
 struct Args {
   std::uint64_t edges = 0;  // 0 = sweep
   std::uint64_t max_edges = 5000;
-  std::uint64_t dense_max_edges = 1000;
+  std::uint64_t dense_max_edges = 400;
   std::uint64_t packets = 2'000'000;
   std::uint64_t seed = 1;
   std::string json_path;

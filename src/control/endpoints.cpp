@@ -321,6 +321,8 @@ void ControllerAgent::forget_device(net::NodeId device) {
 }
 
 ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest& request) {
+  SDM_CHECK_MSG((request.plan != nullptr) == (request.trigger == ReplanTrigger::kInitial),
+                "a replan carries a plan exactly when its trigger is kInitial");
   ReplanOutcome out;
   out.trigger = request.trigger;
   ++replans_;
@@ -348,51 +350,43 @@ ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest&
     replan_spans_.emplace(rspan, std::move(state));
   }
 
-  // A kFailure replan scoped to one failed middlebox patches the last
-  // distributed plan in place instead of recomputing + recompiling: only the
-  // devices whose candidate lists contain the failed box change, so every
-  // other slice stays byte-identical and the differential push skips it.
-  // Without a distributed plan to patch, the scope degrades to a full
-  // recompute. Every other path replaces last_plan_ with the plan to push.
-  const bool has_scope =
-      request.trigger == ReplanTrigger::kFailure && request.failed_node.valid();
-  const bool scoped_failure =
-      has_scope && request.plan == nullptr && !last_plan_.configs.empty();
-  if (!scoped_failure && (request.recompute_assignments || has_scope)) {
-    controller_.recompute();
-  }
-
-  bool compiled = false;
-  if (scoped_failure) {
-    const std::vector<net::NodeId> affected = controller_.patch_failed_node(request.failed_node);
-    for (const net::NodeId d : affected) {
-      core::NodeConfig& cfg = last_plan_.configs.at(d.v);
-      cfg.candidates = controller_.configs().at(d.v).candidates;
-      // Shares whose target is no longer one of the device's candidates (the
-      // dead box) are dropped; the agents fall back to hot-potato there until
-      // the next LP solve re-balances. Unaffected devices keep every share:
-      // the LP assigned none outside their candidate sets, which are unchanged.
-      cfg.ratios.filter_shares([&](policy::FunctionId e, net::NodeId to) {
-        const std::vector<net::NodeId>& cands = cfg.candidates[e.v];
-        return std::find(cands.begin(), cands.end(), to) != cands.end();
-      });
-    }
-    out.patched = true;
-    out.devices_patched = affected.size();
-    out.lambda = last_plan_.lambda;
-    ++replans_patched_;
-    compiled = true;
-  } else if (request.plan != nullptr) {
-    last_plan_ = *request.plan;
-  } else if (request.strategy == core::StrategyKind::kLoadBalanced) {
-    if (pending_reports_ == 0) {
-      if (request.trigger == ReplanTrigger::kFailure) {
-        // Recovery must leave a live plan behind. With no reports an Eq. (2)
-        // solve would assign no ratios anyway — the agents would fall back to
-        // hot-potato wherever ratios are absent — so compile that directly.
-        last_plan_ = controller_.compile(core::StrategyKind::kHotPotato);
-        compiled = true;
+  // The trigger picks the plan; every path past the switch leaves it in last_plan_.
+  switch (request.trigger) {
+    case ReplanTrigger::kInitial:
+      last_plan_ = *request.plan;
+      break;
+    case ReplanTrigger::kFailure:
+      if (request.failed_node.valid() && !last_plan_.configs.empty()) {
+        // One failed middlebox: patch the pushed plan in place. Every slice
+        // the patch leaves alone stays byte-identical, so the push skips it.
+        const std::vector<net::NodeId> affected =
+            controller_.patch_failed_node(request.failed_node);
+        for (const net::NodeId d : affected) {
+          core::NodeConfig& cfg = last_plan_.configs.at(d.v);
+          cfg.candidates = controller_.configs().at(d.v).candidates;
+          // Drop the shares that point outside the new lists (at the dead
+          // box): agents fall back to hot-potato there until the next solve.
+          // The LP put no share outside a device's lists, so devices the
+          // patch leaves alone keep all of theirs.
+          cfg.ratios.filter_shares([&](policy::FunctionId e, net::NodeId to) {
+            const std::vector<net::NodeId>& cands = cfg.candidates[e.v];
+            return std::find(cands.begin(), cands.end(), to) != cands.end();
+          });
+        }
+        out.patched = true;
+        out.devices_patched = affected.size();
+        out.lambda = last_plan_.lambda;
+        ++replans_patched_;
       } else {
+        // A revival, several failures, or no plan pushed yet: recompute
+        // every assignment and recover with hot-potato, which needs no reports.
+        controller_.recompute();
+        last_plan_ = controller_.compile(core::StrategyKind::kHotPotato);
+      }
+      break;
+    case ReplanTrigger::kMeasurement:
+    case ReplanTrigger::kDrift:
+      if (pending_reports_ == 0) {
         // Zero reports since the last solve: the matrix is empty, a solve
         // would push a meaningless plan networkwide. No-op.
         ++replans_suppressed_;
@@ -404,26 +398,21 @@ ReplanOutcome ControllerAgent::replan(sim::SimNetwork& net, const ReplanRequest&
         }
         return out;
       }
-    } else {
       core::Controller::SolveInfo info;
       last_plan_ = controller_.compile(core::StrategyKind::kLoadBalanced, &collected_, &info);
       out.solved = true;
-      compiled = true;
       out.lambda = info.lambda;
       out.lp_pivots = info.pivots;
       out.lp_warm_started = info.warm_started;
       out.reports_used = pending_reports_;
       collected_ = workload::TrafficMatrix{};
       pending_reports_ = 0;
-    }
-  } else {
-    last_plan_ = controller_.compile(request.strategy);
-    compiled = true;
+      break;
   }
 
-  if (rspan != 0 && compiled) {
+  if (rspan != 0 && request.trigger != ReplanTrigger::kInitial) {
     // Solve cost is modeled from the pivot count (wall time isn't
-    // deterministic); a strategy compile without an LP records the base cost.
+    // deterministic); a recovery without an LP records the base cost.
     const double modeled_ms = modeled_solve_ms(out.lp_pivots);
     const auto solve = spans_->instant("solve", now, rspan, "", "controller");
     spans_->set_attr(solve, "lambda", out.lambda);

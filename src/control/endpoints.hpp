@@ -15,11 +15,11 @@
 //    delegated to the wrapped agent untouched.
 //  * ControllerAgent — collects measurement reports into a TrafficMatrix;
 //    replan() is the single re-plan entry point (initial rollout, failure
-//    recovery, §III.C measurement re-solve, drift-triggered re-solve): it
-//    keeps ONE plan, last_plan(), which it replaces (compiled or
-//    precompiled) or PATCHES in place (a kFailure replan scoped to a single
-//    failed node), then serializes per-device slices and injects the
-//    changed ones.
+//    recovery, §III.C measurement re-solve, drift-triggered re-solve), and
+//    the request's trigger picks what it does: it keeps ONE plan,
+//    last_plan(), which it replaces (compiled or precompiled) or PATCHES in
+//    place (a kFailure replan scoped to a single failed node), then
+//    serializes per-device slices and injects the changed ones.
 //  * install_control_plane — attaches a controller host node plus managed
 //    devices over a whole GeneratedNetwork; send_reports has every proxy
 //    report its measurements in-band.
@@ -91,42 +91,32 @@ private:
 /// ReplanOutcome so callers (and metrics) can attribute every rollout.
 enum class ReplanTrigger : std::uint8_t {
   kInitial,      // bootstrap: distribute a precompiled plan
-  kFailure,      // heartbeat-driven recovery: recompute assignments first
+  kFailure,      // health-driven recovery: patch or recompute, then hot-potato
   kMeasurement,  // periodic §III.C re-solve from collected proxy reports
   kDrift,        // ReoptimizePolicy decided observed load drifted enough
 };
 
 const char* to_string(ReplanTrigger t) noexcept;
 
-/// One request to the unified ControllerAgent::replan() entry point.
-/// Common shapes:
-///   initial rollout    -> {kInitial, .plan = &plan}
-///   full recovery      -> {kFailure, .strategy = s, .recompute_assignments = true}
-///   scoped recovery    -> {kFailure, .failed_node = box}  (local patch)
-///   §III.C re-solve    -> {kMeasurement} (defaults)
+/// One request to the unified ControllerAgent::replan() entry point. The
+/// trigger decides what the replan does:
+///   initial rollout  -> {kInitial, .plan = &plan}
+///   failure recovery -> {kFailure}, or {kFailure, .failed_node = box} for
+///                       one failed middlebox (local patch)
+///   §III.C re-solve  -> {kMeasurement} (the default); drift -> {kDrift}
 struct ReplanRequest {
   ReplanTrigger trigger = ReplanTrigger::kMeasurement;
-  /// Strategy to compile when `plan` is null. kLoadBalanced solves Eq. (2)
-  /// on the reports collected since the last solve.
-  core::StrategyKind strategy = core::StrategyKind::kLoadBalanced;
-  /// Recompute assignments against the deployment's current operational
-  /// state before compiling (failure recovery). Propagates the controller's
-  /// ContractViolation when a needed function has no live implementer.
-  bool recompute_assignments = false;
-  /// Distribute this precompiled plan instead of compiling one. Must outlive
-  /// the call.
+  /// The precompiled plan a kInitial replan distributes: required there and
+  /// refused with any other trigger. Must outlive the call.
   const core::EnforcementPlan* plan = nullptr;
-  /// Single-failure scope, kFailure only: when set (and a plan has been
-  /// distributed before), the replan PATCHES the current plan instead of
-  /// recomputing + recompiling it — candidate sets are rebuilt only for
-  /// devices whose candidate lists contain the failed middlebox, and split
-  /// shares pointing at it are dropped (agents fall back to hot-potato there
-  /// until the next solve). All other device slices stay byte-identical, so
-  /// the differential push reaches only the affected devices. The box must
-  /// already be marked failed in the deployment (HealthMonitor does this
-  /// before calling). When no plan was ever distributed, the scope degrades
-  /// to a full recompute. Link failures never come here: OSPF reconvergence
-  /// absorbs them, because tunnels address middleboxes by IP.
+  /// kFailure only: the one middlebox that failed, already marked failed in
+  /// the deployment. With a plan distributed before, the replan PATCHES it:
+  /// devices whose candidate lists change get new ones and lose their
+  /// shares at the dead box (agents fall back to hot-potato there until the
+  /// next solve); every other slice stays byte-identical, so the
+  /// differential push reaches only the patched devices. Link failures
+  /// never come here: OSPF reconvergence absorbs them, because tunnels
+  /// address middleboxes by IP.
   net::NodeId failed_node{};
 };
 
@@ -155,21 +145,21 @@ public:
 
   void on_packet(sim::SimNetwork& net, packet::Packet pkt, net::NodeId from) override;
 
-  /// The one re-plan entry point: optionally recompute assignments, obtain a
-  /// plan (precompiled, or compiled per `request.strategy`), and distribute
-  /// it differentially — one sequenced kConfigPush per device whose slice
-  /// CHANGED since the last push, retransmitted until acked: 0.1 s initial
-  /// timeout, doubling per retry, abandoned after 6 retries (abandonment
-  /// voids the device's differential fingerprint so the next replan resends
-  /// its full slice).
-  ///
-  /// A kLoadBalanced compile with zero reports collected since the last
-  /// solve is suppressed: solving Eq. (2) on an empty matrix would push a
-  /// meaningless plan networkwide, so the call is a no-op that leaves
-  /// last_plan() untouched and sets outcome.suppressed — except under
-  /// kFailure, where a live plan is mandatory and the compile falls back to
-  /// kHotPotato (equivalent to what an empty LB solve degenerates to at the
-  /// agents, which fall back to hot-potato wherever ratios are absent).
+  /// The one re-plan entry point; the trigger picks the plan. kInitial
+  /// distributes request.plan. kFailure patches last_plan() around
+  /// request.failed_node when that is set and a plan was distributed, and
+  /// otherwise recomputes every assignment and compiles hot-potato: needing
+  /// no reports, recovery always leaves a live plan. kMeasurement and
+  /// kDrift solve Eq. (2) on the reports collected since the last solve;
+  /// with none, the call is a no-op that leaves last_plan() untouched and
+  /// sets outcome.suppressed (an empty matrix would push a meaningless plan
+  /// networkwide). The plan is then distributed differentially — one sequenced
+  /// kConfigPush per device whose slice CHANGED since the last push,
+  /// retransmitted until acked: 0.1 s initial timeout, doubling per retry,
+  /// abandoned after 6 retries (abandonment voids the device's differential
+  /// fingerprint so the next replan resends its full slice). Propagates the
+  /// controller's ContractViolation when a needed function has no live
+  /// implementer left.
   ReplanOutcome replan(sim::SimNetwork& net, const ReplanRequest& request);
 
   /// The controller this agent fronts (assignments, deployment, LP).

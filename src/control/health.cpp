@@ -149,15 +149,7 @@ void HealthMonitor::on_probe_reply(sim::SimNetwork& net, net::IpAddress from,
 
 void HealthMonitor::repush(sim::SimNetwork& net, net::NodeId failed_node) {
   try {
-    ReplanRequest request;
-    request.trigger = ReplanTrigger::kFailure;
-    request.strategy = core::StrategyKind::kHotPotato;
-    if (failed_node.valid()) {
-      request.failed_node = failed_node;
-    } else {
-      request.recompute_assignments = true;
-    }
-    agent_.replan(net, request);
+    agent_.replan(net, {.trigger = ReplanTrigger::kFailure, .failed_node = failed_node});
     ++counters_.repushes;
   } catch (const ContractViolation&) {
     // Every live implementer of some needed function is gone — no valid plan

@@ -8,13 +8,13 @@
 // traffic they vouch for: a partitioned device IS a failed device from the
 // controller's point of view). A device that fails to answer
 // `miss_threshold` consecutive rounds is declared failed; middleboxes are
-// marked in the Deployment and the controller pushes a hot-potato recovery
-// plan — the paper's dependability loop (§III.A "the controller
-// re-configures the software-defined middleboxes"), closed end to end
-// in-band. When a round declares exactly one middlebox failed, the recovery
-// patches the current plan around it and repushes only the devices whose
-// chains traversed it; anything else recomputes assignments. A
-// declared-failed device that answers again is revived the same way.
+// marked in the Deployment and the controller pushes a recovery plan — the
+// paper's dependability loop (§III.A "the controller re-configures the
+// software-defined middleboxes"), closed end to end in-band. Each recovery
+// is one kFailure replan: a round that declares one middlebox failed names
+// it, and the controller patches only the candidate lists that change; a
+// round with several, or a revival, recomputes every assignment and pushes
+// hot-potato.
 // Proxies are probed too: their failure can't be routed around (they ARE
 // the subnet's enforcement point), but the operator still wants to know.
 //
@@ -119,7 +119,7 @@ private:
   };
 
   void round(sim::SimNetwork& net);
-  /// Recovery replan; `failed_node` (when valid) scopes it to a local patch.
+  /// The kFailure replan; `failed_node` (when valid) scopes it to a local patch.
   void repush(sim::SimNetwork& net, net::NodeId failed_node = {});
   /// Returns true when the declaration parked an episode span on the
   /// tracer's context stack (the caller pops after any repush).

@@ -93,12 +93,10 @@ std::string VerifyReport::summary() const {
 InvariantOracle::InvariantOracle(const net::GeneratedNetwork& network,
                                  const core::Deployment& deployment,
                                  const policy::PolicyList& policies,
-                                 const core::EnforcementPlan& plan,
+                                 const core::EnforcementPlan& /*plan*/,
                                  const policy::FunctionCatalog* catalog)
     : topo_(&network.topo),
-      deployment_(&deployment),
       policies_(&policies),
-      plan_(&plan),
       catalog_(catalog),
       resolver_(net::AddressResolver::build(network.topo)) {
   proxy_nodes_.resize(topo_->node_count(), false);

@@ -118,8 +118,10 @@ struct VerifyReport {
 /// to close accounting and read the report.
 class InvariantOracle : public obs::TraceObserver {
 public:
+  /// The plan is not read: the invariants must hold under whichever plan is
+  /// live, so the oracle keeps none.
   InvariantOracle(const net::GeneratedNetwork& network, const core::Deployment& deployment,
-                  const policy::PolicyList& policies, const core::EnforcementPlan& plan,
+                  const policy::PolicyList& policies, const core::EnforcementPlan& /*plan*/,
                   const policy::FunctionCatalog* catalog = nullptr);
 
   /// Promise that every record of every traced flow reaches the oracle
@@ -253,9 +255,7 @@ private:
   bool implements(net::NodeId n, policy::FunctionId fn) const noexcept;
 
   const net::Topology* topo_;
-  const core::Deployment* deployment_;
   const policy::PolicyList* policies_;
-  const core::EnforcementPlan* plan_;
   const policy::FunctionCatalog* catalog_;
   /// Same resolution the network delivers by: exact device address first,
   /// then longest-prefix stub subnet → terminal. Generated flows use host

@@ -9,7 +9,6 @@ void TrafficMatrix::add_sample(policy::PolicyId p, int src_subnet, int dst_subne
   if (volume <= 0) return;
   total_[key1(p)] += volume;
   from_[key2(p, src_subnet)] += volume;
-  to_[key2(p, dst_subnet)] += volume;
   pair_[key3(p, src_subnet, dst_subnet)] += volume;
   grand_total_ += volume;
 }
@@ -61,24 +60,6 @@ TrafficMatrix measure_stream(const policy::PolicyList& policies, FlowStream& str
   FlowRecord f;
   while (stream.next(f)) sampler.add(tm, f);
   return tm;
-}
-
-std::vector<int> TrafficMatrix::active_sources(policy::PolicyId p) const {
-  std::vector<int> out;
-  for (const auto& [k, v] : from_) {
-    if ((k >> 24) == p.v && v > 0) out.push_back(static_cast<int>(k & 0xffffff));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<int> TrafficMatrix::active_destinations(policy::PolicyId p) const {
-  std::vector<int> out;
-  for (const auto& [k, v] : to_) {
-    if ((k >> 24) == p.v && v > 0) out.push_back(static_cast<int>(k & 0xffffff));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::vector<std::pair<int, int>> TrafficMatrix::active_pairs(policy::PolicyId p) const {

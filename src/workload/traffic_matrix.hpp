@@ -3,8 +3,8 @@
 // The controller's LPs consume per-policy volumes at three granularities:
 //   T_p       — total volume matching policy p,
 //   T_{s,p}   — volume from source subnet s matching p,
-//   T_{d,p}   — volume received by destination subnet d matching p,
 //   T_{s,d,p} — volume from s to d matching p (Eq. (1) only).
+// Eq. (2) aggregates destinations away, so no per-destination total is kept.
 // Volumes are in packets, matching the paper's load metric.
 #pragma once
 
@@ -44,15 +44,10 @@ public:
 
   double total(policy::PolicyId p) const { return get(total_, key1(p)); }
   double from(policy::PolicyId p, int src_subnet) const { return get(from_, key2(p, src_subnet)); }
-  double to(policy::PolicyId p, int dst_subnet) const { return get(to_, key2(p, dst_subnet)); }
   double between(policy::PolicyId p, int src_subnet, int dst_subnet) const {
     return get(pair_, key3(p, src_subnet, dst_subnet));
   }
 
-  /// Source subnets with nonzero T_{s,p}, ascending.
-  std::vector<int> active_sources(policy::PolicyId p) const;
-  /// Destination subnets with nonzero T_{d,p}, ascending.
-  std::vector<int> active_destinations(policy::PolicyId p) const;
   /// (s, d) pairs with nonzero T_{s,d,p}, lexicographic.
   std::vector<std::pair<int, int>> active_pairs(policy::PolicyId p) const;
 
@@ -75,7 +70,6 @@ private:
 
   std::unordered_map<std::uint64_t, double> total_;
   std::unordered_map<std::uint64_t, double> from_;
-  std::unordered_map<std::uint64_t, double> to_;
   std::unordered_map<std::uint64_t, double> pair_;
   double grand_total_ = 0;
 };

@@ -1,7 +1,8 @@
 // Incremental re-optimization: warm-started LB re-solves (same optimum,
 // fewer pivots), local plan patching on a single middlebox failure
-// (equivalent assignments, untouched devices byte-identical), and the
-// scoped replan path that pushes only the affected device slices.
+// (equivalent assignments, untouched devices byte-identical, the same
+// liveness refusal as a full recompute), and the scoped replan path that
+// pushes only the affected device slices.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -124,6 +125,45 @@ TEST(PatchFailure, NodePatchMatchesFullRecompute) {
     const bool listed =
         std::find(affected.begin(), affected.end(), net::NodeId{node_v}) != affected.end();
     EXPECT_EQ(changed, listed) << "device " << node_v;
+  }
+}
+
+TEST(PatchFailure, RefusesLikeRecomputeWhenAFunctionHasNoLiveImplementer) {
+  ScenarioParams sp;
+  sp.seed = 404;
+  sp.target_packets = 1000;
+  Scenario s = make_scenario(sp);
+  const auto before = s.controller->configs();
+
+  // Every web proxy dies and nothing recomputes, so WP is left with no live
+  // implementer while the controller's lists still name the dead boxes.
+  for (const net::NodeId m : s.deployment.implementers(policy::kWebProxy)) {
+    s.deployment.set_failed(m, true);
+  }
+  // Then one box whose own functions all keep a live implementer fails.
+  net::NodeId victim;
+  for (const auto& m : s.deployment.middleboxes()) {
+    if (s.deployment.is_failed(m.node)) continue;
+    bool others_live = true;
+    for (const policy::FunctionId fn : m.functions.to_vector()) {
+      if (s.deployment.active_implementers(fn).size() < 2) others_live = false;
+    }
+    if (others_live) {
+      victim = m.node;
+      break;
+    }
+  }
+  ASSERT_TRUE(victim.valid());
+  s.deployment.set_failed(victim, true);
+
+  // The patch runs recompute()'s pass, liveness rule included: no valid
+  // assignment exists, so both refuse, and neither touches the lists.
+  EXPECT_THROW(s.controller->patch_failed_node(victim), ContractViolation);
+  EXPECT_THROW(s.controller->recompute(), ContractViolation);
+  const auto& after = s.controller->configs();
+  ASSERT_EQ(after.size(), before.size());
+  for (const auto& [node_v, cfg] : before) {
+    EXPECT_EQ(after.at(node_v).candidates, cfg.candidates) << "device " << node_v;
   }
 }
 

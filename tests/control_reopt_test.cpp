@@ -272,7 +272,7 @@ TEST(Replan, ZeroReportMeasurementReplanIsANoOp) {
   EXPECT_EQ(loop.cp.controller->current_version(), version_before);
 
   // A failure-triggered replan must never leave the fleet planless: with the
-  // same empty pool it degrades to hot-potato instead of suppressing.
+  // same empty pool it recovers with hot-potato instead of suppressing.
   const ReplanOutcome failure = loop.cp.controller->replan(
       loop.simnet, ReplanRequest{.trigger = ReplanTrigger::kFailure});
   EXPECT_FALSE(failure.suppressed);
@@ -303,14 +303,20 @@ TEST(Replan, ExplicitPlanAndFullRecoveryRideTheUnifiedEntryPoint) {
   EXPECT_EQ(pushed.pushes_sent, s.network.proxies.size() + s.deployment.size());
   EXPECT_FALSE(pushed.solved);
 
-  // Unscoped failure recovery: recompute assignments, compile fresh.
+  // Unscoped failure recovery: recompute assignments, compile hot-potato.
   const ReplanOutcome recovered = loop.cp.controller->replan(
-      loop.simnet, ReplanRequest{.trigger = ReplanTrigger::kFailure,
-                                 .strategy = StrategyKind::kHotPotato,
-                                 .recompute_assignments = true});
+      loop.simnet, ReplanRequest{.trigger = ReplanTrigger::kFailure});
   loop.simnet.run();
   EXPECT_EQ(loop.cp.controller->last_plan().strategy, StrategyKind::kHotPotato);
   EXPECT_FALSE(recovered.patched);
+  // A plan rides a kInitial replan and no other; both misuses are refused
+  // before the replan counts.
+  EXPECT_THROW(loop.cp.controller->replan(
+                   loop.simnet, ReplanRequest{.trigger = ReplanTrigger::kInitial}),
+               ContractViolation);
+  EXPECT_THROW(loop.cp.controller->replan(
+                   loop.simnet, ReplanRequest{.trigger = ReplanTrigger::kDrift, .plan = &plan}),
+               ContractViolation);
   // Initial rollout + both explicit replans went through the one entry point.
   EXPECT_EQ(loop.cp.controller->replans(), 3u);
 }

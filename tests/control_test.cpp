@@ -307,11 +307,11 @@ void expect_reports_rebuild_traffic(Loop& loop, const Scenario& s) {
   EXPECT_DOUBLE_EQ(collected.grand_total(), s.traffic.grand_total());
   for (const auto& p : s.gen.policies.all()) {
     EXPECT_DOUBLE_EQ(collected.total(p.id), s.traffic.total(p.id));
-    for (const int src : s.traffic.active_sources(p.id)) {
+    const auto pairs = s.traffic.active_pairs(p.id);
+    EXPECT_EQ(collected.active_pairs(p.id), pairs);
+    for (const auto& [src, dst] : pairs) {
       EXPECT_DOUBLE_EQ(collected.from(p.id, src), s.traffic.from(p.id, src));
-    }
-    for (const int dst : s.traffic.active_destinations(p.id)) {
-      EXPECT_DOUBLE_EQ(collected.to(p.id, dst), s.traffic.to(p.id, dst));
+      EXPECT_DOUBLE_EQ(collected.between(p.id, src, dst), s.traffic.between(p.id, src, dst));
     }
   }
 }
